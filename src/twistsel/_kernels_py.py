@@ -68,21 +68,4 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
 
 def class_number(D: int) -> int:
     """h(D): count of primitive reduced forms of discriminant D < 0."""
-    h = 0
-    amax = math.isqrt(-D // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - D) % 2:
-                continue
-            t = b * b - D
-            if t % (4 * a):
-                continue
-            c = t // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
-                continue
-            h += 1
-    return h
+    return len(reduced_forms(D))

@@ -14,15 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .curves import CurveQ, PointQ
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
 from .divpoly import rational_ell_torsion_point
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
-from .intmath import is_prime, is_squarefree, kronecker, valuation
-from .quadforms import class_number, ell_rank, field_discriminant
-from .rayclass import ray_class_ell_rank
+from .intmath import is_prime, is_squarefree, kronecker
+from .quadforms import class_number, field_discriminant
+from .rayclass import ray_class_data
 from .reduction import (
     ReductionKind,
     SupersingularVerdict,
@@ -31,6 +30,7 @@ from .reduction import (
     in_kernel_of_reduction,
     is_supersingular,
     local_reduction,
+    _vp_frac,
 )
 
 
@@ -167,12 +167,6 @@ class HypothesisReport:
             ],
             "ok": self.ok,
         }
-
-
-def _vp_frac(x: Fraction, p: int) -> int:
-    if x == 0:
-        return 10**9
-    return valuation(x.numerator, p) - valuation(x.denominator, p)
 
 
 def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
@@ -355,24 +349,6 @@ class SelmerBound:
         return self.rank is None
 
 
-def selmer_lower_bound(
-    E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
-) -> SelmerBound:
-    """Certified divisor ell^r of #Sel_ell(E^d, Q): the tame ray class rank at S_E."""
-    report = admissibility_check(E, ell, d, predicate)
-    if report.overall is not Overall.ADMISSIBLE:
-        raise PreconditionError(
-            f"d = {d} is not admissible for this curve and ell = {ell}: "
-            + ", ".join(report.failed_clauses() or ["undetermined clauses"])
-        )
-    ssets = compute_s_sets(E, ell, predicate)
-    try:
-        r = ray_class_ell_rank(d, ssets.s, ell)
-    except (PreconditionError, UnsupportedError) as exc:
-        return SelmerBound(ell, d, None, None, ssets.s, str(exc))
-    return SelmerBound(ell, d, r, ell**r, ssets.s)
-
-
 class SelmerVerdict(Enum):
     NONTRIVIAL = "SelmerNontrivial"
     TRIVIAL = "SelmerTrivial"
@@ -391,18 +367,41 @@ class SandwichResult:
     reason: str
 
 
-def corollary_sandwich(
+@dataclass(frozen=True)
+class Certificate:
+    """Every per-d conclusion; h, bound and sandwich are None unless d is admissible."""
+
+    report: ConditionReport
+    h: int | None = None
+    bound: SelmerBound | None = None
+    sandwich: SandwichResult | None = None
+
+
+def certify(
     E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
-) -> SandwichResult:
-    """Nontriviality equivalence and the two-sided bound, valid when the
-    exceptional set is empty: ell^r | #Sel_ell(E^d, Q) | ell^(2r) with r the
-    ell-rank of cl(Q(sqrt(d)))."""
+) -> Certificate:
+    """Admissibility, the Selmer lower bound and the sandwich from one class-group pass.
+
+    One ray class computation over S_E gives both the bound and, through its
+    h and class-group ell-rank, the sandwich: the sandwich needs the
+    exceptional set S~_E empty, and S_E is a subset of it, so the modulus is
+    trivial there.
+    """
     report = admissibility_check(E, ell, d, predicate)
     if report.overall is not Overall.ADMISSIBLE:
-        raise PreconditionError(f"d = {d} is not admissible: {report.failed_clauses()}")
+        return Certificate(report)
     ssets = compute_s_sets(E, ell, predicate)
+    try:
+        data = ray_class_data(d, ssets.s, ell)
+    except (PreconditionError, UnsupportedError) as exc:
+        # only a nonempty modulus can fail, so the sandwich is NotApplicable
+        h = class_number(field_discriminant(d))
+        bound = SelmerBound(ell, d, None, None, ssets.s, str(exc))
+    else:
+        h = data.h
+        bound = SelmerBound(ell, d, data.ell_rank, ell**data.ell_rank, ssets.s)
     if ssets.s_tilde:
-        return SandwichResult(
+        sandwich = SandwichResult(
             SelmerVerdict.NOT_APPLICABLE,
             ell,
             d,
@@ -412,17 +411,41 @@ def corollary_sandwich(
             None,
             f"exceptional set is nonempty: {list(ssets.s_tilde)}",
         )
-    D = field_discriminant(d)
-    h = class_number(D)
-    r, _order = ell_rank(D, ell)
-    verdict = SelmerVerdict.NONTRIVIAL if r > 0 else SelmerVerdict.TRIVIAL
-    return SandwichResult(
-        verdict,
-        ell,
-        d,
-        h,
-        r,
-        ell**r,
-        ell ** (2 * r),
-        f"h({D}) = {h}, {ell}-rank {r}",
-    )
+    else:
+        r = data.cl_ell_rank
+        sandwich = SandwichResult(
+            SelmerVerdict.NONTRIVIAL if r > 0 else SelmerVerdict.TRIVIAL,
+            ell,
+            d,
+            h,
+            r,
+            ell**r,
+            ell ** (2 * r),
+            f"h({data.D}) = {h}, {ell}-rank {r}",
+        )
+    return Certificate(report, h, bound, sandwich)
+
+
+def selmer_lower_bound(
+    E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
+) -> SelmerBound:
+    """Certified divisor ell^r of #Sel_ell(E^d, Q): the tame ray class rank at S_E."""
+    cert = certify(E, ell, d, predicate)
+    if cert.bound is None:
+        raise PreconditionError(
+            f"d = {d} is not admissible for this curve and ell = {ell}: "
+            + ", ".join(cert.report.failed_clauses() or ["undetermined clauses"])
+        )
+    return cert.bound
+
+
+def corollary_sandwich(
+    E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
+) -> SandwichResult:
+    """Nontriviality equivalence and the two-sided bound, valid when the
+    exceptional set is empty: ell^r | #Sel_ell(E^d, Q) | ell^(2r) with r the
+    ell-rank of cl(Q(sqrt(d)))."""
+    cert = certify(E, ell, d, predicate)
+    if cert.sandwich is None:
+        raise PreconditionError(f"d = {d} is not admissible: {cert.report.failed_clauses()}")
+    return cert.sandwich

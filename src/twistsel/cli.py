@@ -161,11 +161,10 @@ def cmd_check(args) -> int:
     if not hyp.ok:
         _dump(hyp.to_dict(), args.format)
         return EXIT_UNDETERMINED if hyp.undetermined else EXIT_PRECONDITION
-    report = checker.admissibility_check(E, args.ell, args.d, pred)
+    cert = checker.certify(E, args.ell, args.d, pred)
+    report, bound, sandwich = cert.report, cert.bound, cert.sandwich
     payload = report.to_dict()
-    if report.overall.value == "Admissible":
-        bound = checker.selmer_lower_bound(E, args.ell, args.d, pred)
-        sandwich = checker.corollary_sandwich(E, args.ell, args.d, pred)
+    if bound is not None:
         payload["selmer_lower_bound"] = bound.bound
         payload["ray_rank"] = bound.rank
         payload["s_used"] = list(bound.s_used)

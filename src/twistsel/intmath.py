@@ -198,6 +198,13 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+def log_p(n: int, p: int) -> int:
+    """Exact logarithm: the k with p**k == n; raises when n is not a power of p."""
+    if p < 2 or n < 1 or p ** (k := valuation(n, p)) != n:
+        raise InvalidParameterError(f"{n} is not a power of {p}")
+    return k
+
+
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a mod the odd prime p (Tonelli-Shanks), or None."""
     a %= p

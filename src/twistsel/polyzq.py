@@ -454,7 +454,7 @@ def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX
         inv = pow(lc, -1, p**target)
         return [_zx_trunc(zx_mul_scalar(f, inv), p**target)]
     k = r // 2
-    steps = max(1, math.ceil(math.log2(target)))
+    steps = max(1, (target - 1).bit_length())
     g = [lc % p]
     for fac in factors[:k]:
         g = fp_mul(g, fac, p)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._kernels import class_number as _kernel_class_number
 from ._kernels import reduced_forms as _kernel_reduced_forms
 from .errors import InvalidParameterError, UnsupportedError
-from .intmath import is_squarefree
+from .intmath import is_squarefree, log_p
 
 
 def field_discriminant(d: int) -> int:
@@ -168,6 +167,45 @@ def form_order(f: BQF) -> int:
     return n
 
 
+def torsion_subgroup(forms: list[BQF], n: int) -> list[BQF]:
+    """The n-torsion of cl(D), given all of its reduced forms.
+
+    Every element's order divides h = len(forms), so when gcd(n, h) = 1 the
+    n-torsion is trivial and no power is taken.
+    """
+    one = principal_form(forms[0].disc)
+    if math.gcd(n, len(forms)) == 1:
+        return [one]
+    return [f for f in forms if form_power(f, n) == one]
+
+
+@dataclass(frozen=True)
+class EllPart:
+    """cl(D) enumerated once: its reduced forms and its ell-torsion subgroup."""
+
+    D: int
+    ell: int
+    forms: tuple[BQF, ...]
+    torsion: tuple[BQF, ...]
+
+    @property
+    def h(self) -> int:
+        return len(self.forms)
+
+    @property
+    def rank(self) -> int:
+        return log_p(len(self.torsion), self.ell)
+
+
+def ell_part(D: int, ell: int) -> EllPart:
+    """The class number and ell-torsion of cl(D) from one enumeration of its forms."""
+    _check_disc(D)
+    if ell < 2:
+        raise InvalidParameterError("ell must be a prime")
+    forms = reduced_forms(D)
+    return EllPart(D, ell, tuple(forms), tuple(torsion_subgroup(forms, ell)))
+
+
 @dataclass(frozen=True)
 class ClassGroupData:
     D: int
@@ -179,7 +217,6 @@ class ClassGroupData:
         return sum(1 for d in self.structure if d % ell == 0)
 
 
-@lru_cache(maxsize=None)
 def class_group_structure(D: int) -> ClassGroupData:
     """Full structure of cl(D): forms, order, elementary divisors.
 
@@ -196,20 +233,17 @@ def class_group_structure(D: int) -> ClassGroupData:
             p += 1 if p == 2 else 2
             continue
         # p-part: count p^k-torsion layer by layer
-        layers = []
+        # exps[i] = number of cyclic p-factors of order >= p^(i+1)
+        exps = []
         prev = 1
         k = 1
         while True:
-            cnt = sum(1 for f in forms if form_power(f, p**k) == principal_form(D))
+            cnt = len(torsion_subgroup(forms, p**k))
             if cnt == prev:
                 break
-            layers.append(cnt // prev)
+            exps.append(log_p(cnt // prev, p))
             prev = cnt
             k += 1
-        # layers[i] = p^(number of cyclic p-factors of order >= p^(i+1))
-        exps = []
-        for layer in layers:
-            exps.append(round(math.log(layer, p)))
         # exps is non-increasing; cyclic factor orders from the conjugate partition
         n_factors = exps[0] if exps else 0
         orders = [0] * n_factors
@@ -235,14 +269,5 @@ def class_group_structure(D: int) -> ClassGroupData:
 
 def ell_rank(D: int, ell: int) -> tuple[int, int]:
     """(r, ell^r) with r the ell-rank of cl(D); counts ell-torsion directly."""
-    _check_disc(D)
-    if ell < 2:
-        raise InvalidParameterError("ell must be a prime")
-    one = principal_form(D)
-    count = sum(1 for f in reduced_forms(D) if form_power(f, ell) == one)
-    r = 0
-    while ell**r < count:
-        r += 1
-    if ell**r != count:
-        raise InvalidParameterError("internal: ell-torsion count is not a power of ell")
+    r = ell_part(D, ell).rank
     return r, ell**r

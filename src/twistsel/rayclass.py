@@ -17,19 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
 from .intmath import factorint, is_prime, is_squarefree, kronecker, primitive_root, sqrt_mod
-from .quadforms import (
-    BQF,
-    ClassGroupData,
-    class_group_structure,
-    compose,
-    field_discriminant,
-    form_power,
-    principal_form,
-)
+from .quadforms import BQF, EllPart, _xgcd, compose, ell_part, field_discriminant, principal_form
 
 # ---------------------------------------------------------------------------
 # arithmetic in O_K = Z[omega]
@@ -119,15 +110,6 @@ def _hnf_from_generators(order: QuadOrder, gens: list[tuple[int, int]]) -> Ideal
     a = ac // c
     b = (vec[0] // c) % a
     return Ideal(order, a, b, c)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def ideal_mul(I: Ideal, J: Ideal) -> Ideal:
@@ -234,7 +216,6 @@ class _Component:
     gen: tuple[int, int]  # generator as an element of O/p
 
 
-@lru_cache(maxsize=None)
 def _splitting_in_field(o: QuadOrder, p: int) -> tuple[str, tuple[int, ...]]:
     k = kronecker(o.D, p)
     if k == 0:
@@ -325,20 +306,19 @@ def _component_dlog_mod_ell(o: QuadOrder, comp: _Component, alpha: tuple[int, in
 # the rank computation
 
 
-def _ell_torsion_basis(cg: ClassGroupData, ell: int) -> list[BQF]:
+def _ell_torsion_basis(part: EllPart) -> list[BQF]:
     """A basis of cl(D)[ell] as an F_ell vector space."""
-    one = principal_form(cg.D)
-    torsion = [f for f in cg.forms if form_power(f, ell) == one]
+    one = principal_form(part.D)
     basis: list[BQF] = []
     span = {one}
-    for f in torsion:
+    for f in part.torsion:
         if f in span:
             continue
         basis.append(f)
         new = set(span)
         for s in span:
             g = s
-            for _ in range(ell - 1):
+            for _ in range(part.ell - 1):
                 g = compose(g, f)
                 new.add(g)
         span = new
@@ -410,20 +390,19 @@ def _validate(d: int, S: tuple[int, ...], ell: int) -> QuadOrder:
     return o
 
 
-@lru_cache(maxsize=None)
 def ray_class_data(d: int, S: tuple[int, ...], ell: int) -> RayClassData:
     """Ray class group data of K = Q(sqrt(d)) with modulus prod_{p in S} p O_K."""
     S = tuple(sorted(set(S)))
     o = _validate(d, S, ell)
     D = o.D
-    cg = class_group_structure(D)
-    cl_rank = cg.ell_rank(ell)
+    part = ell_part(D, ell)
+    cl_rank = part.rank
     comps = _components(o, S)
     w_order = 1
     for comp in comps:
         w_order *= comp.order
     unit_image = 1 if not S else 2  # -1 = 1 mod m only for the empty modulus
-    ray_h = cg.h * w_order // unit_image
+    ray_h = part.h * w_order // unit_image
     ell_comps = [comp for comp in comps if comp.order % ell == 0]
     if not ell_comps or cl_rank == 0:
         delta_rank = 0
@@ -431,7 +410,7 @@ def ray_class_data(d: int, S: tuple[int, ...], ell: int) -> RayClassData:
         m = 1
         for p in S:
             m *= p
-        basis = _ell_torsion_basis(cg, ell)
+        basis = _ell_torsion_basis(part)
         rows = []
         for f in basis:
             f = form_with_coprime_a(f, m * ell)
@@ -446,7 +425,7 @@ def ray_class_data(d: int, S: tuple[int, ...], ell: int) -> RayClassData:
         d,
         D,
         S,
-        cg.h,
+        part.h,
         unit_image,
         tuple(comp.order for comp in comps),
         ray_h,

@@ -18,6 +18,7 @@ from ._kernels import count_points
 from .curves import CurveQ, PointQ, minimal_model, quadratic_twist
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
 from .intmath import factorint, is_squarefree, legendre, valuation
+from .polyzq import fp_gcd
 
 AP_PRIME_LIMIT = 10**6  # exhaustive point counting only; no Schoof
 
@@ -119,7 +120,7 @@ def _singular_point(m: _Model, p: int) -> tuple[int, int]:
     # g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 mod p.
     g = [m.b6 % p, (2 * m.b4) % p, m.b2 % p, 4 % p]
     gp = [g[1], (2 * g[2]) % p, (3 * g[3]) % p]
-    h = _fp_gcd(g, gp, p)
+    h = fp_gcd(g, gp, p)
     if len(h) == 2:
         x0 = (-h[0] * pow(h[1], -1, p)) % p
     elif len(h) == 3:
@@ -128,36 +129,6 @@ def _singular_point(m: _Model, p: int) -> tuple[int, int]:
         raise PreconditionError("no multiple root; reduction is good")
     y0 = (-(m.a1 * x0 + m.a3) * pow(2, -1, p)) % p
     return x0, y0
-
-
-def _fp_norm(f: list[int], p: int) -> list[int]:
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = a[:]
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b) and a:
-        k = a[-1] * inv % p
-        d = len(a) - len(b)
-        q[d] = k
-        for i, bc in enumerate(b):
-            a[i + d] = (a[i + d] - k * bc) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_norm(a, p), _fp_norm(b, p)
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
 
 
 def _cubic_root_structure(m: _Model, p: int) -> tuple[str, int]:
@@ -174,9 +145,7 @@ def _cubic_root_structure(m: _Model, p: int) -> tuple[str, int]:
     r = (-c2 * pow(3, -1, p)) % p if p != 3 else (-c0) % 3
     if c2 % p == (-3 * r) % p and c1 % p == (3 * r * r) % p and c0 % p == (-(r**3)) % p:
         return "triple", r
-    P = _fp_norm([c0, c1, c2, 1], p)
-    Pp = _fp_norm([c1, 2 * c2, 3], p)
-    g = _fp_gcd(P, Pp, p)
+    g = fp_gcd([c0, c1, c2, 1], [c1, 2 * c2, 3], p)
     if len(g) == 1:
         return "distinct", 0
     if len(g) == 2:

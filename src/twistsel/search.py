@@ -1,8 +1,9 @@
 """Twist-parameter enumeration: scan d, filter by admissibility, attach class data.
 
 The scan is deterministic: candidates stream in order of |d| (ascending by
-default), every emitted row re-validates its admissibility report, and class
-group work can fan out over processes with an order-preserving merge.
+default), and each d becomes a finished row from one `certify` call, which
+runs its admissibility check and its one class-group pass. With jobs > 1 the
+pool workers return finished rows, merged in order.
 """
 
 from __future__ import annotations
@@ -11,20 +12,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
-from .checker import (
-    Overall,
-    admissibility_check,
-    compute_s_sets,
-    corollary_sandwich,
-    hypothesis_check,
-    selmer_lower_bound,
-)
+from .checker import certify, hypothesis_check
 from .curves import CurveQ
 from .dirichlet import DirichletPredicate
 from .errors import InvalidParameterError, PreconditionError
 from .intmath import squarefree_sieve
-from .quadforms import class_number, ell_rank, field_discriminant
+from .quadforms import field_discriminant
 from .reduction import conductor
 
 
@@ -80,11 +75,26 @@ class TwistCandidate:
 CSV_HEADER = "d,D,h,ell_rank,selmer_lb,verdict,failed_clauses"
 
 
-def _class_data(args: tuple[int, int]) -> tuple[int, int, int]:
-    D, ell = args
-    h = class_number(D)
-    r, _ = ell_rank(D, ell)
-    return D, h, r
+def _row(
+    E: CurveQ,
+    ell: int,
+    mode: SearchMode,
+    predicate: DirichletPredicate | None,
+    include_inadmissible: bool,
+    d: int,
+) -> TwistCandidate | None:
+    """The finished row for one d, or None for an inadmissible d left out of the scan."""
+    cert = certify(E, ell, d, predicate)
+    D = field_discriminant(d)
+    if cert.bound is None:
+        if not include_inadmissible:
+            return None
+        report = cert.report
+        return TwistCandidate(
+            d, D, None, None, None, report.overall.value, tuple(report.failed_clauses())
+        )
+    verdict = cert.sandwich.verdict.value if mode is SearchMode.COROLLARY_E else ""
+    return TwistCandidate(d, D, cert.h, cert.bound.rank, cert.bound.bound, verdict, ())
 
 
 def search_twists(
@@ -105,41 +115,13 @@ def search_twists(
             + ", ".join(c.clause_id for c in hyp.checks if c.verdict.value != "pass")
         )
     N, _ = conductor(E)
-    ssets = compute_s_sets(E, ell, predicate)
-    admissible: list[int] = []
-    rows: list[TwistCandidate] = []
-    for d in enumerate_d(lo, hi, ell, N):
-        report = admissibility_check(E, ell, d, predicate)
-        if report.overall is Overall.ADMISSIBLE:
-            admissible.append(d)
-        elif include_inadmissible:
-            rows.append(
-                TwistCandidate(
-                    d,
-                    field_discriminant(d),
-                    None,
-                    None,
-                    None,
-                    report.overall.value,
-                    tuple(report.failed_clauses()),
-                )
-            )
-    # class-group side: embarrassingly parallel over d
-    work = [(field_discriminant(d), ell) for d in admissible]
-    if jobs > 1 and len(work) > 1:
+    ds = list(enumerate_d(lo, hi, ell, N))
+    row = partial(_row, E, ell, mode, predicate, include_inadmissible)
+    if jobs > 1 and len(ds) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            class_data = list(pool.map(_class_data, work, chunksize=16))
+            found = list(pool.map(row, ds, chunksize=16))
     else:
-        class_data = [_class_data(w) for w in work]
-    for d, (D, h, r) in zip(admissible, class_data):
-        if mode is SearchMode.COROLLARY_E:
-            result = corollary_sandwich(E, ell, d, predicate)
-            verdict = result.verdict.value
-        else:
-            verdict = ""
-        bound = selmer_lower_bound(E, ell, d, predicate)
-        lb = bound.bound
-        rank_over_s = bound.rank
-        rows.append(TwistCandidate(d, D, h, rank_over_s, lb, verdict, ()))
-    rows.sort(key=lambda row: -row.d)
+        found = [row(d) for d in ds]
+    rows = [r for r in found if r is not None]
+    rows.sort(key=lambda r: -r.d)
     return rows

@@ -1,0 +1,56 @@
+"""Outputs pinned byte for byte; refactors of the class-group path must keep them.
+
+SEARCH_26_CSV is `twistsel search` on curve 26 [1,-1,1,-3,3], ell = 7, d in
+[-120, -3], CSV format: S_E = {13} is nonempty, so every row runs the ray-class
+connecting map and the sandwich is NotApplicable. The CHECK_* strings are the
+`twistsel check` JSON lines for one d with nonempty and one with empty S_E.
+"""
+
+SEARCH_26_CSV = (
+    "d,D,h,ell_rank,selmer_lb,verdict,failed_clauses\n"
+    "-5,-20,2,1,7,NotApplicable,\n"
+    "-17,-68,4,0,1,NotApplicable,\n"
+    "-29,-116,6,0,1,NotApplicable,\n"
+    "-33,-132,4,1,7,NotApplicable,\n"
+    "-37,-148,2,1,7,NotApplicable,\n"
+    "-41,-164,8,1,7,NotApplicable,\n"
+    "-53,-212,6,0,1,NotApplicable,\n"
+    "-57,-228,4,1,7,NotApplicable,\n"
+    "-61,-244,6,0,1,NotApplicable,\n"
+    "-69,-276,8,0,1,NotApplicable,\n"
+    "-73,-292,4,1,7,NotApplicable,\n"
+    "-85,-340,4,1,7,NotApplicable,\n"
+    "-89,-356,12,1,7,NotApplicable,\n"
+    "-93,-372,4,1,7,NotApplicable,\n"
+    "-97,-388,4,1,7,NotApplicable,\n"
+    "-101,-404,14,1,7,NotApplicable,\n"
+    "-109,-436,6,1,7,NotApplicable,\n"
+    "-113,-452,8,0,1,NotApplicable,\n"
+)
+
+CHECK_26_D5 = (
+    '{"clauses":[{"cite":"d < 0","detail":"d = -5","id":"domain.negative","pass":true},'
+    '{"cite":"d squarefree","detail":"d = -5","id":"domain.squarefree","pass":true},'
+    '{"cite":"d = 3 (mod 4)","detail":"d mod 4 = 3","id":"domain.congruence","pass":true},'
+    '{"cite":"gcd(d, ell N) = 1",'
+    '"detail":"gcd(-5, 7*26) = 1","id":"domain.coprime","pass":true},'
+    '{"cite":"primes above 2 in the conductor ramify in Q(sqrt(d))",'
+    '"detail":"automatic for d = 3 (mod 4): the field discriminant is 4d","id":"dyadic.ramified","pass":true},'
+    '{"cite":"prime 13 lies in the exceptional set; no symbol condition",'
+    '"detail":"exempt: ramification is permitted here","id":"symbol.13","pass":true}],'
+    '"curve":"[1,-1,1,-3,3]","d":-5,"ell":7,"overall":"Admissible","ray_rank":1,"s_used":[13],'
+    '"selmer_lower_bound":7,"verdict":"NotApplicable"}'
+)
+
+CHECK_11A3_D181 = (
+    '{"bounds":[5,25],"clauses":[{"cite":"d < 0",'
+    '"detail":"d = -181","id":"domain.negative","pass":true},{"cite":"d squarefree",'
+    '"detail":"d = -181","id":"domain.squarefree","pass":true},{"cite":"d = 3 (mod 4)",'
+    '"detail":"d mod 4 = 3","id":"domain.congruence","pass":true},'
+    '{"cite":"gcd(d, ell N) = 1",'
+    '"detail":"gcd(-181, 5*11) = 1","id":"domain.coprime","pass":true},'
+    '{"cite":"quadratic symbol at 11 must be Inert",'
+    '"detail":"split multiplicative at 11; symbol: Inert","id":"symbol.11","pass":true}],'
+    '"curve":"[0,-1,1,0,0]","d":-181,"ell":5,"overall":"Admissible","ray_rank":1,"s_used":[],'
+    '"selmer_lower_bound":5,"verdict":"SelmerNontrivial"}'
+)

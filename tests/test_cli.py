@@ -1,5 +1,6 @@
 import json
 
+from pinned_outputs import CHECK_11A3_D181, CHECK_26_D5, SEARCH_26_CSV
 from twistsel.cli import main
 
 
@@ -103,12 +104,27 @@ def test_search_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "d,D,h,ell_rank,selmer_lb,verdict,failed_clauses"
     assert any(line.startswith("-37,-148,2,0,1,SelmerTrivial") for line in lines)
+    # S_E = {13}: the ray-class connecting map in every row, serial and pooled
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, "search", "--curve", "[1,-1,1,-3,3]", "--ell", "7",
+            "--range=-120:-3", "--format", "csv", "--jobs", jobs,
+        )
+        assert code == 0
+        assert out == SEARCH_26_CSV
 
 
 def test_byte_stable_json(capsys):
     a = run_cli(capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37")[1]
     b = run_cli(capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37")[1]
     assert a == b
+    for curve, ell, d, want in (
+        ("[1,-1,1,-3,3]", "7", "-5", CHECK_26_D5),
+        ("[0,-1,1,0,0]", "5", "-181", CHECK_11A3_D181),
+    ):
+        code, out, _ = run_cli(capsys, "check", "--curve", curve, "--ell", ell, "--d", d)
+        assert code == 0
+        assert out == want + "\n"
 
 
 def test_cli_matches_library(capsys):

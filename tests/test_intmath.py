@@ -10,6 +10,7 @@ from twistsel.intmath import (
     jacobi,
     kronecker,
     legendre,
+    log_p,
     primes_up_to,
     primitive_root,
     squarefree_sieve,
@@ -86,6 +87,14 @@ def test_kronecker_at_2():
     for D, want in ((1, 1), (7, 1), (9, 1), (3, -1), (5, -1), (-1, 1), (-7, 1), (-5, -1)):
         assert kronecker(D, 2) == want
     assert kronecker(4, 2) == 0
+
+
+def test_log_p():
+    assert log_p(5**60, 5) == 60
+    assert log_p(1, 7) == 0
+    for n, p in ((12, 2), (0, 3), (-8, 2), (8, 1)):
+        with pytest.raises(InvalidParameterError):
+            log_p(n, p)
 
 
 def test_valuation():

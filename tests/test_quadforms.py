@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistsel.errors import InvalidParameterError, UnsupportedError
+from twistsel.intmath import is_squarefree
 from twistsel.quadforms import (
     BQF,
     class_group_structure,
@@ -116,10 +117,22 @@ def test_ell_rank_examples():
     assert ell_rank(-3299, 3) == (2, 9)
 
 
+def _is_fundamental(D):
+    if D % 4 == 1:
+        return is_squarefree(D)
+    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and is_squarefree(D // 4)
+
+
 def test_ell_rank_matches_structure():
-    for D in (-23, -47, -84, -3299, -724):
+    # the single-ell torsion count (with its ell-does-not-divide-h shortcut)
+    # against the layered all-primes structure and a form-order count
+    both_cases = {ell: set() for ell in (2, 3, 5, 7)}
+    for D in [D for D in range(-3, -2001, -1) if _is_fundamental(D)] + [-3299]:
         data = class_group_structure(D)
+        orders = [form_order(f) for f in data.forms]
         for ell in (2, 3, 5, 7):
             r, order = ell_rank(D, ell)
             assert r == data.ell_rank(ell)
-            assert order == ell**r
+            assert order == ell**r == sum(1 for n in orders if ell % n == 0)
+            both_cases[ell].add(data.h % ell == 0)
+    assert all(seen == {True, False} for seen in both_cases.values())

@@ -1,5 +1,6 @@
 import pytest
 
+from pinned_outputs import SEARCH_26_CSV
 from twistsel.checker import Overall, admissibility_check
 from twistsel.curves import CurveQ
 from twistsel.errors import InvalidParameterError, PreconditionError
@@ -7,6 +8,7 @@ from twistsel.quadforms import class_number, field_discriminant
 from twistsel.search import CSV_HEADER, SearchMode, enumerate_d, search_twists
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
+E26 = CurveQ(1, -1, 1, -3, 3)
 
 
 def test_enumerate_d_examples():
@@ -89,6 +91,20 @@ def test_search_parallel_matches_serial():
     serial = search_twists(E11A3, 5, -200, -3, jobs=1)
     parallel = search_twists(E11A3, 5, -200, -3, jobs=2)
     assert serial == parallel
+    # S_E = {13}: pooled rows run the ray-class connecting map
+    pinned = SEARCH_26_CSV.splitlines()
+    for jobs in (1, 2):
+        rows = search_twists(E26, 7, -120, -3, jobs=jobs)
+        assert [CSV_HEADER] + [row.to_csv_row() for row in rows] == pinned
+
+
+def test_search_undetermined_bound_keeps_h():
+    # d = -1 has units +-i, so the ray class bound over S_E = {13} is undetermined
+    rows = search_twists(E26, 7, -8, -1)
+    assert [row.to_csv_row() for row in rows] == [
+        "-1,-4,1,,,NotApplicable,",
+        "-5,-20,2,1,7,NotApplicable,",
+    ]
 
 
 def test_csv_rows():
