@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateTowerError, InvalidParameterError
+from .intmath import valuation
 from .polyzq import (
     ZX,
     fp_factor,
@@ -22,8 +23,11 @@ from .polyzq import (
     zx_deg,
     zx_discriminant,
     zx_factor,
+    zx_factor_bounded,
     zx_is_irreducible,
+    zx_mul,
     zx_primitive,
+    zx_squarefree_decomposition,
     zx_trim,
 )
 
@@ -91,8 +95,6 @@ def factor_poly_q(f: ZX, degree_bound: int | None = None) -> FactorizationQ:
     if degree_bound is None:
         c, parts = zx_factor(f)
         return FactorizationQ(c, tuple((tuple(g), m) for g, m in parts), (1,))
-    from .polyzq import zx_factor_bounded, zx_squarefree_decomposition
-
     c, prim = zx_primitive(f)
     out = []
     residual = [1]
@@ -101,15 +103,9 @@ def factor_poly_q(f: ZX, degree_bound: int | None = None) -> FactorizationQ:
         out.extend((tuple(g), mult) for g in facs)
         if zx_deg(res) > 0:
             for _ in range(mult):
-                residual = _zx_mul(residual, res)
+                residual = zx_mul(residual, res)
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return FactorizationQ(c, tuple(out), tuple(zx_trim(residual)))
-
-
-def _zx_mul(f, g):
-    from .polyzq import zx_mul
-
-    return zx_mul(f, g)
 
 
 @dataclass(frozen=True)
@@ -144,8 +140,6 @@ def _padic_root_count(f: ZX, p: int, cap: int = 64) -> int | None:
     on f(r + p t) with the p-power content removed. Squarefreeness bounds the
     recursion depth.
     """
-    from .intmath import valuation
-
     def subst(g: ZX, r: int) -> ZX:
         out = [0]
         for c in reversed(g):
@@ -209,7 +203,7 @@ def dedekind_split(K: NumberFieldDef, p: int) -> SplittingShape | str:
     # symmetric lifts
     g = [c if 2 * c <= p else c - p for c in gbar]
     h = [c if 2 * c <= p else c - p for c in hbar]
-    gh = _zx_mul(g, h)
+    gh = zx_mul(g, h)
     diff = [a - b for a, b in zip(gh + [0] * len(f), f + [0] * len(gh))]
     F = [c // p for c in diff]
     Fbar = fp_norm(F, p)

@@ -1,11 +1,20 @@
 """Dense exact polynomial arithmetic over Z and F_p, with factorization over Q.
 
 Polynomials are lists of coefficients, lowest degree first, matching the text
-interchange format. The factorizer is Zassenhaus-style: factor mod several
-good primes, intersect degree patterns, Hensel-lift one of them quadratically
-past the Mignotte bound, then recombine subsets bounded by total degree. The
-bound makes degree-84 inputs tractable; only factors up to the requested
-degree are extracted and the cofactor is reported as a residual.
+interchange format. The factorizer is Zassenhaus-style and does only the work
+its degree bound can use:
+
+- mod each of several good primes, distinct-degree factorization stops at the
+  bound, and only those factors are split by equal-degree factorization; the
+  product of the factors of higher degree stays one unsplit modular factor;
+- the degree patterns of the primes are intersected;
+- at one prime, the modular factors are Hensel-lifted quadratically to the
+  least power of p past the Mignotte bound, along a factor tree that splits at
+  half the degree, so the unsplit factor is lifted once;
+- subsets of total degree <= bound are recombined.
+
+Irreducible factors up to the bound are extracted, and the cofactor is
+reported as a residual. This makes degree-84 inputs tractable.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import random
 from fractions import Fraction
 
 from .errors import InvalidParameterError, ResourceError
+from .intmath import is_prime
 
 ZX = list  # integer coefficients, lowest degree first
 
@@ -214,29 +224,25 @@ def fp_mul(f, g, p):
     for i, fi in enumerate(f):
         if fi:
             for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+                out[i + j] += fi * gj
+    return fp_norm(out, p)
 
 
 def fp_divmod(f, g, p):
     if not g:
         raise InvalidParameterError("division by zero polynomial")
     f = f[:]
-    q = [0] * max(len(f) - len(g) + 1, 1)
+    dg = len(g) - 1
+    q = [0] * max(len(f) - dg, 1)
     inv = pow(g[-1], -1, p)
-    while len(f) >= len(g) and f:
-        k = f[-1] * inv % p
-        d = len(f) - len(g)
-        q[d] = k
-        for i, gc in enumerate(g):
-            f[i + d] = (f[i + d] - k * gc) % p
-        while f and f[-1] == 0:
-            f.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, f
+    # only the head coefficient is reduced per step; the remainder once at the end
+    for d in range(len(f) - 1 - dg, -1, -1):
+        k = f[d + dg] * inv % p
+        if k:
+            q[d] = k
+            for i in range(dg):
+                f[i + d] -= k * g[i]
+    return zx_trim(q), fp_norm(f[:dg], p)
 
 
 def fp_gcd(f, g, p):
@@ -291,13 +297,18 @@ def fp_is_squarefree(f, p):
     return len(fp_gcd(f, d, p)) == 1
 
 
-def fp_ddf(f, p):
-    """Distinct-degree factorization of a monic squarefree f: list of (product, degree)."""
+def fp_ddf(f, p, bound: int | None = None):
+    """Distinct-degree factorization of a monic squarefree f: list of (product, degree).
+
+    With a bound, the search stops after degree bound. The cofactor left over,
+    every irreducible factor of which has degree > bound, comes last as one
+    entry (cofactor, deg cofactor), so fp_edf returns it unsplit.
+    """
     out = []
     v = f[:]
     h = [0, 1]
     d = 0
-    while zx_deg(v) >= 2 * (d + 1):
+    while zx_deg(v) >= 2 * (d + 1) and (bound is None or d < bound):
         d += 1
         h = fp_pow_mod(h, p, v, p)
         g = fp_gcd(fp_sub(h, [0, 1], p), v, p)
@@ -338,11 +349,15 @@ def fp_edf(f, d, p, rng: random.Random):
         return fp_edf(g, d, p, rng) + fp_edf(fp_divmod(f, g, p)[0], d, p, rng)
 
 
-def fp_factor_squarefree(f, p, seed: int = 0) -> list[list[int]]:
-    """Monic irreducible factors of a monic squarefree f over F_p, sorted."""
+def fp_factor_squarefree(f, p, seed: int = 0, bound: int | None = None) -> list[list[int]]:
+    """Monic irreducible factors of a monic squarefree f over F_p, sorted.
+
+    With a bound, only the factors of degree <= bound are split out; the
+    product of all the others is one monic entry, last in the sorted list.
+    """
     rng = random.Random(0x5EED ^ seed ^ (p << 16))
     out = []
-    for g, d in fp_ddf(f, p):
+    for g, d in fp_ddf(f, p, bound):
         out.extend(fp_edf(g, d, p, rng))
     return sorted(out, key=lambda h: (len(h), h))
 
@@ -400,22 +415,20 @@ def _zx_trunc(f: ZX, m: int) -> ZX:
 
 def _zm_divmod_monic(f: ZX, g: ZX, m: int):
     """Division by monic g with coefficients taken mod m."""
-    r = zx_trim([c % m for c in f])
+    r = f[:]
     dg = len(g) - 1
     q = [0] * max(len(r) - dg, 1)
-    while r and len(r) - 1 >= dg:
-        d = len(r) - 1 - dg
-        k = r[-1]
-        q[d] = k
-        for i, gc in enumerate(g):
-            r[i + d] = (r[i + d] - k * gc) % m
-        zx_trim(r)
-    return zx_trim(q), r
+    for d in range(len(r) - 1 - dg, -1, -1):
+        k = r[d + dg] % m
+        if k:
+            q[d] = k
+            for i in range(dg):
+                r[i + d] -= k * g[i]
+    return zx_trim(q), zx_trim([c % m for c in r[:dg]])
 
 
-def _hensel_step(m: int, f: ZX, g: ZX, h: ZX, s: ZX, t: ZX):
-    """One quadratic lift: from f = g h (mod m) to mod m^2, h monic."""
-    M = m * m
+def _hensel_step(M: int, f: ZX, g: ZX, h: ZX, s: ZX, t: ZX):
+    """One quadratic lift: from f = g h (mod m) to mod M, h monic, M dividing m^2."""
     e = _zx_trunc(zx_sub(f, zx_mul(g, h)), M)
     q, r = _zm_divmod_monic(zx_mul(s, e), h, M)
     G = _zx_trunc(zx_add(zx_add(g, zx_mul(t, e)), zx_mul(q, g)), M)
@@ -447,14 +460,19 @@ def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX
     """Lift the monic mod-p factors of f to monic factors mod p^target.
 
     The product of the lifted factors equals f / lc(f) made monic mod p^target.
+    The factor tree splits where the running degree reaches half of deg f, so
+    a single factor of high degree sits alone on one side and is lifted once.
+    Each level lifts along the exponents ceil(target / 2^j), never past target.
     """
     r = len(factors)
     lc = f[-1]
     if r == 1:
         inv = pow(lc, -1, p**target)
         return [_zx_trunc(zx_mul_scalar(f, inv), p**target)]
-    k = r // 2
-    steps = max(1, (target - 1).bit_length())
+    k, total = 0, 0
+    while k < r - 1 and 2 * total < zx_deg(f):
+        total += len(factors[k]) - 1
+        k += 1
     g = [lc % p]
     for fac in factors[:k]:
         g = fp_mul(g, fac, p)
@@ -462,13 +480,9 @@ def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX
     for fac in factors[k:]:
         h = fp_mul(h, fac, p)
     s, t = _fp_gcdex(g, h, p)
-    m = p
     G, H, S, T = g, h, s, t
-    for _ in range(steps):
-        G, H, S, T = _hensel_step(m, f, G, H, S, T)
-        m = m * m
-        if m >= p ** (2 * target):
-            break
+    for j in reversed(range((target - 1).bit_length())):
+        G, H, S, T = _hensel_step(p ** -(-target >> j), f, G, H, S, T)  # p^ceil(target/2^j)
     return hensel_lift(p, G, factors[:k], target) + hensel_lift(p, H, factors[k:], target)
 
 
@@ -478,8 +492,6 @@ def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX
 
 def _good_primes(f: ZX, count: int, p_limit: int = 10000) -> list[int]:
     """Odd primes not dividing lc(f) where f stays squarefree of full degree."""
-    from .intmath import is_prime
-
     out = []
     p = 2
     while len(out) < count:
@@ -509,6 +521,13 @@ def zx_factor_bounded(f: ZX, bound: int, n_primes: int = 3) -> tuple[list[ZX], Z
 
     Returns (factors, residual) with prod(factors) * residual = f exactly. The
     factors are primitive with positive leading coefficient, sorted.
+
+    The work follows the bound: each prime splits f only into its modular
+    factors of degree <= bound plus one unsplit product of the rest, which no
+    recombination can use. Hensel lifting goes to the least power of p past
+    the coefficient bound, along a tree that lifts the unsplit product once.
+    The result does not depend on the prime or on the tree: the factors are
+    the unique irreducible factors of f of degree <= bound.
     """
     f = zx_trim(f[:])
     if zx_deg(f) < 1:
@@ -517,7 +536,7 @@ def zx_factor_bounded(f: ZX, bound: int, n_primes: int = 3) -> tuple[list[ZX], Z
     primes = _good_primes(f, n_primes)
     patterns = {}
     for p in primes:
-        patterns[p] = fp_factor_squarefree(fp_monic(f, p), p)
+        patterns[p] = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
     allowed = None
     for p in primes:
         sums = _subset_degree_sums([zx_deg(g) for g in patterns[p]], bound)
@@ -530,11 +549,10 @@ def zx_factor_bounded(f: ZX, bound: int, n_primes: int = 3) -> tuple[list[ZX], Z
     # Mignotte-style bound for a degree <= bound factor of f, times lc(f)
     bnd = 2**bound * math.isqrt(zx_l2_norm_sq(f)) + 1
     need = 2 * abs(f[-1]) * bnd + 1
-    target = 1
-    while p**target < need:
-        target *= 2
+    target, pl = 1, p
+    while pl < need:
+        target, pl = target + 1, pl * p
     lifted = hensel_lift(p, f, modular, target)
-    pl = p**target
     return _recombine(f, lifted, pl, allowed, bound)
 
 
@@ -552,7 +570,7 @@ def _recombine(f: ZX, lifted: list[ZX], pl: int, allowed: set[int], bound: int):
             )
         g = [f[-1] % pl]
         for i in indices:
-            g = _zx_mul_mod(g, lifted[i], pl)
+            g = fp_mul(g, lifted[i], pl)
         g = _zx_trunc(g, pl)
         _, g = zx_primitive(g)
         if zx_deg(g) < 1:
@@ -599,15 +617,6 @@ def _combos_bounded(indices, degs, size, bound, allowed):
             chosen.pop()
 
     yield from rec(0, [], 0)
-
-
-def _zx_mul_mod(f: ZX, g: ZX, m: int) -> ZX:
-    out = [0] * max(len(f) + len(g) - 1, 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % m
-    return zx_trim(out)
 
 
 def zx_factor(f: ZX) -> tuple[int, list[tuple[ZX, int]]]:

@@ -3,11 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistsel.curves import CurveQ
+from twistsel.divpoly import division_poly_primitive, psi_factor_shape
 from twistsel.errors import InvalidParameterError
 from twistsel.polyzq import (
     fp_factor,
     fp_factor_squarefree,
     fp_monic,
+    fp_mul,
+    fp_norm,
     hensel_lift,
     poly_from_string,
     resultant_eliminate,
@@ -104,6 +108,79 @@ def test_random_product_factors(seed):
     assert rebuilt == f
 
 
+# distinct irreducibles over Q, some not monic; with x^n - 2 (Eisenstein at 2)
+# their products are squarefree and carry modular factors far above the bound
+SMALL_IRREDUCIBLES = [
+    [-1, 1],
+    [1, 1],
+    [2, 1],
+    [1, 3],
+    [1, 0, 1],
+    [-2, 0, 1],
+    [1, 1, 1],
+    [-1, 0, 5],
+    [4, 0, 0, 1],
+    [1, -1, 0, 1],
+    [1, 0, 0, 0, 1],
+    [-1, -1, 0, 0, 0, 1],
+]
+
+
+def seeded_eisenstein_product(seed: int) -> list[int]:
+    """(x^n - 2) times 2 to 5 distinct small irreducibles, n in [20, 40]."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 40)
+    f = [-2] + [0] * (n - 1) + [1]
+    for g in rng.sample(SMALL_IRREDUCIBLES, k=rng.randint(2, 5)):
+        f = zx_mul(f, g)
+    return f
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bounded_matches_complete_factorization(seed):
+    f = seeded_eisenstein_product(seed)
+    c, parts = zx_factor(f)
+    assert c == 1 and all(m == 1 for _, m in parts)
+    for bound in (1, 2, 3, 6):
+        factors, residual = zx_factor_bounded(f, bound)
+        assert factors == [g for g, _ in parts if zx_deg(g) <= bound]
+        rebuilt = residual
+        for g in factors:
+            rebuilt = zx_mul(rebuilt, g)
+        assert rebuilt == f
+
+
+def _factor_list_sympy(f):
+    """(content, [(primitive factor, multiplicity)]) from sympy, sorted as zx_factor sorts."""
+    sympy = pytest.importorskip("sympy")
+    c, parts = sympy.Poly(list(reversed(f)), sympy.Symbol("x")).factor_list()
+    out = [([int(a) for a in reversed(g.all_coeffs())], m) for g, m in parts]
+    return int(c), sorted(out, key=lambda t: (zx_deg(t[0]), t[0]))
+
+
+def test_factorization_matches_sympy():
+    """sympy is an independent factorizer; the test is skipped where it is not installed."""
+    pytest.importorskip("sympy")
+    for seed in range(6):
+        f = seeded_eisenstein_product(seed)
+        assert zx_factor(f) == _factor_list_sympy(f)
+    # psi_ell of 11a3 and of curve 26; E13's psi_13 is left to test_acceptance (slow in sympy)
+    for a, ells in (((0, -1, 1, 0, 0), (5, 7, 11)), ((1, -1, 1, -3, 3), (7, 13))):
+        E = CurveQ(*a)
+        for ell in ells:
+            psi = division_poly_primitive(E, ell)
+            _, parts = _factor_list_sympy(psi)
+            assert all(m == 1 for _, m in parts)
+            for bound in (1, 6, 12):
+                low = [g for g, _ in parts if zx_deg(g) <= bound]
+                prod = [1]
+                for g in low:
+                    prod = zx_mul(prod, g)
+                shape = psi_factor_shape(E, ell, bound)
+                assert shape.factors == tuple((zx_deg(g), tuple(g)) for g in low)
+                assert shape.residual == tuple(zx_div_exact(psi, prod))
+
+
 def test_bounded_factorization_residual():
     f = zx_mul(zx_mul([-1, 1], [1, 0, 1]), [3, 1, 0, 0, 0, 1])
     factors, residual = zx_factor_bounded(f, 2)
@@ -120,6 +197,16 @@ def test_fp_factor_squarefree():
     # mod 2 uses the trace-map splitter
     assert fp_factor_squarefree([1, 1, 0, 1], 2) == [[1, 1, 0, 1]]
     assert fp_factor_squarefree([0, 1, 1], 2) == [[0, 1], [1, 1]]
+    # with a bound, the factors above it stay one product, sorted last
+    f = fp_monic(seeded_eisenstein_product(3), 13)  # squarefree mod 13
+    full = fp_factor_squarefree(f, 13)
+    for bound in (1, 2, 4):
+        low = [g for g in full if zx_deg(g) <= bound]
+        high = [1]
+        for g in full[len(low) :]:
+            high = fp_mul(high, g, 13)
+        assert zx_deg(high) > bound
+        assert fp_factor_squarefree(f, 13, bound=bound) == low + [high]
 
 
 def test_fp_factor_with_multiplicity():
@@ -130,20 +217,25 @@ def test_fp_factor_with_multiplicity():
 
 
 def test_hensel_lift_recovers_factors():
-    f = zx_mul(zx_mul([-1, 1], [1, 1]), [1, 0, 1])  # (x-1)(x+1)(x^2+1)
+    cases = [
+        (zx_mul(zx_mul([-1, 1], [1, 1]), [1, 0, 1]), None, 4),  # (x-1)(x+1)(x^2+1)
+        # (3x+1)(x^2+1)(x^20-2): linear and quadratic factors plus one unsplit
+        # product, lifted to a target that is not a power of two
+        (zx_mul(zx_mul([1, 3], [1, 0, 1]), [-2] + [0] * 19 + [1]), 2, 5),
+    ]
     p = 7
-    modular = fp_factor_squarefree(fp_monic(f, p), p)
-    lifted = hensel_lift(p, f, modular, 4)
-    m = p**4
-    # product of lifted factors = monic f mod p^4
-    prod = [1]
-    for g in lifted:
-        out = [0] * (len(prod) + len(g) - 1)
-        for i, a in enumerate(prod):
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-        prod = out
-    assert prod == [c % m for c in f]
+    for f, bound, target in cases:
+        modular = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
+        lifted = hensel_lift(p, f, modular, target)
+        m = p**target
+        assert [fp_norm(g, p) for g in lifted] == modular
+        assert all(g[-1] == 1 for g in lifted)
+        # product of lifted factors = f made monic mod p^target
+        prod = [1]
+        for g in lifted:
+            prod = fp_mul(prod, g, m)
+        inv = pow(f[-1], -1, m)
+        assert prod == [c * inv % m for c in f]
 
 
 def test_discriminants():
