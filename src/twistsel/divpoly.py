@@ -228,36 +228,11 @@ def _qx_invert_mod(a: list[Fraction], g: list[Fraction]) -> list[Fraction] | Non
     while r1:
         q, r = _qx_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _qx_sub(s0, _qx_mul(q, s1))
+        s0, s1 = s1, zx_sub(s0, zx_mul(q, s1))
     if len(r0) != 1:
         return None
     inv = 1 / r0[0]
     return [c * inv for c in s0]
-
-
-def _qx_mul(f, g):
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] += fi * gj
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _qx_sub(f, g):
-    n = max(len(f), len(g))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def is_kernel_polynomial(E: CurveQ, g: ZX) -> bool:
@@ -269,12 +244,12 @@ def is_kernel_polynomial(E: CurveQ, g: ZX) -> bool:
     if inv is None:
         return False
     num_q = _qx_divmod([Fraction(c) for c in num], gq)[1]
-    x2 = _qx_divmod(_qx_mul(num_q, inv), gq)[1]
+    x2 = _qx_divmod(zx_trim(zx_mul(num_q, inv)), gq)[1]
     # evaluate g at x2 in Q[x]/(g)
     acc: list[Fraction] = []
     for c in reversed(gq):
-        acc = _qx_divmod(_qx_mul(acc, x2), gq)[1]
-        acc = _qx_sub(acc, [-c])
+        acc = _qx_divmod(zx_trim(zx_mul(acc, x2)), gq)[1]
+        acc = zx_sub(acc, [-c])
     return not acc
 
 
@@ -320,7 +295,7 @@ def torsion_field_polynomial(E: CurveQ, ell: int, g: ZX) -> NumberFieldDef:
     shifted: list[Fraction] = []
     inv_mu = 1 / mu
     for c in reversed(gq):
-        shifted = _qx_mul(shifted, [-nu * inv_mu, inv_mu])
+        shifted = zx_trim(zx_mul(shifted, [-nu * inv_mu, inv_mu]))
         if not shifted:
             shifted = [Fraction(c)]
         else:

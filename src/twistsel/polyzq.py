@@ -354,7 +354,10 @@ def fp_factor_squarefree(f, p, seed: int = 0, bound: int | None = None) -> list[
 
     With a bound, only the factors of degree <= bound are split out; the
     product of all the others is one monic entry, last in the sorted list.
+    Raises InvalidParameterError when f is not squarefree mod p.
     """
+    if zx_deg(f) != 0 and not fp_is_squarefree(f, p):
+        raise InvalidParameterError(f"polynomial is not squarefree mod {p}")
     rng = random.Random(0x5EED ^ seed ^ (p << 16))
     out = []
     for g, d in fp_ddf(f, p, bound):

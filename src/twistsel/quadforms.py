@@ -24,17 +24,6 @@ def field_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-@dataclass(frozen=True)
-class QuadDisc:
-    """A squarefree d with the discriminant D of Q(sqrt(d))."""
-
-    d: int
-
-    @property
-    def D(self) -> int:
-        return field_discriminant(self.d)
-
-
 def _check_disc(D: int) -> None:
     if D >= 0:
         raise UnsupportedError("only negative discriminants are supported here")

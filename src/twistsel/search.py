@@ -23,13 +23,15 @@ from .quadforms import field_discriminant
 from .reduction import conductor
 
 
-def enumerate_d(lo: int, hi: int, ell: int, N: int, ascending_abs: bool = True):
-    """Candidates d in [lo, hi]: negative, squarefree, d = 3 (mod 4), coprime to ell N."""
+def enumerate_d(lo: int, hi: int, ell: int, N: int):
+    """Candidates d in [lo, hi] by |d| ascending.
+
+    Each is negative, squarefree, d = 3 (mod 4) and coprime to ell N.
+    """
     if lo > hi or hi >= 0:
         raise InvalidParameterError("need lo <= hi < 0")
     flags = squarefree_sieve(lo, hi)
-    rng = range(hi, lo - 1, -1) if ascending_abs else range(lo, hi + 1)
-    for d in rng:
+    for d in range(hi, lo - 1, -1):
         if d % 4 != 3:
             continue
         if not flags[d - lo]:
@@ -122,6 +124,4 @@ def search_twists(
             found = list(pool.map(row, ds, chunksize=16))
     else:
         found = [row(d) for d in ds]
-    rows = [r for r in found if r is not None]
-    rows.sort(key=lambda r: -r.d)
-    return rows
+    return [r for r in found if r is not None]

@@ -207,6 +207,9 @@ def test_fp_factor_squarefree():
             high = fp_mul(high, g, 13)
         assert zx_deg(high) > bound
         assert fp_factor_squarefree(f, 13, bound=bound) == low + [high]
+    # (x - 1)^4 mod 11 is not squarefree: refused, not split into wrong factors
+    with pytest.raises(InvalidParameterError):
+        fp_factor_squarefree([1, 7, 6, 7, 1], 11)
 
 
 def test_fp_factor_with_multiplicity():

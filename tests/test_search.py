@@ -14,7 +14,6 @@ E26 = CurveQ(1, -1, 1, -3, 3)
 def test_enumerate_d_examples():
     assert list(enumerate_d(-20, -3, 5, 11)) == [-13, -17]
     assert list(enumerate_d(-3, -3, 7, 26)) == []  # -3 = 1 mod 4
-    assert list(enumerate_d(-20, -3, 5, 11, ascending_abs=False)) == [-17, -13]
     with pytest.raises(InvalidParameterError):
         list(enumerate_d(-3, -20, 5, 11))
     with pytest.raises(InvalidParameterError):
