@@ -291,10 +291,12 @@ def fp_derivative(f, p):
 
 
 def fp_is_squarefree(f, p):
+    """Whether f is squarefree mod p: a nonzero constant is (a unit), zero is not."""
+    f = fp_norm(f, p)
+    if len(f) == 1:
+        return True
     d = fp_derivative(f, p)
-    if not d:
-        return False
-    return len(fp_gcd(f, d, p)) == 1
+    return bool(d) and len(fp_gcd(f, d, p)) == 1
 
 
 def fp_ddf(f, p, bound: int | None = None):
@@ -356,7 +358,7 @@ def fp_factor_squarefree(f, p, seed: int = 0, bound: int | None = None) -> list[
     product of all the others is one monic entry, last in the sorted list.
     Raises InvalidParameterError when f is not squarefree mod p.
     """
-    if zx_deg(f) != 0 and not fp_is_squarefree(f, p):
+    if not fp_is_squarefree(f, p):
         raise InvalidParameterError(f"polynomial is not squarefree mod {p}")
     rng = random.Random(0x5EED ^ seed ^ (p << 16))
     out = []

@@ -1,9 +1,10 @@
 """Class groups of imaginary quadratic fields via binary quadratic forms.
 
-Forms (a, b, c) of discriminant D = b^2 - 4ac < 0 are enumerated exhaustively
-in reduced shape, composed by Dirichlet composition, and the group structure
-is read off from torsion counts. Only imaginary discriminants: positive D
-would drag in infinite unit groups on purpose left out.
+Forms (a, b, c) of discriminant D = b^2 - 4ac < 0 are all enumerated in
+reduced shape (by the sieve in `_kernels`), composed by Dirichlet
+composition, and the group structure is read off from torsion counts. Only
+imaginary discriminants: positive D would drag in infinite unit groups on
+purpose left out.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._kernels import _check_disc
 from ._kernels import class_number as _kernel_class_number
 from ._kernels import reduced_forms as _kernel_reduced_forms
-from .errors import InvalidParameterError, UnsupportedError
+from .errors import InvalidParameterError
 from .intmath import is_squarefree, log_p
 
 
@@ -22,13 +24,6 @@ def field_discriminant(d: int) -> int:
     if d in (0, 1) or not is_squarefree(d):
         raise InvalidParameterError("d must be a squarefree integer other than 0 and 1")
     return d if d % 4 == 1 else 4 * d
-
-
-def _check_disc(D: int) -> None:
-    if D >= 0:
-        raise UnsupportedError("only negative discriminants are supported here")
-    if D % 4 not in (0, 1):
-        raise InvalidParameterError("a discriminant must be 0 or 1 mod 4")
 
 
 @dataclass(frozen=True)
@@ -136,13 +131,11 @@ def form_power(f: BQF, n: int) -> BQF:
 
 
 def reduced_forms(D: int) -> list[BQF]:
-    """All primitive reduced forms of discriminant D < 0 (exhaustive enumeration)."""
-    _check_disc(D)
+    """All primitive reduced forms of discriminant D < 0, sorted by (a, b)."""
     return [BQF(a, b, c) for a, b, c in _kernel_reduced_forms(D)]
 
 
 def class_number(D: int) -> int:
-    _check_disc(D)
     return _kernel_class_number(D)
 
 
@@ -188,7 +181,6 @@ class EllPart:
 
 def ell_part(D: int, ell: int) -> EllPart:
     """The class number and ell-torsion of cl(D) from one enumeration of its forms."""
-    _check_disc(D)
     if ell < 2:
         raise InvalidParameterError("ell must be a prime")
     forms = reduced_forms(D)

@@ -1,10 +1,14 @@
 """Correctness of the hot kernels against independent oracles."""
 
+import random
+
 import pytest
 
-from twistsel import _kernels
-from twistsel.intmath import is_squarefree, kronecker
+from twistsel import _kernels, quadforms
+from twistsel.errors import InvalidParameterError, UnsupportedError
+from twistsel.intmath import factorint, is_squarefree, kronecker
 from oracle_ec import count_points_naive
+from oracle_forms import reduced_forms_naive
 
 CURVES = [
     (0, -1, 1, 0, 0),
@@ -39,16 +43,62 @@ def _analytic_class_number(D: int) -> int:
     return num // den
 
 
+def _seeded_discriminants(lo, hi, count, keep):
+    rng = random.Random(2016)
+    out = []
+    while len(out) < count:
+        D = -rng.randrange(lo, hi + 1)
+        if D % 4 in (0, 1) and keep(D):
+            out.append(D)
+    return out
+
+
 def test_class_number_matches_analytic_formula():
-    checked = 0
-    for D in range(-3, -1001, -1):
-        if not _is_fundamental(D):
-            continue
+    small = [D for D in range(-3, -1001, -1) if _is_fundamental(D)]
+    assert len(small) == 305  # fundamental discriminants in [-1000, -3]
+    # larger D, where the first coefficients a of the reduced forms include
+    # products of two or more primes and prime powers
+    large = _seeded_discriminants(10**5, 2 * 10**5, 6, _is_fundamental)
+    leading = {f[0] for D in large for f in _kernels.reduced_forms(D)}
+    assert any(len(factorint(a)) >= 2 for a in leading)
+    assert any(len(factorint(a)) == 1 and max(factorint(a).values()) >= 2 for a in leading)
+    for D in small + large:
         h = _analytic_class_number(D)
         assert _kernels.class_number(D) == h, D
         assert len(_kernels.reduced_forms(D)) == h, D
-        checked += 1
-    assert checked == 305  # fundamental discriminants in [-1000, -3]
+
+
+def test_reduced_forms_match_exhaustive_oracle():
+    # every discriminant in [-4000, -3], non-fundamental ones included
+    for D in range(-3, -4001, -1):
+        if D % 4 in (0, 1):
+            assert _kernels.reduced_forms(D) == reduced_forms_naive(D), D
+    large = _seeded_discriminants(10**6, 4 * 10**6, 8, lambda D: True)
+    assert any(len(factorint(-D)) >= 4 for D in large)
+    assert any(not _is_fundamental(D) for D in large)
+    for D in large:
+        assert _kernels.reduced_forms(D) == reduced_forms_naive(D), D
+
+
+@pytest.mark.parametrize(
+    "D, error",
+    [
+        (0, UnsupportedError),
+        (5, UnsupportedError),
+        (-1, InvalidParameterError),
+        (-2, InvalidParameterError),
+        (-1000013, InvalidParameterError),  # 3 mod 4
+    ],
+)
+def test_reduced_forms_refuse_non_discriminants(D, error):
+    for enumerate_forms in (
+        _kernels.reduced_forms,
+        _kernels.class_number,
+        quadforms.reduced_forms,
+        quadforms.class_number,
+    ):
+        with pytest.raises(error):
+            enumerate_forms(D)
 
 
 def test_known_class_numbers():

@@ -9,6 +9,7 @@ from twistsel.errors import InvalidParameterError
 from twistsel.polyzq import (
     fp_factor,
     fp_factor_squarefree,
+    fp_is_squarefree,
     fp_monic,
     fp_mul,
     fp_norm,
@@ -210,6 +211,15 @@ def test_fp_factor_squarefree():
     # (x - 1)^4 mod 11 is not squarefree: refused, not split into wrong factors
     with pytest.raises(InvalidParameterError):
         fp_factor_squarefree([1, 7, 6, 7, 1], 11)
+
+
+def test_fp_is_squarefree():
+    assert fp_is_squarefree([1], 5)  # nonzero constants are units
+    assert fp_is_squarefree([3], 5)
+    assert not fp_is_squarefree([], 5)
+    assert not fp_is_squarefree([0, 0, 0, 0, 0, 1], 5)  # x^5: derivative 5x^4 = 0
+    assert fp_is_squarefree([1, 0, 1], 5)  # x^2 + 1 = (x + 2)(x + 3) mod 5
+    assert fp_factor_squarefree([3], 5) == []  # a unit has no irreducible factors
 
 
 def test_fp_factor_with_multiplicity():
