@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .curves import CurveQ, PointQ
+from .curves import CurveQ, PointQ, minimal_model
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
 from .divpoly import rational_ell_torsion_point
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
@@ -106,6 +106,14 @@ class Clause:
     verdict: Verdict
     detail: str
 
+    def to_dict(self) -> dict:
+        return {
+            "id": self.clause_id,
+            "cite": self.cite,
+            "pass": {"pass": True, "fail": False, "undetermined": None}[self.verdict.value],
+            "detail": self.detail,
+        }
+
 
 class Overall(Enum):
     ADMISSIBLE = "Admissible"
@@ -129,15 +137,7 @@ class ConditionReport:
             "curve": str(self.curve),
             "ell": self.ell,
             "d": self.d,
-            "clauses": [
-                {
-                    "id": c.clause_id,
-                    "cite": c.cite,
-                    "pass": {"pass": True, "fail": False, "undetermined": None}[c.verdict.value],
-                    "detail": c.detail,
-                }
-                for c in self.clauses
-            ],
+            "clauses": [c.to_dict() for c in self.clauses],
             "overall": self.overall.value,
         }
 
@@ -156,15 +156,7 @@ class HypothesisReport:
             "curve": str(self.curve),
             "ell": self.ell,
             "torsion_point": str(self.torsion_point) if self.torsion_point else None,
-            "checks": [
-                {
-                    "id": c.clause_id,
-                    "cite": c.cite,
-                    "pass": {"pass": True, "fail": False, "undetermined": None}[c.verdict.value],
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
             "ok": self.ok,
         }
 
@@ -209,8 +201,6 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     else:
         # bad reduction: the formal-group test on the minimal model still
         # detects the kernel of reduction
-        from .curves import minimal_model
-
         E_min, (u, r, s, t) = minimal_model(E)
         P_min = E.transform_point(P, u, r, s, t)
         in_ker = _vp_frac(P_min.x, ell) < 0

@@ -17,8 +17,6 @@ from functools import lru_cache
 from .errors import InvalidParameterError
 from .intmath import factorint, is_square, is_squarefree, valuation
 
-Rat = Fraction
-
 
 def format_rational(x: Fraction | int) -> str:
     """Canonical text form: plain integer, or "p/q" with q > 0 and gcd(p, q) = 1."""
@@ -126,9 +124,6 @@ class CurveQ:
 
     def __str__(self) -> str:
         return "[" + ",".join(format_rational(a) for a in self.ainvs) + "]"
-
-
-_INF = object()
 
 
 @dataclass(frozen=True)

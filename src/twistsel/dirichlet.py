@@ -8,6 +8,7 @@ character data is validated in full: exact order ell and primitivity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,8 +104,6 @@ class DirichletPredicate:
 
     def _chi_exponent(self, n: int) -> int | None:
         """Exponent k with chi(n) = zeta^k, or None when gcd(n, f) > 1."""
-        import math
-
         n %= self.modulus
         if math.gcd(n, self.modulus) != 1:
             return None
@@ -126,8 +125,6 @@ class DirichletPredicate:
         return True
 
     def _gcd_one(self, x: int) -> bool:
-        import math
-
         return math.gcd(x, self.modulus) == 1
 
     def is_nonzero_at(self, p: int) -> bool:

@@ -1,4 +1,4 @@
-"""Division polynomials, rational torsion, factor shapes, kernel polynomials, towers.
+"""Division polynomials, rational torsion, factor shapes, torsion-field towers.
 
 The n-th division polynomial is computed from the b-invariants of a scaled
 integral model and rescaled back, so its roots are x-coordinates of n-torsion
@@ -104,10 +104,6 @@ class DivisionPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1]
-
 
 def division_polynomial(E: CurveQ, n: int) -> DivisionPoly:
     """The n-th division polynomial of E, 1 <= n <= 40, in E's own x-coordinate."""
@@ -170,9 +166,6 @@ class FactorShape:
     def residual_degree(self) -> int:
         return len(self.residual) - 1
 
-    def degrees(self) -> list[int]:
-        return [d for d, _ in self.factors]
-
 
 def psi_factor_shape(E: CurveQ, ell: int, degree_bound: int) -> FactorShape:
     """Bounded-degree factor shape of psi_ell over Q."""
@@ -188,90 +181,6 @@ def psi_factor_shape(E: CurveQ, ell: int, degree_bound: int) -> FactorShape:
         tuple((zx_deg(g), tuple(g)) for g in factors),
         tuple(residual),
     )
-
-
-def _doubling_x_map(E: CurveQ) -> tuple[ZX, ZX]:
-    """x(2P) = num(x) / den(x) with integer coefficients (common denominator cleared)."""
-    num = [-E.b8, -2 * E.b6, -E.b4, Fraction(0), Fraction(1)]
-    den = [E.b6, 2 * E.b4, E.b2, Fraction(4)]
-    lcm = 1
-    for c in num + den:
-        c = Fraction(c)
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    n = zx_trim([int(Fraction(c) * lcm) for c in num])
-    d = zx_trim([int(Fraction(c) * lcm) for c in den])
-    return n, d
-
-
-def _qx_divmod(f: list[Fraction], g: list[Fraction]):
-    f = f[:]
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 1)
-    while f and len(f) >= len(g):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        k = f[-1] / g[-1]
-        d = len(f) - len(g)
-        q[d] = k
-        for i, gc in enumerate(g):
-            f[i + d] -= k * gc
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return q, f
-
-
-def _qx_invert_mod(a: list[Fraction], g: list[Fraction]) -> list[Fraction] | None:
-    """Inverse of a modulo g over Q, or None if gcd(a, g) is nonconstant."""
-    r0, r1 = g[:], _qx_divmod(a, g)[1]
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _qx_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, zx_sub(s0, zx_mul(q, s1))
-    if len(r0) != 1:
-        return None
-    inv = 1 / r0[0]
-    return [c * inv for c in s0]
-
-
-def is_kernel_polynomial(E: CurveQ, g: ZX) -> bool:
-    """Whether the root set of g is stable under the doubling x-map, computed mod g."""
-    gq = [Fraction(c) for c in g]
-    num, den = _doubling_x_map(E)
-    den_q = _qx_divmod([Fraction(c) for c in den], gq)[1]
-    inv = _qx_invert_mod(den_q, gq) if den_q else None
-    if inv is None:
-        return False
-    num_q = _qx_divmod([Fraction(c) for c in num], gq)[1]
-    x2 = _qx_divmod(zx_trim(zx_mul(num_q, inv)), gq)[1]
-    # evaluate g at x2 in Q[x]/(g)
-    acc: list[Fraction] = []
-    for c in reversed(gq):
-        acc = _qx_divmod(zx_trim(zx_mul(acc, x2)), gq)[1]
-        acc = zx_sub(acc, [-c])
-    return not acc
-
-
-def has_rational_isogeny(E: CurveQ, ell: int) -> tuple[bool, ZX | None]:
-    """Detect a rational ell-isogeny: a degree-(ell-1)/2 kernel polynomial inside psi_ell."""
-    if ell > 13 or ell < 3 or ell % 2 == 0:
-        raise UnsupportedError("isogeny detection is supported for odd primes ell <= 13")
-    k = (ell - 1) // 2
-    psi = division_poly_primitive(E, ell)
-    factors, _ = zx_factor_bounded(psi, k)
-    factors.sort(key=lambda h: (zx_deg(h), h))
-    n = len(factors)
-    for mask in range(1, 1 << n):
-        combo = [factors[i] for i in range(n) if mask >> i & 1]
-        if sum(zx_deg(h) for h in combo) != k:
-            continue
-        g = [1]
-        for h in combo:
-            g = zx_mul(g, h)
-        if is_kernel_polynomial(E, g):
-            return True, g
-    return False, None
 
 
 def torsion_field_polynomial(E: CurveQ, ell: int, g: ZX) -> NumberFieldDef:

@@ -40,17 +40,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    n += 1
-    if n <= 2:
-        return 2
-    if n % 2 == 0:
-        n += 1
-    while not is_prime(n):
-        n += 2
-    return n
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by a byte sieve."""
     if n < 2:
@@ -121,12 +110,24 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton iteration from above."""
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _iroot_perfect_power(n: int) -> tuple[int, int] | None:
-    for k in range(2, n.bit_length() + 1):
-        b = round(n ** (1.0 / k))
-        for cand in (b - 1, b, b + 1):
-            if cand > 1 and cand**k == n:
-                return cand, k
+    """(b, k) with b**k == n and k least, or None; the least such k is prime."""
+    for k in primes_up_to(n.bit_length()):
+        b = _iroot(n, k)
+        if b > 1 and b**k == n:
+            return b, k
     return None
 
 

@@ -1,4 +1,4 @@
-"""Light number-field probes: factorization over Q, Dedekind splitting, tower building.
+"""Light number-field probes: Dedekind splitting, zeta tests, tower building.
 
 No integral bases and no class groups of general fields; everything here is a
 certified necessary-condition test or an exact polynomial computation on a
@@ -8,7 +8,6 @@ monogenic order Z[x]/(f). Undetermined is a value, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateTowerError, InvalidParameterError
 from .intmath import valuation
@@ -21,13 +20,11 @@ from .polyzq import (
     resultant_eliminate,
     zx_compose_x_square,
     zx_deg,
-    zx_discriminant,
+    zx_div_exact,
     zx_factor,
-    zx_factor_bounded,
     zx_is_irreducible,
     zx_mul,
     zx_primitive,
-    zx_squarefree_decomposition,
     zx_trim,
 )
 
@@ -49,10 +46,6 @@ class NumberFieldDef:
     @property
     def degree(self) -> int:
         return len(self.minpoly) - 1
-
-    @property
-    def poly_disc(self) -> int:
-        return zx_discriminant(list(self.minpoly))
 
 
 def make_monic(f: ZX) -> ZX:
@@ -76,39 +69,6 @@ def number_field(f: ZX, check_irreducible: bool = True) -> NumberFieldDef:
 
 
 @dataclass(frozen=True)
-class FactorizationQ:
-    content: int
-    factors: tuple[tuple[tuple[int, ...], int], ...]  # (primitive factor, multiplicity)
-    residual: tuple[int, ...]  # cofactor left unfactored under a degree bound
-
-
-def factor_poly_q(f: ZX, degree_bound: int | None = None) -> FactorizationQ:
-    """Factor an integer polynomial over Q.
-
-    Complete factorization by default (degrees up to 30 are routine); with
-    degree_bound only irreducible factors up to that degree are extracted and
-    the rest is reported in `residual`.
-    """
-    f = zx_trim(f[:])
-    if not f:
-        raise InvalidParameterError("cannot factor the zero polynomial")
-    if degree_bound is None:
-        c, parts = zx_factor(f)
-        return FactorizationQ(c, tuple((tuple(g), m) for g, m in parts), (1,))
-    c, prim = zx_primitive(f)
-    out = []
-    residual = [1]
-    for part, mult in zx_squarefree_decomposition(prim):
-        facs, res = zx_factor_bounded(part, degree_bound)
-        out.extend((tuple(g), mult) for g in facs)
-        if zx_deg(res) > 0:
-            for _ in range(mult):
-                residual = zx_mul(residual, res)
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return FactorizationQ(c, tuple(out), tuple(zx_trim(residual)))
-
-
-@dataclass(frozen=True)
 class SplittingShape:
     """Shape [(e_i, f_i)] of p O_K = prod P_i^{e_i} with residue degrees f_i.
 
@@ -120,14 +80,6 @@ class SplittingShape:
     p: int
     shape: tuple[tuple[int, int], ...]
     via: str = "dedekind"
-
-    @property
-    def is_split_completely(self) -> bool:
-        return all(e == 1 and f == 1 for e, f in self.shape)
-
-    @property
-    def is_ramified(self) -> bool:
-        return any(e > 1 for e, f in self.shape)
 
 
 UNDETERMINED = "Undetermined"
@@ -253,9 +205,9 @@ def adjoin_sqrt(g: ZX, f: ZX) -> NumberFieldDef:
         raise InvalidParameterError("base factor must be nonconstant")
     if not zx_is_irreducible(g):
         raise InvalidParameterError("base factor must be irreducible over Q")
-    # degenerate tower: f = 0 mod g
-    rem_ok = _zx_rem_nonzero(f, g)
-    if not rem_ok:
+    # degenerate tower: f = 0 mod g; g is irreducible, so by Gauss's lemma
+    # its primitive part divides f over Z exactly when g divides f over Q
+    if zx_div_exact(f, zx_primitive(g)[1]) is not None:
         raise DegenerateTowerError("f vanishes identically modulo g")
     h = resultant_eliminate(g, f)
     cand = zx_compose_x_square(h)
@@ -264,28 +216,3 @@ def adjoin_sqrt(g: ZX, f: ZX) -> NumberFieldDef:
     best_deg = zx_deg(best[0])
     choices = sorted(g0 for g0, _m in parts if zx_deg(g0) == best_deg)
     return number_field(list(choices[0]), check_irreducible=False)
-
-
-def _zx_rem_nonzero(f: ZX, g: ZX) -> bool:
-    """f mod g != 0, computed over Q."""
-    fq = [Fraction(c) for c in f]
-    gq = [Fraction(c) for c in g]
-    while len(fq) >= len(gq) and any(fq):
-        while fq and fq[-1] == 0:
-            fq.pop()
-        if len(fq) < len(gq):
-            break
-        k = fq[-1] / gq[-1]
-        d = len(fq) - len(gq)
-        for i, gc in enumerate(gq):
-            fq[i + d] -= k * gc
-        fq.pop()
-    return any(fq)
-
-
-def poly_discriminant(f: ZX) -> int:
-    """Discriminant of a squarefree integer polynomial."""
-    d = zx_discriminant(f)
-    if d == 0:
-        raise InvalidParameterError("polynomial is not squarefree")
-    return d

@@ -65,10 +65,6 @@ def zx_sub(f: ZX, g: ZX) -> ZX:
     return zx_trim(out)
 
 
-def zx_neg(f: ZX) -> ZX:
-    return [-c for c in f]
-
-
 def zx_mul(f: ZX, g: ZX) -> ZX:
     if not f or not g:
         return []
@@ -88,13 +84,6 @@ def zx_pow(f: ZX, e: int) -> ZX:
     out = [1]
     for _ in range(e):
         out = zx_mul(out, f)
-    return out
-
-
-def zx_eval(f: ZX, x):
-    out = 0
-    for c in reversed(f):
-        out = out * x + c
     return out
 
 
@@ -351,7 +340,7 @@ def fp_edf(f, d, p, rng: random.Random):
         return fp_edf(g, d, p, rng) + fp_edf(fp_divmod(f, g, p)[0], d, p, rng)
 
 
-def fp_factor_squarefree(f, p, seed: int = 0, bound: int | None = None) -> list[list[int]]:
+def fp_factor_squarefree(f, p, bound: int | None = None) -> list[list[int]]:
     """Monic irreducible factors of a monic squarefree f over F_p, sorted.
 
     With a bound, only the factors of degree <= bound are split out; the
@@ -360,7 +349,7 @@ def fp_factor_squarefree(f, p, seed: int = 0, bound: int | None = None) -> list[
     """
     if not fp_is_squarefree(f, p):
         raise InvalidParameterError(f"polynomial is not squarefree mod {p}")
-    rng = random.Random(0x5EED ^ seed ^ (p << 16))
+    rng = random.Random(0x5EED ^ (p << 16))
     out = []
     for g, d in fp_ddf(f, p, bound):
         out.extend(fp_edf(g, d, p, rng))
@@ -521,7 +510,7 @@ def _subset_degree_sums(degrees: list[int], bound: int) -> set[int]:
     return {i for i in range(1, bound + 1) if reachable >> i & 1}
 
 
-def zx_factor_bounded(f: ZX, bound: int, n_primes: int = 3) -> tuple[list[ZX], ZX]:
+def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     """Irreducible factors of degree <= bound of a primitive squarefree f, plus cofactor.
 
     Returns (factors, residual) with prod(factors) * residual = f exactly. The
@@ -538,7 +527,7 @@ def zx_factor_bounded(f: ZX, bound: int, n_primes: int = 3) -> tuple[list[ZX], Z
     if zx_deg(f) < 1:
         return [], f
     bound = min(bound, zx_deg(f))
-    primes = _good_primes(f, n_primes)
+    primes = _good_primes(f, 3)
     patterns = {}
     for p in primes:
         patterns[p] = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
@@ -652,79 +641,31 @@ def zx_is_irreducible(f: ZX) -> bool:
 # resultants (fraction-free Bareiss on the Sylvester matrix)
 
 
-def _bareiss_det(M, mul, sub, div_exact, is_zero):
-    """Fraction-free determinant; entries from any integral domain with exact division."""
+def _bareiss_det(M: list[list[ZX]]) -> ZX:
+    """Fraction-free (Bareiss) determinant over Z[z], without pivoting.
+
+    Each pivot is a leading principal minor, so every one must be nonzero;
+    `resultant_eliminate` guarantees that for its Sylvester matrices.
+    """
     n = len(M)
-    if n == 0:
-        return 1
     M = [row[:] for row in M]
-    sign = 1
-    prev = None
+    prev = [1]
     for k in range(n - 1):
-        if is_zero(M[k][k]):
-            for i in range(k + 1, n):
-                if not is_zero(M[i][k]):
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0 if isinstance(M[0][0], int) else []
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                val = sub(mul(M[i][j], M[k][k]), mul(M[i][k], M[k][j]))
-                if prev is not None:
-                    val = div_exact(val, prev)
-                M[i][j] = val
+                val = zx_sub(zx_mul(M[i][j], M[k][k]), zx_mul(M[i][k], M[k][j]))
+                M[i][j] = zx_div_exact(val, prev)
         prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else mul(det, -1 if isinstance(det, int) else [-1])
-
-
-def zx_resultant(f: ZX, g: ZX) -> int:
-    """Res(f, g) over Z via the Sylvester determinant."""
-    f, g = zx_trim(f[:]), zx_trim(g[:])
-    if not f or not g:
-        return 0
-    n, m = zx_deg(f), zx_deg(g)
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    size = n + m
-    rows = []
-    fh = list(reversed(f))
-    gh = list(reversed(g))
-    for i in range(m):
-        rows.append([0] * i + fh + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gh + [0] * (size - m - 1 - i))
-    return _bareiss_det(
-        rows,
-        lambda a, b: a * b,
-        lambda a, b: a - b,
-        lambda a, b: a // b,
-        lambda a: a == 0,
-    )
-
-
-def zx_discriminant(f: ZX) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    f = zx_trim(f[:])
-    n = zx_deg(f)
-    if n < 1:
-        raise InvalidParameterError("discriminant needs degree >= 1")
-    res = zx_resultant(f, zx_derivative(f))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    val, rem = divmod(sign * res, f[-1])
-    if rem:
-        raise InvalidParameterError("internal: resultant not divisible by leading coefficient")
-    return val
+    return M[n - 1][n - 1]
 
 
 def resultant_eliminate(g: ZX, f: ZX) -> ZX:
     """Res_t(g(t), z - f(t)) as a polynomial in z: the norm-form of f modulo g.
 
-    Entries of the Sylvester matrix live in Z[z]; Bareiss keeps everything exact.
+    Entries of the Sylvester matrix live in Z[z]; Bareiss keeps everything
+    exact. No pivot vanishes: the k-th leading principal minor, k > deg f,
+    has degree k - deg f in z with leading coefficient +-lc(g)^(deg f), and
+    the smaller ones are triangular with lc(g) on the diagonal.
     """
     g = zx_trim(g[:])
     f = zx_trim(f[:])
@@ -737,23 +678,14 @@ def resultant_eliminate(g: ZX, f: ZX) -> ZX:
     # constant term in t is [ -f0, 1 ] (i.e. z - f0), others are constants -f_i.
     size = n + m
     gh = [[c] if c else [] for c in reversed(g)]
-    hh: list[list[int]] = []
-    for i, c in enumerate(reversed(f)):
-        hh.append([-c] if c else [])
+    hh = [[-c] if c else [] for c in reversed(f)]
     hh[-1] = zx_trim([-f[0], 1])
     rows = []
     for i in range(m):
         rows.append([[]] * i + gh + [[]] * (size - n - 1 - i))
     for i in range(n):
         rows.append([[]] * i + hh + [[]] * (size - m - 1 - i))
-    det = _bareiss_det(
-        rows,
-        zx_mul,
-        zx_sub,
-        lambda a, b: zx_div_exact(a, b),
-        lambda a: not zx_trim(a[:]),
-    )
-    return zx_trim(det if isinstance(det, list) else [det])
+    return _bareiss_det(rows)
 
 
 def zx_compose_x_square(h: ZX) -> ZX:
@@ -766,10 +698,6 @@ def zx_compose_x_square(h: ZX) -> ZX:
 
 # ---------------------------------------------------------------------------
 # text form
-
-
-def zx_to_string(f: ZX) -> str:
-    return "[" + ",".join(str(c) for c in f) + "]"
 
 
 def poly_from_string(text: str) -> ZX:

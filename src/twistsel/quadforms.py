@@ -44,11 +44,6 @@ class BQF:
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def is_reduced(self) -> bool:
-        if not (-self.a < self.b <= self.a <= self.c):
-            return False
-        return self.b >= 0 if self.a == self.c else True
-
     def reduced(self) -> "BQF":
         a, b, c = self.a, self.b, self.c
         while True:
@@ -137,16 +132,6 @@ def reduced_forms(D: int) -> list[BQF]:
 
 def class_number(D: int) -> int:
     return _kernel_class_number(D)
-
-
-def form_order(f: BQF) -> int:
-    one = principal_form(f.disc)
-    g = f.reduced()
-    n = 1
-    while g != one:
-        g = compose(g, f)
-        n += 1
-    return n
 
 
 def torsion_subgroup(forms: list[BQF], n: int) -> list[BQF]:

@@ -66,12 +66,6 @@ class Ideal:
     def norm(self) -> int:
         return self.a * self.c * self.c
 
-    def contains(self, x: int, y: int) -> bool:
-        if y % self.c:
-            return False
-        k = y // self.c
-        return (x - k * self.b) % (self.a * self.c) == 0
-
 
 def _hnf_from_generators(order: QuadOrder, gens: list[tuple[int, int]]) -> Ideal:
     """Hermite form of the Z-module spanned by the generators (must be an ideal)."""
@@ -169,16 +163,6 @@ def form_to_ideal(o: QuadOrder, f: BQF) -> Ideal:
     else:
         b0 = -f.b // 2
     return Ideal(o, f.a, b0 % f.a, 1)
-
-
-def ideal_to_form(I: Ideal) -> BQF:
-    o = I.order
-    if o.d % 4 == 1:
-        b = -(2 * I.b + 1)
-    else:
-        b = -2 * I.b
-    c = (b * b - o.D) // (4 * I.a)
-    return BQF(I.a, b, c).reduced()
 
 
 def form_with_coprime_a(f: BQF, M: int) -> BQF:
@@ -434,8 +418,3 @@ def ray_class_data(d: int, S: tuple[int, ...], ell: int) -> RayClassData:
         len(ell_comps),
         delta_rank,
     )
-
-
-def ray_class_ell_rank(d: int, S, ell: int) -> int:
-    """ell-rank of the ray class group of Q(sqrt(d)) with squarefree tame modulus S."""
-    return ray_class_data(d, tuple(sorted(set(S))), ell).ell_rank

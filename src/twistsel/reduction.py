@@ -288,11 +288,6 @@ def local_reduction(E: CurveQ, p: int) -> LocalReduction:
     return LocalReduction(p, res.ord_disc_min, ord_j, kind, res.kodaira, res.conductor_exponent)
 
 
-def is_tate_curve(E: CurveQ, p: int) -> bool:
-    """Split multiplicative reduction at p."""
-    return local_reduction(E, p).kind is ReductionKind.MULTIPLICATIVE_SPLIT
-
-
 @lru_cache(maxsize=None)
 def conductor(E: CurveQ) -> tuple[int, dict[int, int]]:
     """Conductor N and its factorization {p: f_p}, from Tate's algorithm at each bad prime."""

@@ -1,13 +1,34 @@
-"""Exhaustive reduced-form oracle used by the tests.
+"""Reduced-form oracles used by the tests.
 
-Independent of the library's sieve: every pair (a, b) with
-|b| <= a <= sqrt(|D|/3) is tried, about |D|/3 steps. Slow on purpose; only
-correctness matters here.
+`reduced_forms_naive` is independent of the library's sieve: every pair
+(a, b) with |b| <= a <= sqrt(|D|/3) is tried, about |D|/3 steps. Slow on
+purpose; only correctness matters here. `is_reduced` checks the reduction
+conditions directly, and `form_order` counts compositions up to the identity.
 """
 
 from __future__ import annotations
 
 import math
+
+from twistsel.quadforms import BQF, compose, principal_form
+
+
+def is_reduced(f: BQF) -> bool:
+    """-a < b <= a <= c, with b >= 0 when a == c."""
+    if not (-f.a < f.b <= f.a <= f.c):
+        return False
+    return f.b >= 0 if f.a == f.c else True
+
+
+def form_order(f: BQF) -> int:
+    """Order of the class of f in cl(D), by repeated composition."""
+    one = principal_form(f.disc)
+    g = f.reduced()
+    n = 1
+    while g != one:
+        g = compose(g, f)
+        n += 1
+    return n
 
 
 def reduced_forms_naive(D: int) -> list[tuple[int, int, int]]:

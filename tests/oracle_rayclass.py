@@ -9,12 +9,27 @@ Caveat: the construction assumes the prime ideals below qmax generate the
 full ray class group; when they only generate a proper subgroup the reported
 order is too small. The tests therefore only trust runs whose order matches
 the ray class number formula, which the library computes independently.
+
+`ideal_to_form` inverts the library's form-to-ideal map, so the tests can
+check ideal arithmetic against form composition.
 """
 
 from __future__ import annotations
 
 from twistsel.intmath import factorint, kronecker
-from twistsel.rayclass import QuadOrder, _splitting_in_field
+from twistsel.quadforms import BQF
+from twistsel.rayclass import Ideal, QuadOrder, _splitting_in_field
+
+
+def ideal_to_form(I: Ideal) -> BQF:
+    """Reduced form (a, -(2b + t), c) of the ideal [a, b + omega], t the trace of omega."""
+    o = I.order
+    if o.d % 4 == 1:
+        b = -(2 * I.b + 1)
+    else:
+        b = -2 * I.b
+    c = (b * b - o.D) // (4 * I.a)
+    return BQF(I.a, b, c).reduced()
 
 
 def smith_invariants(rows, ncols):

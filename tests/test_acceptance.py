@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 from oracle_ec import torsion_x_coords
+from oracle_poly import zx_eval
 from twistsel.checker import (
     Overall,
     SelmerVerdict,
@@ -25,7 +26,7 @@ from twistsel.divpoly import (
 )
 from twistsel.intmath import kronecker, legendre, primes_up_to
 from twistsel.numfield import NO, dedekind_split, number_field, zeta_in_field
-from twistsel.polyzq import zx_eval, zx_is_irreducible
+from twistsel.polyzq import zx_is_irreducible
 from twistsel.quadforms import (
     class_group_structure,
     compose,
@@ -33,7 +34,7 @@ from twistsel.quadforms import (
     principal_form,
     reduced_forms,
 )
-from twistsel.rayclass import QuadOrder, ray_class_data, ray_class_ell_rank
+from twistsel.rayclass import QuadOrder, ray_class_data
 from twistsel.reduction import (
     ReductionKind,
     SupersingularVerdict,
@@ -270,7 +271,7 @@ def test_criterion_8_ray_class_identities():
         from twistsel.quadforms import ell_rank
 
         for ell in (3, 5, 7):
-            assert ray_class_ell_rank(d, (), ell) == ell_rank(D, ell)[0]
+            assert ray_class_data(d, (), ell).ell_rank == ell_rank(D, ell)[0]
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _report(8, "ray-class cardinality identity and empty-modulus agreement", elapsed, 5)

@@ -1,0 +1,89 @@
+"""Every public name in src/twistsel has a caller in src/ or is wrapped by the benchmark.
+
+A public top-level function or class counts as used through a name load, an
+import alias or a `module.name` attribute anywhere in src/, or through an
+entry of the TARGETS tuple in perfbench/tracer.py (read from that file). A
+public method or property counts as used only through an attribute access
+`.name` in src/. Tests do not count: a helper that only tests call belongs
+in a test oracle.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "twistsel"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _tracer_targets() -> set[tuple[str, str]]:
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return {(mod, attr) for mod, attr, _name, _mode in ast.literal_eval(node.value)}
+    raise AssertionError("TARGETS not found in perfbench/tracer.py")
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions(trees: dict[str, ast.Module]):
+    """(module, kind, name) for public top-level defs and public methods of public classes."""
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+                yield mod, "top", node.name
+            if isinstance(node, ast.ClassDef) and _public(node.name):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                        yield mod, "method", f"{node.name}.{item.name}"
+
+
+def _uses(trees: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
+    """(names loaded or imported, attribute names accessed) across src/."""
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def uncalled_api(src: Path = SRC) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    names, attrs = _uses(trees)
+    targets = _tracer_targets()
+    out = []
+    for mod, kind, name in _definitions(trees):
+        if kind == "top":
+            if name in names or name in attrs or (mod, name) in targets:
+                continue
+        elif name.split(".")[1] in attrs:
+            continue
+        out.append(f"{mod}.{name}")
+    return out
+
+
+def test_no_uncalled_public_api():
+    assert uncalled_api() == []
+
+
+def test_guard_sees_an_uncalled_function(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    (tmp_path / "intmath.py").write_text(
+        (tmp_path / "intmath.py").read_text() + "\n\ndef orphan_helper(n):\n    return n\n"
+    )
+    (tmp_path / "quadforms.py").write_text(
+        (tmp_path / "quadforms.py").read_text().replace(
+            "    def inverse(self)", "    def orphan_method(self):\n        return self\n\n    def inverse(self)"
+        )
+    )
+    assert uncalled_api(tmp_path) == ["intmath.orphan_helper", "quadforms.BQF.orphan_method"]

@@ -18,7 +18,7 @@ from twistsel.dirichlet import DirichletPredicate
 from twistsel.errors import PreconditionError, UnsupportedError
 from twistsel.intmath import kronecker
 from twistsel.quadforms import ell_rank, field_discriminant
-from twistsel.rayclass import ray_class_ell_rank
+from twistsel.rayclass import ray_class_data
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
 E38 = CurveQ(1, 1, 1, 0, 1)  # rational 5-torsion, S_E = {19}
@@ -171,7 +171,7 @@ def test_selmer_lower_bound_nonempty_s():
             continue
         sb = selmer_lower_bound(E38, 5, d)
         assert sb.s_used == (19,)
-        assert sb.rank == ray_class_ell_rank(d, (19,), 5)
+        assert sb.rank == ray_class_data(d, (19,), 5).ell_rank
         assert sb.bound == 5**sb.rank
         # the ray rank is at least the plain class-group rank
         assert sb.rank >= ell_rank(field_discriminant(d), 5)[0]
@@ -243,4 +243,4 @@ def test_ell_7_pipeline():
     # the whole bound comes from the ray part: h(-20) = 2 has no 7-torsion
     assert sb.s_used == (13,) and sb.bound == 7
     assert ell_rank(-20, 7)[0] == 0
-    assert sb.rank == ray_class_ell_rank(-5, (13,), 7)
+    assert sb.rank == ray_class_data(-5, (13,), 7).ell_rank

@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from twistsel.errors import InvalidParameterError
 from twistsel.intmath import (
+    _iroot,
+    _iroot_perfect_power,
     factorint,
     is_prime,
     is_square,
@@ -50,6 +52,31 @@ def test_factorint_bigger():
     assert factorint(-12) == {2: 2, 3: 1}
     with pytest.raises(InvalidParameterError):
         factorint(0)
+
+
+def _prime_above(n):
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_perfect_powers_of_large_primes():
+    # exact integer roots: floats lose p**2 above 2**53 and overflow above 2**1024
+    p = _prime_above(10**20)
+    assert _iroot_perfect_power(p**2) == (p, 2)
+    assert factorint(p**2) == {p: 2}
+    assert factorint(p**3) == {p: 3}
+    assert factorint(-(p**3) * 12) == {2: 2, 3: 1, p: 3}
+    q = _prime_above(2**600)
+    assert not is_squarefree(-(q * q))
+    assert factorint(q**5) == {q: 5}
+
+
+@given(st.integers(min_value=1, max_value=2**400), st.integers(min_value=2, max_value=12))
+def test_iroot_is_floor_root(n, k):
+    b = _iroot(n, k)
+    assert b**k <= n < (b + 1) ** k
 
 
 @given(st.integers(min_value=-300, max_value=300))

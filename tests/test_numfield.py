@@ -8,31 +8,11 @@ from twistsel.numfield import (
     NumberFieldDef,
     adjoin_sqrt,
     dedekind_split,
-    factor_poly_q,
     make_monic,
     number_field,
-    poly_discriminant,
     zeta_in_field,
 )
-from twistsel.polyzq import zx_deg, zx_mul
-
-
-def test_factor_poly_q_complete():
-    out = factor_poly_q([-1, 0, 0, 0, 1])
-    assert out.content == 1
-    assert [list(g) for g, _m in out.factors] == [[-1, 1], [1, 1], [1, 0, 1]]
-    out2 = factor_poly_q([0, 12, 0, 0, 3])
-    assert out2.content == 3
-    assert [list(g) for g, _m in out2.factors] == [[0, 1], [4, 0, 0, 1]]
-    phi13 = factor_poly_q([1] * 13)
-    assert len(phi13.factors) == 1 and phi13.factors[0][1] == 1
-
-
-def test_factor_poly_q_bounded():
-    f = zx_mul(zx_mul([-1, 1], [1, 0, 1]), [3, 1, 0, 0, 0, 1])
-    out = factor_poly_q(f, degree_bound=2)
-    assert [list(g) for g, _ in out.factors] == [[-1, 1], [1, 0, 1]]
-    assert zx_deg(list(out.residual)) == 5
+from twistsel.polyzq import zx_deg
 
 
 def test_make_monic():
@@ -44,7 +24,7 @@ def test_number_field_validation():
     with pytest.raises(InvalidParameterError):
         number_field([-1, 0, 0, 0, 1])  # x^4 - 1 reducible
     K = number_field([-2, 0, 0, 1])
-    assert K.degree == 3 and K.poly_disc == -108
+    assert K.degree == 3
 
 
 def test_dedekind_quadratic_casework():
@@ -127,11 +107,6 @@ def test_adjoin_sqrt_errors():
         adjoin_sqrt([-1, 0, 1], [0, 1])  # reducible base
     with pytest.raises(DegenerateTowerError):
         adjoin_sqrt([0, 1], [0, 0, 1])  # f = t^2 vanishes mod g = t
-
-
-def test_poly_discriminant():
-    assert poly_discriminant([-7, 0, 1]) == 28
-    assert poly_discriminant([5, 2, 0, 1]) == -4 * 8 - 27 * 25
-    assert poly_discriminant([-2, 0, 0, 1]) == -108
-    with pytest.raises(InvalidParameterError):
-        poly_discriminant(list(zx_mul([-1, 1], [-1, 1])))
+    with pytest.raises(DegenerateTowerError):
+        adjoin_sqrt([4, 2], [2, 1])  # g = 2t + 4 is not primitive; f = t + 2 vanishes mod g
+    assert adjoin_sqrt([4, 2], [3, 1]).degree == 1  # f = t + 3 is 1 at t = -2

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_poly import sylvester_resultant, zx_eval
+
 from twistsel.curves import CurveQ
 from twistsel.divpoly import division_poly_primitive, psi_factor_shape
 from twistsel.errors import InvalidParameterError
@@ -18,17 +20,13 @@ from twistsel.polyzq import (
     resultant_eliminate,
     zx_compose_x_square,
     zx_deg,
-    zx_discriminant,
     zx_div_exact,
-    zx_eval,
     zx_factor,
     zx_factor_bounded,
     zx_gcd,
     zx_is_irreducible,
     zx_mul,
-    zx_resultant,
     zx_squarefree_decomposition,
-    zx_to_string,
     zx_trim,
 )
 
@@ -74,6 +72,7 @@ def test_factor_divpoly_like():
 
 def test_cyclotomic_13_irreducible():
     assert zx_is_irreducible([1] * 13)
+    assert zx_factor([1] * 13) == (1, [([1] * 13, 1)])
 
 
 def test_factor_with_multiplicity():
@@ -251,20 +250,20 @@ def test_hensel_lift_recovers_factors():
         assert prod == [c * inv % m for c in f]
 
 
-def test_discriminants():
-    assert zx_discriminant([-7, 0, 1]) == 28  # x^2 - d -> 4d
-    a, b = 2, 5
-    assert zx_discriminant([b, a, 0, 1]) == -4 * a**3 - 27 * b**2
-    assert zx_discriminant([-2, 0, 0, 1]) == -108
-    with pytest.raises(InvalidParameterError):
-        zx_discriminant([1])
-
-
 def test_resultant():
-    # Res(x - a, g) = g(a)
+    # the oracle: Res(x - a, g) = g(a)
     g = [3, 1, 2]
     for a in (-2, 0, 5):
-        assert zx_resultant([-a, 1], g) == zx_eval(g, a) * 1
+        assert sylvester_resultant([-a, 1], g) == zx_eval(g, a)
+    # Bareiss over Z[z] against Gaussian elimination over Q at integer points:
+    # resultant_eliminate(g, f) at z0 is Res_t(g(t), z0 - f(t))
+    rng = random.Random(2016)
+    for _ in range(40):
+        g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [rng.choice([-2, -1, 1, 3])]
+        f = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.choice([-1, 1, 2])]
+        h = resultant_eliminate(g, f)
+        for z0 in (-3, 0, 1, 7):
+            assert zx_eval(h, z0) == sylvester_resultant(g, [z0 - f[0]] + [-c for c in f[1:]])
 
 
 def test_resultant_eliminate():
@@ -277,6 +276,5 @@ def test_resultant_eliminate():
 def test_poly_strings():
     assert poly_from_string("[1,2,3]") == [1, 2, 3]
     assert poly_from_string("[0,0]") == []
-    assert zx_to_string([1, 0, -2]) == "[1,0,-2]"
     with pytest.raises(InvalidParameterError):
         poly_from_string("1,2")

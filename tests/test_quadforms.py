@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_forms import form_order, is_reduced
 from twistsel.errors import InvalidParameterError, UnsupportedError
 from twistsel.intmath import is_squarefree
 from twistsel.quadforms import (
@@ -10,7 +11,6 @@ from twistsel.quadforms import (
     compose,
     ell_rank,
     field_discriminant,
-    form_order,
     form_power,
     principal_form,
     reduced_forms,
@@ -51,7 +51,7 @@ def test_compose_example():
 def test_reduction_is_canonical():
     f = BQF(12, 23, 34)  # D = 529 - 4*12*34 = -1103
     r = f.reduced()
-    assert r.is_reduced() and r.disc == f.disc
+    assert is_reduced(r) and r.disc == f.disc
 
 
 def test_class_group_closure_all_small_discs():

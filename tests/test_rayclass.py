@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracle_rayclass import ray_class_oracle
+from oracle_rayclass import ideal_to_form, ray_class_oracle
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import kronecker
 from twistsel.quadforms import class_group_structure, ell_rank, field_discriminant
@@ -12,17 +12,15 @@ from twistsel.rayclass import (
     form_with_coprime_a,
     ideal_mul,
     ideal_pow,
-    ideal_to_form,
     principal_generator,
     ray_class_data,
-    ray_class_ell_rank,
 )
 
 
 def test_spec_examples():
-    assert ray_class_ell_rank(-5, (), 5) == 0
-    assert ray_class_ell_rank(-5, (11,), 5) == 1
-    assert ray_class_ell_rank(-5, (3,), 5) == 0
+    assert ray_class_data(-5, (), 5).ell_rank == 0
+    assert ray_class_data(-5, (11,), 5).ell_rank == 1
+    assert ray_class_data(-5, (3,), 5).ell_rank == 0
 
 
 def test_cardinality_identity_with_unit_count_oracle():
@@ -48,7 +46,7 @@ def test_empty_modulus_reduces_to_class_group():
     for d in (-5, -13, -23, -37, -47, -163):
         D = field_discriminant(d)
         for ell in (3, 5, 7):
-            assert ray_class_ell_rank(d, (), ell) == ell_rank(D, ell)[0]
+            assert ray_class_data(d, (), ell).ell_rank == ell_rank(D, ell)[0]
 
 
 def test_rank_against_relation_oracle():
@@ -74,17 +72,17 @@ def test_delta_correction_is_exercised():
 
 def test_preconditions():
     with pytest.raises(PreconditionError):
-        ray_class_ell_rank(-5, (5,), 5)  # ramified
+        ray_class_data(-5, (5,), 5)  # ramified
     with pytest.raises(PreconditionError):
-        ray_class_ell_rank(-5, (2,), 5)  # dyadic
+        ray_class_data(-5, (2,), 5)  # dyadic
     with pytest.raises(PreconditionError):
-        ray_class_ell_rank(-7, (5,), 5)  # p = ell
+        ray_class_data(-7, (5,), 5)  # p = ell
     with pytest.raises(InvalidParameterError):
-        ray_class_ell_rank(-5, (55,), 5)
+        ray_class_data(-5, (55,), 5)
     with pytest.raises(UnsupportedError):
-        ray_class_ell_rank(-3, (7,), 5)  # d >= -4 with nonempty modulus
+        ray_class_data(-3, (7,), 5)  # d >= -4 with nonempty modulus
     with pytest.raises(UnsupportedError):
-        ray_class_ell_rank(5, (), 5)
+        ray_class_data(5, (), 5)
 
 
 def test_ideal_arithmetic_roundtrip():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinned_outputs import SEARCH_26_CSV
 from twistsel.checker import Overall, admissibility_check
@@ -95,6 +96,17 @@ def test_search_parallel_matches_serial():
     for jobs in (1, 2):
         rows = search_twists(E26, 7, -120, -3, jobs=jobs)
         assert [CSV_HEADER] + [row.to_csv_row() for row in rows] == pinned
+
+
+@pytest.mark.parametrize("curve, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(start=st.integers(min_value=3, max_value=30000))
+def test_search_rows_do_not_depend_on_jobs(curve, ell, start):
+    # about 60 values of |d|; curve 26 has S_E = {13}, so its rows run the
+    # ray-class connecting map in the pool workers
+    lo, hi = -(start + 59), -start
+    serial = search_twists(curve, ell, lo, hi, include_inadmissible=True, jobs=1)
+    assert search_twists(curve, ell, lo, hi, include_inadmissible=True, jobs=2) == serial
 
 
 def test_search_undetermined_bound_keeps_h():
