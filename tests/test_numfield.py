@@ -12,7 +12,18 @@ from twistsel.numfield import (
     number_field,
     zeta_in_field,
 )
-from twistsel.polyzq import zx_deg
+from twistsel.polyzq import zx_deg, zx_factor
+
+
+def test_factor_poly_q_complete():
+    content, factors = zx_factor([-1, 0, 0, 0, 1])
+    assert content == 1
+    assert [list(g) for g, _m in factors] == [[-1, 1], [1, 1], [1, 0, 1]]
+    content2, factors2 = zx_factor([0, 12, 0, 0, 3])
+    assert content2 == 3
+    assert [list(g) for g, _m in factors2] == [[0, 1], [4, 0, 0, 1]]
+    _, phi13 = zx_factor([1] * 13)
+    assert len(phi13) == 1 and phi13[0][1] == 1
 
 
 def test_make_monic():
