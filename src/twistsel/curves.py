@@ -305,17 +305,18 @@ def _model_from_c4c6(c4: int, c6: int) -> CurveQ:
     return E
 
 
+def _denominator_scale(weights: tuple[int, ...], values: tuple[Fraction, ...]) -> int:
+    """Least m > 0 with m^w x integral for every weight w and value x, paired in order."""
+    need: dict[int, int] = {}
+    for w, x in zip(weights, values):
+        for q, e in factorint(x.denominator).items() if x.denominator > 1 else ():
+            need[q] = max(need.get(q, 0), -(-e // w))  # ceil(e / w)
+    return math.prod(q**e for q, e in need.items())
+
+
 def integral_model(E: CurveQ) -> tuple[CurveQ, Fraction]:
     """Scale to integral coefficients; returns (model, u) with model = E.transform(u, 0, 0, 0)."""
-    m = 1
-    dens: dict[int, int] = {}
-    for i, a in zip((1, 2, 3, 4, 6), E.ainvs):
-        for q, e in factorint(a.denominator).items() if a.denominator > 1 else ():
-            need = -(-e // i)  # ceil(e / i)
-            dens[q] = max(dens.get(q, 0), need)
-    for q, e in dens.items():
-        m *= q**e
-    u = Fraction(1, m)
+    u = Fraction(1, _denominator_scale((1, 2, 3, 4, 6), E.ainvs))
     return E.transform(u, 0, 0, 0), u
 
 

@@ -55,8 +55,7 @@ def _dlog_table(modulus: int) -> dict[int, tuple[int, ...]]:
     """Exponent vector of every unit mod modulus on the unit_group generators."""
     gens, orders = unit_group(modulus)
     table = {1 % modulus: tuple(0 for _ in gens)}
-    frontier = [1 % modulus]
-    # BFS over the group; sizes here are desk scale
+    # one generator at a time; sizes here are desk scale
     for i, g in enumerate(gens):
         current = dict(table)
         for elem, vec in current.items():

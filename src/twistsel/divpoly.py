@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .curves import CurveQ, PointQ, point_order, rational_sqrt, short_model_data
+from .curves import CurveQ, PointQ, _denominator_scale, point_order, rational_sqrt, short_model_data
 from .errors import InvalidParameterError, UnsupportedError
-from .intmath import factorint, is_prime
+from .intmath import is_prime
 from .numfield import NumberFieldDef, adjoin_sqrt
 from .polyzq import (
     ZX,
@@ -77,21 +77,6 @@ def _t_poly(b: tuple[int, int, int, int], n: int) -> tuple[int, ...]:
     return _tuple_mul(_t_poly(b, m), inner)
 
 
-def _integral_b_scale(E: CurveQ) -> int:
-    """Smallest m > 0 with m^2 b2, m^4 b4, m^6 b6, m^8 b8 all integral."""
-    scale: dict[int, int] = {}
-    for w, b in ((2, E.b2), (4, E.b4), (6, E.b6), (8, E.b8)):
-        den = b.denominator
-        if den > 1:
-            for q, e in factorint(den).items():
-                need = -(-e // w)
-                scale[q] = max(scale.get(q, 0), need)
-    m = 1
-    for q, e in scale.items():
-        m *= q**e
-    return m
-
-
 @dataclass(frozen=True)
 class DivisionPoly:
     """psi_n of a curve: x-polynomial (lowest degree first) plus an even-index flag."""
@@ -109,7 +94,7 @@ def division_polynomial(E: CurveQ, n: int) -> DivisionPoly:
     """The n-th division polynomial of E, 1 <= n <= 40, in E's own x-coordinate."""
     if not 1 <= n <= MAX_DIVPOLY_INDEX:
         raise UnsupportedError(f"division polynomial index must lie in [1, {MAX_DIVPOLY_INDEX}]")
-    m = _integral_b_scale(E)
+    m = _denominator_scale((2, 4, 6, 8), (E.b2, E.b4, E.b6, E.b8))
     b = (int(E.b2 * m**2), int(E.b4 * m**4), int(E.b6 * m**6), int(E.b8 * m**8))
     t = list(_t_poly(b, n))
     d = zx_deg(t)
@@ -121,9 +106,7 @@ def division_polynomial(E: CurveQ, n: int) -> DivisionPoly:
 def division_poly_primitive(E: CurveQ, n: int) -> ZX:
     """Primitive integer polynomial with the same roots as the x-part of psi_n."""
     psi = division_polynomial(E, n)
-    den = 1
-    for c in psi.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in psi.coeffs))
     ints = [int(c * den) for c in psi.coeffs]
     _, prim = zx_primitive(ints)
     return prim
@@ -209,9 +192,7 @@ def torsion_field_polynomial(E: CurveQ, ell: int, g: ZX) -> NumberFieldDef:
             shifted = [Fraction(c)]
         else:
             shifted[0] += c
-    lcm = 1
-    for c in shifted:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in shifted))
     g_short = zx_trim([int(c * lcm) for c in shifted])
     _, g_short = zx_primitive(g_short)
     return adjoin_sqrt(g_short, [B, A, 0, 1])

@@ -13,6 +13,7 @@ from .errors import DegenerateTowerError, InvalidParameterError
 from .intmath import valuation
 from .polyzq import (
     ZX,
+    _zx_trunc,
     fp_factor,
     fp_gcd,
     fp_mul,
@@ -25,6 +26,7 @@ from .polyzq import (
     zx_is_irreducible,
     zx_mul,
     zx_primitive,
+    zx_sub,
     zx_trim,
 )
 
@@ -153,12 +155,9 @@ def dedekind_split(K: NumberFieldDef, p: int) -> SplittingShape | str:
             for _ in range(ei - 1):
                 hbar = fp_mul(hbar, gi, p)
     # symmetric lifts
-    g = [c if 2 * c <= p else c - p for c in gbar]
-    h = [c if 2 * c <= p else c - p for c in hbar]
-    gh = zx_mul(g, h)
-    diff = [a - b for a, b in zip(gh + [0] * len(f), f + [0] * len(gh))]
-    F = [c // p for c in diff]
-    Fbar = fp_norm(F, p)
+    g = _zx_trunc(gbar, p)
+    h = _zx_trunc(hbar, p)
+    Fbar = fp_norm([c // p for c in zx_sub(zx_mul(g, h), f)], p)
     d = fp_gcd(fp_gcd(Fbar, gbar, p), hbar, p)
     if zx_deg(d) > 0:
         roots = _padic_root_count(f, p)

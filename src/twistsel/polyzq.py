@@ -4,13 +4,12 @@ Polynomials are lists of coefficients, lowest degree first, matching the text
 interchange format. The factorizer is Zassenhaus-style and does only the work
 its degree bound can use:
 
-- mod each of several good primes, distinct-degree factorization stops at the
+- mod the least good prime p, distinct-degree factorization stops at the
   bound, and only those factors are split by equal-degree factorization; the
   product of the factors of higher degree stays one unsplit modular factor;
-- the degree patterns of the primes are intersected;
-- at one prime, the modular factors are Hensel-lifted quadratically to the
-  least power of p past the Mignotte bound, along a factor tree that splits at
-  half the degree, so the unsplit factor is lifted once;
+- the modular factors are Hensel-lifted quadratically to the least power of p
+  past the Mignotte bound, along a factor tree that splits at half the degree,
+  so the unsplit factor is lifted once;
 - subsets of total degree <= bound are recombined.
 
 Irreducible factors up to the bound are extracted, and the cofactor is
@@ -29,6 +28,7 @@ from .intmath import is_prime
 ZX = list  # integer coefficients, lowest degree first
 
 _MAX_CANDIDATES = 2 * 10**6  # recombination work cap before ResourceError
+_P_LIMIT = 10000  # largest prime tried as the factorization prime
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +207,11 @@ def fp_norm(f: list[int], p: int) -> list[int]:
 
 
 def fp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] += fi * gj
-    return fp_norm(out, p)
+    return fp_norm(zx_mul(f, g), p)
 
 
 def fp_divmod(f, g, p):
+    """(q, r) with f = q g + r mod p, deg r < deg g; p may be any modulus prime to lc(g)."""
     if not g:
         raise InvalidParameterError("division by zero polynomial")
     f = f[:]
@@ -238,10 +232,7 @@ def fp_gcd(f, g, p):
     f, g = fp_norm(f, p), fp_norm(g, p)
     while g:
         f, g = g, fp_divmod(f, g, p)[1]
-    if not f:
-        return []
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+    return fp_monic(f, p)
 
 
 def fp_monic(f, p):
@@ -264,15 +255,7 @@ def fp_pow_mod(f, e, m, p):
 
 
 def fp_sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c % p
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return fp_norm(zx_sub(f, g), p)
 
 
 def fp_derivative(f, p):
@@ -329,9 +312,7 @@ def fp_edf(f, d, p, rng: random.Random):
                 h = r[:]
                 for _ in range(d - 1):
                     acc = fp_pow_mod(acc, 2, f, 2)
-                    h = fp_norm(
-                        [x + y for x, y in zip(h + [0] * len(acc), acc + [0] * len(h))], 2
-                    )
+                    h = fp_norm(zx_add(h, acc), 2)
             else:
                 h = fp_sub(fp_pow_mod(r, (p**d - 1) // 2, f, p), [1], p)
             g = fp_gcd(h, f, p)
@@ -407,28 +388,14 @@ def _zx_trunc(f: ZX, m: int) -> ZX:
     return zx_trim(out)
 
 
-def _zm_divmod_monic(f: ZX, g: ZX, m: int):
-    """Division by monic g with coefficients taken mod m."""
-    r = f[:]
-    dg = len(g) - 1
-    q = [0] * max(len(r) - dg, 1)
-    for d in range(len(r) - 1 - dg, -1, -1):
-        k = r[d + dg] % m
-        if k:
-            q[d] = k
-            for i in range(dg):
-                r[i + d] -= k * g[i]
-    return zx_trim(q), zx_trim([c % m for c in r[:dg]])
-
-
 def _hensel_step(M: int, f: ZX, g: ZX, h: ZX, s: ZX, t: ZX):
     """One quadratic lift: from f = g h (mod m) to mod M, h monic, M dividing m^2."""
     e = _zx_trunc(zx_sub(f, zx_mul(g, h)), M)
-    q, r = _zm_divmod_monic(zx_mul(s, e), h, M)
+    q, r = fp_divmod(zx_mul(s, e), h, M)
     G = _zx_trunc(zx_add(zx_add(g, zx_mul(t, e)), zx_mul(q, g)), M)
     H = _zx_trunc(zx_add(h, r), M)
     b = _zx_trunc(zx_sub(zx_add(zx_mul(s, G), zx_mul(t, H)), [1]), M)
-    c, d = _zm_divmod_monic(zx_mul(s, b), H, M)
+    c, d = fp_divmod(zx_mul(s, b), H, M)
     S = _zx_trunc(zx_sub(s, d), M)
     T = _zx_trunc(zx_sub(zx_sub(t, zx_mul(t, b)), zx_mul(c, G)), M)
     return G, H, S, T
@@ -484,30 +451,12 @@ def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX
 # factorization over Z with a degree bound
 
 
-def _good_primes(f: ZX, count: int, p_limit: int = 10000) -> list[int]:
-    """Odd primes not dividing lc(f) where f stays squarefree of full degree."""
-    out = []
-    p = 2
-    while len(out) < count:
-        p += 1
-        while not is_prime(p):
-            p += 1
-        if p > p_limit:
-            raise ResourceError("no suitable factorization primes below threshold")
-        if f[-1] % p == 0:
-            continue
-        fbar = fp_norm(f, p)
-        if zx_deg(fbar) == zx_deg(f) and fp_is_squarefree(fbar, p):
-            out.append(p)
-    return out
-
-
-def _subset_degree_sums(degrees: list[int], bound: int) -> set[int]:
-    reachable = 1  # bitset
-    for d in degrees:
-        reachable |= reachable << d
-        reachable &= (1 << (bound + 1)) - 1
-    return {i for i in range(1, bound + 1) if reachable >> i & 1}
+def _good_prime(f: ZX) -> int:
+    """The least odd prime not dividing lc(f) where f stays squarefree."""
+    for p in range(3, _P_LIMIT + 1, 2):
+        if is_prime(p) and f[-1] % p and fp_is_squarefree(f, p):
+            return p
+    raise ResourceError("no suitable factorization prime below threshold")
 
 
 def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
@@ -516,7 +465,7 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     Returns (factors, residual) with prod(factors) * residual = f exactly. The
     factors are primitive with positive leading coefficient, sorted.
 
-    The work follows the bound: each prime splits f only into its modular
+    The work follows the bound: the prime splits f only into its modular
     factors of degree <= bound plus one unsplit product of the rest, which no
     recombination can use. Hensel lifting goes to the least power of p past
     the coefficient bound, along a tree that lifts the unsplit product once.
@@ -527,19 +476,10 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     if zx_deg(f) < 1:
         return [], f
     bound = min(bound, zx_deg(f))
-    primes = _good_primes(f, 3)
-    patterns = {}
-    for p in primes:
-        patterns[p] = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
-    allowed = None
-    for p in primes:
-        sums = _subset_degree_sums([zx_deg(g) for g in patterns[p]], bound)
-        allowed = sums if allowed is None else (allowed & sums)
-    if not allowed:
+    p = _good_prime(f)
+    modular = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
+    if zx_deg(modular[0]) > bound:
         return [], f
-    # lift at the prime with the fewest modular factors
-    p = min(primes, key=lambda q: (len(patterns[q]), q))
-    modular = patterns[p]
     # Mignotte-style bound for a degree <= bound factor of f, times lc(f)
     bnd = 2**bound * math.isqrt(zx_l2_norm_sq(f)) + 1
     need = 2 * abs(f[-1]) * bnd + 1
@@ -547,10 +487,10 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     while pl < need:
         target, pl = target + 1, pl * p
     lifted = hensel_lift(p, f, modular, target)
-    return _recombine(f, lifted, pl, allowed, bound)
+    return _recombine(f, lifted, pl, bound)
 
 
-def _recombine(f: ZX, lifted: list[ZX], pl: int, allowed: set[int], bound: int):
+def _recombine(f: ZX, lifted: list[ZX], pl: int, bound: int):
     found: list[ZX] = []
     remaining = list(range(len(lifted)))
     degs = {i: zx_deg(lifted[i]) for i in remaining}
@@ -577,7 +517,7 @@ def _recombine(f: ZX, lifted: list[ZX], pl: int, allowed: set[int], bound: int):
     size = 1
     while remaining and size <= len(remaining):
         hit = False
-        for combo in _combos_bounded(remaining, degs, size, bound, allowed):
+        for combo in _combos_bounded(remaining, degs, size, bound):
             res = try_subset(combo)
             if res is None:
                 continue
@@ -593,14 +533,13 @@ def _recombine(f: ZX, lifted: list[ZX], pl: int, allowed: set[int], bound: int):
     return found, f
 
 
-def _combos_bounded(indices, degs, size, bound, allowed):
-    """Subsets of the given size whose total degree is in the allowed set."""
+def _combos_bounded(indices, degs, size, bound):
+    """Subsets of the given size whose total degree is at most bound."""
     idx = list(indices)
 
     def rec(start, chosen, total):
         if len(chosen) == size:
-            if total in allowed:
-                yield list(chosen)
+            yield list(chosen)
             return
         for k in range(start, len(idx)):
             i = idx[k]

@@ -4,6 +4,13 @@ SEARCH_26_CSV is `twistsel search` on curve 26 [1,-1,1,-3,3], ell = 7, d in
 [-120, -3], CSV format: S_E = {13} is nonempty, so every row runs the ray-class
 connecting map and the sandwich is NotApplicable. The CHECK_* strings are the
 `twistsel check` JSON lines for one d with nonempty and one with empty S_E.
+
+FACTOR_SHAPE_SHA256 is the SHA-256 of the concatenated `twistsel factor-shape`
+JSON lines for the FACTOR_SHAPE_CURVES, in order, each at the FACTOR_SHAPE_ARGS
+(ell, degree bound) pairs, in order. TORSION_FIELD_SHA256 is the SHA-256 of
+`twistsel torsion-field` on curve 26 for TORSION_FIELD_FACTOR, the degree-12
+factor of its psi_5 (a degree-24 tower). Refactors of bounded Zassenhaus must
+keep both.
 """
 
 SEARCH_26_CSV = (
@@ -54,3 +61,16 @@ CHECK_11A3_D181 = (
     '"curve":"[0,-1,1,0,0]","d":-181,"ell":5,"overall":"Admissible","ray_rank":1,"s_used":[],'
     '"selmer_lower_bound":5,"verdict":"SelmerNontrivial"}'
 )
+
+FACTOR_SHAPE_CURVES = (
+    "[0,-1,1,0,0]",
+    "[1,-1,1,-3,3]",
+    "[0,0,0,13674069,324405221670]",
+    "[0,0,0,2,3]",
+    "[0,0,0,1,0]",
+)
+FACTOR_SHAPE_ARGS = ((5, 1), (7, 6), (13, 12))
+FACTOR_SHAPE_SHA256 = "98fcbfc01306227ccc465e30d7b2daf072efd0d72b4535ae96294441871fe9b7"
+
+TORSION_FIELD_FACTOR = "[-10945,12285,26150,-61715,49015,-20358,4380,2370,-3435,1385,-146,-15,5]"
+TORSION_FIELD_SHA256 = "42b07b785f5a3ea4ff71363a4768986d0583480acf7be49dc5c27f68800627aa"

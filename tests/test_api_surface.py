@@ -1,11 +1,11 @@
-"""Every public name in src/twistsel has a caller in src/ or is wrapped by the benchmark.
+"""Every top-level name and public method in src/twistsel has a caller in src/.
 
-A public top-level function or class counts as used through a name load, an
-import alias or a `module.name` attribute anywhere in src/, or through an
-entry of the TARGETS tuple in perfbench/tracer.py (read from that file). A
-public method or property counts as used only through an attribute access
-`.name` in src/. Tests do not count: a helper that only tests call belongs
-in a test oracle.
+A top-level function or class, public or private, counts as used through a
+name load, an import alias or a `module.name` attribute anywhere in src/, or
+through an entry of the TARGETS tuple in perfbench/tracer.py (read from that
+file). A public method or property counts as used only through an attribute
+access `.name` in src/. Tests do not count: a helper that only tests call
+belongs in a test oracle.
 """
 
 import ast
@@ -30,10 +30,10 @@ def _public(name: str) -> bool:
 
 
 def _definitions(trees: dict[str, ast.Module]):
-    """(module, kind, name) for public top-level defs and public methods of public classes."""
+    """(module, kind, name) for top-level defs and public methods of public classes."""
     for mod, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield mod, "top", node.name
             if isinstance(node, ast.ClassDef) and _public(node.name):
                 for item in node.body:
@@ -81,9 +81,18 @@ def test_guard_sees_an_uncalled_function(tmp_path):
     (tmp_path / "intmath.py").write_text(
         (tmp_path / "intmath.py").read_text() + "\n\ndef orphan_helper(n):\n    return n\n"
     )
+    (tmp_path / "polyzq.py").write_text(
+        (tmp_path / "polyzq.py").read_text()
+        + "\n\ndef _orphan_private(f):\n    return f\n\n\nclass _OrphanClass:\n    pass\n"
+    )
     (tmp_path / "quadforms.py").write_text(
         (tmp_path / "quadforms.py").read_text().replace(
             "    def inverse(self)", "    def orphan_method(self):\n        return self\n\n    def inverse(self)"
         )
     )
-    assert uncalled_api(tmp_path) == ["intmath.orphan_helper", "quadforms.BQF.orphan_method"]
+    assert uncalled_api(tmp_path) == [
+        "intmath.orphan_helper",
+        "polyzq._orphan_private",
+        "polyzq._OrphanClass",
+        "quadforms.BQF.orphan_method",
+    ]

@@ -1,6 +1,16 @@
+import hashlib
 import json
 
-from pinned_outputs import CHECK_11A3_D181, CHECK_26_D5, SEARCH_26_CSV
+from pinned_outputs import (
+    CHECK_11A3_D181,
+    CHECK_26_D5,
+    FACTOR_SHAPE_ARGS,
+    FACTOR_SHAPE_CURVES,
+    FACTOR_SHAPE_SHA256,
+    SEARCH_26_CSV,
+    TORSION_FIELD_FACTOR,
+    TORSION_FIELD_SHA256,
+)
 from twistsel.cli import main
 
 
@@ -60,6 +70,25 @@ def test_torsion_field(capsys):
     )
     assert code == 0
     assert json.loads(out)["degree"] == 1
+
+
+def test_factor_shapes_and_tower_are_pinned(capsys):
+    outs = []
+    for curve in FACTOR_SHAPE_CURVES:
+        for ell, bound in FACTOR_SHAPE_ARGS:
+            code, out, _ = run_cli(
+                capsys, "factor-shape", "--curve", curve, "--ell", str(ell),
+                "--degree-bound", str(bound),
+            )
+            assert code == 0
+            outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == FACTOR_SHAPE_SHA256
+    code, out, _ = run_cli(
+        capsys, "torsion-field", "--curve", "[1,-1,1,-3,3]", "--ell", "5",
+        "--factor", TORSION_FIELD_FACTOR,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TORSION_FIELD_SHA256
 
 
 def test_classgroup(capsys):
@@ -125,6 +154,15 @@ def test_byte_stable_json(capsys):
         code, out, _ = run_cli(capsys, "check", "--curve", curve, "--ell", ell, "--d", d)
         assert code == 0
         assert out == want + "\n"
+
+
+def test_check_gives_up_on_a_hard_to_factor_d(capsys):
+    # d is the product of the least primes above 10^30 and 10^31: Brent rho
+    # cannot split it within its work cap, so check reports a resource error
+    d = "-10000000000000000000000000000603000000000000000000000000001881"
+    code, out, err = run_cli(capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", f"--d={d}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "work cap" in err
 
 
 def test_cli_matches_library(capsys):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from twistsel import intmath
 from twistsel.errors import InvalidParameterError
 from twistsel.intmath import (
     _iroot,
@@ -71,6 +72,15 @@ def test_perfect_powers_of_large_primes():
     q = _prime_above(2**600)
     assert not is_squarefree(-(q * q))
     assert factorint(q**5) == {q: 5}
+
+
+def test_perfect_power_root_is_factored_once(monkeypatch):
+    calls = []
+    rho = intmath._brent_rho
+    monkeypatch.setattr(intmath, "_brent_rho", lambda n, budget: calls.append(n) or rho(n, budget))
+    b = 1000003 * 1000033
+    assert factorint(b**3) == {1000003: 3, 1000033: 3}
+    assert calls == [b]
 
 
 @given(st.integers(min_value=1, max_value=2**400), st.integers(min_value=2, max_value=12))

@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_poly import sylvester_resultant, zx_eval
 
+from twistsel import polyzq
 from twistsel.curves import CurveQ
 from twistsel.divpoly import division_poly_primitive, psi_factor_shape
 from twistsel.errors import InvalidParameterError
+from twistsel.intmath import is_prime
 from twistsel.polyzq import (
+    fp_divmod,
     fp_factor,
     fp_factor_squarefree,
     fp_is_squarefree,
@@ -18,6 +21,7 @@ from twistsel.polyzq import (
     hensel_lift,
     poly_from_string,
     resultant_eliminate,
+    zx_add,
     zx_compose_x_square,
     zx_deg,
     zx_div_exact,
@@ -27,6 +31,7 @@ from twistsel.polyzq import (
     zx_is_irreducible,
     zx_mul,
     zx_squarefree_decomposition,
+    zx_sub,
     zx_trim,
 )
 
@@ -150,6 +155,39 @@ def test_bounded_matches_complete_factorization(seed):
         assert rebuilt == f
 
 
+def _first_good_primes(f, count):
+    out, p = [], 2
+    while len(out) < count:
+        p += 1
+        if is_prime(p) and f[-1] % p and fp_is_squarefree(f, p):
+            out.append(p)
+    return out
+
+
+def test_bounded_factorization_does_not_depend_on_the_prime(monkeypatch):
+    """Any good prime gives the same factors and residual, from one modular factorization."""
+    E = CurveQ(1, -1, 1, -3, 3)
+    cases = [(seeded_eisenstein_product(seed), bound) for seed in range(6) for bound in (1, 2, 6)]
+    cases += [(division_poly_primitive(E, ell), bound) for ell in (7, 13) for bound in (1, 6, 12)]
+    least_good_prime, factor_mod_p = polyzq._good_prime, polyzq.fp_factor_squarefree
+    primes_used = []
+    monkeypatch.setattr(
+        polyzq,
+        "fp_factor_squarefree",
+        lambda f, p, bound=None: primes_used.append(p) or factor_mod_p(f, p, bound),
+    )
+    for f, bound in cases:
+        primes = _first_good_primes(f, 3)
+        assert least_good_prime(f) == primes[0]
+        results = []
+        for p in primes:
+            monkeypatch.setattr(polyzq, "_good_prime", lambda _f, p=p: p)
+            primes_used.clear()
+            results.append(zx_factor_bounded(f, bound))
+            assert primes_used == [p]
+        assert results[0] == results[1] == results[2]
+
+
 def _factor_list_sympy(f):
     """(content, [(primitive factor, multiplicity)]) from sympy, sorted as zx_factor sorts."""
     sympy = pytest.importorskip("sympy")
@@ -210,6 +248,19 @@ def test_fp_factor_squarefree():
     # (x - 1)^4 mod 11 is not squarefree: refused, not split into wrong factors
     with pytest.raises(InvalidParameterError):
         fp_factor_squarefree([1, 7, 6, 7, 1], 11)
+
+
+def test_fp_divmod_at_prime_powers():
+    """Division by a monic g mod m = p^k, as the Hensel step uses it: f = q g + r mod m."""
+    rng = random.Random(7)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 13, 101))
+        m = p ** rng.randint(1, 30)
+        g = [rng.randrange(m) for _ in range(rng.randint(0, 8))] + [1]
+        f = zx_trim([rng.randint(-m * m, m * m) for _ in range(rng.randint(0, 20))])
+        q, r = fp_divmod(f, g, m)
+        assert len(r) < len(g) and all(0 <= c < m for c in q + r)
+        assert fp_norm(zx_sub(f, zx_add(zx_mul(q, g), r)), m) == []
 
 
 def test_fp_is_squarefree():
