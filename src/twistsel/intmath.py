@@ -93,30 +93,47 @@ def _brent_rho(n: int, budget: list[int]) -> int:
     raise InvalidParameterError(f"factorization failed for {n}")
 
 
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; factorint(+-1) = {}, n = 0 rejected."""
-    if n == 0:
-        raise InvalidParameterError("cannot factor 0")
-    n = abs(n)
-    out: dict[int, int] = {}
+def _factor_walk(n: int):
+    """Walk the factorization of n >= 1: yield (q, e) for each prime q found
+    with the exponent e it carries, and None whenever a square factor shows
+    before its primes are known (a perfect-power root, or a rho split (d, m/d)
+    with gcd(d, m/d) > 1). The (q, e) pairs multiply to |n|; a prime may come
+    more than once."""
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        e = 0
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+            e += 1
             n //= p
+        if e:
+            yield p, e
     budget = [_RHO_STEPS]
     stack = [(n, 1)] if n > 1 else []  # (cofactor, exponent it carries)
     while stack:
         m, e = stack.pop()
         if is_prime(m):
-            out[m] = out.get(m, 0) + e
+            yield m, e
             continue
         root = _iroot_perfect_power(m)
         if root is not None:
+            yield None
             b, k = root
             stack.append((b, e * k))
             continue
         d = _brent_rho(m, budget)
+        if math.gcd(d, m // d) > 1:
+            yield None
         stack.extend([(d, e), (m // d, e)])
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization of |n| as {prime: exponent}; factorint(+-1) = {}, n = 0 rejected."""
+    if n == 0:
+        raise InvalidParameterError("cannot factor 0")
+    out: dict[int, int] = {}
+    for piece in _factor_walk(abs(n)):
+        if piece is not None:
+            q, e = piece
+            out[q] = out.get(q, 0) + e
     return dict(sorted(out.items()))
 
 
@@ -142,9 +159,11 @@ def _iroot_perfect_power(n: int) -> tuple[int, int] | None:
 
 
 def is_squarefree(n: int) -> bool:
+    """Whether no square > 1 divides n; False as soon as a square factor shows,
+    so a visibly non-squarefree n needs no complete factorization."""
     if n == 0:
         return False
-    return all(e == 1 for e in factorint(n).values())
+    return all(piece is not None and piece[1] == 1 for piece in _factor_walk(abs(n)))
 
 
 def is_square(n: int) -> bool:

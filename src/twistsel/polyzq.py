@@ -7,9 +7,9 @@ its degree bound can use:
 - mod the least good prime p, distinct-degree factorization stops at the
   bound, and only those factors are split by equal-degree factorization; the
   product of the factors of higher degree stays one unsplit modular factor;
-- the modular factors are Hensel-lifted quadratically to the least power of p
-  past the Mignotte bound, along a factor tree that splits at half the degree,
-  so the unsplit factor is lifted once;
+- each modular factor of degree <= bound is Hensel-lifted on its own, by
+  Newton steps against its cofactor, to the least power of p past the
+  Mignotte bound; the unsplit factor and the cofactors are never lifted;
 - subsets of total degree <= bound are recombined.
 
 Irreducible factors up to the bound are extracted, and the cofactor is
@@ -388,19 +388,6 @@ def _zx_trunc(f: ZX, m: int) -> ZX:
     return zx_trim(out)
 
 
-def _hensel_step(M: int, f: ZX, g: ZX, h: ZX, s: ZX, t: ZX):
-    """One quadratic lift: from f = g h (mod m) to mod M, h monic, M dividing m^2."""
-    e = _zx_trunc(zx_sub(f, zx_mul(g, h)), M)
-    q, r = fp_divmod(zx_mul(s, e), h, M)
-    G = _zx_trunc(zx_add(zx_add(g, zx_mul(t, e)), zx_mul(q, g)), M)
-    H = _zx_trunc(zx_add(h, r), M)
-    b = _zx_trunc(zx_sub(zx_add(zx_mul(s, G), zx_mul(t, H)), [1]), M)
-    c, d = fp_divmod(zx_mul(s, b), H, M)
-    S = _zx_trunc(zx_sub(s, d), M)
-    T = _zx_trunc(zx_sub(zx_sub(t, zx_mul(t, b)), zx_mul(c, G)), M)
-    return G, H, S, T
-
-
 def _fp_gcdex(f, g, p):
     """(s, t) with s f + t g = 1 mod p for coprime f, g."""
     r0, r1 = fp_norm(f, p), fp_norm(g, p)
@@ -418,33 +405,41 @@ def _fp_gcdex(f, g, p):
 
 
 def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX]:
-    """Lift the monic mod-p factors of f to monic factors mod p^target.
+    """Lift each monic mod-p factor g of f, on its own, to a monic factor mod p^target.
 
-    The product of the lifted factors equals f / lc(f) made monic mod p^target.
-    The factor tree splits where the running degree reaches half of deg f, so
-    a single factor of high degree sits alone on one side and is lifted once.
-    Each level lifts along the exponents ceil(target / 2^j), never past target.
+    The lift of g is the unique monic G = g mod p dividing f / lc(f) mod
+    p^target, so when every modular factor of f is passed, the product of
+    the lifts is f / lc(f) made monic mod p^target. Each lift takes Newton
+    steps G += T (f mod G) mod G along the moduli p^ceil(target / 2^j), with
+    T = (f div G)^-1 mod G, started by gcdex mod p and refreshed by
+    T (2 - (f div G) T) mod G. Every product and division is by G, so a step
+    costs O(deg f deg g) and the cofactor f / g is never formed.
+
+    Raises InvalidParameterError when p divides lc(f), or a factor is not
+    monic mod p, does not divide f mod p, or is not prime to f / g mod p.
     """
-    r = len(factors)
-    lc = f[-1]
-    if r == 1:
-        inv = pow(lc, -1, p**target)
-        return [_zx_trunc(zx_mul_scalar(f, inv), p**target)]
-    k, total = 0, 0
-    while k < r - 1 and 2 * total < zx_deg(f):
-        total += len(factors[k]) - 1
-        k += 1
-    g = [lc % p]
-    for fac in factors[:k]:
-        g = fp_mul(g, fac, p)
-    h = [1]
-    for fac in factors[k:]:
-        h = fp_mul(h, fac, p)
-    s, t = _fp_gcdex(g, h, p)
-    G, H, S, T = g, h, s, t
-    for j in reversed(range((target - 1).bit_length())):
-        G, H, S, T = _hensel_step(p ** -(-target >> j), f, G, H, S, T)  # p^ceil(target/2^j)
-    return hensel_lift(p, G, factors[:k], target) + hensel_lift(p, H, factors[k:], target)
+    if f[-1] % p == 0:
+        raise InvalidParameterError(f"leading coefficient divisible by {p}")
+    moduli = [p ** -(-target >> j) for j in reversed(range((target - 1).bit_length()))]
+    f_mod = [fp_norm(f, M) for M in moduli]
+    lifted = []
+    for g in factors:
+        g = fp_norm(g, p)
+        if not g or g[-1] != 1:
+            raise InvalidParameterError(f"factor is not monic mod {p}")
+        q, r = fp_divmod(f, g, p)
+        if r:
+            raise InvalidParameterError(f"factor does not divide f mod {p}")
+        T, m = _fp_gcdex(q, g, p)[0], p
+        for M, fM in zip(moduli, f_mod):
+            q, r = fp_divmod(fM, g, M)
+            if m > p:  # T, exact mod the previous modulus, is refreshed to mod m
+                e = fp_divmod(zx_mul(q, T), g, m)[1]
+                T = fp_divmod(zx_mul(T, zx_sub([2], e)), g, m)[1]
+            g = fp_norm(zx_add(g, fp_divmod(zx_mul(T, r), g, M)[1]), M)
+            m = M
+        lifted.append(_zx_trunc(g, p**target))
+    return lifted
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +462,10 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
 
     The work follows the bound: the prime splits f only into its modular
     factors of degree <= bound plus one unsplit product of the rest, which no
-    recombination can use. Hensel lifting goes to the least power of p past
-    the coefficient bound, along a tree that lifts the unsplit product once.
-    The result does not depend on the prime or on the tree: the factors are
-    the unique irreducible factors of f of degree <= bound.
+    recombination can use and which is never lifted. Each modular factor of
+    degree <= bound is Hensel-lifted on its own to the least power of p past
+    the coefficient bound. The result does not depend on the prime: the
+    factors are the unique irreducible factors of f of degree <= bound.
     """
     f = zx_trim(f[:])
     if zx_deg(f) < 1:
@@ -478,7 +473,8 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     bound = min(bound, zx_deg(f))
     p = _good_prime(f)
     modular = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
-    if zx_deg(modular[0]) > bound:
+    small = [g for g in modular if zx_deg(g) <= bound]
+    if not small:
         return [], f
     # Mignotte-style bound for a degree <= bound factor of f, times lc(f)
     bnd = 2**bound * math.isqrt(zx_l2_norm_sq(f)) + 1
@@ -486,7 +482,7 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     target, pl = 1, p
     while pl < need:
         target, pl = target + 1, pl * p
-    lifted = hensel_lift(p, f, modular, target)
+    lifted = hensel_lift(p, f, small, target)
     return _recombine(f, lifted, pl, bound)
 
 

@@ -4,11 +4,28 @@
 `sylvester_resultant` is the determinant of the Sylvester matrix by Gaussian
 elimination over Fraction, independent of the library's fraction-free
 Bareiss elimination over Z[z].
+`hensel_lift` and `_hensel_step` are the two-sided factor-tree lift: each
+step lifts a factorization f = g h together with its Bezout pair, and the
+tree splits where the running degree reaches half of deg f. The library
+lifts each factor on its own against its cofactor instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from twistsel.polyzq import (
+    ZX,
+    _fp_gcdex,
+    _zx_trunc,
+    fp_divmod,
+    fp_mul,
+    zx_add,
+    zx_deg,
+    zx_mul,
+    zx_mul_scalar,
+    zx_sub,
+)
 
 
 def zx_eval(f: list, x):
@@ -50,3 +67,46 @@ def sylvester_resultant(f: list[int], g: list[int]) -> int:
     det = _det(rows)
     assert det.denominator == 1
     return int(det)
+
+
+def _hensel_step(M: int, f: ZX, g: ZX, h: ZX, s: ZX, t: ZX):
+    """One quadratic lift: from f = g h (mod m) to mod M, h monic, M dividing m^2."""
+    e = _zx_trunc(zx_sub(f, zx_mul(g, h)), M)
+    q, r = fp_divmod(zx_mul(s, e), h, M)
+    G = _zx_trunc(zx_add(zx_add(g, zx_mul(t, e)), zx_mul(q, g)), M)
+    H = _zx_trunc(zx_add(h, r), M)
+    b = _zx_trunc(zx_sub(zx_add(zx_mul(s, G), zx_mul(t, H)), [1]), M)
+    c, d = fp_divmod(zx_mul(s, b), H, M)
+    S = _zx_trunc(zx_sub(s, d), M)
+    T = _zx_trunc(zx_sub(zx_sub(t, zx_mul(t, b)), zx_mul(c, G)), M)
+    return G, H, S, T
+
+
+def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX]:
+    """Lift the monic mod-p factors of f to monic factors mod p^target.
+
+    The product of the lifted factors equals f / lc(f) made monic mod p^target.
+    The factor tree splits where the running degree reaches half of deg f, so
+    a single factor of high degree sits alone on one side and is lifted once.
+    Each level lifts along the exponents ceil(target / 2^j), never past target.
+    """
+    r = len(factors)
+    lc = f[-1]
+    if r == 1:
+        inv = pow(lc, -1, p**target)
+        return [_zx_trunc(zx_mul_scalar(f, inv), p**target)]
+    k, total = 0, 0
+    while k < r - 1 and 2 * total < zx_deg(f):
+        total += len(factors[k]) - 1
+        k += 1
+    g = [lc % p]
+    for fac in factors[:k]:
+        g = fp_mul(g, fac, p)
+    h = [1]
+    for fac in factors[k:]:
+        h = fp_mul(h, fac, p)
+    s, t = _fp_gcdex(g, h, p)
+    G, H, S, T = g, h, s, t
+    for j in reversed(range((target - 1).bit_length())):
+        G, H, S, T = _hensel_step(p ** -(-target >> j), f, G, H, S, T)  # p^ceil(target/2^j)
+    return hensel_lift(p, G, factors[:k], target) + hensel_lift(p, H, factors[k:], target)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 from pinned_outputs import (
     CHECK_11A3_D181,
@@ -163,6 +164,22 @@ def test_check_gives_up_on_a_hard_to_factor_d(capsys):
     code, out, err = run_cli(capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", f"--d={d}")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "work cap" in err
+
+
+def test_check_rejects_a_square_d_without_factoring_its_root(capsys):
+    # |d| = (10^170 + 1)^2: the perfect-power root shows at once, so d is not
+    # squarefree although rho could not factor 10^170 + 1 within its cap
+    d = -((10**170 + 1) ** 2)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", f"--d={d}", "--format", "json"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    clauses = {c["id"]: c["pass"] for c in report["clauses"]}
+    assert clauses["domain.squarefree"] is False
+    assert report["overall"] == "Inadmissible"
 
 
 def test_cli_matches_library(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -96,6 +98,37 @@ def test_squarefree_matches_definition(n):
         return
     naive = all(n % (k * k) for k in range(2, int(abs(n)) + 1) if k * k <= abs(n))
     assert is_squarefree(n) == naive
+
+
+def test_squarefree_agrees_with_factorint():
+    rng = random.Random(64)
+    for _ in range(300):
+        n = rng.randrange(1, 2**64)
+        assert is_squarefree(n) == all(e == 1 for e in factorint(n).values())
+
+
+def test_squarefree_stops_at_a_rho_split_sharing_a_factor(monkeypatch):
+    # q^2 r with q, r primes above 10^6: rho may split off q, q r, q^2 or r;
+    # the first two leave halves sharing q, the last two a perfect square
+    shared = []
+    rho = intmath._brent_rho
+
+    def spy(m, budget):
+        d = rho(m, budget)
+        shared.append(intmath.math.gcd(d, m // d) > 1)
+        return d
+
+    monkeypatch.setattr(intmath, "_brent_rho", spy)
+    rng = random.Random(6)
+    for _ in range(12):
+        q = _prime_above(rng.randrange(10**6, 10**7))
+        r = _prime_above(rng.randrange(10**6, 10**7))
+        if q == r:
+            continue
+        assert not is_squarefree(q * q * r)
+        assert factorint(q * q * r) == {q: 2, r: 1}
+        assert is_squarefree(q * r)
+    assert any(shared)
 
 
 def test_squarefree_sieve_agrees():

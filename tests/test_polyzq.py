@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_poly import hensel_lift as tree_hensel_lift
 from oracle_poly import sylvester_resultant, zx_eval
 
 from twistsel import polyzq
@@ -299,6 +300,62 @@ def test_hensel_lift_recovers_factors():
             prod = fp_mul(prod, g, m)
         inv = pow(f[-1], -1, m)
         assert prod == [c * inv % m for c in f]
+
+
+def test_hensel_lift_matches_the_tree_lift():
+    """Each factor lifted on its own equals the two-sided factor-tree lift."""
+    rng = random.Random(15)
+    cases, non_monic = 0, 0
+    while cases < 120:
+        p = rng.choice([3, 5, 7, 11, 13])
+        f = [1]
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.choice([1, 2, 3, -4])]
+            f = zx_mul(f, g)
+        f = zx_trim(f)
+        if zx_deg(f) < 1 or f[-1] % p == 0 or not fp_is_squarefree(f, p):
+            continue
+        cases += 1
+        non_monic += f[-1] not in (1, -1)
+        target = rng.randint(1, 12)
+        bound = rng.choice([None, 1, 2, 3])
+        modular = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
+        tree = tree_hensel_lift(p, f, modular, target)
+        assert hensel_lift(p, f, modular, target) == tree
+        small = [i for i, g in enumerate(modular) if bound is None or zx_deg(g) <= bound]
+        assert hensel_lift(p, f, [modular[i] for i in small], target) == [tree[i] for i in small]
+    assert non_monic > 60
+
+
+def test_hensel_lift_rejects_bad_factors():
+    f = zx_mul(zx_mul([-1, 1], [1, 1]), [1, 0, 3])  # (x - 1)(x + 1)(3x^2 + 1), squarefree mod 5
+    p = 5
+    assert hensel_lift(p, f, [[4, 1], [1, 1]], 3) == [[-1, 1], [1, 1]]
+    with pytest.raises(InvalidParameterError, match="not monic"):
+        hensel_lift(p, f, [[3, 2]], 3)  # 2x + 3 = 2 (x - 1) mod 5
+    with pytest.raises(InvalidParameterError, match="does not divide"):
+        hensel_lift(p, f, [[2, 1]], 3)
+    with pytest.raises(InvalidParameterError, match="leading coefficient"):
+        hensel_lift(3, f, [[2, 1]], 3)
+    square = zx_mul(f, [-1, 1])  # (x - 1)^2 (x + 1)(3x^2 + 1)
+    with pytest.raises(InvalidParameterError, match="non-coprime"):
+        hensel_lift(p, square, [[4, 1]], 3)
+
+
+def test_bounded_factorization_lifts_only_small_factors(monkeypatch):
+    """psi_13 of the 13-torsion curve at bound 6: one lift, no factor above degree 6."""
+    passed = []
+    lift = polyzq.hensel_lift
+
+    def spy(p, f, factors, target):
+        passed.append([zx_deg(g) for g in factors])
+        return lift(p, f, factors, target)
+
+    monkeypatch.setattr(polyzq, "hensel_lift", spy)
+    shape = psi_factor_shape(CurveQ(0, 0, 0, 13674069, 324405221670), 13, 6)
+    assert len(passed) == 1
+    assert passed[0] and max(passed[0]) <= 6
+    assert shape.factors
 
 
 def test_resultant():
