@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidParameterError, UnsupportedError
+from .errors import InvalidParameterError, ResourceError, UnsupportedError
 from .intmath import primes_up_to, sqrt_mod
 
 BACKEND = "python"
+
+# the form sieve keeps about sqrt(|D|/3) lists: at |D| = 4 * 10^12 a call
+# peaks near 160 MiB and takes 4-7 s on a 2-CPU host, and a d near -10^16
+# would need several GiB
+_MAX_ABS_DISC = 4 * 10**12
 
 
 def count_points(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> int:
@@ -66,8 +71,13 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     divides q_b exactly when b = +-sqrt(D) mod p; these primes are sieved into
     per-b lists, and each q_b is split over them and 2. The cost is
     O~(sqrt|D|) steps, against about |D|/3 for trying every pair (a, b).
+
+    Resource ceiling: |D| <= 4 * 10^12 (`_MAX_ABS_DISC`). Past it the call
+    raises `ResourceError` before allocating anything.
     """
     _check_disc(D)
+    if -D > _MAX_ABS_DISC:
+        raise ResourceError(f"|D| = {-D} is past the form enumeration ceiling {_MAX_ABS_DISC}")
     amax = math.isqrt(-D // 3)
     sieved: list[list[int]] = [[] for _ in range(amax + 1)]
     for p in primes_up_to(amax)[1:]:

@@ -498,6 +498,8 @@ def _recombine(f: ZX, lifted: list[ZX], pl: int, bound: int):
             raise ResourceError(
                 "factor recombination exceeded its work cap (non-squarefree input?)"
             )
+        if not _trailing_test(f, [lifted[i][0] for i in indices], pl):
+            return None
         g = [f[-1] % pl]
         for i in indices:
             g = fp_mul(g, lifted[i], pl)
@@ -527,6 +529,24 @@ def _recombine(f: ZX, lifted: list[ZX], pl: int, bound: int):
             size += 1
     found.sort(key=lambda h: (zx_deg(h), h))
     return found, f
+
+
+def _trailing_test(f: ZX, constants: list[int], pl: int) -> bool:
+    """Whether the candidate lc(f) prod g_i mod pl may divide f, judged by constant terms.
+
+    The g_i are the lifted factors, with constant terms `constants`. A true
+    factor G of f = G Q gives the candidate lc(Q) G, whose constant term
+    t = lc(Q) G(0) divides lc(f) f(0) = t lc(G) Q(0); the bound on pl keeps t
+    exact, so no true factor fails. When f(0) = 0 every candidate passes.
+    """
+    if not f[0]:
+        return True
+    t = f[-1] % pl
+    for c in constants:
+        t = t * c % pl
+    if 2 * t > pl:
+        t -= pl
+    return t != 0 and f[-1] * f[0] % t == 0
 
 
 def _combos_bounded(indices, degs, size, bound):

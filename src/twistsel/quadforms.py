@@ -1,10 +1,13 @@
 """Class groups of imaginary quadratic fields via binary quadratic forms.
 
 Forms (a, b, c) of discriminant D = b^2 - 4ac < 0 are all enumerated in
-reduced shape (by the sieve in `_kernels`), composed by Dirichlet
-composition, and the group structure is read off from torsion counts. Only
-imaginary discriminants: positive D would drag in infinite unit groups on
-purpose left out.
+reduced shape (by the sieve in `_kernels`) and composed by Dirichlet
+composition. Torsion is read inside Sylow subgroups: `sylow_subgroup` grows
+the p-part of cl(D) from the m-th powers of a few forms, where h = p^k m, and
+certifies it by its exact order p^k. The ell-torsion (`ell_part`) and the full
+structure (`class_group_structure`) are counted there, not over all h forms.
+Only imaginary discriminants: positive D would drag in infinite unit groups
+on purpose left out.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 from ._kernels import _check_disc
 from ._kernels import class_number as _kernel_class_number
 from ._kernels import reduced_forms as _kernel_reduced_forms
-from .errors import InvalidParameterError
-from .intmath import is_squarefree, log_p
+from .errors import InvalidParameterError, TwistselError
+from .intmath import is_prime, is_squarefree, log_p
 
 
 def field_discriminant(d: int) -> int:
@@ -134,30 +137,45 @@ def class_number(D: int) -> int:
     return _kernel_class_number(D)
 
 
-def torsion_subgroup(forms: list[BQF], n: int) -> list[BQF]:
-    """The n-torsion of cl(D), given all of its reduced forms.
+def sylow_subgroup(forms: list[tuple[int, int, int]], p: int) -> list[BQF]:
+    """The Sylow p-subgroup of cl(D), given all its reduced forms as (a, b, c) in (a, b) order.
 
-    Every element's order divides h = len(forms), so when gcd(n, h) = 1 the
-    n-torsion is trivial and no power is taken.
+    With h = p^k m and p not dividing m, the subgroup is the image of f -> f^m.
+    The forms are walked in order and each new f^m joins the subgroup H found
+    so far by its cosets H g^i, until |H| = p^k; only the forms walked are
+    built as `BQF`s. The order p^k is known exactly from h = len(forms), so
+    a walk that ends short of it raises instead of returning a subgroup.
     """
-    one = principal_form(forms[0].disc)
-    if math.gcd(n, len(forms)) == 1:
-        return [one]
-    return [f for f in forms if form_power(f, n) == one]
+    h = len(forms)
+    m, order = h, 1
+    while m % p == 0:
+        m, order = m // p, order * p
+    a, b, c = forms[0]
+    group = [principal_form(b * b - 4 * a * c)]
+    members = set(group)
+    for f in forms:
+        if len(group) >= order:
+            break
+        g = form_power(BQF(*f), m)
+        base, step = group[:], g
+        while step not in members:
+            coset = [compose(x, step) for x in base]
+            group += coset
+            members.update(coset)
+            step = compose(step, g)
+    if len(group) != order:
+        raise TwistselError(f"internal: Sylow {p}-subgroup of order {len(group)}, expected {order}")
+    return group
 
 
 @dataclass(frozen=True)
 class EllPart:
-    """cl(D) enumerated once: its reduced forms and its ell-torsion subgroup."""
+    """cl(D) enumerated once: its class number and its ell-torsion subgroup."""
 
     D: int
     ell: int
-    forms: tuple[BQF, ...]
+    h: int
     torsion: tuple[BQF, ...]
-
-    @property
-    def h(self) -> int:
-        return len(self.forms)
 
     @property
     def rank(self) -> int:
@@ -165,11 +183,23 @@ class EllPart:
 
 
 def ell_part(D: int, ell: int) -> EllPart:
-    """The class number and ell-torsion of cl(D) from one enumeration of its forms."""
-    if ell < 2:
+    """The class number and ell-torsion of cl(D) from one enumeration of its forms.
+
+    The torsion is sorted by (a, b). When ell does not divide h it is trivial
+    and no form beyond the principal one is built.
+    """
+    if not is_prime(ell):
         raise InvalidParameterError("ell must be a prime")
-    forms = reduced_forms(D)
-    return EllPart(D, ell, tuple(forms), tuple(torsion_subgroup(forms, ell)))
+    forms = _kernel_reduced_forms(D)
+    h = len(forms)
+    one = principal_form(D)
+    if h % ell:
+        return EllPart(D, ell, h, (one,))
+    sylow = sylow_subgroup(forms, ell)
+    # a Sylow subgroup of order ell is all ell-torsion
+    torsion = sylow if len(sylow) == ell else [x for x in sylow if form_power(x, ell) == one]
+    torsion.sort(key=lambda x: (x.a, x.b))
+    return EllPart(D, ell, h, tuple(torsion))
 
 
 @dataclass(frozen=True)
@@ -186,11 +216,13 @@ class ClassGroupData:
 def class_group_structure(D: int) -> ClassGroupData:
     """Full structure of cl(D): forms, order, elementary divisors.
 
-    The p-parts are read off torsion counts: the number of cyclic factors of
-    order divisible by p^k is log_p of #cl[p^k] / #cl[p^(k-1)].
+    Each p-part is read inside the Sylow p-subgroup: the number of cyclic
+    factors of order divisible by p^k is log_p of #cl[p^k] / #cl[p^(k-1)].
     """
-    forms = reduced_forms(D)
+    triples = _kernel_reduced_forms(D)
+    forms = tuple(BQF(a, b, c) for a, b, c in triples)
     h = len(forms)
+    one = principal_form(D)
     structure: dict[int, list[int]] = {}
     n = h
     p = 2
@@ -198,18 +230,18 @@ def class_group_structure(D: int) -> ClassGroupData:
         if n % p:
             p += 1 if p == 2 else 2
             continue
-        # p-part: count p^k-torsion layer by layer
+        # p-part: count p^k-torsion layer by layer inside the Sylow subgroup
         # exps[i] = number of cyclic p-factors of order >= p^(i+1)
+        sylow = sylow_subgroup(triples, p)
         exps = []
         prev = 1
-        k = 1
-        while True:
-            cnt = len(torsion_subgroup(forms, p**k))
-            if cnt == prev:
-                break
+        # rest: the p^i-th powers x^(p^i) that are not yet trivial, x in the subgroup
+        rest = [x for x in sylow if x != one]
+        while rest:
+            rest = [y for y in (form_power(x, p) for x in rest) if y != one]
+            cnt = len(sylow) - len(rest)
             exps.append(log_p(cnt // prev, p))
             prev = cnt
-            k += 1
         # exps is non-increasing; cyclic factor orders from the conjugate partition
         n_factors = exps[0] if exps else 0
         orders = [0] * n_factors
@@ -230,10 +262,10 @@ def class_group_structure(D: int) -> ClassGroupData:
                 d *= parts[p].pop(0)
         divisors.append(d)
     divisors.sort()
-    return ClassGroupData(D, tuple(forms), h, tuple(divisors))
+    return ClassGroupData(D, forms, h, tuple(divisors))
 
 
 def ell_rank(D: int, ell: int) -> tuple[int, int]:
-    """(r, ell^r) with r the ell-rank of cl(D); counts ell-torsion directly."""
+    """(r, ell^r) with r the ell-rank of cl(D), from the ell-torsion of its Sylow subgroup."""
     r = ell_part(D, ell).rank
     return r, ell**r

@@ -4,13 +4,15 @@
 (a, b) with |b| <= a <= sqrt(|D|/3) is tried, about |D|/3 steps. Slow on
 purpose; only correctness matters here. `is_reduced` checks the reduction
 conditions directly, and `form_order` counts compositions up to the identity.
+`torsion_subgroup` raises every form to the n-th power, the exhaustive check
+on the library's Sylow walk.
 """
 
 from __future__ import annotations
 
 import math
 
-from twistsel.quadforms import BQF, compose, principal_form
+from twistsel.quadforms import BQF, compose, form_power, principal_form
 
 
 def is_reduced(f: BQF) -> bool:
@@ -51,3 +53,15 @@ def reduced_forms_naive(D: int) -> list[tuple[int, int, int]]:
                 continue
             forms.append((a, b, c))
     return forms
+
+
+def torsion_subgroup(forms: list[BQF], n: int) -> list[BQF]:
+    """The n-torsion of cl(D), given all of its reduced forms.
+
+    Every element's order divides h = len(forms), so when gcd(n, h) = 1 the
+    n-torsion is trivial and no power is taken.
+    """
+    one = principal_form(forms[0].disc)
+    if math.gcd(n, len(forms)) == 1:
+        return [one]
+    return [f for f in forms if form_power(f, n) == one]

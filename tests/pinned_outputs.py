@@ -11,6 +11,11 @@ JSON lines for the FACTOR_SHAPE_CURVES, in order, each at the FACTOR_SHAPE_ARGS
 `twistsel torsion-field` on curve 26 for TORSION_FIELD_FACTOR, the degree-12
 factor of its psi_5 (a degree-24 tower). Refactors of bounded Zassenhaus must
 keep both.
+
+CLASSGROUP_SHA256 is the SHA-256 of "<exit code>:<stdout>" of `twistsel
+classgroup --D D` for every D from -3 down to -3000, in that order (D = 2, 3
+mod 4 give exit 1 and no output). Refactors of the class group structure must
+keep it.
 """
 
 SEARCH_26_CSV = (
@@ -74,3 +79,5 @@ FACTOR_SHAPE_SHA256 = "98fcbfc01306227ccc465e30d7b2daf072efd0d72b4535ae962944418
 
 TORSION_FIELD_FACTOR = "[-10945,12285,26150,-61715,49015,-20358,4380,2370,-3435,1385,-146,-15,5]"
 TORSION_FIELD_SHA256 = "42b07b785f5a3ea4ff71363a4768986d0583480acf7be49dc5c27f68800627aa"
+
+CLASSGROUP_SHA256 = "e9da20d971bfe5ffa62928c9e605f0ddf760859badb5d3042d4d57500f6fce48"

@@ -5,6 +5,7 @@ import time
 from pinned_outputs import (
     CHECK_11A3_D181,
     CHECK_26_D5,
+    CLASSGROUP_SHA256,
     FACTOR_SHAPE_ARGS,
     FACTOR_SHAPE_CURVES,
     FACTOR_SHAPE_SHA256,
@@ -12,6 +13,7 @@ from pinned_outputs import (
     TORSION_FIELD_FACTOR,
     TORSION_FIELD_SHA256,
 )
+from twistsel import cli
 from twistsel.cli import main
 
 
@@ -96,6 +98,24 @@ def test_classgroup(capsys):
     code, out, _ = run_cli(capsys, "classgroup", "--D", "-20")
     assert code == 0
     assert out.strip() == '{"D":-20,"h":2,"structure":[2]}'
+
+
+def test_classgroup_is_pinned(capsys, monkeypatch):
+    parser = cli.build_parser()  # one parser for all calls: building it dominates a call
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    digest = hashlib.sha256()
+    for D in range(-3, -3001, -1):
+        code, out, _ = run_cli(capsys, "classgroup", "--D", str(D))
+        digest.update(f"{code}:{out}".encode())
+    assert digest.hexdigest() == CLASSGROUP_SHA256
+
+
+def test_classgroup_refuses_past_the_ceiling(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classgroup", "--D", "-4000000000004")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "ceiling" in err
 
 
 def test_rayclass(capsys):

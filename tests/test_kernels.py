@@ -1,11 +1,12 @@
 """Correctness of the hot kernels against independent oracles."""
 
 import random
+import time
 
 import pytest
 
 from twistsel import _kernels, quadforms
-from twistsel.errors import InvalidParameterError, UnsupportedError
+from twistsel.errors import InvalidParameterError, ResourceError, UnsupportedError
 from twistsel.intmath import factorint, is_squarefree, kronecker
 from oracle_ec import count_points_naive
 from oracle_forms import reduced_forms_naive
@@ -99,6 +100,16 @@ def test_reduced_forms_refuse_non_discriminants(D, error):
     ):
         with pytest.raises(error):
             enumerate_forms(D)
+
+
+def test_reduced_forms_refuse_past_the_ceiling():
+    """Just past the |D| ceiling the kernels raise before allocating the sieve."""
+    D = -(_kernels._MAX_ABS_DISC + 4)
+    for enumerate_forms in (_kernels.reduced_forms, _kernels.class_number):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="ceiling"):
+            enumerate_forms(D)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_known_class_numbers():

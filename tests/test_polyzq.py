@@ -220,6 +220,33 @@ def test_factorization_matches_sympy():
                 assert shape.residual == tuple(zx_div_exact(psi, prod))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_factorization_with_a_root_at_zero_matches_sympy(seed):
+    """Non-monic f with f(0) = 0, where recombination skips the trailing-coefficient test."""
+    pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    f = [0] * rng.randint(1, 3) + [rng.choice([2, 3, 6])]
+    for g in rng.sample(SMALL_IRREDUCIBLES, k=rng.randint(3, 6)):
+        f = zx_mul(f, g)
+    f = zx_mul(f, [-3] + [0] * (rng.randint(8, 16) - 1) + [2])  # 2x^n - 3, irreducible
+    assert f[0] == 0 and f[-1] not in (1, -1)
+    c, parts = zx_factor(f)
+    c_sympy, parts_sympy = _factor_list_sympy(f)
+    # zx_factor lists the factors of each squarefree part in turn
+    assert c == c_sympy and sorted(parts) == sorted(parts_sympy)
+
+
+def test_recombination_rejects_candidates_by_trailing_coefficient(monkeypatch):
+    """psi_13 of curve 26 is irreducible but has 16 factors mod p; the candidates that
+    fail the constant-term test are never divided into f."""
+    divisions = []
+    divide = polyzq.zx_div_exact
+    monkeypatch.setattr(polyzq, "zx_div_exact", lambda f, g: divisions.append(1) or divide(f, g))
+    psi = division_poly_primitive(CurveQ(1, -1, 1, -3, 3), 13)
+    assert zx_factor(psi) == (1, [(psi, 1)])
+    assert len(divisions) < 100
+
+
 def test_bounded_factorization_residual():
     f = zx_mul(zx_mul([-1, 1], [1, 0, 1]), [3, 1, 0, 0, 0, 1])
     factors, residual = zx_factor_bounded(f, 2)

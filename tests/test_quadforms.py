@@ -1,19 +1,24 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_forms import form_order, is_reduced
-from twistsel.errors import InvalidParameterError, UnsupportedError
+from oracle_forms import form_order, is_reduced, torsion_subgroup
+from twistsel import _kernels, quadforms
+from twistsel.errors import InvalidParameterError, TwistselError, UnsupportedError
 from twistsel.intmath import is_squarefree
 from twistsel.quadforms import (
     BQF,
     class_group_structure,
     class_number,
     compose,
+    ell_part,
     ell_rank,
     field_discriminant,
     form_power,
     principal_form,
     reduced_forms,
+    sylow_subgroup,
 )
 
 
@@ -115,6 +120,8 @@ def test_ell_rank_examples():
     assert ell_rank(-20, 5) == (0, 1)
     assert ell_rank(-23, 3) == (1, 3)
     assert ell_rank(-3299, 3) == (2, 9)
+    with pytest.raises(InvalidParameterError):
+        ell_rank(-84, 4)  # the Sylow walk needs a prime; cl(-84) = C2 x C2
 
 
 def _is_fundamental(D):
@@ -136,3 +143,68 @@ def test_ell_rank_matches_structure():
             assert order == ell**r == sum(1 for n in orders if ell % n == 0)
             both_cases[ell].add(data.h % ell == 0)
     assert all(seen == {True, False} for seen in both_cases.values())
+
+
+def _assert_ell_part_matches_oracle(D, ell):
+    forms = reduced_forms(D)
+    part = ell_part(D, ell)
+    assert part.h == len(forms)
+    assert list(part.torsion) == torsion_subgroup(forms, ell), (D, ell)
+    return part
+
+
+def test_ell_part_matches_exhaustive_torsion():
+    """The Sylow walk against powering every form, on all small discriminants."""
+    for D in range(-3, -4001, -1):
+        if D % 4 in (0, 1):
+            for ell in (3, 5, 7):
+                _assert_ell_part_matches_oracle(D, ell)
+
+
+def test_ell_part_matches_exhaustive_torsion_near_1e5():
+    """Seeded D near -10^5, among them 3-rank 2 and Sylow orders ell^2 and more."""
+    rng = random.Random(100003)
+    rank2, deep = 0, {3: 0, 5: 0, 7: 0}
+    for D in rng.sample(range(-101000, -99000), 400):
+        if D % 4 not in (0, 1):
+            continue
+        for ell in (3, 5, 7):
+            part = _assert_ell_part_matches_oracle(D, ell)
+            rank2 += ell == 3 and part.rank == 2
+            deep[ell] += part.h % ell**2 == 0
+    assert rank2 >= 3 and min(deep.values()) >= 2, (rank2, deep)
+
+
+def test_sylow_subgroup_certifies_its_order():
+    forms = _kernels.reduced_forms(-3299)  # h = 27, cl = C3 x C9
+    sylow = sylow_subgroup(forms, 3)
+    assert len(sylow) == len(set(sylow)) == 27
+    assert len(sylow_subgroup(forms, 2)) == 1
+    # a principal form listed twice makes h = 28, but no subgroup has order 4
+    with pytest.raises(TwistselError, match="internal"):
+        sylow_subgroup([*forms, forms[0]], 2)
+
+
+def test_ell_part_does_not_power_every_form(monkeypatch):
+    """The Sylow walk composes fewer than h times; powering every form took about 5h."""
+    D = -6719  # h = 105 = 3 * 5 * 7
+    h = _kernels.class_number(D)
+    assert h >= 100 and h % 5 == 0
+    calls = []
+    compose_forms = quadforms.compose
+    monkeypatch.setattr(quadforms, "compose", lambda f, g: calls.append(1) or compose_forms(f, g))
+    part = ell_part(D, 5)
+    assert part.rank == 1
+    assert 0 < len(calls) < h
+
+
+def test_ell_part_builds_no_form_when_ell_does_not_divide_h(monkeypatch):
+    D = -6719
+    assert _kernels.class_number(D) % 11
+    one = principal_form(D)
+    built = []
+    check = BQF.__post_init__
+    monkeypatch.setattr(BQF, "__post_init__", lambda f: built.append(f) or check(f))
+    part = ell_part(D, 11)
+    assert built == [one]
+    assert part.torsion == (one,) and part.rank == 0
