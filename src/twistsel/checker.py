@@ -7,6 +7,12 @@ bad primes sorted by reduction type), and emits the certified conclusions:
 a lower bound ell^r | #Sel_ell(E^d, Q) through the tame ray class rank, and,
 when the exceptional set above is empty, the two-sided class-group sandwich
 with the nontriviality equivalence.
+
+The admissibility rules are built once per curve: `twist_rules` fixes the
+conductor, the exceptional sets and the required Artin class at each bad
+prime, and `evaluate_admissibility` applies them to one d, reading only d and
+the Kronecker symbols of its field discriminant. `certify` reads the same
+rules, so a scan does the curve-level work once.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
 from .divpoly import rational_ell_torsion_point
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
 from .intmath import is_prime, is_squarefree, kronecker
-from .quadforms import class_number, field_discriminant
+from .quadforms import class_number
 from .rayclass import ray_class_data
 from .reduction import (
     ReductionKind,
@@ -38,21 +44,6 @@ class ArtinClass(Enum):
     SPLIT = "Split"
     INERT = "Inert"
     RAMIFIED = "Ramified"
-
-
-def artin_symbol_quadratic(d: int, p: int) -> ArtinClass:
-    """Behavior of p in Q(sqrt(d)): the quadratic Artin symbol.
-
-    Ramified iff p divides the field discriminant; otherwise Split exactly
-    when the Kronecker symbol of the discriminant at p is +1 (for p = 2 this
-    is the d mod 8 rule).
-    """
-    if not is_prime(p):
-        raise InvalidParameterError(f"{p} is not prime")
-    D = field_discriminant(d)
-    if D % p == 0:
-        return ArtinClass.RAMIFIED
-    return ArtinClass.SPLIT if kronecker(D, p) == 1 else ArtinClass.INERT
 
 
 @dataclass(frozen=True)
@@ -247,16 +238,76 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     return HypothesisReport(E, ell, P, tuple(checks), ok, undetermined)
 
 
-def admissibility_check(
-    E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
-) -> ConditionReport:
-    """Clause-by-clause admissibility of the twist parameter d for (E, ell)."""
+@dataclass(frozen=True)
+class SymbolRule:
+    """The symbol clause at one bad prime p other than 2 and ell.
+
+    want is the Artin class that d must have at p, with why as its reason;
+    want is None when p lies in S_E and so is exempt.
+    """
+
+    p: int
+    want: ArtinClass | None
+    why: str
+
+
+@dataclass(frozen=True)
+class TwistRules:
+    """The curve-level part of the admissibility clauses for (E, ell, predicate).
+
+    Everything here is fixed by the curve: the conductor, the exceptional
+    sets, which of the dyadic and ell clauses apply, and the symbol rule at
+    each other bad prime. Only d and the quadratic symbols of D = disc
+    Q(sqrt(d)) change from one twist to the next.
+    """
+
+    curve: CurveQ
+    ell: int
+    N: int
+    ssets: SSets
+    dyadic: bool  # N is even: primes above 2 must ramify
+    ell_inert: bool  # ord_ell(j) < 0: d must be inert at ell
+    symbols: tuple[SymbolRule, ...]
+
+
+def twist_rules(
+    E: CurveQ, ell: int, predicate: DirichletPredicate | None = None
+) -> TwistRules:
+    """The admissibility rules of (E, ell, predicate), built once per curve."""
     if ell < 5 or not is_prime(ell):
         raise UnsupportedError("the twist theorems need an odd prime ell >= 5")
-    if not isinstance(d, int) or d == 0:
-        raise InvalidParameterError("twist parameter must be a nonzero integer")
     N, _ = conductor(E)
     ssets = compute_s_sets(E, ell, predicate)
+    symbols = []
+    for p in bad_primes(E):
+        if p == 2 or p == ell:
+            continue
+        if p in ssets.s:
+            symbols.append(SymbolRule(p, None, "exempt: ramification is permitted here"))
+            continue
+        red = local_reduction(E, p)
+        if not red.ord_j_negative:
+            want, why = ArtinClass.INERT, f"ord_{p}(j) >= 0"
+        elif red.kind is ReductionKind.MULTIPLICATIVE_SPLIT:
+            want, why = ArtinClass.INERT, f"split multiplicative at {p}"
+        else:
+            want, why = ArtinClass.SPLIT, f"ord_{p}(j) < 0, not split multiplicative at {p}"
+        symbols.append(SymbolRule(p, want, why))
+    ell_inert = local_reduction(E, ell).ord_j_negative
+    return TwistRules(E, ell, N, ssets, N % 2 == 0, ell_inert, tuple(symbols))
+
+
+# the Artin class of a prime p in Q(sqrt(d)) from the Kronecker symbol (D/p)
+_ARTIN_CLASS = {1: ArtinClass.SPLIT, -1: ArtinClass.INERT, 0: ArtinClass.RAMIFIED}
+
+
+def evaluate_admissibility(rules: TwistRules, d: int) -> tuple[ConditionReport, int | None]:
+    """The report for the twist parameter d under the curve's rules, and the
+    field discriminant D of Q(sqrt(d)); D is None when a domain clause fails,
+    and then every symbol clause is undetermined."""
+    if not isinstance(d, int) or d == 0:
+        raise InvalidParameterError("twist parameter must be a nonzero integer")
+    ell, N = rules.ell, rules.N
     clauses: list[Clause] = []
 
     def add(cid: str, cite: str, ok: bool | None, detail: str) -> None:
@@ -268,53 +319,44 @@ def admissibility_check(
     add("domain.congruence", "d = 3 (mod 4)", d % 4 == 3, f"d mod 4 = {d % 4}")
     g = math.gcd(d, ell * N)
     add("domain.coprime", "gcd(d, ell N) = 1", g == 1, f"gcd({d}, {ell}*{N}) = {g}")
-    viable = all(c.verdict is Verdict.PASS for c in clauses)
+    # a squarefree d = 3 (mod 4) has field discriminant 4d
+    D = 4 * d if all(c.verdict is Verdict.PASS for c in clauses) else None
 
-    if N % 2 == 0:
-        sym2 = artin_symbol_quadratic(d, 2) if viable else None
+    def symbol(p: int) -> ArtinClass | None:
+        return None if D is None else _ARTIN_CLASS[kronecker(D, p)]
+
+    if rules.dyadic:
+        sym2 = symbol(2)
         add(
             "dyadic.ramified",
             "primes above 2 in the conductor ramify in Q(sqrt(d))",
             None if sym2 is None else sym2 is ArtinClass.RAMIFIED,
             "automatic for d = 3 (mod 4): the field discriminant is 4d",
         )
-
-    red_ell = local_reduction(E, ell)
-    if red_ell.ord_j_negative:
-        sym = artin_symbol_quadratic(d, ell) if viable else None
+    if rules.ell_inert:
+        sym = symbol(ell)
         add(
             "ell.inert",
             f"ord_{ell}(j) < 0 forces d inert at {ell}",
             None if sym is None else sym is ArtinClass.INERT,
             f"symbol at {ell}: {sym.value if sym else 'skipped'}",
         )
-    exempt = set(ssets.s)
-    for p in bad_primes(E):
-        if p == 2 or p == ell:
-            continue
-        if p in exempt:
-            clauses.append(
-                Clause(
-                    f"symbol.{p}",
-                    f"prime {p} lies in the exceptional set; no symbol condition",
-                    Verdict.PASS,
-                    "exempt: ramification is permitted here",
-                )
+    for rule in rules.symbols:
+        p, want = rule.p, rule.want
+        if want is None:
+            add(
+                f"symbol.{p}",
+                f"prime {p} lies in the exceptional set; no symbol condition",
+                True,
+                rule.why,
             )
             continue
-        red = local_reduction(E, p)
-        if not red.ord_j_negative:
-            want, why = ArtinClass.INERT, f"ord_{p}(j) >= 0"
-        elif red.kind is ReductionKind.MULTIPLICATIVE_SPLIT:
-            want, why = ArtinClass.INERT, f"split multiplicative at {p}"
-        else:
-            want, why = ArtinClass.SPLIT, f"ord_{p}(j) < 0, not split multiplicative at {p}"
-        sym = artin_symbol_quadratic(d, p) if viable else None
+        sym = symbol(p)
         add(
             f"symbol.{p}",
             f"quadratic symbol at {p} must be {want.value}",
             None if sym is None else sym is want,
-            f"{why}; symbol: {sym.value if sym else 'skipped'}",
+            f"{rule.why}; symbol: {sym.value if sym else 'skipped'}",
         )
     if any(c.verdict is Verdict.FAIL for c in clauses):
         overall = Overall.INADMISSIBLE
@@ -322,7 +364,14 @@ def admissibility_check(
         overall = Overall.UNDETERMINED
     else:
         overall = Overall.ADMISSIBLE
-    return ConditionReport(E, ell, d, tuple(clauses), overall)
+    return ConditionReport(rules.curve, ell, d, tuple(clauses), overall), D
+
+
+def admissibility_check(
+    E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
+) -> ConditionReport:
+    """Clause-by-clause admissibility of the twist parameter d for (E, ell)."""
+    return evaluate_admissibility(twist_rules(E, ell, predicate), d)[0]
 
 
 @dataclass(frozen=True)
@@ -359,17 +408,17 @@ class SandwichResult:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Every per-d conclusion; h, bound and sandwich are None unless d is admissible."""
+    """Every per-d conclusion; h, bound and sandwich are None unless d is
+    admissible, and D is None unless d passes the domain clauses."""
 
     report: ConditionReport
+    D: int | None = None
     h: int | None = None
     bound: SelmerBound | None = None
     sandwich: SandwichResult | None = None
 
 
-def certify(
-    E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
-) -> Certificate:
+def certify(rules: TwistRules, d: int) -> Certificate:
     """Admissibility, the Selmer lower bound and the sandwich from one class-group pass.
 
     One ray class computation over S_E gives both the bound and, through its
@@ -377,15 +426,15 @@ def certify(
     exceptional set S~_E empty, and S_E is a subset of it, so the modulus is
     trivial there.
     """
-    report = admissibility_check(E, ell, d, predicate)
+    report, D = evaluate_admissibility(rules, d)
     if report.overall is not Overall.ADMISSIBLE:
-        return Certificate(report)
-    ssets = compute_s_sets(E, ell, predicate)
+        return Certificate(report, D)
+    ell, ssets = rules.ell, rules.ssets
     try:
         data = ray_class_data(d, ssets.s, ell)
     except (PreconditionError, UnsupportedError) as exc:
         # only a nonempty modulus can fail, so the sandwich is NotApplicable
-        h = class_number(field_discriminant(d))
+        h = class_number(D)
         bound = SelmerBound(ell, d, None, None, ssets.s, str(exc))
     else:
         h = data.h
@@ -413,14 +462,14 @@ def certify(
             ell ** (2 * r),
             f"h({data.D}) = {h}, {ell}-rank {r}",
         )
-    return Certificate(report, h, bound, sandwich)
+    return Certificate(report, D, h, bound, sandwich)
 
 
 def selmer_lower_bound(
     E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
 ) -> SelmerBound:
     """Certified divisor ell^r of #Sel_ell(E^d, Q): the tame ray class rank at S_E."""
-    cert = certify(E, ell, d, predicate)
+    cert = certify(twist_rules(E, ell, predicate), d)
     if cert.bound is None:
         raise PreconditionError(
             f"d = {d} is not admissible for this curve and ell = {ell}: "
@@ -435,7 +484,7 @@ def corollary_sandwich(
     """Nontriviality equivalence and the two-sided bound, valid when the
     exceptional set is empty: ell^r | #Sel_ell(E^d, Q) | ell^(2r) with r the
     ell-rank of cl(Q(sqrt(d)))."""
-    cert = certify(E, ell, d, predicate)
+    cert = certify(twist_rules(E, ell, predicate), d)
     if cert.sandwich is None:
         raise PreconditionError(f"d = {d} is not admissible: {cert.report.failed_clauses()}")
     return cert.sandwich

@@ -161,7 +161,7 @@ def cmd_check(args) -> int:
     if not hyp.ok:
         _dump(hyp.to_dict(), args.format)
         return EXIT_UNDETERMINED if hyp.undetermined else EXIT_PRECONDITION
-    cert = checker.certify(E, args.ell, args.d, pred)
+    cert = checker.certify(checker.twist_rules(E, args.ell, pred), args.d)
     report, bound, sandwich = cert.report, cert.bound, cert.sandwich
     payload = report.to_dict()
     if bound is not None:
@@ -215,87 +215,108 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok_all else EXIT_INTERNAL
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p, curve=True, ell=False, fmt=True):
+    if curve:
+        p.add_argument("--curve", required=True, help='curve as "[a1,a2,a3,a4,a6]"')
+    if ell:
+        p.add_argument("--ell", type=int, required=True, help="odd prime torsion order")
+    if fmt:
+        p.add_argument("--format", choices=("json", "text", "csv"), default="json")
+
+
+_REQUIRED_INT = {"type": int, "required": True}
+_CHARACTER = ("--character", {"help": "custom predicate as MODULUS:e1,e2,..."})
+
+# name -> (help, handler, shared options for _common, own options as (flag, kwargs))
+COMMANDS = {
+    "invariants": ("b/c invariants, discriminant, j", cmd_invariants, {}, ()),
+    "local": ("reduction data at one prime", cmd_local, {}, (("--p", _REQUIRED_INT),)),
+    "conductor": ("conductor with factorization", cmd_conductor, {}, ()),
+    "torsion": ("rational point of odd prime order ell", cmd_torsion, {"ell": True}, ()),
+    "divpoly": ("n-th division polynomial", cmd_divpoly, {}, (("--n", _REQUIRED_INT),)),
+    "factor-shape": (
+        "bounded factor shape of psi_ell",
+        cmd_factor_shape,
+        {"ell": True},
+        (("--degree-bound", {"type": int, "default": 6}),),
+    ),
+    "torsion-field": (
+        "field tower above a psi_ell factor",
+        cmd_torsion_field,
+        {"ell": True},
+        (("--factor", {"required": True, "help": "integer coefficient list, lowest first"}),),
+    ),
+    "classgroup": (
+        "class group of a negative discriminant",
+        cmd_classgroup,
+        {"curve": False},
+        (("--D", _REQUIRED_INT),),
+    ),
+    "rayclass": (
+        "tame ray class data for Q(sqrt(d))",
+        cmd_rayclass,
+        {"curve": False, "ell": True},
+        (
+            ("--d", _REQUIRED_INT),
+            ("--s", {"default": "", "help": "comma-separated modulus primes"}),
+        ),
+    ),
+    "check": (
+        "full admissibility + certified bounds for one d",
+        cmd_check,
+        {"ell": True},
+        (("--d", _REQUIRED_INT), _CHARACTER),
+    ),
+    "search": (
+        "scan twist parameters over a range",
+        cmd_search,
+        {"ell": True},
+        (
+            ("--range", {"required": True, "help": "LO:HI with HI < 0"}),
+            ("--mode", {"choices": [m.value for m in search.SearchMode], "default": "CorollaryE"}),
+            ("--explain", {"action": "store_true", "help": "include inadmissible rows"}),
+            ("--jobs", {"type": int, "default": 1}),
+            _CHARACTER,
+        ),
+    ),
+    "verify-paper-examples": (
+        "run the built-in golden suite",
+        cmd_verify,
+        {"curve": False, "fmt": False},
+        (),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the named one only.
+
+    A one-subcommand parser still lists every command name in its usage line,
+    so its help and its usage errors read as those of the full parser.
+    """
     top = argparse.ArgumentParser(
         prog="twistsel",
         description="Certified Selmer divisibility bounds for quadratic twists over Q",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, curve=True, ell=False, fmt=True):
-        if curve:
-            p.add_argument("--curve", required=True, help='curve as "[a1,a2,a3,a4,a6]"')
-        if ell:
-            p.add_argument("--ell", type=int, required=True, help="odd prime torsion order")
-        if fmt:
-            p.add_argument("--format", choices=("json", "text", "csv"), default="json")
-
-    p = sub.add_parser("invariants", help="b/c invariants, discriminant, j")
-    common(p)
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("local", help="reduction data at one prime")
-    common(p)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(fn=cmd_local)
-
-    p = sub.add_parser("conductor", help="conductor with factorization")
-    common(p)
-    p.set_defaults(fn=cmd_conductor)
-
-    p = sub.add_parser("torsion", help="rational point of odd prime order ell")
-    common(p, ell=True)
-    p.set_defaults(fn=cmd_torsion)
-
-    p = sub.add_parser("divpoly", help="n-th division polynomial")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_divpoly)
-
-    p = sub.add_parser("factor-shape", help="bounded factor shape of psi_ell")
-    common(p, ell=True)
-    p.add_argument("--degree-bound", type=int, default=6)
-    p.set_defaults(fn=cmd_factor_shape)
-
-    p = sub.add_parser("torsion-field", help="field tower above a psi_ell factor")
-    common(p, ell=True)
-    p.add_argument("--factor", required=True, help="integer coefficient list, lowest first")
-    p.set_defaults(fn=cmd_torsion_field)
-
-    p = sub.add_parser("classgroup", help="class group of a negative discriminant")
-    common(p, curve=False)
-    p.add_argument("--D", type=int, required=True)
-    p.set_defaults(fn=cmd_classgroup)
-
-    p = sub.add_parser("rayclass", help="tame ray class data for Q(sqrt(d))")
-    common(p, curve=False, ell=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", default="", help="comma-separated modulus primes")
-    p.set_defaults(fn=cmd_rayclass)
-
-    p = sub.add_parser("check", help="full admissibility + certified bounds for one d")
-    common(p, ell=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--character", help="custom predicate as MODULUS:e1,e2,...")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("search", help="scan twist parameters over a range")
-    common(p, ell=True)
-    p.add_argument("--range", required=True, help="LO:HI with HI < 0")
-    p.add_argument("--mode", choices=[m.value for m in search.SearchMode], default="CorollaryE")
-    p.add_argument("--explain", action="store_true", help="include inadmissible rows")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--character", help="custom predicate as MODULUS:e1,e2,...")
-    p.set_defaults(fn=cmd_search)
-
-    p = sub.add_parser("verify-paper-examples", help="run the built-in golden suite")
-    p.set_defaults(fn=cmd_verify)
-
+    if command is None:
+        names, metavar = list(COMMANDS), None
+    else:
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, fn, shared, own = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _common(p, **shared)
+        for flag, kwargs in own:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

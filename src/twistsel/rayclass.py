@@ -16,10 +16,10 @@ assembled from order-ell discrete logarithms in each cyclic component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
-from .intmath import factorint, is_prime, is_squarefree, kronecker, primitive_root, sqrt_mod
+from .intmath import factorint, is_prime, kronecker, primitive_root, sqrt_mod
 from .quadforms import BQF, EllPart, _xgcd, compose, ell_part, field_discriminant, principal_form
 
 # ---------------------------------------------------------------------------
@@ -28,13 +28,17 @@ from .quadforms import BQF, EllPart, _xgcd, compose, ell_part, field_discriminan
 
 @dataclass(frozen=True)
 class QuadOrder:
-    """Maximal order Z[omega] of Q(sqrt(d)): omega^2 = t*omega - n."""
+    """Maximal order Z[omega] of Q(sqrt(d)): omega^2 = t*omega - n.
+
+    The field discriminant D is derived once, at construction, which also
+    checks that d is squarefree.
+    """
 
     d: int
+    D: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def D(self) -> int:
-        return field_discriminant(self.d)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "D", field_discriminant(self.d))
 
     @property
     def t(self) -> int:  # trace of omega
@@ -355,13 +359,16 @@ class RayClassData:
 
 
 def _validate(d: int, S: tuple[int, ...], ell: int) -> QuadOrder:
-    if d >= 0 or not is_squarefree(d):
+    if d >= 0:
         raise UnsupportedError("d must be a negative squarefree integer")
+    try:
+        o = QuadOrder(d)  # the one squarefree check of d
+    except InvalidParameterError:
+        raise UnsupportedError("d must be a negative squarefree integer") from None
     if ell < 3 or not is_prime(ell):
         raise InvalidParameterError("ell must be an odd prime")
     if S and d >= -4:
         raise UnsupportedError("nontrivial units: need d < -4 for a ray modulus")
-    o = QuadOrder(d)
     for p in S:
         if not is_prime(p):
             raise InvalidParameterError(f"modulus entry {p} is not prime")

@@ -2,8 +2,9 @@
 
 The scan is deterministic: candidates stream in order of |d| (ascending by
 default), and each d becomes a finished row from one `certify` call, which
-runs its admissibility check and its one class-group pass. With jobs > 1 the
-pool workers return finished rows, merged in order.
+applies the curve's admissibility rules, built once per scan, and runs the
+one class-group pass. With jobs > 1 the pool workers get the same rules and
+return finished rows, merged in order.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
-from .checker import certify, hypothesis_check
+from .checker import TwistRules, certify, hypothesis_check, twist_rules
 from .curves import CurveQ
 from .dirichlet import DirichletPredicate
 from .errors import InvalidParameterError, PreconditionError
 from .intmath import squarefree_sieve
-from .quadforms import field_discriminant
-from .reduction import conductor
 
 
 def enumerate_d(lo: int, hi: int, ell: int, N: int):
@@ -78,25 +77,19 @@ CSV_HEADER = "d,D,h,ell_rank,selmer_lb,verdict,failed_clauses"
 
 
 def _row(
-    E: CurveQ,
-    ell: int,
-    mode: SearchMode,
-    predicate: DirichletPredicate | None,
-    include_inadmissible: bool,
-    d: int,
+    rules: TwistRules, mode: SearchMode, include_inadmissible: bool, d: int
 ) -> TwistCandidate | None:
     """The finished row for one d, or None for an inadmissible d left out of the scan."""
-    cert = certify(E, ell, d, predicate)
-    D = field_discriminant(d)
+    cert = certify(rules, d)
     if cert.bound is None:
         if not include_inadmissible:
             return None
         report = cert.report
         return TwistCandidate(
-            d, D, None, None, None, report.overall.value, tuple(report.failed_clauses())
+            d, cert.D, None, None, None, report.overall.value, tuple(report.failed_clauses())
         )
     verdict = cert.sandwich.verdict.value if mode is SearchMode.COROLLARY_E else ""
-    return TwistCandidate(d, D, cert.h, cert.bound.rank, cert.bound.bound, verdict, ())
+    return TwistCandidate(d, cert.D, cert.h, cert.bound.rank, cert.bound.bound, verdict, ())
 
 
 def search_twists(
@@ -116,9 +109,9 @@ def search_twists(
             "curve-level hypotheses fail: "
             + ", ".join(c.clause_id for c in hyp.checks if c.verdict.value != "pass")
         )
-    N, _ = conductor(E)
-    ds = list(enumerate_d(lo, hi, ell, N))
-    row = partial(_row, E, ell, mode, predicate, include_inadmissible)
+    rules = twist_rules(E, ell, predicate)
+    ds = list(enumerate_d(lo, hi, ell, rules.N))
+    row = partial(_row, rules, mode, include_inadmissible)
     if jobs > 1 and len(ds) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             found = list(pool.map(row, ds, chunksize=16))

@@ -16,6 +16,14 @@ CLASSGROUP_SHA256 is the SHA-256 of "<exit code>:<stdout>" of `twistsel
 classgroup --D D` for every D from -3 down to -3000, in that order (D = 2, 3
 mod 4 give exit 1 and no output). Refactors of the class group structure must
 keep it.
+
+The EXPLAIN_*_SHA256 digests are the SHA-256 of the stdout of `twistsel
+search --explain --format csv`, so they pin every verdict-bearing field,
+failed-clause lists included, for each EXPLAIN_ARGS entry: 11a3 with ell = 5
+over [-3000, -3], curve 26 with ell = 7 over [-2000, -3], and 11a3 with the
+order-5 character mod 25 as the ramification predicate (it puts 11 into S_E,
+so every row is NotApplicable). Refactors of the admissibility clauses must
+keep them.
 """
 
 SEARCH_26_CSV = (
@@ -81,3 +89,14 @@ TORSION_FIELD_FACTOR = "[-10945,12285,26150,-61715,49015,-20358,4380,2370,-3435,
 TORSION_FIELD_SHA256 = "42b07b785f5a3ea4ff71363a4768986d0583480acf7be49dc5c27f68800627aa"
 
 CLASSGROUP_SHA256 = "e9da20d971bfe5ffa62928c9e605f0ddf760859badb5d3042d4d57500f6fce48"
+
+EXPLAIN_ARGS = (
+    ("[0,-1,1,0,0]", "5", "-3000:-3", None),
+    ("[1,-1,1,-3,3]", "7", "-2000:-3", None),
+    ("[0,-1,1,0,0]", "5", "-3000:-3", "25:1"),
+)
+EXPLAIN_SHA256 = (
+    "2b0c8cd9557c31354878b74fdf0fbcb6290c77790ba1d392629be973a139450d",
+    "866141dddb9338d0619e0b34cbbfaff0976dd59aaa51f0195266cb92651d7b6a",
+    "4ee5056cfc3d8146dad352c1469bd3eb92fe7a8d9054249a16515c9e0bf36499",
+)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,16 +7,18 @@ from twistsel.checker import (
     ArtinClass,
     Overall,
     SelmerVerdict,
-    artin_symbol_quadratic,
     admissibility_check,
     compute_s_sets,
     corollary_sandwich,
+    evaluate_admissibility,
     hypothesis_check,
     selmer_lower_bound,
+    twist_rules,
 )
+from oracle_checker import admissibility_check_per_d, artin_symbol_quadratic
 from twistsel.curves import CurveQ, curve_from_string
 from twistsel.dirichlet import DirichletPredicate
-from twistsel.errors import PreconditionError, UnsupportedError
+from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import kronecker
 from twistsel.quadforms import ell_rank, field_discriminant
 from twistsel.rayclass import ray_class_data
@@ -244,3 +247,65 @@ def test_ell_7_pipeline():
     assert sb.s_used == (13,) and sb.bound == 7
     assert ell_rank(-20, 7)[0] == 0
     assert sb.rank == ray_class_data(-5, (13,), 7).ell_rank
+
+
+E26 = CurveQ(1, -1, 1, -3, 3)
+
+
+def _same_as_oracle(E, ell, ds, predicate=None):
+    rules = twist_rules(E, ell, predicate)
+    for d in ds:
+        report, D = evaluate_admissibility(rules, d)
+        want = admissibility_check_per_d(E, ell, d, predicate)
+        assert report.to_dict() == want.to_dict(), d
+        if D is not None:
+            assert D == field_discriminant(d)
+        else:
+            assert any(cid.startswith("domain.") for cid in want.failed_clauses())
+
+
+@pytest.mark.parametrize("E, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
+def test_rules_match_the_per_d_oracle(E, ell):
+    # every integer d: non-squarefree, even, positive and non-coprime ones too
+    _same_as_oracle(E, ell, [d for d in range(-3000, 3001) if d])
+
+
+@pytest.mark.parametrize("E, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
+def test_rules_match_the_per_d_oracle_far_out(E, ell):
+    rng = random.Random(11)
+    near = [-200000 - rng.randrange(20000) for _ in range(300)]
+    far = [-100000000 - rng.randrange(10**6) for _ in range(100)]
+    _same_as_oracle(E, ell, near + far)
+
+
+@pytest.mark.parametrize(
+    "E, ell, modulus",
+    [(E11A3, 5, 11), (E11A3, 5, 25), (E38, 5, 11), (E26, 7, 29), (E26, 7, 49)],
+    ids=["11a3-mod11", "11a3-mod25", "38-mod11", "26-mod29", "26-mod49"],
+)
+def test_rules_match_the_per_d_oracle_with_a_character(E, ell, modulus):
+    chi = DirichletPredicate(modulus, ell, (1,))
+    _same_as_oracle(E, ell, [d for d in range(-1500, 1501) if d], chi)
+
+
+@pytest.mark.parametrize(
+    "curve, ell",
+    [
+        ("[-4,-5,-5,0,0]", 5),  # split multiplicative at ell: the ell.inert clause
+        ("[1,1,1,-10,-10]", 7),  # I4 at 3 and 5
+        ("[0,-1,0,-4,4]", 5),  # additive at 2, I2 at 3
+        ("[0,0,0,0,1]", 5),  # additive at 2 and 3 with ord_p(j) >= 0
+        ("[1,0,0,-1,0]", 7),  # 13 = -1 mod 7
+        ("[0,1,1,-9,-15]", 5),  # 19 = -1 mod 5: exempt from its symbol clause
+    ],
+)
+def test_rules_match_the_per_d_oracle_on_other_reduction_types(curve, ell):
+    _same_as_oracle(curve_from_string(curve), ell, [d for d in range(-600, 601) if d])
+
+
+def test_rules_refuse_what_the_oracle_refuses():
+    for ell, d in ((3, -7), (5, 0)):
+        with pytest.raises((UnsupportedError, InvalidParameterError)) as got:
+            admissibility_check(E11A3, ell, d)
+        with pytest.raises(type(got.value)):
+            admissibility_check_per_d(E11A3, ell, d)

@@ -6,6 +6,8 @@ from pinned_outputs import (
     CHECK_11A3_D181,
     CHECK_26_D5,
     CLASSGROUP_SHA256,
+    EXPLAIN_ARGS,
+    EXPLAIN_SHA256,
     FACTOR_SHAPE_ARGS,
     FACTOR_SHAPE_CURVES,
     FACTOR_SHAPE_SHA256,
@@ -102,7 +104,7 @@ def test_classgroup(capsys):
 
 def test_classgroup_is_pinned(capsys, monkeypatch):
     parser = cli.build_parser()  # one parser for all calls: building it dominates a call
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda command: parser)
     digest = hashlib.sha256()
     for D in range(-3, -3001, -1):
         code, out, _ = run_cli(capsys, "classgroup", "--D", str(D))
@@ -164,6 +166,17 @@ def test_search_csv(capsys):
         assert out == SEARCH_26_CSV
 
 
+def test_explain_csv_is_pinned(capsys):
+    for (curve, ell, rng, character), want in zip(EXPLAIN_ARGS, EXPLAIN_SHA256):
+        argv = ["search", "--curve", curve, "--ell", ell, f"--range={rng}", "--explain",
+                "--format", "csv"]
+        if character is not None:
+            argv += ["--character", character]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
 def test_byte_stable_json(capsys):
     a = run_cli(capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37")[1]
     b = run_cli(capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37")[1]
@@ -217,6 +230,56 @@ def test_cli_matches_library(capsys):
     cs = corollary_sandwich(E, 5, -181)
     assert payload["verdict"] == cs.verdict.value
     assert payload["bounds"] == [cs.lower, cs.upper]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(exit code or parsed options, stdout, stderr) of one parse."""
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    else:
+        outcome = sorted((k, getattr(v, "__name__", v)) for k, v in vars(ns).items())
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def test_one_subcommand_parser_reads_as_the_full_one(capsys):
+    # help, usage errors and parsed options of `twistsel NAME ...` are the same
+    # from the one-subcommand parser as from the full one
+    full = cli.build_parser()
+    for name in cli.COMMANDS:
+        narrow = cli.build_parser(name)
+        for argv in (
+            [name, "--help"],
+            [name],
+            [name, "--bogus"],
+            [name, "--format", "xml"],
+            [name, "extra"],
+            [name, "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37", "--D", "-20",
+             "--p", "11", "--n", "3", "--factor", "[0,1]", "--range=-60:-3"],
+        ):
+            want = _parse_outcome(full, argv, capsys)
+            assert _parse_outcome(narrow, argv, capsys) == want, argv
+        assert _parse_outcome(narrow, [name, "--help"], capsys)[1].startswith(
+            f"usage: twistsel {name} "
+        )
+
+
+def test_main_builds_only_the_chosen_subparser(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def recording(command):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["classgroup", "--D", "-20"]) == 0
+    assert main(["frobnicate"]) == 1
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert built == ["classgroup", None, None]
 
 
 def test_unknown_command_usage_error(capsys):

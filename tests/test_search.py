@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,3 +136,37 @@ def test_search_nonempty_s_curve():
     for row in rows:
         assert row.verdict == "NotApplicable"
         assert row.selmer_lower_bound is not None
+
+
+def test_search_does_curve_level_work_once(monkeypatch):
+    # the rules are built once per scan: compute_s_sets runs once and conductor
+    # a fixed number of times, however many candidates the range holds
+    from twistsel import checker, reduction
+
+    calls = {"compute_s_sets": 0, "conductor": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = {"compute_s_sets": checker.compute_s_sets, "conductor": reduction.conductor}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("twistsel."):
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting(name, fn))
+    seen = []
+    for lo in (-400, -3000):
+        for k in calls:
+            calls[k] = 0
+        candidates = len(list(enumerate_d(lo, -3, 5, 11)))
+        rows = search_twists(E11A3, 5, lo, -3, include_inadmissible=True)
+        assert len(rows) == candidates
+        seen.append((candidates, dict(calls)))
+    (few, first), (many, second) = seen
+    assert many > 5 * few
+    assert first["compute_s_sets"] == second["compute_s_sets"] == 1
+    assert first["conductor"] == second["conductor"]
