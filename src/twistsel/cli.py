@@ -275,7 +275,15 @@ COMMANDS = {
             ("--range", {"required": True, "help": "LO:HI with HI < 0"}),
             ("--mode", {"choices": [m.value for m in search.SearchMode], "default": "CorollaryE"}),
             ("--explain", {"action": "store_true", "help": "include inadmissible rows"}),
-            ("--jobs", {"type": int, "default": 1}),
+            (
+                "--jobs",
+                {
+                    "type": int,
+                    "default": 1,
+                    "help": "at most this many worker processes, capped at the usable CPUs; "
+                    "a scan starts them only when its estimated remaining work repays them",
+                },
+            ),
             _CHARACTER,
         ),
     ),

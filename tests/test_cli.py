@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 
+from forced_pool import force_pool
 from pinned_outputs import (
     CHECK_11A3_D181,
     CHECK_26_D5,
@@ -147,7 +148,8 @@ def test_check_inadmissible(capsys):
     assert json.loads(out)["overall"] == "Inadmissible"
 
 
-def test_search_csv(capsys):
+def test_search_csv(capsys, monkeypatch):
+    handed = force_pool(monkeypatch)
     code, out, _ = run_cli(
         capsys, "search", "--curve", "[0,-1,1,0,0]", "--ell", "5",
         "--range=-60:-3", "--format", "csv",
@@ -164,6 +166,17 @@ def test_search_csv(capsys):
         )
         assert code == 0
         assert out == SEARCH_26_CSV
+    assert len(handed) == 1
+
+
+def test_search_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "search", "--curve", "[0,-1,1,0,0]", "--ell", "5",
+            "--range=-60:-3", "--jobs", jobs,
+        )
+        assert (code, out) == (1, "")
+        assert "jobs must be at least 1" in err
 
 
 def test_explain_csv_is_pinned(capsys):

@@ -1,9 +1,13 @@
+import itertools
+import os
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forced_pool import force_pool
 from pinned_outputs import SEARCH_26_CSV
+from twistsel import search
 from twistsel.checker import Overall, admissibility_check
 from twistsel.curves import CurveQ
 from twistsel.errors import InvalidParameterError, PreconditionError
@@ -89,15 +93,19 @@ def test_search_hypothesis_failure():
         search_twists(CurveQ(0, 0, 0, 0, 1), 5, -100, -3)
 
 
-def test_search_parallel_matches_serial():
+def test_search_parallel_matches_serial(monkeypatch):
+    handed = force_pool(monkeypatch)
     serial = search_twists(E11A3, 5, -200, -3, jobs=1)
+    assert not handed
     parallel = search_twists(E11A3, 5, -200, -3, jobs=2)
     assert serial == parallel
+    assert handed[-1] == list(enumerate_d(-200, -3, 5, 11))[1:]
     # S_E = {13}: pooled rows run the ray-class connecting map
     pinned = SEARCH_26_CSV.splitlines()
     for jobs in (1, 2):
         rows = search_twists(E26, 7, -120, -3, jobs=jobs)
         assert [CSV_HEADER] + [row.to_csv_row() for row in rows] == pinned
+    assert len(handed) == 2
 
 
 @pytest.mark.parametrize("curve, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
@@ -108,7 +116,86 @@ def test_search_rows_do_not_depend_on_jobs(curve, ell, start):
     # ray-class connecting map in the pool workers
     lo, hi = -(start + 59), -start
     serial = search_twists(curve, ell, lo, hi, include_inadmissible=True, jobs=1)
-    assert search_twists(curve, ell, lo, hi, include_inadmissible=True, jobs=2) == serial
+    with pytest.MonkeyPatch.context() as mp:
+        handed = force_pool(mp)
+        assert search_twists(curve, ell, lo, hi, include_inadmissible=True, jobs=2) == serial
+    # every candidate has a row here, so the pool gets all d but the first
+    assert handed == ([[row.d for row in serial][1:]] if len(serial) > 1 else [])
+
+
+def test_search_pool_takes_over_mid_scan(monkeypatch):
+    # a clock that advances 2 ms per reading: the scan reads it at its start and
+    # after each d, so the probe of 5 ms ends after the third d, where
+    # 2 ms x 61 candidates left passes the break-even of 30 ms
+    handed = force_pool(monkeypatch, probe_s=0.005, break_even_s=0.030)
+    ticks = itertools.count()
+    monkeypatch.setattr(search, "perf_counter", lambda: 0.002 * next(ticks))
+    lo, hi = -2449, -2050
+    ds = list(enumerate_d(lo, hi, 7, 26))
+    assert len(ds) == 64
+    pooled = search_twists(E26, 7, lo, hi, include_inadmissible=True, jobs=2)
+    assert handed == [ds[3:]]
+    serial = search_twists(E26, 7, lo, hi, include_inadmissible=True, jobs=1)
+    assert len(handed) == 1
+    assert [row.d for row in pooled] == ds
+    assert pooled == serial
+
+
+def test_search_short_scan_starts_no_pool(monkeypatch):
+    # the 400-wide windows of curve 26 from |d| = 2050 do about 25 ms of row
+    # work in all, well below the pool's break-even
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a short scan started the pool")
+
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    rows = search_twists(E26, 7, -2449, -2050, jobs=2)
+    assert rows == search_twists(E26, 7, -2449, -2050, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_search_rejects_jobs_below_one(jobs):
+    with pytest.raises(InvalidParameterError):
+        search_twists(E11A3, 5, -100, -3, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, jobs, workers",
+    [(4, None, 8, 4), (4, None, 3, 3), (1, None, 8, None), (None, 3, 8, 3), (None, None, 8, None)],
+    ids=["affinity-caps", "jobs-caps", "one-cpu", "cpu-count", "cpu-count-unknown"],
+)
+def test_search_starts_no_more_workers_than_usable_cpus(
+    monkeypatch, affinity, cpu_count, jobs, workers
+):
+    # workers = min(jobs, usable CPUs), and one usable CPU starts no pool
+    started = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, ds, chunksize=1):
+            return map(fn, ds)
+
+    monkeypatch.setattr(search, "PROBE_S", 0.0)
+    monkeypatch.setattr(search, "POOL_BREAK_EVEN_S", 0.0)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    rows = search_twists(E11A3, 5, -200, -3, jobs=jobs)
+    assert rows == search_twists(E11A3, 5, -200, -3, jobs=1)
+    assert started == ([] if workers is None else [workers])
 
 
 def test_search_undetermined_bound_keeps_h():
