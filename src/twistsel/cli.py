@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import checker, divpoly, golden, quadforms, rayclass, reduction, search
-from .curves import CurveQ, curve_from_string, curve_invariants, format_rational
+from .curves import curve_from_string, curve_invariants, format_rational
 from .dirichlet import DirichletPredicate
 from .errors import PreconditionError, TwistselError, UnsupportedError
 from .polyzq import poly_from_string
@@ -49,25 +49,53 @@ def _dump_text(obj, indent: str = "") -> None:
         print(f"{indent}{obj}")
 
 
-def _parse_curve(args) -> CurveQ:
-    return curve_from_string(args.curve)
-
-
 def _predicate(args) -> DirichletPredicate | None:
-    if getattr(args, "character", None) is None:
+    if args.character is None:
         return None
-    mod, exps = args.character.split(":")
-    return DirichletPredicate(int(mod), args.ell, tuple(int(e) for e in exps.split(",")))
+    mod, exps = args.character
+    return DirichletPredicate(mod, args.ell, exps)
+
+
+def _option_type(form: str):
+    """Make a parser an argparse `type`: its ValueError becomes a usage error naming form."""
+
+    def wrap(parse):
+        def convert(text: str):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+        return convert
+
+    return wrap
+
+
+@_option_type("LO:HI")
+def _lo_hi(text: str) -> tuple[int, int]:
+    lo, hi = text.split(":")
+    return int(lo), int(hi)
+
+
+@_option_type("comma-separated primes")
+def _primes(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",")) if text else ()
+
+
+@_option_type("MODULUS:e1,e2,...")
+def _character(text: str) -> tuple[int, tuple[int, ...]]:
+    mod, exps = text.split(":")
+    return int(mod), tuple(int(e) for e in exps.split(","))
 
 
 def cmd_invariants(args) -> int:
-    inv = curve_invariants(_parse_curve(args))
+    inv = curve_invariants(curve_from_string(args.curve))
     _dump({k: format_rational(v) for k, v in inv.items()}, args.format)
     return EXIT_OK
 
 
 def cmd_local(args) -> int:
-    red = reduction.local_reduction(_parse_curve(args), args.p)
+    red = reduction.local_reduction(curve_from_string(args.curve), args.p)
     _dump(
         {
             "p": red.p,
@@ -83,19 +111,19 @@ def cmd_local(args) -> int:
 
 
 def cmd_conductor(args) -> int:
-    N, exps = reduction.conductor(_parse_curve(args))
+    N, exps = reduction.conductor(curve_from_string(args.curve))
     _dump({"N": N, "exponents": {str(p): f for p, f in sorted(exps.items())}}, args.format)
     return EXIT_OK
 
 
 def cmd_torsion(args) -> int:
-    P = divpoly.rational_ell_torsion_point(_parse_curve(args), args.ell)
+    P = divpoly.rational_ell_torsion_point(curve_from_string(args.curve), args.ell)
     _dump({"ell": args.ell, "point": None if P is None else str(P)}, args.format)
     return EXIT_OK if P is not None else EXIT_PRECONDITION
 
 
 def cmd_divpoly(args) -> int:
-    psi = divpoly.division_polynomial(_parse_curve(args), args.n)
+    psi = divpoly.division_polynomial(curve_from_string(args.curve), args.n)
     _dump(
         {
             "n": psi.n,
@@ -108,7 +136,7 @@ def cmd_divpoly(args) -> int:
 
 
 def cmd_factor_shape(args) -> int:
-    shape = divpoly.psi_factor_shape(_parse_curve(args), args.ell, args.degree_bound)
+    shape = divpoly.psi_factor_shape(curve_from_string(args.curve), args.ell, args.degree_bound)
     _dump(
         {
             "ell": shape.ell,
@@ -123,7 +151,7 @@ def cmd_factor_shape(args) -> int:
 
 def cmd_torsion_field(args) -> int:
     g = poly_from_string(args.factor)
-    K = divpoly.torsion_field_polynomial(_parse_curve(args), args.ell, g)
+    K = divpoly.torsion_field_polynomial(curve_from_string(args.curve), args.ell, g)
     _dump({"minpoly": list(K.minpoly), "degree": K.degree}, args.format)
     return EXIT_OK
 
@@ -135,8 +163,7 @@ def cmd_classgroup(args) -> int:
 
 
 def cmd_rayclass(args) -> int:
-    S = tuple(int(p) for p in args.s.split(",")) if args.s else ()
-    data = rayclass.ray_class_data(args.d, S, args.ell)
+    data = rayclass.ray_class_data(args.d, args.s, args.ell)
     _dump(
         {
             "d": data.d,
@@ -155,7 +182,7 @@ def cmd_rayclass(args) -> int:
 
 
 def cmd_check(args) -> int:
-    E = _parse_curve(args)
+    E = curve_from_string(args.curve)
     pred = _predicate(args)
     hyp = checker.hypothesis_check(E, args.ell)
     if not hyp.ok:
@@ -182,14 +209,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    E = _parse_curve(args)
-    lo, hi = (int(x) for x in args.range.split(":"))
+    E = curve_from_string(args.curve)
     mode = search.SearchMode(args.mode)
     rows = search.search_twists(
         E,
         args.ell,
-        lo,
-        hi,
+        *args.range,
         mode=mode,
         predicate=_predicate(args),
         include_inadmissible=args.explain,
@@ -225,7 +250,7 @@ def _common(p, curve=True, ell=False, fmt=True):
 
 
 _REQUIRED_INT = {"type": int, "required": True}
-_CHARACTER = ("--character", {"help": "custom predicate as MODULUS:e1,e2,..."})
+_CHARACTER = ("--character", {"type": _character, "help": "custom predicate as MODULUS:e1,e2,..."})
 
 # name -> (help, handler, shared options for _common, own options as (flag, kwargs))
 COMMANDS = {
@@ -258,7 +283,7 @@ COMMANDS = {
         {"curve": False, "ell": True},
         (
             ("--d", _REQUIRED_INT),
-            ("--s", {"default": "", "help": "comma-separated modulus primes"}),
+            ("--s", {"type": _primes, "default": (), "help": "comma-separated modulus primes"}),
         ),
     ),
     "check": (
@@ -272,7 +297,7 @@ COMMANDS = {
         cmd_search,
         {"ell": True},
         (
-            ("--range", {"required": True, "help": "LO:HI with HI < 0"}),
+            ("--range", {"type": _lo_hi, "required": True, "help": "LO:HI with HI < 0"}),
             ("--mode", {"choices": [m.value for m in search.SearchMode], "default": "CorollaryE"}),
             ("--explain", {"action": "store_true", "help": "include inadmissible rows"}),
             (

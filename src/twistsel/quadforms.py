@@ -1,13 +1,12 @@
 """Class groups of imaginary quadratic fields via binary quadratic forms.
 
-Forms (a, b, c) of discriminant D = b^2 - 4ac < 0 are all enumerated in
-reduced shape (by the sieve in `_kernels`) and composed by Dirichlet
-composition. Torsion is read inside Sylow subgroups: `sylow_subgroup` grows
-the p-part of cl(D) from the m-th powers of a few forms, where h = p^k m, and
-certifies it by its exact order p^k. The ell-torsion (`ell_part`) and the full
-structure (`class_group_structure`) are counted there, not over all h forms.
-Only imaginary discriminants: positive D would drag in infinite unit groups
-on purpose left out.
+Forms (a, b, c) of discriminant D = b^2 - 4ac < 0 are composed by Dirichlet
+composition and reduced. Of the sieve in `_kernels` only the class number h
+is read. With h = p^k m, `sylow_subgroup` grows the p-part of cl(D) from the
+m-th powers of the prime forms (q, b, c), q = 2, 3, 5, ..., and certifies it
+by its order p^k; `ell_part` and `class_group_structure` count torsion there,
+not over all h forms. Only imaginary discriminants: positive D would drag in
+infinite unit groups on purpose left out.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from ._kernels import _check_disc
 from ._kernels import class_number as _kernel_class_number
 from ._kernels import reduced_forms as _kernel_reduced_forms
 from .errors import InvalidParameterError, TwistselError
-from .intmath import is_prime, is_squarefree, log_p
+from .intmath import factorint, is_prime, is_squarefree, log_p, sqrt_mod
 
 
 def field_discriminant(d: int) -> int:
@@ -61,12 +60,6 @@ class BQF:
         if a == c and b < 0:
             b = -b
         return BQF(a, b, c)
-
-    def inverse(self) -> "BQF":
-        return BQF(self.a, -self.b, self.c).reduced()
-
-    def __str__(self) -> str:
-        return f"({self.a},{self.b},{self.c})"
 
 
 def principal_form(D: int) -> BQF:
@@ -115,11 +108,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def form_power(f: BQF, n: int) -> BQF:
+    """f^n for n >= 0, by binary powering."""
     out = principal_form(f.disc)
     base = f
-    if n < 0:
-        base = f.inverse()
-        n = -n
     while n:
         if n & 1:
             out = compose(out, base)
@@ -137,26 +128,41 @@ def class_number(D: int) -> int:
     return _kernel_class_number(D)
 
 
-def sylow_subgroup(forms: list[tuple[int, int, int]], p: int) -> list[BQF]:
-    """The Sylow p-subgroup of cl(D), given all its reduced forms as (a, b, c) in (a, b) order.
+def _prime_forms(D: int):
+    """The reduced prime forms (q, b, (b^2 - D)/4q), b^2 = D mod 4q, for primes q <= |D|.
+
+    b = D mod 2 is fixed by D mod 8 for q = 2, and is a square root of D mod
+    q, or it plus q, for odd q. An inert q, or one with q^2 | D (no primitive
+    form), is skipped. For a fundamental D the q <= sqrt(|D|/3) generate
+    cl(D) (Cohen, GTM 138, 5.4).
+    """
+    for q in filter(is_prime, range(2, 1 - D)):
+        s = {0: 0, 1: 1, 4: 2}.get(D % 8) if q == 2 else sqrt_mod(D, q)
+        if s is None:
+            continue
+        b = s + q * ((s - D) % 2)
+        c = (b * b - D) // (4 * q)
+        if math.gcd(q, b, c) == 1:
+            yield BQF(q, b, c).reduced()
+
+
+def sylow_subgroup(D: int, h: int, p: int) -> list[BQF]:
+    """The Sylow p-subgroup of cl(D), given its class number h.
 
     With h = p^k m and p not dividing m, the subgroup is the image of f -> f^m.
-    The forms are walked in order and each new f^m joins the subgroup H found
-    so far by its cosets H g^i, until |H| = p^k; only the forms walked are
-    built as `BQF`s. The order p^k is known exactly from h = len(forms), so
-    a walk that ends short of it raises instead of returning a subgroup.
+    The prime forms are walked in order and each new f^m joins the subgroup H
+    found so far by its cosets H g^i, until |H| = p^k. A walk that misses
+    that order, as a wrong h makes it do, raises instead of returning.
     """
-    h = len(forms)
     m, order = h, 1
     while m % p == 0:
         m, order = m // p, order * p
-    a, b, c = forms[0]
-    group = [principal_form(b * b - 4 * a * c)]
+    group = [principal_form(D)]
     members = set(group)
-    for f in forms:
+    for f in _prime_forms(D):
         if len(group) >= order:
             break
-        g = form_power(BQF(*f), m)
+        g = form_power(f, m)
         base, step = group[:], g
         while step not in members:
             coset = [compose(x, step) for x in base]
@@ -170,7 +176,7 @@ def sylow_subgroup(forms: list[tuple[int, int, int]], p: int) -> list[BQF]:
 
 @dataclass(frozen=True)
 class EllPart:
-    """cl(D) enumerated once: its class number and its ell-torsion subgroup."""
+    """cl(D) read once: its class number and its ell-torsion subgroup."""
 
     D: int
     ell: int
@@ -183,19 +189,18 @@ class EllPart:
 
 
 def ell_part(D: int, ell: int) -> EllPart:
-    """The class number and ell-torsion of cl(D) from one enumeration of its forms.
+    """The class number and ell-torsion of cl(D), from one count of h.
 
     The torsion is sorted by (a, b). When ell does not divide h it is trivial
     and no form beyond the principal one is built.
     """
     if not is_prime(ell):
         raise InvalidParameterError("ell must be a prime")
-    forms = _kernel_reduced_forms(D)
-    h = len(forms)
+    h = class_number(D)
     one = principal_form(D)
     if h % ell:
         return EllPart(D, ell, h, (one,))
-    sylow = sylow_subgroup(forms, ell)
+    sylow = sylow_subgroup(D, h, ell)
     # a Sylow subgroup of order ell is all ell-torsion
     torsion = sylow if len(sylow) == ell else [x for x in sylow if form_power(x, ell) == one]
     torsion.sort(key=lambda x: (x.a, x.b))
@@ -205,64 +210,36 @@ def ell_part(D: int, ell: int) -> EllPart:
 @dataclass(frozen=True)
 class ClassGroupData:
     D: int
-    forms: tuple[BQF, ...]
     h: int
     structure: tuple[int, ...]  # elementary divisors d_1 | d_2 | ... | d_k
 
-    def ell_rank(self, ell: int) -> int:
-        return sum(1 for d in self.structure if d % ell == 0)
-
 
 def class_group_structure(D: int) -> ClassGroupData:
-    """Full structure of cl(D): forms, order, elementary divisors.
+    """Full structure of cl(D): order and elementary divisors.
 
     Each p-part is read inside the Sylow p-subgroup: the number of cyclic
     factors of order divisible by p^k is log_p of #cl[p^k] / #cl[p^(k-1)].
     """
-    triples = _kernel_reduced_forms(D)
-    forms = tuple(BQF(a, b, c) for a, b, c in triples)
-    h = len(forms)
+    h = class_number(D)
     one = principal_form(D)
-    structure: dict[int, list[int]] = {}
-    n = h
-    p = 2
-    while n > 1:
-        if n % p:
-            p += 1 if p == 2 else 2
-            continue
+    parts = []  # for each p | h, the orders of its cyclic p-factors, largest first
+    for p in factorint(h):
         # p-part: count p^k-torsion layer by layer inside the Sylow subgroup
-        # exps[i] = number of cyclic p-factors of order >= p^(i+1)
-        sylow = sylow_subgroup(triples, p)
-        exps = []
-        prev = 1
+        sylow = sylow_subgroup(D, h, p)
+        sizes = [1]  # sizes[i] = #cl[p^i]
         # rest: the p^i-th powers x^(p^i) that are not yet trivial, x in the subgroup
         rest = [x for x in sylow if x != one]
         while rest:
             rest = [y for y in (form_power(x, p) for x in rest) if y != one]
-            cnt = len(sylow) - len(rest)
-            exps.append(log_p(cnt // prev, p))
-            prev = cnt
-        # exps is non-increasing; cyclic factor orders from the conjugate partition
-        n_factors = exps[0] if exps else 0
-        orders = [0] * n_factors
-        for count in exps:
-            for i in range(count):
-                orders[i] += 1
-        structure[p] = sorted(p**e for e in orders)
-        while n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    # merge prime-power cyclic factors into elementary divisors
-    divisors: list[int] = []
-    parts = {p: list(reversed(v)) for p, v in structure.items()}
-    while any(parts.values()):
-        d = 1
-        for p in parts:
-            if parts[p]:
-                d *= parts[p].pop(0)
-        divisors.append(d)
-    divisors.sort()
-    return ClassGroupData(D, forms, h, tuple(divisors))
+            sizes.append(len(sylow) - len(rest))
+        # exps[i] = number of cyclic p-factors of order >= p^(i+1), non-increasing;
+        # the cyclic factor orders are its conjugate partition
+        exps = [log_p(b // a, p) for a, b in zip(sizes, sizes[1:])]
+        parts.append([p ** sum(1 for n in exps if n > i) for i in range(exps[0])])
+    # merge prime-power cyclic factors into elementary divisors, largest with largest
+    width = max(map(len, parts), default=0)
+    divisors = sorted(math.prod(v[i] for v in parts if i < len(v)) for i in range(width))
+    return ClassGroupData(D, h, tuple(divisors))
 
 
 def ell_rank(D: int, ell: int) -> tuple[int, int]:

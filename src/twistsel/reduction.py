@@ -330,7 +330,6 @@ class SupersingularVerdict(Enum):
 class SupersingularResult:
     verdict: SupersingularVerdict
     reason: str
-    ap_value: int | None = None
 
 
 def is_supersingular(E: CurveQ, ell: int) -> SupersingularResult:
@@ -351,7 +350,7 @@ def is_supersingular(E: CurveQ, ell: int) -> SupersingularResult:
     if red.is_good:
         a = ap(E, ell)
         verdict = SupersingularVerdict.YES if a == 0 else SupersingularVerdict.NO
-        return SupersingularResult(verdict, f"good reduction, a_{ell} = {a}", a)
+        return SupersingularResult(verdict, f"good reduction, a_{ell} = {a}")
     # additive, potentially good: try the standard quadratic twists
     for d in (-1, ell, -ell, 2, -2, 2 * ell, -2 * ell, 3, -3, 3 * ell, -3 * ell):
         if d == 1 or not is_squarefree(d):
@@ -360,9 +359,7 @@ def is_supersingular(E: CurveQ, ell: int) -> SupersingularResult:
         if local_reduction(Ed, ell).is_good:
             a = ap(Ed, ell)
             verdict = SupersingularVerdict.YES if a == 0 else SupersingularVerdict.NO
-            return SupersingularResult(
-                verdict, f"good reduction after twist by {d}, a_{ell} = {a}", a
-            )
+            return SupersingularResult(verdict, f"good reduction after twist by {d}, a_{ell} = {a}")
     return SupersingularResult(
         SupersingularVerdict.NOT_APPLICABLE,
         f"additive reduction at {ell} not resolved by a quadratic twist",

@@ -3,9 +3,10 @@
 A top-level function or class, public or private, counts as used through a
 name load, an import alias or a `module.name` attribute anywhere in src/, or
 through an entry of the TARGETS tuple in perfbench/tracer.py (read from that
-file). A public method or property counts as used only through an attribute
-access `.name` in src/. Tests do not count: a helper that only tests call
-belongs in a test oracle.
+file). A public method or property, and a public field of a dataclass,
+counts as used only through an attribute access `.name` in src/. Tests do
+not count: a helper that only tests call belongs in a test oracle, and a
+field that only tests read is work done for nothing on every call.
 """
 
 import ast
@@ -14,6 +15,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twistsel"
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+# dataclass fields kept without a reader in src/, each with its reason
+UNREAD_FIELDS_ALLOWED = frozenset({
+    # provenance: which ramification predicate built the S-sets, for output rows to report
+    "checker.SSets.predicate_used",
+    # provenance: which splitting test decided the shape, for output rows to report
+    "numfield.SplittingShape.via",
+})
 
 
 def _tracer_targets() -> set[tuple[str, str]]:
@@ -29,8 +38,16 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(dec, ast.Name) and dec.id == "dataclass"
+        or isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name) and dec.func.id == "dataclass"
+        for dec in node.decorator_list
+    )
+
+
 def _definitions(trees: dict[str, ast.Module]):
-    """(module, kind, name) for top-level defs and public methods of public classes."""
+    """(module, kind, name) for top-level defs, and public methods and dataclass fields."""
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -39,6 +56,13 @@ def _definitions(trees: dict[str, ast.Module]):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and _public(item.name):
                         yield mod, "method", f"{node.name}.{item.name}"
+                    elif (
+                        isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and _public(item.target.id)
+                        and _is_dataclass(node)
+                    ):
+                        yield mod, "field", f"{node.name}.{item.target.id}"
 
 
 def _uses(trees: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
@@ -56,7 +80,7 @@ def _uses(trees: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
-def uncalled_api(src: Path = SRC) -> list[str]:
+def uncalled_api(src: Path = SRC, allowed: frozenset[str] = UNREAD_FIELDS_ALLOWED) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     names, attrs = _uses(trees)
     targets = _tracer_targets()
@@ -65,7 +89,7 @@ def uncalled_api(src: Path = SRC) -> list[str]:
         if kind == "top":
             if name in names or name in attrs or (mod, name) in targets:
                 continue
-        elif name.split(".")[1] in attrs:
+        elif name.split(".")[1] in attrs or f"{mod}.{name}" in allowed:
             continue
         out.append(f"{mod}.{name}")
     return out
@@ -73,6 +97,10 @@ def uncalled_api(src: Path = SRC) -> list[str]:
 
 def test_no_uncalled_public_api():
     assert uncalled_api() == []
+
+
+def test_allowed_unread_fields_are_still_unread():
+    assert set(uncalled_api(allowed=frozenset())) == UNREAD_FIELDS_ALLOWED
 
 
 def test_guard_sees_an_uncalled_function(tmp_path):
@@ -87,7 +115,13 @@ def test_guard_sees_an_uncalled_function(tmp_path):
     )
     (tmp_path / "quadforms.py").write_text(
         (tmp_path / "quadforms.py").read_text().replace(
-            "    def inverse(self)", "    def orphan_method(self):\n        return self\n\n    def inverse(self)"
+            "    def reduced(self)", "    def orphan_method(self):\n        return self\n\n    def reduced(self)"
+        )
+    )
+    (tmp_path / "reduction.py").write_text(
+        (tmp_path / "reduction.py").read_text().replace(
+            "    verdict: SupersingularVerdict\n    reason: str\n",
+            "    verdict: SupersingularVerdict\n    reason: str\n    orphan_field: int = 0\n",
         )
     )
     assert uncalled_api(tmp_path) == [
@@ -95,4 +129,5 @@ def test_guard_sees_an_uncalled_function(tmp_path):
         "polyzq._orphan_private",
         "polyzq._OrphanClass",
         "quadforms.BQF.orphan_method",
+        "reduction.SupersingularResult.orphan_field",
     ]

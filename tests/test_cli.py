@@ -2,6 +2,8 @@ import hashlib
 import json
 import time
 
+import pytest
+
 from forced_pool import force_pool
 from pinned_outputs import (
     CHECK_11A3_D181,
@@ -177,6 +179,26 @@ def test_search_rejects_jobs_below_one(capsys):
         )
         assert (code, out) == (1, "")
         assert "jobs must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--range", "-10"],
+        ["search", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--range", "a:b"],
+        ["rayclass", "--d", "-5", "--ell", "5", "--s", "11,x"],
+        ["rayclass", "--d", "-5", "--ell", "5", "--s", "11,,13"],
+        ["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37", "--character", "25"],
+        ["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37", "--character", "25:x"],
+    ],
+    ids=["range-one-bound", "range-not-int", "s-not-int", "s-empty-entry", "character-no-colon",
+         "character-not-int"],
+)
+def test_malformed_list_options_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: twistsel ") and "expected " in err, err
+    assert "internal error" not in err
 
 
 def test_explain_csv_is_pinned(capsys):

@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_forms import form_order, is_reduced, torsion_subgroup
+from oracle_forms import (
+    class_group_invariants,
+    form_order,
+    inverse,
+    is_reduced,
+    reduced_forms_naive,
+    torsion_subgroup,
+)
 from twistsel import _kernels, quadforms
 from twistsel.errors import InvalidParameterError, TwistselError, UnsupportedError
 from twistsel.intmath import is_squarefree
@@ -45,7 +52,7 @@ def test_compose_identity_and_inverse():
         one = principal_form(D)
         for f in reduced_forms(D):
             assert compose(one, f) == f
-            assert compose(f, f.inverse()) == one
+            assert compose(f, inverse(f)) == one
 
 
 def test_compose_example():
@@ -70,7 +77,7 @@ def test_class_group_closure_all_small_discs():
         one = principal_form(D)
         assert one in forms_set
         for f in forms:
-            assert compose(f, f.inverse()) == one
+            assert compose(f, inverse(f)) == one
             assert form_power(f, form_order(f)) == one
         # closure on a deterministic sample of pairs
         for f in forms[:5]:
@@ -100,7 +107,7 @@ def test_class_group_structure_examples():
     # C2 x C2: D = -84
     assert class_group_structure(-84).structure == (2, 2)
     # first 3-rank 2 discriminant
-    assert class_group_structure(-3299).ell_rank(3) == 2
+    assert class_group_structure(-3299).structure == (3, 9)
 
 
 def test_structure_multiplies_to_h():
@@ -136,10 +143,10 @@ def test_ell_rank_matches_structure():
     both_cases = {ell: set() for ell in (2, 3, 5, 7)}
     for D in [D for D in range(-3, -2001, -1) if _is_fundamental(D)] + [-3299]:
         data = class_group_structure(D)
-        orders = [form_order(f) for f in data.forms]
+        orders = [form_order(f) for f in reduced_forms(D)]
         for ell in (2, 3, 5, 7):
             r, order = ell_rank(D, ell)
-            assert r == data.ell_rank(ell)
+            assert r == sum(1 for d in data.structure if d % ell == 0)
             assert order == ell**r == sum(1 for n in orders if ell % n == 0)
             both_cases[ell].add(data.h % ell == 0)
     assert all(seen == {True, False} for seen in both_cases.values())
@@ -176,13 +183,40 @@ def test_ell_part_matches_exhaustive_torsion_near_1e5():
 
 
 def test_sylow_subgroup_certifies_its_order():
-    forms = _kernels.reduced_forms(-3299)  # h = 27, cl = C3 x C9
-    sylow = sylow_subgroup(forms, 3)
+    D = -3299  # h = 27, cl = C3 x C9
+    sylow = sylow_subgroup(D, 27, 3)
     assert len(sylow) == len(set(sylow)) == 27
-    assert len(sylow_subgroup(forms, 2)) == 1
-    # a principal form listed twice makes h = 28, but no subgroup has order 4
+    assert len(sylow_subgroup(D, 27, 2)) == 1
+    # a wrong h = 28 asks for a Sylow 2-subgroup of order 4, which cl(-3299) lacks
     with pytest.raises(TwistselError, match="internal"):
-        sylow_subgroup([*forms, forms[0]], 2)
+        sylow_subgroup(D, 28, 2)
+
+
+def _assert_class_group_matches_oracle(D):
+    forms = [BQF(*f) for f in reduced_forms_naive(D)]
+    data = class_group_structure(D)
+    assert (data.h, data.structure) == (len(forms), class_group_invariants(forms)), D
+    for ell in (2, 3, 5, 7):
+        assert list(ell_part(D, ell).torsion) == torsion_subgroup(forms, ell), (D, ell)
+
+
+def test_walk_past_sqrt_of_a_third_of_D():
+    # non-fundamental D whose Sylow walk needs a prime form (q, b, c) with
+    # q > sqrt(|D|/3): the primes up to that bound give no form or too few
+    for D in (-64, -108, -2608, -4075):
+        _assert_class_group_matches_oracle(D)
+
+
+def test_class_group_layer_reads_only_h(monkeypatch):
+    """`ell_part` and `class_group_structure` take h from the kernel, never its form list."""
+
+    def no_list(D):
+        raise AssertionError("the form list was read")
+
+    monkeypatch.setattr(quadforms, "_kernel_reduced_forms", no_list)
+    # trivial, C3, C2 x C2, C2^3, C3 x C9, C3 x C12, C2 x C10 and C105
+    for D in (-3, -4, -23, -84, -420, -3299, -3896, -4000, -6719):
+        _assert_class_group_matches_oracle(D)
 
 
 def test_ell_part_does_not_power_every_form(monkeypatch):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forced_pool import force_pool
+from oracle_rayclass import ray_class_oracle
 from pinned_outputs import SEARCH_26_CSV
 from twistsel import search
 from twistsel.checker import Overall, admissibility_check
 from twistsel.curves import CurveQ
 from twistsel.errors import InvalidParameterError, PreconditionError
 from twistsel.quadforms import class_number, field_discriminant
+from twistsel.rayclass import ray_class_data
 from twistsel.search import CSV_HEADER, SearchMode, enumerate_d, search_twists
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
@@ -213,6 +215,23 @@ def test_csv_rows():
     assert header_fields == ["d", "D", "h", "ell_rank", "selmer_lb", "verdict", "failed_clauses"]
     for row in rows:
         assert len(row.to_csv_row().split(",")) == 7
+
+
+def test_scan_ray_ranks_match_the_relation_oracle():
+    """Curve 26 scan rows with S = {13} against a ray class group built from relations.
+
+    The oracle is trusted only where its order equals the ray class number. Of
+    the 97 rows of [-600, -3] that holds for the 11 d below, which have ray
+    7-ranks 0, 1 and 2 (rank 2 at d = -149); on the other 86 the oracle is
+    incomplete. At about 0.3 s per d only those 11 are run.
+    """
+    rows = {row.d: row for row in search_twists(E26, 7, -600, -3)}
+    trusted = (-17, -29, -41, -53, -89, -101, -149, -241, -409, -521, -569)
+    for d in trusted:
+        order, invariants = ray_class_oracle(d, (13,))
+        assert order == ray_class_data(d, (13,), 7).ray_class_number, d
+        assert rows[d].ell_rank == sum(1 for v in invariants if v % 7 == 0), d
+    assert {rows[d].ell_rank for d in trusted} == {0, 1, 2}
 
 
 def test_search_nonempty_s_curve():
