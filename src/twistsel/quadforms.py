@@ -70,6 +70,15 @@ def principal_form(D: int) -> BQF:
 
 def compose(f: BQF, g: BQF) -> BQF:
     """Dirichlet composition, reduced; the group law of cl(D)."""
+    return compose_unreduced(f, g).reduced()
+
+
+def compose_unreduced(f: BQF, g: BQF) -> BQF:
+    """Dirichlet composition before reduction: (a1 a2, B, C) when gcd(a1, a2, (b1 + b2)/2) = 1.
+
+    Then it is the form of the ideal product [a1, (-b1 + sqrt(D))/2][a2, (-b2 + sqrt(D))/2]
+    = [a1 a2, (-B + sqrt(D))/2] (Cohen, GTM 138, 5.2).
+    """
     if f.disc != g.disc:
         raise InvalidParameterError("forms must share a discriminant")
     if f.a > g.a:
@@ -94,7 +103,7 @@ def compose(f: BQF, g: BQF) -> BQF:
     b3 = b2 + 2 * v2 * r
     a3 = v1 * v2
     c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
-    return BQF(a3, b3, c3).reduced()
+    return BQF(a3, b3, c3)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -8,9 +8,14 @@ unramified rational primes p distinct from ell, the ray class group sits in
 Orders multiply along the sequence (the cardinality identity), and the exact
 ell-rank of Cl_m needs one more ingredient: the connecting map
 Cl[ell] -> (O/m)*/((O/m)*)^ell sending an ideal class [a] with a^ell = (alpha)
-to alpha mod m. Generators of principal ideals are found by exact lattice
-reduction (the unit group is just {+-1} once d < -4), and the map's matrix is
-assembled from order-ell discrete logarithms in each cyclic component.
+to alpha mod m. Forms carry it without ideal arithmetic. A form (a, b, c) with
+gcd(a, m D) = 1 is the ideal a = [a, (-b + sqrt(D))/2], and its ell-th power
+is the unreduced composition of ell copies of it: (a^ell, B, C), the ideal
+[a^ell, (-B + sqrt(D))/2]. Its generator alpha comes from exact lattice
+reduction (the unit group is just {+-1} once d < -4). In each cyclic
+component of (O/m)* of order divisible by ell, the coordinate of alpha is its
+discrete logarithm to any fixed primitive ell-th root of unity: changing the
+root scales a column by a unit of F_ell, which keeps the rank.
 """
 
 from __future__ import annotations
@@ -19,11 +24,20 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
-from .intmath import factorint, is_prime, kronecker, primitive_root, sqrt_mod
-from .quadforms import BQF, EllPart, _xgcd, compose, ell_part, field_discriminant, principal_form
+from .intmath import is_prime, kronecker, sqrt_mod
+from .quadforms import (
+    BQF,
+    EllPart,
+    _xgcd,
+    compose,
+    compose_unreduced,
+    ell_part,
+    field_discriminant,
+    principal_form,
+)
 
 # ---------------------------------------------------------------------------
-# arithmetic in O_K = Z[omega]
+# O_K = Z[omega] and its ideals as forms
 
 
 @dataclass(frozen=True)
@@ -51,93 +65,16 @@ class QuadOrder:
     def norm(self, x: int, y: int) -> int:
         return x * x + self.t * x * y + self.n * y * y
 
-    def mul(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        x1, y1 = a
-        x2, y2 = b
-        return (x1 * x2 - self.n * y1 * y2, x1 * y2 + x2 * y1 + self.t * y1 * y2)
 
+def principal_generator(o: QuadOrder, F: BQF) -> tuple[int, int] | None:
+    """Generator (x, y) of the ideal [F.a, (-F.b + sqrt(D))/2] when it is principal, else None.
 
-@dataclass(frozen=True)
-class Ideal:
-    """Integral ideal c * [a, b + omega] in Hermite form; norm = a c^2."""
-
-    order: QuadOrder
-    a: int
-    b: int
-    c: int
-
-    @property
-    def norm(self) -> int:
-        return self.a * self.c * self.c
-
-
-def _hnf_from_generators(order: QuadOrder, gens: list[tuple[int, int]]) -> Ideal:
-    """Hermite form of the Z-module spanned by the generators (must be an ideal)."""
-    gens = [g for g in gens if g != (0, 0)]
-    if not gens:
-        raise InvalidParameterError("zero ideal")
-    # reduce to [[ac, 0], [bc, c]] with rows (x, y) meaning x + y omega
-    rows = [list(g) for g in gens]
-    # step 1: gcd of y-components, tracking a vector achieving it
-    vec = rows[0][:]
-    for r in rows[1:]:
-        if r[1] == 0:
-            continue
-        if vec[1] == 0:
-            vec = r[:]
-            continue
-        g, u, v = _xgcd(vec[1], r[1])
-        vec = [u * vec[0] + v * r[0], g]
-    c = abs(vec[1])
-    if vec[1] < 0:
-        vec = [-vec[0], -vec[1]]
-    xs = []
-    for r in rows:
-        if c:
-            k = r[1] // c
-            xs.append(r[0] - k * vec[0])
-        else:
-            xs.append(r[0])
-    ac = 0
-    for x in xs:
-        ac = math.gcd(ac, x)
-    if c == 0 or ac == 0:
-        raise InvalidParameterError("generators do not span a rank-2 module")
-    if ac % c or vec[0] % c:
-        raise InvalidParameterError("module is not an ideal of the order")
-    a = ac // c
-    b = (vec[0] // c) % a
-    return Ideal(order, a, b, c)
-
-
-def ideal_mul(I: Ideal, J: Ideal) -> Ideal:
-    o = I.order
-    g1 = [(I.a * I.c, 0), (I.b * I.c, I.c)]
-    g2 = [(J.a * J.c, 0), (J.b * J.c, J.c)]
-    gens = [o.mul(u, v) for u in g1 for v in g2]
-    return _hnf_from_generators(o, gens)
-
-
-def ideal_pow(I: Ideal, k: int) -> Ideal:
-    out = Ideal(I.order, 1, 0, 1)
-    base = I
-    while k:
-        if k & 1:
-            out = ideal_mul(out, base)
-        base = ideal_mul(base, base)
-        k >>= 1
-    return out
-
-
-def principal_generator(I: Ideal) -> tuple[int, int] | None:
-    """Generator (x, y) of I when I is principal, else None.
-
-    Lagrange-reduce the rank-2 lattice under the norm form; for d < -4 the
-    units are +-1, so I is principal iff its shortest vector has norm N(I).
+    In Z[omega] coordinates the ideal is the lattice spanned by (F.a, 0) and
+    (-(F.b + t)/2, 1). Lagrange-reduce it under the norm form; for d < -4 the
+    units are +-1, so the ideal is principal iff its shortest vector has norm F.a.
     """
-    o = I.order
-    v1 = (I.a * I.c, 0)
-    v2 = (I.b * I.c, I.c)
+    v1 = (F.a, 0)
+    v2 = (-(F.b + o.t) // 2, 1)
 
     def N(v):
         return o.norm(v[0], v[1])
@@ -155,22 +92,13 @@ def principal_generator(I: Ideal) -> tuple[int, int] | None:
             break
         v2 = w
     short = v1 if N(v1) <= N(v2) else v2
-    if N(short) == I.norm:
+    if N(short) == F.a:
         return short
     return None
 
 
-def form_to_ideal(o: QuadOrder, f: BQF) -> Ideal:
-    """The standard ideal [a, (-b + sqrt(D))/2] of a primitive form."""
-    if o.d % 4 == 1:
-        b0 = (-f.b - 1) // 2
-    else:
-        b0 = -f.b // 2
-    return Ideal(o, f.a, b0 % f.a, 1)
-
-
 def form_with_coprime_a(f: BQF, M: int) -> BQF:
-    """An equivalent form whose leading coefficient is coprime to M."""
+    """A properly equivalent form whose leading coefficient is coprime to M."""
     if math.gcd(f.a, M) == 1:
         return f
     for x in range(0, 40):
@@ -180,7 +108,9 @@ def form_with_coprime_a(f: BQF, M: int) -> BQF:
             val = f.a * x * x + f.b * x * y + f.c * y * y
             if val == 0 or math.gcd(val, M) != 1:
                 continue
-            _g, u, v = _xgcd(x, y)
+            g, u, v = _xgcd(x, y)
+            if g < 0:  # _xgcd returns g = -1 when y < 0; keep the determinant +1
+                u, v = -u, -v
             # [[x, -v], [y, u]] has determinant xu + yv = 1
             p, q = -v, u
             b2 = 2 * (f.a * x * p + f.c * y * q) + f.b * (x * q + y * p)
@@ -195,29 +125,18 @@ def form_with_coprime_a(f: BQF, M: int) -> BQF:
 
 @dataclass(frozen=True)
 class _Component:
-    """One cyclic factor of (O/m)*: reduction map data plus a generator."""
+    """One cyclic factor of (O/m)*: O/p for an inert p, O/P = F_p for a prime P above a split p."""
 
     p: int
-    kind: str  # "split" with a root r, or "inert"
-    r: int  # split: omega maps to r mod p; inert: unused
+    r: int | None  # split: omega maps to r mod P; inert: None
     order: int
-    gen: tuple[int, int]  # generator as an element of O/p
 
-
-def _splitting_in_field(o: QuadOrder, p: int) -> tuple[str, tuple[int, ...]]:
-    k = kronecker(o.D, p)
-    if k == 0:
-        return "ramified", ()
-    if k == -1:
-        return "inert", ()
-    if p == 2:  # split at 2: D = 1 mod 8, and x^2 - x + n has both roots mod 2
-        return "split", (0, 1)
-    # roots of x^2 - t x + n: (t +- sqrt(D)) / 2 mod p
-    s = sqrt_mod(o.D % p, p)
-    inv2 = pow(2, -1, p)
-    r1 = (o.t + s) * inv2 % p
-    r2 = (o.t - s) * inv2 % p
-    return "split", (r1, r2)
+    def reduce(self, alpha: tuple[int, int]) -> tuple[int, int]:
+        """alpha mod this factor's prime, in F_p[omega]; a split factor's elements are (x, 0)."""
+        x, y = alpha
+        if self.r is None:
+            return (x % self.p, y % self.p)
+        return ((x + y * self.r) % self.p, 0)
 
 
 def _fq_mul(a, b, p, t, n):
@@ -237,57 +156,47 @@ def _fq_pow(a, e, p, t, n):
     return out
 
 
-def _inert_generator(o: QuadOrder, p: int) -> tuple[int, int]:
-    """Generator of F_(p^2)* realized inside O/p."""
-    order = p * p - 1
-    prime_factors = list(factorint(order))
-    y = 1
-    while True:
-        for x in range(p):
-            cand = (x, y)
-            if all(_fq_pow(cand, order // q, p, o.t, o.n) != (1, 0) for q in prime_factors):
-                return cand
-        y += 1
-        if y >= p:
-            raise PreconditionError("internal: no generator found in F_p^2")
-
-
 def _components(o: QuadOrder, S: tuple[int, ...]) -> list[_Component]:
+    """The cyclic factors of (O/m)*, for odd p in S unramified in K (as `_validate` ensures)."""
     comps: list[_Component] = []
     for p in S:
-        kind, roots = _splitting_in_field(o, p)
-        if kind == "split":
-            g = primitive_root(p)
-            for r in roots:
-                comps.append(_Component(p, "split", r, p - 1, (g, 0)))
+        if kronecker(o.D, p) == 1:
+            # omega mod the two primes above p: the roots (t +- sqrt(D)) / 2 of x^2 - t x + n
+            s = sqrt_mod(o.D % p, p)
+            comps += [_Component(p, (o.t + e * s) * pow(2, -1, p) % p, p - 1) for e in (1, -1)]
         else:
-            comps.append(_Component(p, "inert", 0, p * p - 1, _inert_generator(o, p)))
+            comps.append(_Component(p, None, p * p - 1))
     return comps
 
 
-def _component_dlog_mod_ell(o: QuadOrder, comp: _Component, alpha: tuple[int, int], ell: int) -> int:
-    """Coordinate of alpha in comp's order-ell quotient, via a tiny discrete log."""
+def _root_of_unity(o: QuadOrder, comp: _Component, ell: int) -> tuple[int, int]:
+    """A primitive ell-th root of unity in comp: c^(order/ell) for a c that is no ell-th power.
+
+    Some c = x + y omega with y in (0, 1) is no ell-th power: the y = 0 part
+    is F_p*, and 1 with the x + omega represents every coset of F_p* in
+    F_(p^2)*, so if all of them were ell-th powers, every element would be.
+    """
+    p, q = comp.p, comp.order // ell
+    for y in (0, 1):
+        for x in range(p):
+            zeta = _fq_pow(comp.reduce((x, y)), q, p, o.t, o.n)
+            if zeta not in ((0, 0), (1, 0)):
+                return zeta
+    raise PreconditionError("internal: no primitive ell-th root of unity found")
+
+
+def _dlog_mod_ell(
+    o: QuadOrder, comp: _Component, zeta: tuple[int, int], alpha: tuple[int, int], ell: int
+) -> int:
+    """Coordinate of alpha in comp's order-ell quotient: the k with alpha^(order/ell) = zeta^k."""
     p = comp.p
-    if comp.kind == "split":
-        a = (alpha[0] + alpha[1] * comp.r) % p
-        g = comp.gen[0]
-        q = comp.order // ell
-        A = pow(a, q, p)
-        G = pow(g, q, p)
-        for k in range(ell):
-            if pow(G, k, p) == A:
-                return k
-        raise PreconditionError("internal: discrete log failed in split component")
-    a = (alpha[0] % p, alpha[1] % p)
-    q = comp.order // ell
-    A = _fq_pow(a, q, p, o.t, o.n)
-    G = _fq_pow(comp.gen, q, p, o.t, o.n)
+    target = _fq_pow(comp.reduce(alpha), comp.order // ell, p, o.t, o.n)
     acc = (1, 0)
     for k in range(ell):
-        if acc == A:
+        if acc == target:
             return k
-        acc = _fq_mul(acc, G, p, o.t, o.n)
-    raise PreconditionError("internal: discrete log failed in inert component")
+        acc = _fq_mul(acc, zeta, p, o.t, o.n)
+    raise PreconditionError("internal: discrete log failed")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +224,6 @@ def _ell_torsion_basis(part: EllPart) -> list[BQF]:
 
 def _matrix_rank_mod(rows: list[list[int]], ell: int) -> int:
     rows = [r[:] for r in rows if any(c % ell for c in r)]
-    rank = 0
     cols = len(rows[0]) if rows else 0
     r = 0
     for c in range(cols):
@@ -333,10 +241,9 @@ def _matrix_rank_mod(rows: list[list[int]], ell: int) -> int:
                 factor = rows[i][c] * inv % ell
                 rows[i] = [(x - factor * y) % ell for x, y in zip(rows[i], rows[r])]
         r += 1
-        rank += 1
         if r == len(rows):
             break
-    return rank
+    return r
 
 
 @dataclass(frozen=True)
@@ -389,28 +296,27 @@ def ray_class_data(d: int, S: tuple[int, ...], ell: int) -> RayClassData:
     part = ell_part(D, ell)
     cl_rank = part.rank
     comps = _components(o, S)
-    w_order = 1
-    for comp in comps:
-        w_order *= comp.order
+    w_order = math.prod(comp.order for comp in comps)
     unit_image = 1 if not S else 2  # -1 = 1 mod m only for the empty modulus
     ray_h = part.h * w_order // unit_image
     ell_comps = [comp for comp in comps if comp.order % ell == 0]
     if not ell_comps or cl_rank == 0:
         delta_rank = 0
     else:
-        m = 1
-        for p in S:
-            m *= p
-        basis = _ell_torsion_basis(part)
+        zetas = [_root_of_unity(o, comp, ell) for comp in ell_comps]
         rows = []
-        for f in basis:
-            f = form_with_coprime_a(f, m * ell)
-            ideal = form_to_ideal(o, f)
-            power = ideal_pow(ideal, ell)
-            alpha = principal_generator(power)
+        for f in _ell_torsion_basis(part):
+            # gcd(a, D) = 1 makes a composition of f with itself the ideal power
+            f = form_with_coprime_a(f, math.prod(S) * D)
+            power = f
+            for _ in range(ell - 1):
+                power = compose_unreduced(power, f)
+            if power.a != f.a**ell:
+                raise PreconditionError("internal: ell-fold composition is not the ell-th ideal power")
+            alpha = principal_generator(o, power)
             if alpha is None:
                 raise PreconditionError("internal: ell-th power of a torsion class not principal")
-            rows.append([_component_dlog_mod_ell(o, comp, alpha, ell) for comp in ell_comps])
+            rows.append([_dlog_mod_ell(o, c, zeta, alpha, ell) for c, zeta in zip(ell_comps, zetas)])
         delta_rank = _matrix_rank_mod(rows, ell)
     return RayClassData(
         d,

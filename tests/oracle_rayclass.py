@@ -1,24 +1,34 @@
-"""Relation-lattice oracle for small ray class groups, used by the tests.
+"""Test oracles for small ray class groups.
 
-Builds Cl_m from scratch: prime ideals below a bound generate, relations come
-from elements congruent to 1 mod m with smooth norm, and the quotient's
-structure falls out of a Smith normal form. Verification cross-checks both
-the group order and the ell-rank against the library.
+Two independent reconstructions check the library's rank:
 
-Caveat: the construction assumes the prime ideals below qmax generate the
+- `ray_class_oracle` builds Cl_m from scratch: prime ideals below a bound
+  generate, relations come from elements congruent to 1 mod m with smooth
+  norm, and the quotient's structure falls out of a Smith normal form.
+- `connecting_rank_by_ideals` is the connecting map Cl[ell] -> (O/m)*/ell as
+  the library once computed it: ideals in Hermite form, ell-th powers by
+  ideal multiplication, and coordinates as discrete logarithms to a generator
+  of each cyclic factor of (O/m)*. The library now takes the same map from
+  forms alone, with any primitive ell-th root of unity as the base.
+
+Caveat: `ray_class_oracle` assumes the prime ideals below qmax generate the
 full ray class group; when they only generate a proper subgroup the reported
 order is too small. The tests therefore only trust runs whose order matches
 the ray class number formula, which the library computes independently.
 
-`ideal_to_form` inverts the library's form-to-ideal map, so the tests can
-check ideal arithmetic against form composition.
+`ideal_to_form` inverts `form_to_ideal`, so the tests can check ideal
+arithmetic against form composition.
 """
 
 from __future__ import annotations
 
-from twistsel.intmath import factorint, kronecker
-from twistsel.quadforms import BQF
-from twistsel.rayclass import Ideal, QuadOrder, _splitting_in_field
+import math
+from dataclasses import dataclass
+
+from twistsel.errors import InvalidParameterError, PreconditionError
+from twistsel.intmath import factorint, kronecker, log_p, primitive_root, sqrt_mod
+from twistsel.quadforms import BQF, _xgcd, ell_part, principal_form
+from twistsel.rayclass import QuadOrder, form_with_coprime_a
 
 
 def ideal_to_form(I: Ideal) -> BQF:
@@ -30,6 +40,248 @@ def ideal_to_form(I: Ideal) -> BQF:
         b = -2 * I.b
     c = (b * b - o.D) // (4 * I.a)
     return BQF(I.a, b, c).reduced()
+
+
+@dataclass(frozen=True)
+class Ideal:
+    """Integral ideal c * [a, b + omega] in Hermite form; norm = a c^2."""
+
+    order: QuadOrder
+    a: int
+    b: int
+    c: int
+
+    @property
+    def norm(self) -> int:
+        return self.a * self.c * self.c
+
+
+def _hnf_from_generators(order: QuadOrder, gens: list[tuple[int, int]]) -> Ideal:
+    """Hermite form of the Z-module spanned by the generators (must be an ideal)."""
+    gens = [g for g in gens if g != (0, 0)]
+    if not gens:
+        raise InvalidParameterError("zero ideal")
+    # reduce to [[ac, 0], [bc, c]] with rows (x, y) meaning x + y omega
+    rows = [list(g) for g in gens]
+    # step 1: gcd of y-components, tracking a vector achieving it
+    vec = rows[0][:]
+    for r in rows[1:]:
+        if r[1] == 0:
+            continue
+        if vec[1] == 0:
+            vec = r[:]
+            continue
+        g, u, v = _xgcd(vec[1], r[1])
+        vec = [u * vec[0] + v * r[0], g]
+    c = abs(vec[1])
+    if vec[1] < 0:
+        vec = [-vec[0], -vec[1]]
+    xs = []
+    for r in rows:
+        if c:
+            k = r[1] // c
+            xs.append(r[0] - k * vec[0])
+        else:
+            xs.append(r[0])
+    ac = 0
+    for x in xs:
+        ac = math.gcd(ac, x)
+    if c == 0 or ac == 0:
+        raise InvalidParameterError("generators do not span a rank-2 module")
+    if ac % c or vec[0] % c:
+        raise InvalidParameterError("module is not an ideal of the order")
+    a = ac // c
+    b = (vec[0] // c) % a
+    return Ideal(order, a, b, c)
+
+
+def order_mul(o: QuadOrder, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    x1, y1 = a
+    x2, y2 = b
+    return (x1 * x2 - o.n * y1 * y2, x1 * y2 + x2 * y1 + o.t * y1 * y2)
+
+
+def ideal_mul(I: Ideal, J: Ideal) -> Ideal:
+    o = I.order
+    g1 = [(I.a * I.c, 0), (I.b * I.c, I.c)]
+    g2 = [(J.a * J.c, 0), (J.b * J.c, J.c)]
+    gens = [order_mul(o, u, v) for u in g1 for v in g2]
+    return _hnf_from_generators(o, gens)
+
+
+def ideal_pow(I: Ideal, k: int) -> Ideal:
+    out = Ideal(I.order, 1, 0, 1)
+    base = I
+    while k:
+        if k & 1:
+            out = ideal_mul(out, base)
+        base = ideal_mul(base, base)
+        k >>= 1
+    return out
+
+
+def ideal_generator(I: Ideal) -> tuple[int, int] | None:
+    """Generator (x, y) of I when I is principal, else None.
+
+    Lagrange-reduce the rank-2 lattice under the norm form; for d < -4 the
+    units are +-1, so I is principal iff its shortest vector has norm N(I).
+    """
+    o = I.order
+    v1 = (I.a * I.c, 0)
+    v2 = (I.b * I.c, I.c)
+
+    def N(v):
+        return o.norm(v[0], v[1])
+
+    def B(u, v):  # associated bilinear form
+        return (N((u[0] + v[0], u[1] + v[1])) - N(u) - N(v)) // 2
+
+    while True:
+        if N(v1) > N(v2):
+            v1, v2 = v2, v1
+        n1 = N(v1)
+        mu = (2 * B(v1, v2) + n1) // (2 * n1)  # nearest integer to B/n1
+        w = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
+        if N(w) >= N(v2):
+            break
+        v2 = w
+    short = v1 if N(v1) <= N(v2) else v2
+    if N(short) == I.norm:
+        return short
+    return None
+
+
+def form_to_ideal(o: QuadOrder, f: BQF) -> Ideal:
+    """The standard ideal [a, (-b + sqrt(D))/2] of a primitive form."""
+    if o.d % 4 == 1:
+        b0 = (-f.b - 1) // 2
+    else:
+        b0 = -f.b // 2
+    return Ideal(o, f.a, b0 % f.a, 1)
+
+
+@dataclass(frozen=True)
+class _Component:
+    """One cyclic factor of (O/m)*: reduction map data plus a generator."""
+
+    p: int
+    kind: str  # "split" with a root r, or "inert"
+    r: int  # split: omega maps to r mod p; inert: unused
+    order: int
+    gen: tuple[int, int]  # generator as an element of O/p
+
+
+def _splitting_in_field(o: QuadOrder, p: int) -> tuple[str, tuple[int, ...]]:
+    k = kronecker(o.D, p)
+    if k == 0:
+        return "ramified", ()
+    if k == -1:
+        return "inert", ()
+    if p == 2:  # split at 2: D = 1 mod 8, and x^2 - x + n has both roots mod 2
+        return "split", (0, 1)
+    # roots of x^2 - t x + n: (t +- sqrt(D)) / 2 mod p
+    s = sqrt_mod(o.D % p, p)
+    inv2 = pow(2, -1, p)
+    r1 = (o.t + s) * inv2 % p
+    r2 = (o.t - s) * inv2 % p
+    return "split", (r1, r2)
+
+
+def _fq_mul(a, b, p, t, n):
+    # multiply in F_p[omega]/(omega^2 - t omega + n)
+    x1, y1 = a
+    x2, y2 = b
+    return ((x1 * x2 - n * y1 * y2) % p, (x1 * y2 + x2 * y1 + t * y1 * y2) % p)
+
+
+def _fq_pow(a, e, p, t, n):
+    out = (1, 0)
+    while e:
+        if e & 1:
+            out = _fq_mul(out, a, p, t, n)
+        a = _fq_mul(a, a, p, t, n)
+        e >>= 1
+    return out
+
+
+def _inert_generator(o: QuadOrder, p: int) -> tuple[int, int]:
+    """Generator of F_(p^2)* realized inside O/p."""
+    order = p * p - 1
+    prime_factors = list(factorint(order))
+    y = 1
+    while True:
+        for x in range(p):
+            cand = (x, y)
+            if all(_fq_pow(cand, order // q, p, o.t, o.n) != (1, 0) for q in prime_factors):
+                return cand
+        y += 1
+        if y >= p:
+            raise PreconditionError("internal: no generator found in F_p^2")
+
+
+def _components(o: QuadOrder, S: tuple[int, ...]) -> list[_Component]:
+    comps: list[_Component] = []
+    for p in S:
+        kind, roots = _splitting_in_field(o, p)
+        if kind == "split":
+            g = primitive_root(p)
+            for r in roots:
+                comps.append(_Component(p, "split", r, p - 1, (g, 0)))
+        else:
+            comps.append(_Component(p, "inert", 0, p * p - 1, _inert_generator(o, p)))
+    return comps
+
+
+def _component_dlog_mod_ell(o: QuadOrder, comp: _Component, alpha: tuple[int, int], ell: int) -> int:
+    """Coordinate of alpha in comp's order-ell quotient, via a tiny discrete log."""
+    p = comp.p
+    if comp.kind == "split":
+        a = (alpha[0] + alpha[1] * comp.r) % p
+        g = comp.gen[0]
+        q = comp.order // ell
+        A = pow(a, q, p)
+        G = pow(g, q, p)
+        for k in range(ell):
+            if pow(G, k, p) == A:
+                return k
+        raise PreconditionError("internal: discrete log failed in split component")
+    a = (alpha[0] % p, alpha[1] % p)
+    q = comp.order // ell
+    A = _fq_pow(a, q, p, o.t, o.n)
+    G = _fq_pow(comp.gen, q, p, o.t, o.n)
+    acc = (1, 0)
+    for k in range(ell):
+        if acc == A:
+            return k
+        acc = _fq_mul(acc, G, p, o.t, o.n)
+    raise PreconditionError("internal: discrete log failed in inert component")
+
+
+def connecting_rank_by_ideals(d: int, S: tuple[int, ...], ell: int) -> int:
+    """Rank of Cl[ell] -> (O/m)*/ell on the ideal path, for m = prod S.
+
+    Every nontrivial ell-torsion class, not only a basis, gives a row; the
+    rank is read off the size of the rows' span in F_ell^k.
+    """
+    o = QuadOrder(d)
+    S = tuple(sorted(set(S)))
+    part = ell_part(o.D, ell)
+    ell_comps = [comp for comp in _components(o, S) if comp.order % ell == 0]
+    if not ell_comps or part.rank == 0:
+        return 0
+    m = math.prod(S)
+    span = {(0,) * len(ell_comps)}
+    for f in part.torsion:
+        if f == principal_form(o.D):
+            continue
+        power = ideal_pow(form_to_ideal(o, form_with_coprime_a(f, m * ell)), ell)
+        alpha = ideal_generator(power)
+        if alpha is None:
+            raise AssertionError(f"ell-th power of {f} is not principal")
+        row = [_component_dlog_mod_ell(o, comp, alpha, ell) for comp in ell_comps]
+        if tuple(row) not in span:
+            span = {tuple((x + k * y) % ell for x, y in zip(s, row)) for s in span for k in range(ell)}
+    return log_p(len(span), ell)
 
 
 def smith_invariants(rows, ncols):

@@ -17,6 +17,12 @@ classgroup --D D` for every D from -3 down to -3000, in that order (D = 2, 3
 mod 4 give exit 1 and no output). Refactors of the class group structure must
 keep it.
 
+RAYCLASS_SHA256 is the SHA-256 of "<exit code>:<stdout>:<stderr>" of `twistsel
+rayclass --format json` for each RAYCLASS_ARGS (ell, --s) pair, in order, and
+within it every d from -5 down to -1500. Refusals (d not squarefree, p
+ramified) are pinned with their messages. Refactors of the ray-class
+connecting map must keep it.
+
 The EXPLAIN_*_SHA256 digests are the SHA-256 of the stdout of `twistsel
 search --explain --format csv`, so they pin every verdict-bearing field,
 failed-clause lists included, for each EXPLAIN_ARGS entry: 11a3 with ell = 5
@@ -87,6 +93,9 @@ FACTOR_SHAPE_SHA256 = "98fcbfc01306227ccc465e30d7b2daf072efd0d72b4535ae962944418
 
 TORSION_FIELD_FACTOR = "[-10945,12285,26150,-61715,49015,-20358,4380,2370,-3435,1385,-146,-15,5]"
 TORSION_FIELD_SHA256 = "42b07b785f5a3ea4ff71363a4768986d0583480acf7be49dc5c27f68800627aa"
+
+RAYCLASS_ARGS = ((3, "5"), (7, "13"), (3, "5,7"), (5, "3,31"))
+RAYCLASS_SHA256 = "60efa9827984fb0f215074c2c8773f9afccec125ac11ee7a810e038052778ca3"
 
 CLASSGROUP_SHA256 = "e9da20d971bfe5ffa62928c9e605f0ddf760859badb5d3042d4d57500f6fce48"
 

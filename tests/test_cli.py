@@ -14,6 +14,8 @@ from pinned_outputs import (
     FACTOR_SHAPE_ARGS,
     FACTOR_SHAPE_CURVES,
     FACTOR_SHAPE_SHA256,
+    RAYCLASS_ARGS,
+    RAYCLASS_SHA256,
     SEARCH_26_CSV,
     TORSION_FIELD_FACTOR,
     TORSION_FIELD_SHA256,
@@ -128,6 +130,19 @@ def test_rayclass(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ray_class_number"] == 120 and payload["ell_rank"] == 1
+
+
+def test_rayclass_is_pinned(capsys, monkeypatch):
+    parser = cli.build_parser()  # one parser for all calls: building it dominates a call
+    monkeypatch.setattr(cli, "build_parser", lambda command: parser)
+    digest = hashlib.sha256()
+    for ell, s in RAYCLASS_ARGS:
+        for d in range(-5, -1501, -1):
+            code, out, err = run_cli(
+                capsys, "rayclass", "--d", str(d), "--s", s, "--ell", str(ell), "--format", "json"
+            )
+            digest.update(f"{code}:{out}:{err}".encode())
+    assert digest.hexdigest() == RAYCLASS_SHA256
 
 
 def test_check_admissible(capsys):

@@ -1,20 +1,21 @@
 import math
+import random
 
 import pytest
 
-from oracle_rayclass import ideal_to_form, ray_class_oracle
-from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
-from twistsel.intmath import kronecker
-from twistsel.quadforms import ell_rank, field_discriminant, reduced_forms
-from twistsel.rayclass import (
-    QuadOrder,
+from oracle_rayclass import (
+    connecting_rank_by_ideals,
     form_to_ideal,
-    form_with_coprime_a,
+    ideal_generator,
     ideal_mul,
     ideal_pow,
-    principal_generator,
-    ray_class_data,
+    ideal_to_form,
+    ray_class_oracle,
 )
+from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
+from twistsel.intmath import is_squarefree, kronecker
+from twistsel.quadforms import BQF, compose, compose_unreduced, ell_rank, field_discriminant, reduced_forms
+from twistsel.rayclass import QuadOrder, form_with_coprime_a, principal_generator, ray_class_data
 
 
 def test_spec_examples():
@@ -93,8 +94,6 @@ def test_ideal_arithmetic_roundtrip():
         assert ideal_to_form(ideal) == f
     # multiplication matches composition on classes
     forms = reduced_forms(-23)
-    from twistsel.quadforms import compose
-
     f, g = forms[1], forms[2]
     prod_ideal = ideal_mul(form_to_ideal(o, f), form_to_ideal(o, g))
     assert ideal_to_form(prod_ideal) == compose(f, g)
@@ -105,11 +104,23 @@ def test_principal_generator():
     forms = reduced_forms(-23)
     f = forms[1]  # order 3 in the class group
     cube = ideal_pow(form_to_ideal(o, f), 3)
-    alpha = principal_generator(cube)
+    alpha = ideal_generator(cube)
     assert alpha is not None
     assert o.norm(*alpha) == cube.norm
     # non-principal ideal has no generator
-    assert principal_generator(form_to_ideal(o, f)) is None
+    assert ideal_generator(form_to_ideal(o, f)) is None
+
+
+def test_principal_generator_of_an_unreduced_cube():
+    # gcd(a, D) = 1: composing f with itself is the ideal cube, of norm a^3
+    o = QuadOrder(-23)
+    f = reduced_forms(-23)[1]
+    g = compose_unreduced(compose_unreduced(f, f), f)
+    assert g.a == f.a**3
+    assert form_to_ideal(o, g) == ideal_pow(form_to_ideal(o, f), 3)  # the same lattice, not only the class
+    alpha = principal_generator(o, g)
+    assert alpha is not None and o.norm(*alpha) == g.a
+    assert principal_generator(o, f) is None
 
 
 def test_form_with_coprime_a():
@@ -118,3 +129,27 @@ def test_form_with_coprime_a():
     g = form_with_coprime_a(f, 2 * f.a)
     assert math.gcd(g.a, 2 * f.a) == 1
     assert g.reduced() == f.reduced()
+    # (2, -1, 3) and its inverse (2, 1, 3) are distinct classes for D = -23:
+    # the transform must have determinant +1, not -1
+    f = BQF(2, -1, 3)
+    g = form_with_coprime_a(f, 2)
+    assert g.a % 2 == 1
+    assert g.reduced() == f
+
+
+def test_connecting_rank_matches_the_ideal_path():
+    # the form path against the ideal path it replaced, rank by rank
+    rng = random.Random(14)
+    near_million = [d for d in (-rng.randrange(10**6, 10**6 + 20000) for _ in range(60)) if is_squarefree(d)]
+    small = [d for d in range(-5, -3001, -1) if is_squarefree(d)]
+    cases = [(d, S, ell) for ell, S in ((3, (5,)), (7, (13,)), (3, (5, 7))) for d in small + near_million]
+    # basis form (10, -2, 13) has gcd(a, D) = 2: a modulus without D keeps it, and its cube is not a^3
+    cases.append((-129, (7,), 3))
+    nonzero = 0
+    for d, S, ell in cases:
+        if any(kronecker(field_discriminant(d), p) == 0 for p in S):
+            continue  # a ramified p is refused
+        data = ray_class_data(d, S, ell)
+        assert data.delta_rank == connecting_rank_by_ideals(d, S, ell), (d, S, ell)
+        nonzero += data.delta_rank > 0
+    assert nonzero > 100
