@@ -28,7 +28,7 @@ def format_rational(x: Fraction | int) -> str:
 
 def parse_rational(s: str) -> Fraction:
     s = s.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", s):
+    if not re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", s):
         raise InvalidParameterError(f"not a rational: {s!r}")
     return Fraction(s)
 

@@ -3,80 +3,49 @@
 A character of order ell on (Z/f)* corresponds to a cyclic degree-ell field
 ramified exactly at the primes dividing the conductor; chi(p) = 0 iff p
 ramifies there. The checker consumes only that vanishing predicate, but the
-character data is validated in full: exact order ell and primitivity.
+character data is validated in full: exact order ell and primitivity. Both
+depend only on the orders of the cyclic factors of (Z/f)*, so validation
+costs one factorization of f and builds no group element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidParameterError
-from .intmath import factorint, is_prime, primitive_root
+from .intmath import factorint, is_prime
 
 
-@lru_cache(maxsize=None)
-def unit_group(modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Generators and their orders for (Z/modulus)*, assembled prime power by prime power."""
+def unit_group_orders(modulus: int) -> tuple[tuple[int, int], ...]:
+    """(p, order) of each cyclic factor of (Z/modulus)*, primes ascending.
+
+    2^e gives (2, 2) for e >= 2 and also (2, 2^(e-2)) for e >= 3; an odd p^e
+    gives (p, (p-1) p^(e-1)).
+    """
     if modulus < 1:
         raise InvalidParameterError("modulus must be positive")
-    gens: list[int] = []
-    orders: list[int] = []
-    parts = factorint(modulus) if modulus > 1 else {}
-    for p, e in parts.items():
-        pe = p**e
-        rest = modulus // pe
-        if p == 2:
-            if e == 1:
-                continue
-            locals_: list[tuple[int, int]] = [(-1 % pe, 2)]
-            if e >= 3:
-                locals_.append((5, 2 ** (e - 2)))
-        else:
-            g = primitive_root(p)
-            if e > 1 and pow(g, p - 1, p * p) == 1:
-                g += p
-            locals_ = [(g, pe // p * (p - 1))]
-        for g, order in locals_:
-            # lift to a unit mod modulus that is 1 mod the complement
-            if rest == 1:
-                lifted = g % modulus
-            else:
-                inv = pow(pe, -1, rest)
-                lifted = (g * rest * pow(rest, -1, pe) + 1 * pe * inv) % modulus
-            gens.append(lifted)
-            orders.append(order)
-    return tuple(gens), tuple(orders)
-
-
-@lru_cache(maxsize=None)
-def _dlog_table(modulus: int) -> dict[int, tuple[int, ...]]:
-    """Exponent vector of every unit mod modulus on the unit_group generators."""
-    gens, orders = unit_group(modulus)
-    table = {1 % modulus: tuple(0 for _ in gens)}
-    # one generator at a time; sizes here are desk scale
-    for i, g in enumerate(gens):
-        current = dict(table)
-        for elem, vec in current.items():
-            x = elem
-            v = list(vec)
-            for _k in range(1, orders[i]):
-                x = x * g % modulus
-                v2 = list(v)
-                v2[i] += 1
-                if x not in table:
-                    table[x] = tuple(v2)
-                v = v2
-    return table
+    factors: list[tuple[int, int]] = []
+    for p, e in factorint(modulus).items():
+        if p != 2:
+            factors.append((p, (p - 1) * p ** (e - 1)))
+            continue
+        if e >= 2:
+            factors.append((2, 2))
+        if e >= 3:
+            factors.append((2, 2 ** (e - 2)))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
 class DirichletPredicate:
-    """Order-ell character chi mod f, given by exponents on unit_group(f) generators.
+    """Order-ell character chi mod f, given by exponents on the generators of (Z/f)*.
 
-    chi(g_i) = zeta_ell ** exponents[i]. The predicate used by the checker is
-    chi(p) != 0, i.e. p does not divide the conductor.
+    chi(g_i) = zeta_ell ** exponents[i], one exponent per factor of
+    unit_group_orders(f), in that order. The generators are -1, then 5, at
+    2^e; at an odd p^e, the least primitive root g mod p, or g + p when
+    g^(p-1) = 1 (mod p^2); each lifted to 1 mod the rest of f. The predicate
+    used by the checker is chi(p) != 0, i.e. p does not divide the conductor.
     """
 
     modulus: int
@@ -86,49 +55,32 @@ class DirichletPredicate:
     def __post_init__(self) -> None:
         if not is_prime(self.ell) or self.ell == 2:
             raise InvalidParameterError("character order must be an odd prime")
-        gens, orders = unit_group(self.modulus)
-        if len(self.exponents) != len(gens):
+        factors = unit_group_orders(self.modulus)
+        if len(self.exponents) != len(factors):
             raise InvalidParameterError(
-                f"need {len(gens)} exponent(s) for the generators of (Z/{self.modulus})*"
+                f"need {len(factors)} exponent(s) for the generators of (Z/{self.modulus})*"
             )
         object.__setattr__(self, "exponents", tuple(e % self.ell for e in self.exponents))
-        for e, order in zip(self.exponents, orders):
+        for e, (_p, order) in zip(self.exponents, factors):
             # chi(g)^order(g) must be 1: ell | e * order
             if (e * order) % self.ell:
                 raise InvalidParameterError("exponents do not define a character on the group")
         if all(e == 0 for e in self.exponents):
             raise InvalidParameterError("character is trivial; order must be exactly ell")
-        if not self._is_primitive():
+        # chi is induced from f/p iff it is trivial on the kernel of
+        # (Z/f)* -> (Z/(f/p))*. At p = 2 that kernel is trivial or a 2-group,
+        # so an odd-order chi is trivial there. At odd p it is the whole factor
+        # when p || f, and when p^2 | f (exactly when p | order) the subgroup
+        # of order p, generated by g^(order/p) for any generator g.
+        if self.modulus % 2 == 0 or any(
+            e * (order // p if order % p == 0 else 1) % self.ell == 0
+            for e, (p, order) in zip(self.exponents, factors)
+        ):
             raise InvalidParameterError("character is induced from a smaller conductor")
-
-    def _chi_exponent(self, n: int) -> int | None:
-        """Exponent k with chi(n) = zeta^k, or None when gcd(n, f) > 1."""
-        n %= self.modulus
-        if math.gcd(n, self.modulus) != 1:
-            return None
-        vec = _dlog_table(self.modulus)[n]
-        return sum(e * v for e, v in zip(self.exponents, vec)) % self.ell
-
-    def _is_primitive(self) -> bool:
-        for p in factorint(self.modulus):
-            smaller = self.modulus // p
-            # trivial on the kernel of (Z/f)* -> (Z/(f/p))* would mean chi is induced
-            trivial = True
-            for x in range(1, self.modulus):
-                if x % smaller == 1 % smaller and self._gcd_one(x):
-                    if self._chi_exponent(x):
-                        trivial = False
-                        break
-            if trivial:
-                return False
-        return True
-
-    def _gcd_one(self, x: int) -> bool:
-        return math.gcd(x, self.modulus) == 1
 
     def is_nonzero_at(self, p: int) -> bool:
         """chi(p) != 0, i.e. p is unramified in the attached cyclic field."""
-        return p % self.modulus != 0 and self._gcd_one(p)
+        return math.gcd(p, self.modulus) == 1
 
     def describe(self) -> str:
         return f"order-{self.ell} character mod {self.modulus}"

@@ -152,7 +152,7 @@ class FactorShape:
 
 def psi_factor_shape(E: CurveQ, ell: int, degree_bound: int) -> FactorShape:
     """Bounded-degree factor shape of psi_ell over Q."""
-    if ell > 13 or ell < 3 or ell % 2 == 0:
+    if not (3 <= ell <= 13 and is_prime(ell)):
         raise UnsupportedError("factor shapes are supported for odd primes ell <= 13")
     if not 1 <= degree_bound <= 12:
         raise UnsupportedError("degree bound must lie in [1, 12]")

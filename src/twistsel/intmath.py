@@ -7,7 +7,6 @@ factorizer uses a fixed-seed Brent cycle so repeated runs agree bit for bit.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import InvalidParameterError, ResourceError
 
@@ -217,9 +216,11 @@ def kronecker(a: int, n: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Exponent of p in n; n must be nonzero."""
+    """Exponent of p in n; n must be nonzero and p at least 2."""
     if n == 0:
         raise InvalidParameterError("valuation of 0 is undefined")
+    if p < 2:
+        raise InvalidParameterError(f"valuation needs a base of at least 2, got {p}")
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -261,19 +262,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
-
-
-@lru_cache(maxsize=None)
-def primitive_root(p: int) -> int:
-    """Smallest primitive root mod the odd prime p."""
-    if p == 2:
-        return 1
-    order_factors = list(factorint(p - 1))
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in order_factors):
-            return g
-        g += 1
 
 
 def squarefree_sieve(lo: int, hi: int) -> list[bool]:

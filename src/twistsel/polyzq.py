@@ -664,7 +664,10 @@ def poly_from_string(text: str) -> ZX:
         return []
     out = []
     for part in inner.split(","):
-        c = Fraction(part.strip())
+        try:
+            c = Fraction(part.strip())
+        except (ValueError, ZeroDivisionError):
+            raise InvalidParameterError(f"not a number: {part.strip()!r}") from None
         if c.denominator != 1:
             raise InvalidParameterError("integer coefficient lists only at this interface")
         out.append(int(c))

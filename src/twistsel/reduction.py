@@ -17,7 +17,7 @@ from functools import lru_cache
 from ._kernels import count_points
 from .curves import CurveQ, PointQ, minimal_model, quadratic_twist
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
-from .intmath import factorint, is_squarefree, legendre, valuation
+from .intmath import factorint, is_prime, is_squarefree, legendre, valuation
 from .polyzq import fp_gcd
 
 AP_PRIME_LIMIT = 10**6  # exhaustive point counting only; no Schoof
@@ -164,7 +164,9 @@ class TateResult:
 
 
 def tate_algorithm(E_int: CurveQ, p: int) -> TateResult:
-    """Run Tate's algorithm at p on an integral model."""
+    """Run Tate's algorithm at the prime p on an integral model."""
+    if not is_prime(p):
+        raise InvalidParameterError(f"p must be a prime, got {p}")
     if not E_int.is_integral():
         raise PreconditionError("Tate's algorithm needs an integral model")
     m = _Model(*(int(a) for a in E_int.ainvs))

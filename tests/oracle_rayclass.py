@@ -25,8 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from oracle_dirichlet import primitive_root
 from twistsel.errors import InvalidParameterError, PreconditionError
-from twistsel.intmath import factorint, kronecker, log_p, primitive_root, sqrt_mod
+from twistsel.intmath import factorint, kronecker, log_p, sqrt_mod
 from twistsel.quadforms import BQF, _xgcd, ell_part, principal_form
 from twistsel.rayclass import QuadOrder, form_with_coprime_a
 

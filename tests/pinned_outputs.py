@@ -30,6 +30,12 @@ over [-3000, -3], curve 26 with ell = 7 over [-2000, -3], and 11a3 with the
 order-5 character mod 25 as the ramification predicate (it puts 11 into S_E,
 so every row is NotApplicable). Refactors of the admissibility clauses must
 keep them.
+
+CHARACTER_REFUSALS pins `twistsel check --curve "[0,-1,1,0,0]" --ell 5 --d -37
+--character SPEC` for each refused SPEC: exit 1, empty stdout and this stderr.
+CHARACTER_ACCEPTED_SHA256 gives, for each accepted SPEC, the SHA-256 of the
+stdout of the same command, which exits 0 with empty stderr. Refactors of the
+character validation must keep both.
 """
 
 SEARCH_26_CSV = (
@@ -108,4 +114,17 @@ EXPLAIN_SHA256 = (
     "2b0c8cd9557c31354878b74fdf0fbcb6290c77790ba1d392629be973a139450d",
     "866141dddb9338d0619e0b34cbbfaff0976dd59aaa51f0195266cb92651d7b6a",
     "4ee5056cfc3d8146dad352c1469bd3eb92fe7a8d9054249a16515c9e0bf36499",
+)
+
+CHARACTER_REFUSALS = (
+    ("0:1", "error: modulus must be positive\n"),
+    ("11:1,1", "error: need 1 exponent(s) for the generators of (Z/11)*\n"),
+    ("7:1", "error: exponents do not define a character on the group\n"),
+    ("11:0", "error: character is trivial; order must be exactly ell\n"),
+    ("22:1", "error: character is induced from a smaller conductor\n"),
+    ("121:1", "error: character is induced from a smaller conductor\n"),
+)
+CHARACTER_ACCEPTED_SHA256 = (
+    ("11:1", "e79df9c5e880a83e47d2c666c64e78d9cd131ef6d5c37e42826998527e705c65"),
+    ("25:1", "6e1a08e001a62e4a528e60adb6e62298cfd251d2c71f84bee7192090b0c70737"),
 )

@@ -6,6 +6,8 @@ import pytest
 
 from forced_pool import force_pool
 from pinned_outputs import (
+    CHARACTER_ACCEPTED_SHA256,
+    CHARACTER_REFUSALS,
     CHECK_11A3_D181,
     CHECK_26_D5,
     CLASSGROUP_SHA256,
@@ -42,6 +44,26 @@ def test_local(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "MultiplicativeSplit" and payload["kodaira"] == "I1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local", "--curve", "[0,-1,1,0,0]", "--p", "4"],
+        ["local", "--curve", "[0,-1,1,0,0]", "--p", "1"],
+        ["local", "--curve", "[0,-1,1,0,0]", "--p", "0"],
+        ["local", "--curve", "[0,-1,1,0,0]", "--p", "-11"],
+        ["invariants", "--curve", "[0,0,0,1/0,1]"],
+        ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor", "[1/0,1]"],
+        ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor", "[x,1]"],
+    ],
+    ids=["p-composite", "p-one", "p-zero", "p-negative", "curve-zero-denominator",
+         "factor-zero-denominator", "factor-not-a-number"],
+)
+def test_malformed_numbers_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "internal error" not in err, err
 
 
 def test_conductor(capsys):
@@ -225,6 +247,16 @@ def test_explain_csv_is_pinned(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
+def test_character_outcomes_are_pinned(capsys):
+    argv = ["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37", "--character"]
+    for spec, err in CHARACTER_REFUSALS:
+        assert run_cli(capsys, *argv, spec) == (1, "", err), spec
+    for spec, want in CHARACTER_ACCEPTED_SHA256:
+        code, out, err = run_cli(capsys, *argv, spec)
+        assert (code, err) == (0, ""), spec
+        assert hashlib.sha256(out.encode()).hexdigest() == want, spec
 
 
 def test_byte_stable_json(capsys):

@@ -73,6 +73,12 @@ def test_parse_and_format():
         curve_from_string("[1,2,3]")
     with pytest.raises(InvalidParameterError):
         parse_rational("1.5")
+    assert parse_rational("1/01") == 1
+    for text in ("1/0", "-3/00"):
+        with pytest.raises(InvalidParameterError, match="not a rational"):
+            parse_rational(text)
+    with pytest.raises(InvalidParameterError, match="not a rational: '1/0'"):
+        curve_from_string("[0,0,0,1/0,1]")
 
 
 def test_group_law_torsion_cycle():

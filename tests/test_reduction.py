@@ -2,7 +2,7 @@ import pytest
 
 from oracle_ec import nonsingular_reduction_count
 from twistsel.curves import CurveQ, PointQ, curve_from_string, minimal_model, multiply_point, quadratic_twist
-from twistsel.errors import PreconditionError, UnsupportedError
+from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import legendre, primes_up_to
 from twistsel.reduction import (
     ReductionKind,
@@ -54,6 +54,15 @@ def test_local_reduction_11a3():
     assert red.ord_delta_min == 1
     assert red.ord_j == -1
     assert local_reduction(E11A3, 7).kind is ReductionKind.GOOD
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 121, -11])
+def test_non_prime_p_is_refused(p):
+    # p = 1 once looped forever in valuation; 4 and 121 were reported as good reduction
+    with pytest.raises(InvalidParameterError, match="must be a prime"):
+        local_reduction(E11A3, p)
+    with pytest.raises(InvalidParameterError, match="must be a prime"):
+        tate_algorithm(E11A3, p)
 
 
 def test_split_flag_matches_point_count_oracle():
