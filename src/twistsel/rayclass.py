@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameterError, PreconditionError, UnsupportedError
+from .errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
 from .intmath import is_prime, kronecker, sqrt_mod
 from .quadforms import (
     BQF,
@@ -98,7 +98,11 @@ def principal_generator(o: QuadOrder, F: BQF) -> tuple[int, int] | None:
 
 
 def form_with_coprime_a(f: BQF, M: int) -> BQF:
-    """A properly equivalent form whose leading coefficient is coprime to M."""
+    """A properly equivalent form whose leading coefficient is coprime to M.
+
+    The search covers the box 0 <= x < 40, |y| <= 40 only. Such a form always
+    exists, so a box without one is a search limit, raised as ResourceError.
+    """
     if math.gcd(f.a, M) == 1:
         return f
     for x in range(0, 40):
@@ -116,7 +120,7 @@ def form_with_coprime_a(f: BQF, M: int) -> BQF:
             b2 = 2 * (f.a * x * p + f.c * y * q) + f.b * (x * q + y * p)
             c2 = f.a * p * p + f.b * p * q + f.c * q * q
             return BQF(val, b2, c2)
-    raise PreconditionError("no small representative coprime to the modulus")
+    raise ResourceError("no representative coprime to the modulus in the search box")
 
 
 # ---------------------------------------------------------------------------

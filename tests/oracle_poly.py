@@ -8,6 +8,10 @@ Bareiss elimination over Z[z].
 step lifts a factorization f = g h together with its Bezout pair, and the
 tree splits where the running degree reaches half of deg f. The library
 lifts each factor on its own against its cofactor instead.
+`fp_pow_mod` is right-to-left binary powering in F_p[x] with a schoolbook
+product and a schoolbook division at every step. The library packs each
+product into one integer multiplication and reduces through a power series
+inverse of the reversed modulus instead.
 """
 
 from __future__ import annotations
@@ -110,3 +114,15 @@ def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX
     for j in reversed(range((target - 1).bit_length())):
         G, H, S, T = _hensel_step(p ** -(-target >> j), f, G, H, S, T)  # p^ceil(target/2^j)
     return hensel_lift(p, G, factors[:k], target) + hensel_lift(p, H, factors[k:], target)
+
+
+def fp_pow_mod(f, e: int, m, p: int) -> list[int]:
+    """f^e mod m over F_p, lc(m) prime to p, by schoolbook products and divisions."""
+    out = [1]
+    f = fp_divmod(f, m, p)[1]
+    while e:
+        if e & 1:
+            out = fp_divmod(fp_mul(out, f, p), m, p)[1]
+        f = fp_divmod(fp_mul(f, f, p), m, p)[1]
+        e >>= 1
+    return out

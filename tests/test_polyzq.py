@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_poly import fp_pow_mod as schoolbook_pow_mod
 from oracle_poly import hensel_lift as tree_hensel_lift
 from oracle_poly import sylvester_resultant, zx_eval
 
@@ -19,6 +21,7 @@ from twistsel.polyzq import (
     fp_monic,
     fp_mul,
     fp_norm,
+    fp_pow_mod,
     hensel_lift,
     poly_from_string,
     resultant_eliminate,
@@ -165,28 +168,86 @@ def _first_good_primes(f, count):
     return out
 
 
+def _spy_ddf(monkeypatch):
+    """Record the prime of every fp_ddf call zx_factor_bounded makes."""
+    primes_used = []
+    ddf = polyzq.fp_ddf
+    monkeypatch.setattr(
+        polyzq, "fp_ddf", lambda f, p, bound=None: primes_used.append(p) or ddf(f, p, bound)
+    )
+    return primes_used
+
+
 def test_bounded_factorization_does_not_depend_on_the_prime(monkeypatch):
     """Any good prime gives the same factors and residual, from one modular factorization."""
     E = CurveQ(1, -1, 1, -3, 3)
     cases = [(seeded_eisenstein_product(seed), bound) for seed in range(6) for bound in (1, 2, 6)]
     cases += [(division_poly_primitive(E, ell), bound) for ell in (7, 13) for bound in (1, 6, 12)]
-    least_good_prime, factor_mod_p = polyzq._good_prime, polyzq.fp_factor_squarefree
-    primes_used = []
-    monkeypatch.setattr(
-        polyzq,
-        "fp_factor_squarefree",
-        lambda f, p, bound=None: primes_used.append(p) or factor_mod_p(f, p, bound),
-    )
+    good_primes = polyzq._good_primes
+    primes_used = _spy_ddf(monkeypatch)
     for f, bound in cases:
         primes = _first_good_primes(f, 3)
-        assert least_good_prime(f) == primes[0]
+        assert list(itertools.islice(good_primes(f), 3)) == primes
         results = []
         for p in primes:
-            monkeypatch.setattr(polyzq, "_good_prime", lambda _f, p=p: p)
+            monkeypatch.setattr(polyzq, "_good_primes", lambda _f, p=p: iter([p]))
             primes_used.clear()
             results.append(zx_factor_bounded(f, bound))
             assert primes_used == [p]
         assert results[0] == results[1] == results[2]
+
+
+def test_degree_analysis_at_a_second_prime_skips_splitting_and_lifting(monkeypatch):
+    """psi_13 of curve 26 has 16 factors of degree <= 6 mod 3, none mod 5: bound 6
+    reads both degree sets and stops, with no EDF and no Hensel lift."""
+    primes_used = _spy_ddf(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("split or lifted a factor")
+
+    monkeypatch.setattr(polyzq, "fp_edf", refuse)
+    monkeypatch.setattr(polyzq, "hensel_lift", refuse)
+    psi = division_poly_primitive(CurveQ(1, -1, 1, -3, 3), 13)
+    assert zx_factor_bounded(psi, 6) == ([], psi)
+    assert primes_used == [3, 5]
+
+
+@pytest.mark.parametrize("a, ell", [((0, -1, 1, 0, 0), 5), ((1, -1, 1, -3, 3), 7)])
+def test_rational_torsion_factoring_reads_one_prime(monkeypatch, a, ell):
+    """The bound-1 factoring behind every check and search: cheap splitting and
+    lifting of the linear factors stops the degree analysis at the first prime."""
+    primes_used = _spy_ddf(monkeypatch)
+    psi = division_poly_primitive(CurveQ(*a), ell)
+    linear, _ = zx_factor_bounded(psi, 1)
+    assert linear and all(zx_deg(g) == 1 for g in linear)
+    assert primes_used == _first_good_primes(psi, 1)
+
+
+def test_recombination_skips_subsets_outside_the_degree_set():
+    degs = {0: 1, 1: 1, 2: 2, 3: 3}
+    sums = 1 | 1 << 3  # only degree 3 survived the degree analysis
+    combos = [c for size in (1, 2, 3) for c in polyzq._combos_bounded(range(4), degs, size, 3, sums)]
+    assert combos == [[3], [0, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10007, 2**32 + 15])
+def test_packed_powering_matches_schoolbook(p):
+    """Packed products with series-inverse reduction against schoolbook powering,
+    seeded: moduli of degree 1 to 120, half of them not monic (but mod 2), inputs
+    not reduced."""
+    assert is_prime(p)
+    rng = random.Random(p)
+    degrees = list(range(1, 13)) + [17, 31, 64, 84, 120]
+    for n in degrees:
+        for monic in (True, False):
+            lc = 1 if monic or p == 2 else rng.randrange(2, p)
+            m = [rng.randrange(p) for _ in range(n)] + [lc]
+            f = [rng.randrange(-p, 2 * p) for _ in range(rng.randint(0, 2 * n + 2))]
+            d = 1 + n % 2
+            for e in (0, 1, p, (p**d - 1) // 2):
+                assert fp_pow_mod(f, e, m, p) == schoolbook_pow_mod(f, e, m, p), (n, monic, e)
+    # a product that vanishes mod m: x^3 = 0 mod x^2
+    assert fp_pow_mod([0, 1], 3, [0, 0, 1], p) == schoolbook_pow_mod([0, 1], 3, [0, 0, 1], p) == []
 
 
 def _factor_list_sympy(f):

@@ -12,8 +12,8 @@ from oracle_rayclass import (
     ideal_to_form,
     ray_class_oracle,
 )
-from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
-from twistsel.intmath import is_squarefree, kronecker
+from twistsel.errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
+from twistsel.intmath import is_prime, is_squarefree, kronecker
 from twistsel.quadforms import BQF, compose, compose_unreduced, ell_rank, field_discriminant, reduced_forms
 from twistsel.rayclass import QuadOrder, form_with_coprime_a, principal_generator, ray_class_data
 
@@ -135,6 +135,14 @@ def test_form_with_coprime_a():
     g = form_with_coprime_a(f, 2)
     assert g.a % 2 == 1
     assert g.reduced() == f
+
+
+def test_form_with_coprime_a_reports_its_search_box_as_a_resource_limit():
+    """Every value of (2, 1, 3) in the box has a prime factor below 10^4: a search
+    limit (ResourceError, exit 1), not a failed hypothesis (PreconditionError, exit 2)."""
+    M = math.prod(p for p in range(2, 10**4) if is_prime(p))
+    with pytest.raises(ResourceError, match="search box"):
+        form_with_coprime_a(BQF(2, 1, 3), M)
 
 
 def test_connecting_rank_matches_the_ideal_path():
