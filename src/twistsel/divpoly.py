@@ -90,26 +90,37 @@ class DivisionPoly:
         return len(self.coeffs) - 1
 
 
-def division_polynomial(E: CurveQ, n: int) -> DivisionPoly:
-    """The n-th division polynomial of E, 1 <= n <= 40, in E's own x-coordinate."""
+def _scaled_t_poly(E: CurveQ, n: int) -> tuple[int, tuple[int, ...]]:
+    """(m, t): the least m > 0 with m^(2i) b_(2i) integral for every i, and the
+    x-part t of psi_n on the model with those b-invariants, x scaled by m^2."""
     if not 1 <= n <= MAX_DIVPOLY_INDEX:
         raise UnsupportedError(f"division polynomial index must lie in [1, {MAX_DIVPOLY_INDEX}]")
     m = _denominator_scale((2, 4, 6, 8), (E.b2, E.b4, E.b6, E.b8))
     b = (int(E.b2 * m**2), int(E.b4 * m**4), int(E.b6 * m**6), int(E.b8 * m**8))
-    t = list(_t_poly(b, n))
-    d = zx_deg(t)
+    return m, _t_poly(b, n)
+
+
+def division_polynomial(E: CurveQ, n: int) -> DivisionPoly:
+    """The n-th division polynomial of E, 1 <= n <= 40, in E's own x-coordinate."""
+    m, t = _scaled_t_poly(E, n)
+    d = len(t) - 1
     m2 = Fraction(m) ** 2
     coeffs = tuple(Fraction(c) * m2 ** (j - d) for j, c in enumerate(t))
     return DivisionPoly(n, coeffs, n % 2 == 0)
 
 
 def division_poly_primitive(E: CurveQ, n: int) -> ZX:
-    """Primitive integer polynomial with the same roots as the x-part of psi_n."""
-    psi = division_polynomial(E, n)
-    den = math.lcm(*(c.denominator for c in psi.coeffs))
-    ints = [int(c * den) for c in psi.coeffs]
-    _, prim = zx_primitive(ints)
-    return prim
+    """Primitive integer polynomial with the same roots as the x-part of psi_n.
+
+    It is the primitive part of [t_j m^(2j)], which is m^(2 deg t) times the
+    x-part of psi_n in E's own coordinates, made in integers throughout.
+    """
+    m, t = _scaled_t_poly(E, n)
+    m2, scale, ints = m * m, 1, []
+    for c in t:
+        ints.append(c * scale)
+        scale *= m2
+    return zx_primitive(ints)[1]
 
 
 def rational_ell_torsion_point(E: CurveQ, ell: int) -> PointQ | None:

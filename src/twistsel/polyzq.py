@@ -1,23 +1,28 @@
 """Dense exact polynomial arithmetic over Z and F_p, with factorization over Q.
 
 Polynomials are lists of coefficients, lowest degree first, matching the text
-interchange format. Powering in F_p[x] mod a fixed modulus packs each operand
+interchange format. Products in F_p[x] mod a fixed modulus pack each operand
 into one int (Kronecker substitution), so a product is one big-integer
-multiplication, and reduces by the modulus through a power series inverse of
-its reverse. The factorizer is Zassenhaus-style and does only the work its
-degree bound can use:
+multiplication, and reduce by the modulus through a power series inverse of
+its reverse, made once per modulus. The factorizer is Zassenhaus-style and
+does only the work its degree bound can use:
 
-- distinct-degree factorization stops at the bound, and runs alone at
-  successive good primes; the sets of subset sums of the degrees it finds
-  are intersected, and when only 0 is left nothing is split or lifted;
+- distinct-degree factorization stops at the bound: one gcd of f with the
+  product of the x^(p^i) - x, i <= bound, finds the part of f whose factors
+  have degree <= bound, and the per-degree gcds run on that part alone;
+- it runs alone at successive good primes; the sets of subset sums of the
+  degrees it finds are intersected, and when only 0 is left nothing is
+  split or lifted;
 - the analysis stops once the estimated splitting and lifting work at the
   best prime so far is no more than the distinct-degree work spent;
 - at that prime only the factors of degree <= bound are split by
   equal-degree factorization; the product of the factors of higher degree
   stays one unsplit modular factor;
 - each modular factor of degree <= bound is Hensel-lifted on its own, by
-  Newton steps against its cofactor, to the least power of p past the
-  Mignotte bound; the unsplit factor and the cofactors are never lifted;
+  Newton steps against its cofactor, to the least power of p past a
+  coefficient bound for the factors of degree <= bound: the lesser of
+  Mignotte's and the one that follows from Fujiwara's root bound; the
+  unsplit factor and the cofactors are never lifted;
 - subsets whose total degree lies in the intersection are recombined.
 
 Irreducible factors up to the bound are extracted, and the cofactor is
@@ -260,18 +265,92 @@ def _slot_bytes(n: int, p: int) -> int:
     return next((size for size in (2, 4, 8) if w <= size and size in _SLOT_CODES), w)
 
 
+class _PackedMod:
+    """Products in F_p[x] mod a fixed monic m of degree n >= 2, by packed integers.
+
+    Each product is one integer multiplication (Kronecker substitution): a
+    polynomial of at most n coefficients in [0, p) is packed into one int, a
+    coefficient to a fixed slot wide enough for n (p - 1)^2, so no slot of a
+    product carries into the next. The product is unpacked with
+    array.frombytes and reduced by one % p per coefficient. The remainder by m
+    takes two more packed products: the quotient is the reversed top half
+    times rev(m)^-1 mod x^(n - 1), a power series inverse made by Newton's
+    iteration at the first product that needs it, once per modulus (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 9.1).
+    """
+
+    def __init__(self, m, p):
+        self.m, self.p, self.n = m, p, len(m) - 1
+        self.w = _slot_bytes(self.n, p)
+        self.code = _SLOT_CODES.get(self.w)
+        self.neg_m = self.pack([-c % p for c in m[:-1]])
+        self.inv = None  # rev(m)^-1 mod x^(n-1), packed
+
+    def pack(self, g) -> int:
+        if self.code is None:
+            w = self.w
+            return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in g), "little")
+        a = array(self.code, g)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return int.from_bytes(a.tobytes(), "little")
+
+    def slots(self, x: int, k: int):
+        """The low k slots of x, each as an int in [0, 2^(8 w))."""
+        w = self.w
+        b = (x & ((1 << 8 * w * k) - 1)).to_bytes(k * w, "little")
+        if self.code is None:
+            return [int.from_bytes(b[i : i + w], "little") for i in range(0, k * w, w)]
+        a = array(self.code)
+        a.frombytes(b)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return a
+
+    def _inverse(self) -> int:
+        p, n = self.p, self.n
+        rev, inv = self.m[::-1], [1]  # rev(m) has constant term lc(m) = 1
+        for j in reversed(range((n - 2).bit_length())):
+            prec = -(-(n - 1) >> j)
+            t = [-v % p for v in self.slots(self.pack(rev[:prec]) * self.pack(inv), prec)]
+            t[0] = (t[0] + 2) % p
+            inv = [v % p for v in self.slots(self.pack(inv) * self.pack(t), prec)]
+        return self.pack(inv)
+
+    def mul_mod(self, x: int, length: int) -> list[int]:
+        """The packed product x of `length` slots, mod p and mod m, trimmed."""
+        p, n = self.p, self.n
+        c = [v % p for v in self.slots(x, length)]
+        h = length - n  # quotient coefficients
+        if h > 0:
+            if self.inv is None:
+                self.inv = self._inverse()
+            q = [v % p for v in self.slots(self.pack(c[: n - 1 : -1]) * self.inv, h)]
+            c = [(a + b) % p for a, b in zip(c, self.slots(self.pack(q[::-1]) * self.neg_m, n))]
+        return zx_trim(c)
+
+    def mul(self, f, g) -> list[int]:
+        """f g mod m, for a nonzero f and a g reduced mod m."""
+        return self.mul_mod(self.pack(f) * self.pack(g), len(f) + len(g) - 1)
+
+    def pow(self, f, e: int) -> list[int]:
+        """f^e mod m, for a nonzero f reduced mod m and e >= 1."""
+        out, base = f, self.pack(f)
+        for bit in bin(e)[3:]:
+            x = self.pack(out)
+            out = self.mul_mod(x * x, 2 * len(out) - 1)
+            if bit == "1" and out:
+                out = self.mul_mod(self.pack(out) * base, len(out) + len(f) - 1)
+            if not out:
+                return out
+        return out
+
+
 def fp_pow_mod(f, e, m, p):
     """f^e mod m over F_p, for a prime p and a nonzero m mod p; nonnegative e.
 
-    Each product is one integer multiplication (Kronecker substitution): a
-    polynomial of at most n = deg m coefficients in [0, p) is packed into one
-    int, a coefficient to a fixed slot wide enough for n (p - 1)^2, so no slot
-    of a product carries into the next. The product is unpacked with
-    array.frombytes and reduced by one % p per coefficient. The remainder by m
-    takes two more packed products: the quotient is the reversed top half
-    times rev(m)^-1 mod x^(n - 1), a power series inverse computed once per
-    call by Newton's iteration (von zur Gathen and Gerhard, Modern Computer
-    Algebra, 9.1).
+    The products are packed integer products reduced through a series
+    inverse of rev(m), made once per call (_PackedMod).
     """
     m = fp_monic(m, p)
     n = len(m) - 1
@@ -284,59 +363,7 @@ def fp_pow_mod(f, e, m, p):
         return []
     if n == 1:
         return [pow(f[0], e, p)]
-    w = _slot_bytes(n, p)
-    code = _SLOT_CODES.get(w)
-    bits = 8 * w
-
-    def pack(g):
-        if code is None:
-            return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in g), "little")
-        a = array(code, g)
-        if _BIG_ENDIAN:
-            a.byteswap()
-        return int.from_bytes(a.tobytes(), "little")
-
-    def slots(x, k):
-        """The low k slots of x, each as an int in [0, 2^bits)."""
-        b = (x & ((1 << bits * k) - 1)).to_bytes(k * w, "little")
-        if code is None:
-            return [int.from_bytes(b[i : i + w], "little") for i in range(0, k * w, w)]
-        a = array(code)
-        a.frombytes(b)
-        if _BIG_ENDIAN:
-            a.byteswap()
-        return a
-
-    neg_m = pack([-c % p for c in m[:n]])
-    inv = None  # rev(m)^-1 mod x^(n-1) packed, made at the first product of degree >= n
-
-    def mul_mod(x, length):
-        """The packed product x of `length` slots, mod p and mod m, trimmed."""
-        nonlocal inv
-        c = [v % p for v in slots(x, length)]
-        h = length - n  # quotient coefficients
-        if h > 0:
-            if inv is None:
-                rev, inv_list = m[::-1], [1]  # rev(m) has constant term lc(m) = 1
-                for j in reversed(range((n - 2).bit_length())):
-                    prec = -(-(n - 1) >> j)
-                    t = [-v % p for v in slots(pack(rev[:prec]) * pack(inv_list), prec)]
-                    t[0] = (t[0] + 2) % p
-                    inv_list = [v % p for v in slots(pack(inv_list) * pack(t), prec)]
-                inv = pack(inv_list)
-            q = [v % p for v in slots(pack(c[: n - 1 : -1]) * inv, h)]
-            c = [(a + b) % p for a, b in zip(c, slots(pack(q[::-1]) * neg_m, n))]
-        return zx_trim(c)
-
-    out, base = f, pack(f)
-    for bit in bin(e)[3:]:
-        x = pack(out)
-        out = mul_mod(x * x, 2 * len(out) - 1)
-        if bit == "1" and out:
-            out = mul_mod(pack(out) * base, len(out) + len(f) - 1)
-        if not out:
-            return out
-    return out
+    return _PackedMod(m, p).pow(f, e)
 
 
 def fp_sub(f, g, p):
@@ -361,19 +388,49 @@ def fp_ddf(f, p, bound: int | None = None):
 
     Each entry (g, d) with d <= bound is the product of the deg g / d
     irreducible factors of degree d. With a bound, the search stops after
-    degree bound. The cofactor left over, every irreducible factor of which
-    has degree > bound, comes last as one entry (cofactor, deg cofactor), so
-    fp_edf returns it unsplit. Each step is one packed powering h -> h^p mod
-    the remaining product and one gcd; zx_factor_bounded runs this alone at
-    several primes to read their degrees before it splits anything.
+    degree bound, and the cofactor, whose irreducible factors all have
+    degree > bound, comes last as one entry (cofactor, deg cofactor), which
+    fp_edf returns unsplit.
+
+    At 2 <= bound < deg f / 2, the powers h_i = x^(p^i) mod f are made once,
+    sharing one series inverse. A factor of degree d divides h_i - x exactly
+    when d | i, so the gcd of f with the product of the h_i - x, i <= bound,
+    is the part of f of degree <= bound: one gcd for the interval (von zur
+    Gathen and Shoup, Comput. Complexity 2, 1992). The powers stop early
+    where that product vanishes mod f. Only the part goes through the
+    per-degree steps, with the h_d reduced mod it. Otherwise each step
+    powers h -> h^p mod the remaining product. Each step takes one gcd.
     """
+    n = zx_deg(f)
+    if bound is None or bound < 2 or n <= 2 * bound:
+        return _ddf_steps(f, p, bound, lambda d, h, v: fp_pow_mod(h, p, v, p))
+    ring = _PackedMod(f, p)
+    frobenius, acc = [[0, 1]], [1]
+    # once the product vanishes mod f, every factor degree divides some i made
+    # so far, and the per-degree steps remove every factor before needing more
+    while len(frobenius) <= bound and acc:
+        frobenius.append(ring.pow(frobenius[-1], p))
+        acc = ring.mul(acc, fp_sub(frobenius[-1], [0, 1], p))
+    small = fp_gcd(acc, f, p)
+    if zx_deg(small) == 0:
+        return [(f, n)]
+    frobenius = [fp_divmod(h, small, p)[1] for h in frobenius]
+    out = _ddf_steps(small, p, bound, lambda d, h, v: fp_divmod(frobenius[d], v, p)[1])
+    cofactor = fp_divmod(f, small, p)[0]
+    if zx_deg(cofactor) > 0:
+        out.append((cofactor, zx_deg(cofactor)))
+    return out
+
+
+def _ddf_steps(v, p, bound, frobenius):
+    """The per-degree DDF of a monic squarefree v; frobenius(d, h, v) is x^(p^d) mod v,
+    given h = x^(p^(d-1)) mod v."""
     out = []
-    v = f[:]
     h = [0, 1]
     d = 0
     while zx_deg(v) >= 2 * (d + 1) and (bound is None or d < bound):
         d += 1
-        h = fp_pow_mod(h, p, v, p)
+        h = frobenius(d, h, v)
         g = fp_gcd(fp_sub(h, [0, 1], p), v, p)
         if zx_deg(g) > 0:
             out.append((g, d))
@@ -548,6 +605,29 @@ def _good_primes(f: ZX):
         raise ResourceError("no suitable factorization prime below threshold")
 
 
+def _root_bound(f: ZX) -> int:
+    """B = 2R, R the least power of two with R^i |lc f| >= |f_(n-i)| for 1 <= i <= n.
+
+    Every complex root z of f has |z| < B (Fujiwara, Tohoku Math. J. 10,
+    1916): at |z| >= 2R, sum_i |f_(n-i)| |z|^(n-i) <= |lc f| |z|^n sum_i
+    (R / |z|)^i < |lc f| |z|^n. So a factor of f of degree k, a divisor of
+    lc(f) times k of the linear factors x - z, has coefficients of modulus at
+    most |lc f| (B + 1)^k and constant term at most |lc f| B^k. R is found
+    from bit lengths, with one exact comparison per coefficient.
+    """
+    n = len(f) - 1
+    lc = abs(f[-1])
+    lc_bits = lc.bit_length()
+    r = 0
+    for i in range(1, n + 1):
+        a = abs(f[n - i])
+        if (lc << r * i) < a:
+            r = max(r, -(-(a.bit_length() - lc_bits) // i))
+            if (lc << r * i) < a:
+                r += 1
+    return 2 << r
+
+
 def _lift_target(p: int, need: int) -> tuple[int, int]:
     """(t, p^t) for the least t with p^t >= need."""
     target, pl = 1, p
@@ -571,14 +651,32 @@ def _products(e: int) -> int:
     return e.bit_length() + bin(e).count("1") - 2
 
 
-def _ddf_work(n: int, bound: int, p: int) -> int:
+def _ddf_work(n: int, bound: int, p: int, ddf) -> int:
     """Estimated squarefree test plus bounded DDF of degree n mod p, in packed products.
 
-    The unit is one packed product at degree n. A modular product counts 3,
-    the series inverse of a powering 4, and a gcd at degree m, O(m^2)
-    schoolbook steps, m^2 / (2n), about what they took in Python 3.11.
+    The unit is one packed product at degree n: a modular product counts 3,
+    a series inverse 4, and k schoolbook steps of a gcd or a division
+    k / (2n), about what they took in Python 3.11. The per-degree shape of
+    fp_ddf takes a powering with its own inverse and a gcd at degree n per
+    degree. The one-gcd shape takes bound powerings with one inverse,
+    bound - 1 products and a gcd at degree n; then, for the part of degree
+    <= bound that `ddf` found, the reductions by it and the per-degree gcds
+    on it, replayed from the degrees found.
     """
-    return n // 2 + min(bound, n // 2) * (3 * _products(p) + 4 + n // 2)
+    test = n // 2
+    if bound < 2 or n <= 2 * bound:
+        return test + min(bound, n // 2) * (3 * _products(p) + 4 + n // 2)
+    work = test + 4 + 3 * (bound * _products(p) + bound - 1) + n // 2
+    found = {d: zx_deg(g) for g, d in ddf if d <= bound}
+    m = sum(found.values())
+    if m:
+        work += (bound + 2) * (n - m) * m // (2 * n)
+        for d in range(1, bound + 1):
+            if m < 2 * d:
+                break
+            work += m * m // (2 * n)
+            m -= found.get(d, 0)
+    return work
 
 
 def _split_work(n: int, ddf, bound: int, p: int, steps: int) -> int:
@@ -619,18 +717,21 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     product of the factors of higher degree stays one unsplit modular factor,
     which no recombination can use and which is never lifted. Each modular
     factor of degree <= bound is Hensel-lifted on its own to the least power
-    of p past the coefficient bound, and only subsets whose degree lies in
-    the intersection are recombined. The result does not depend on the
-    primes: the factors are the unique irreducible factors of f of degree
-    <= bound.
+    of p past twice |lc f| times a coefficient bound for the factors of
+    degree <= bound, the lesser of Mignotte's 2^bound ||f||_2 and
+    (B + 1)^bound for the root bound B of _root_bound, and only subsets
+    whose degree lies in the intersection are recombined. The result does
+    not depend on the primes: the factors are the unique irreducible factors
+    of f of degree <= bound.
     """
     f = zx_trim(f[:])
     n = zx_deg(f)
     if n < 1:
         return [], f
     bound = min(bound, n)
-    # Mignotte-style bound for a degree <= bound factor of f, times lc(f)
-    bnd = 2**bound * math.isqrt(zx_l2_norm_sq(f)) + 1
+    # coefficient bound for a degree <= bound factor of f, times lc(f): the
+    # lesser of Mignotte's and the one from the root bound
+    bnd = min(2**bound * math.isqrt(zx_l2_norm_sq(f)) + 1, (_root_bound(f) + 1) ** bound)
     need = 2 * abs(f[-1]) * bnd + 1
     sums, best, spent = -1, None, 0
     for p in _good_primes(f):
@@ -638,7 +739,7 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
         sums &= _degree_sums(ddf, bound)
         if sums == 1:
             return [], f
-        spent += _ddf_work(n, bound, p)
+        spent += _ddf_work(n, bound, p, ddf)
         steps = (_lift_target(p, need)[0] - 1).bit_length()
         work = _split_work(n, ddf, bound, p, steps)
         if best is None or work < best[0]:
@@ -701,9 +802,11 @@ def _trailing_test(f: ZX, constants: list[int], pl: int) -> bool:
     """Whether the candidate lc(f) prod g_i mod pl may divide f, judged by constant terms.
 
     The g_i are the lifted factors, with constant terms `constants`. A true
-    factor G of f = G Q gives the candidate lc(Q) G, whose constant term
-    t = lc(Q) G(0) divides lc(f) f(0) = t lc(G) Q(0); the bound on pl keeps t
-    exact, so no true factor fails. When f(0) = 0 every candidate passes.
+    factor G of f = G Q of degree k gives the candidate lc(Q) G, whose
+    constant term t = lc(Q) G(0) divides lc(f) f(0) = t lc(G) Q(0). Since
+    |t| <= |lc f| B^k for the root bound B, and |t| is at most |lc f| times
+    Mignotte's bound too, pl > 2 |t| keeps t exact, so no true factor fails.
+    When f(0) = 0 every candidate passes.
     """
     if not f[0]:
         return True

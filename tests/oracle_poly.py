@@ -12,18 +12,25 @@ lifts each factor on its own against its cofactor instead.
 product and a schoolbook division at every step. The library packs each
 product into one integer multiplication and reduces through a power series
 inverse of the reversed modulus instead.
+`fp_ddf` is the per-degree distinct-degree factorization: at every degree
+d it powers h -> h^p mod the remaining product and takes one gcd with
+h - x. With a bound, the library finds the whole part of degree <= bound
+with one gcd per prime and runs the per-degree steps on that part alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from twistsel.polyzq import fp_pow_mod as library_pow_mod
 from twistsel.polyzq import (
     ZX,
     _fp_gcdex,
     _zx_trunc,
     fp_divmod,
+    fp_gcd,
     fp_mul,
+    fp_sub,
     zx_add,
     zx_deg,
     zx_mul,
@@ -125,4 +132,32 @@ def fp_pow_mod(f, e: int, m, p: int) -> list[int]:
             out = fp_divmod(fp_mul(out, f, p), m, p)[1]
         f = fp_divmod(fp_mul(f, f, p), m, p)[1]
         e >>= 1
+    return out
+
+
+def fp_ddf(f, p, bound: int | None = None):
+    """Distinct-degree factorization of a monic squarefree f: list of (product, degree).
+
+    Each entry (g, d) with d <= bound is the product of the deg g / d
+    irreducible factors of degree d. With a bound, the search stops after
+    degree bound. The cofactor left over, every irreducible factor of which
+    has degree > bound, comes last as one entry (cofactor, deg cofactor).
+    Each step is one powering h -> h^p mod the remaining product (the
+    library's packed fp_pow_mod, checked against the schoolbook one above)
+    and one gcd.
+    """
+    out = []
+    v = f[:]
+    h = [0, 1]
+    d = 0
+    while zx_deg(v) >= 2 * (d + 1) and (bound is None or d < bound):
+        d += 1
+        h = library_pow_mod(h, p, v, p)
+        g = fp_gcd(fp_sub(h, [0, 1], p), v, p)
+        if zx_deg(g) > 0:
+            out.append((g, d))
+            v = fp_divmod(v, g, p)[0]
+            h = fp_divmod(h, v, p)[1]
+    if zx_deg(v) > 0:
+        out.append((v, zx_deg(v)))
     return out

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +85,25 @@ def test_psi_rational_model_matches_scaled():
         if root is not None:
             P = PointQ(x0, (-s + root) / 2)
             assert point_order(E, P, 3) == 3
+
+
+def test_primitive_division_polynomial_matches_the_rational_one():
+    """The integer route (t_j m^(2j), then the primitive part) against clearing the
+    denominators of division_polynomial's Fraction coefficients."""
+    curves = SAMPLE_CURVES + [
+        CurveQ(0, 0, 0, Fraction(1, 16), Fraction(-1, 64)),
+        CurveQ(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(7, 6), Fraction(-5, 9)),
+        CurveQ(0, 0, 0, 13674069, 324405221670),
+    ]
+    for E in curves:
+        for n in (1, 2, 3, 4, 5, 7, 8, 11, 13):
+            coeffs = division_polynomial(E, n).coeffs
+            den = math.lcm(*(c.denominator for c in coeffs))
+            cleared = [int(c * den) for c in coeffs]
+            content = math.gcd(*cleared)
+            assert division_poly_primitive(E, n) == [c // content for c in cleared], (E, n)
+    with pytest.raises(UnsupportedError):
+        division_poly_primitive(E11A3, 41)
 
 
 def test_finite_field_torsion_oracle():

@@ -4,16 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_poly import fp_ddf as per_degree_ddf
 from oracle_poly import fp_pow_mod as schoolbook_pow_mod
 from oracle_poly import hensel_lift as tree_hensel_lift
 from oracle_poly import sylvester_resultant, zx_eval
+from pinned_outputs import FACTOR_SHAPE_CURVES
 
 from twistsel import polyzq
-from twistsel.curves import CurveQ
+from twistsel.curves import CurveQ, curve_from_string
 from twistsel.divpoly import division_poly_primitive, psi_factor_shape
 from twistsel.errors import InvalidParameterError
 from twistsel.intmath import is_prime
 from twistsel.polyzq import (
+    fp_ddf,
     fp_divmod,
     fp_factor,
     fp_factor_squarefree,
@@ -479,3 +482,202 @@ def test_poly_strings():
             poly_from_string(text)
     with pytest.raises(InvalidParameterError, match="integer coefficient lists only"):
         poly_from_string("[1.5,1]")
+
+
+def _rules_out_roots_from(f, B) -> bool:
+    """|lc| B^n > sum_(i<n) |a_i| B^i, exactly: no root of f has modulus >= B."""
+    n = zx_deg(f)
+    return abs(f[-1]) * B**n > sum(abs(a) * B**i for i, a in enumerate(f[:-1]))
+
+
+def _seeded_wide_polys(count):
+    """Seeded integer polynomials of degree 1 to 90, coefficients up to 2^1200 in modulus."""
+    rng = random.Random(1200)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 90)
+        f = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 1200)) for _ in range(n)]
+        f.append(rng.choice((-1, 1)) * (1 + rng.getrandbits(rng.randint(0, 1200))))
+        out.append(f)
+    return out
+
+
+def test_root_bound_rules_out_every_larger_root():
+    """B = 2R, R the least power of two with R^i |lc| >= |a_(n-i)|, and the exact
+    inequality at B that puts every root inside |z| < B."""
+    polys = [
+        division_poly_primitive(curve_from_string(c), ell)
+        for c in FACTOR_SHAPE_CURVES
+        for ell in (3, 5, 7, 11, 13)
+    ]
+    polys += _seeded_wide_polys(200)
+    polys += [[0, 1], [5, 1], [0, 0, 0, 7], [-(2**1200), 3]]
+    for f in polys:
+        B = polyzq._root_bound(f)
+        R, n, lc = B // 2, zx_deg(f), abs(f[-1])
+        assert B == 2 * R and R & (R - 1) == 0
+        assert all(R**i * lc >= abs(f[n - i]) for i in range(1, n + 1))
+        if R > 1:  # R is the least such power of two
+            assert any((R // 2) ** i * lc < abs(f[n - i]) for i in range(1, n + 1))
+        assert _rules_out_roots_from(f, B), f
+
+
+def test_root_bound_covers_known_integer_roots():
+    rng = random.Random(16)
+    for _ in range(300):
+        roots = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 80)) for _ in range(rng.randint(1, 12))]
+        f = [rng.choice((1, 2, -3, 7))]
+        for r in roots:
+            f = zx_mul(f, [-r, 1])
+        assert polyzq._root_bound(f) > max(abs(r) for r in roots), roots
+
+
+def _near_bound_product(seed):
+    """A squarefree product whose small factors have roots of modulus near B / 2.
+
+    Roots +-r with r just below a power of two make R that power of two, so
+    the roots sit near B / 2 = R and the lifted candidates lc(Q) G of the
+    factors carrying them come close to the coefficient bound. Some inputs
+    are not monic; 3x^n - 2 carries modular factors above any bound.
+    """
+    rng = random.Random(seed)
+    r = 2 ** rng.randint(4, 60) - rng.randint(1, 5)
+    s = r - rng.randint(1, 3)
+    # pairwise coprime and irreducible: x^2 + (r + s) x + rs - 1 has discriminant
+    # (r - s)^2 + 4 in {5, 8, 13}, and r^3 + 1 lies strictly between two cubes
+    small = [[-r, 1], [r, 1], [-s, rng.choice((1, 3))], [s * s, 0, 1], [r * s - 1, r + s, 1]]
+    small.append([-(r**3) - 1, 0, 0, 1])
+    f = [-2] + [0] * (rng.randint(8, 20) - 1) + [3]
+    for g in rng.sample(small, k=rng.randint(2, 4)):
+        f = zx_mul(f, g)
+    return f
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_factorization_near_the_root_bound_matches_sympy(seed):
+    pytest.importorskip("sympy")
+    f = _near_bound_product(seed)
+    c, parts = _factor_list_sympy(f)
+    assert all(m == 1 for _, m in parts)
+    assert zx_factor(f) == (c, parts)
+    for bound in (1, 2, 3, 6):
+        factors, residual = zx_factor_bounded(f, bound)
+        assert factors == [g for g, _ in parts if zx_deg(g) <= bound]
+        rebuilt = residual
+        for g in factors:
+            rebuilt = zx_mul(rebuilt, g)
+        assert rebuilt == f
+
+
+def _seeded_squarefree(rng, p, n, max_factor_degree=None):
+    """A monic squarefree polynomial mod p: random of degree n, or a product of random
+    monic factors of degree <= max_factor_degree, of degree n where F_p has enough
+    of them (a factor that would repeat one already taken is drawn again, 200 times
+    at most)."""
+    if max_factor_degree is None:
+        while True:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            if fp_is_squarefree(f, p):
+                return f
+    f = [1]
+    for _ in range(200):
+        if zx_deg(f) >= n:
+            break
+        k = rng.randint(1, min(max_factor_degree, n - zx_deg(f)))
+        g = fp_mul(f, [rng.randrange(p) for _ in range(k)] + [1], p)
+        if fp_is_squarefree(g, p):
+            f = g
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 10007])
+def test_bounded_ddf_matches_the_per_degree_oracle(p):
+    """The one-gcd bounded DDF against the per-degree DDF, seeded squarefree inputs of
+    degree 2 to 90: random ones, ones whose factors all have degree <= bound, and
+    ones of degree <= 2 bound."""
+    rng = random.Random(p)
+    for bound in (1, 2, 3, 6, 12):
+        cases = [_seeded_squarefree(rng, p, n) for n in (2, 5, 2 * bound, 2 * bound + 1, 40, 84, 90)]
+        cases += [_seeded_squarefree(rng, p, n, bound) for n in (2 * bound + 1, 30, 84)]
+        cases += [_seeded_squarefree(rng, p, n, k) for n, k in ((60, bound + 2), (rng.randint(2, 90), 3))]
+        for f in cases:
+            if zx_deg(f) >= 2:
+                assert fp_ddf(f, p, bound) == per_degree_ddf(f, p, bound), (bound, f)
+
+
+def test_lift_target_follows_the_root_bound(monkeypatch):
+    """E13's psi_13 has coefficients of 1127 bits but two cubic factors of 40 bits: at
+    bound 6 the lift stops at p^t with t <= 60, not at Mignotte's 5^490."""
+    targets = []
+    lift = polyzq.hensel_lift
+    monkeypatch.setattr(
+        polyzq, "hensel_lift", lambda p, f, fs, t: targets.append((p, t)) or lift(p, f, fs, t)
+    )
+    shape = psi_factor_shape(CurveQ(0, 0, 0, 13674069, 324405221670), 13, 6)
+    assert [k for k, _ in shape.factors] == [3, 3]
+    assert len(targets) == 1 and targets[0][1] <= 60
+
+
+def test_bounded_ddf_takes_one_gcd_at_full_degree_per_prime(monkeypatch):
+    """psi_13 of curve 26 at bound 6: besides the squarefree test, the DDF at 5, where
+    no factor has degree <= 6, takes one gcd at degree 84, not one per degree. At 3
+    every factor has degree 2 or 6, so x^(3^6) = x mod f, the product vanishes and
+    its gcd with f is f at no cost; the per-degree steps on all of f then take two
+    gcds at degree 84 (degrees 1 and 2, before the quadratic factors leave) and
+    four at degree 78."""
+    psi = division_poly_primitive(CurveQ(1, -1, 1, -3, 3), 13)
+    gcds = []  # (p, inside fp_ddf, the larger degree) of each gcd
+    inside = []
+    gcd, ddf = polyzq.fp_gcd, polyzq.fp_ddf
+
+    def spy_gcd(f, g, p):
+        gcds.append((p, bool(inside), max(zx_deg(fp_norm(f, p)), zx_deg(fp_norm(g, p)))))
+        return gcd(f, g, p)
+
+    def spy_ddf(f, p, bound=None):
+        inside.append(p)
+        try:
+            return ddf(f, p, bound)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(polyzq, "fp_gcd", spy_gcd)
+    monkeypatch.setattr(polyzq, "fp_ddf", spy_ddf)
+    assert zx_factor_bounded(psi, 6) == ([], psi)
+    assert gcds == [(3, False, 84)] + [(3, True, 84)] * 3 + [(3, True, 78)] * 4 + [
+        (5, False, 84),
+        (5, True, 84),
+    ]
+
+
+@pytest.mark.parametrize(
+    "curve, ell, p, bound",
+    [("[1,-1,1,-3,3]", 13, 3, 6), ("[0,0,0,1,0]", 13, 3, 12), ("[1,-1,1,-3,3]", 13, 7, 6)],
+)
+def test_bounded_ddf_powers_each_frobenius_once(monkeypatch, curve, ell, p, bound):
+    """x^(p^i) mod f is made once for each i <= bound, and the per-degree steps on the
+    part of degree <= bound power nothing: that part is all of f in the first two
+    cases, 12 of 84 degrees in the third. In the second every factor has degree 6,
+    so x^(3^6) = x mod f and no higher power is made."""
+    f = fp_monic(division_poly_primitive(curve_from_string(curve), ell), p)
+    calls = []  # (input, exponent, output) of each powering
+    power = polyzq._PackedMod.pow
+
+    def spy(self, g, e):
+        h = power(self, g, e)
+        calls.append((g, e, h))
+        return h
+
+    def refuse(*args):
+        raise AssertionError("powered mod a factor of f")
+
+    monkeypatch.setattr(polyzq._PackedMod, "pow", spy)
+    monkeypatch.setattr(polyzq, "fp_pow_mod", refuse)
+    ddf = fp_ddf(f, p, bound)
+    assert sum(zx_deg(g) for g, d in ddf if d <= bound) > 0
+    # x -> x^p -> x^(p^2) -> ...: each power raises the one before
+    assert len(calls) == (6 if curve == "[0,0,0,1,0]" else bound)
+    assert all(e == p for _, e, _ in calls)
+    assert [g for g, _, _ in calls] == [[0, 1]] + [h for _, _, h in calls[:-1]]
+    monkeypatch.undo()
+    assert ddf == per_degree_ddf(f, p, bound)

@@ -145,13 +145,19 @@ def test_search_pool_takes_over_mid_scan(monkeypatch):
 
 def test_search_short_scan_starts_no_pool(monkeypatch):
     # the 400-wide windows of curve 26 from |d| = 2050 do about 25 ms of row
-    # work in all, well below the pool's break-even
+    # work in all, well below the pool's break-even. A clock that advances
+    # 0.4 ms per reading pins that pace, whatever the load on the host: the
+    # scan reads it at its start and after each d, so the estimate after the
+    # k-th of its 64 candidates is 0.4 ms x (64 - k) < 60 ms
     def no_pool(*args, **kwargs):
         raise AssertionError("a short scan started the pool")
 
+    ticks = itertools.count()
+    monkeypatch.setattr(search, "perf_counter", lambda: 0.0004 * next(ticks))
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
     rows = search_twists(E26, 7, -2449, -2050, jobs=2)
+    assert next(ticks) == 64  # read at the start and after each d but the last
     assert rows == search_twists(E26, 7, -2449, -2050, jobs=1)
 
 
