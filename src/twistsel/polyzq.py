@@ -7,14 +7,16 @@ multiplication, and reduce by the modulus through a power series inverse of
 its reverse, made once per modulus. The factorizer is Zassenhaus-style and
 does only the work its degree bound can use:
 
-- distinct-degree factorization stops at the bound: one gcd of f with the
-  product of the x^(p^i) - x, i <= bound, finds the part of f whose factors
-  have degree <= bound, and the per-degree gcds run on that part alone;
-- it runs alone at successive good primes; the sets of subset sums of the
-  degrees it finds are intersected, and when only 0 is left nothing is
-  split or lifted;
-- the analysis stops once the estimated splitting and lifting work at the
-  best prime so far is no more than the distinct-degree work spent;
+- distinct-degree factorization makes x^(p^i) mod f once for each i up to
+  the bound (or deg f / 2): one gcd of f with the product of the x^(p^i) - x
+  finds the part of f whose factors have degree <= bound, and the
+  per-degree gcds run on that part alone;
+- it runs at the first good prime, and at a second only when the first
+  leaves every modular factor of degree <= bound and at least three of them;
+  the sets of subset sums of the degrees it finds are intersected, and when
+  only 0 is left nothing is split or lifted;
+- of the primes read, the one with fewer modular factors of degree <= bound
+  is used, the first on a tie; no cost estimate enters the choice;
 - at that prime only the factors of degree <= bound are split by
   equal-degree factorization; the product of the factors of higher degree
   stays one unsplit modular factor;
@@ -346,26 +348,6 @@ class _PackedMod:
         return out
 
 
-def fp_pow_mod(f, e, m, p):
-    """f^e mod m over F_p, for a prime p and a nonzero m mod p; nonnegative e.
-
-    The products are packed integer products reduced through a series
-    inverse of rev(m), made once per call (_PackedMod).
-    """
-    m = fp_monic(m, p)
-    n = len(m) - 1
-    if n < 0:
-        raise InvalidParameterError("division by zero polynomial")
-    f = fp_divmod(f, m, p)[1]
-    if e == 0 and n:
-        return [1]
-    if not f or n == 0:
-        return []
-    if n == 1:
-        return [pow(f[0], e, p)]
-    return _PackedMod(m, p).pow(f, e)
-
-
 def fp_sub(f, g, p):
     return fp_norm(zx_sub(f, g), p)
 
@@ -390,54 +372,42 @@ def fp_ddf(f, p, bound: int | None = None):
     irreducible factors of degree d. With a bound, the search stops after
     degree bound, and the cofactor, whose irreducible factors all have
     degree > bound, comes last as one entry (cofactor, deg cofactor), which
-    fp_edf returns unsplit.
+    fp_edf returns unsplit. Without one, it stops after degree n / 2, where
+    at most one factor is left.
 
-    At 2 <= bound < deg f / 2, the powers h_i = x^(p^i) mod f are made once,
-    sharing one series inverse. A factor of degree d divides h_i - x exactly
-    when d | i, so the gcd of f with the product of the h_i - x, i <= bound,
-    is the part of f of degree <= bound: one gcd for the interval (von zur
-    Gathen and Shoup, Comput. Complexity 2, 1992). The powers stop early
-    where that product vanishes mod f. Only the part goes through the
-    per-degree steps, with the h_d reduced mod it. Otherwise each step
-    powers h -> h^p mod the remaining product. Each step takes one gcd.
+    The powers h_i = x^(p^i) mod f are made once, for i <= top = min(bound,
+    n / 2), sharing one series inverse. A factor of degree d divides h_i - x
+    exactly when d | i, so the gcd of f with the product of the h_i - x is
+    the part of f of degree <= top: one gcd for the interval (von zur Gathen
+    and Shoup, Comput. Complexity 2, 1992). The powers stop early, at i =
+    last, where that product vanishes mod f. The per-degree gcds run on the
+    part alone, with the h_d reduced mod it, for d < last: what is left then
+    has degree last, or is one irreducible factor, and takes no gcd.
     """
     n = zx_deg(f)
-    if bound is None or bound < 2 or n <= 2 * bound:
-        return _ddf_steps(f, p, bound, lambda d, h, v: fp_pow_mod(h, p, v, p))
+    top = n // 2 if bound is None else min(bound, n // 2)
+    if top < 1:
+        return [(f, n)] if n > 0 else []
     ring = _PackedMod(f, p)
     frobenius, acc = [[0, 1]], [1]
-    # once the product vanishes mod f, every factor degree divides some i made
-    # so far, and the per-degree steps remove every factor before needing more
-    while len(frobenius) <= bound and acc:
+    while len(frobenius) <= top and acc:
         frobenius.append(ring.pow(frobenius[-1], p))
         acc = ring.mul(acc, fp_sub(frobenius[-1], [0, 1], p))
-    small = fp_gcd(acc, f, p)
-    if zx_deg(small) == 0:
-        return [(f, n)]
-    frobenius = [fp_divmod(h, small, p)[1] for h in frobenius]
-    out = _ddf_steps(small, p, bound, lambda d, h, v: fp_divmod(frobenius[d], v, p)[1])
-    cofactor = fp_divmod(f, small, p)[0]
-    if zx_deg(cofactor) > 0:
-        out.append((cofactor, zx_deg(cofactor)))
-    return out
-
-
-def _ddf_steps(v, p, bound, frobenius):
-    """The per-degree DDF of a monic squarefree v; frobenius(d, h, v) is x^(p^d) mod v,
-    given h = x^(p^(d-1)) mod v."""
+    last = len(frobenius) - 1
+    v = fp_gcd(acc, f, p)
+    cofactor = fp_divmod(f, v, p)[0]
     out = []
-    h = [0, 1]
     d = 0
-    while zx_deg(v) >= 2 * (d + 1) and (bound is None or d < bound):
+    while d + 1 < last and zx_deg(v) >= 2 * (d + 1):
         d += 1
-        h = frobenius(d, h, v)
-        g = fp_gcd(fp_sub(h, [0, 1], p), v, p)
+        g = fp_gcd(fp_sub(fp_divmod(frobenius[d], v, p)[1], [0, 1], p), v, p)
         if zx_deg(g) > 0:
             out.append((g, d))
             v = fp_divmod(v, g, p)[0]
-            h = fp_divmod(h, v, p)[1]
     if zx_deg(v) > 0:
-        out.append((v, zx_deg(v)))
+        out.append((v, min(zx_deg(v), last)))
+    if zx_deg(cofactor) > 0:
+        out.append((cofactor, zx_deg(cofactor)))
     return out
 
 
@@ -446,6 +416,7 @@ def fp_edf(f, d, p, rng: random.Random):
     n = zx_deg(f)
     if n == d:
         return [f]
+    ring = _PackedMod(f, p)
     while True:
         r = fp_norm([rng.randrange(p) for _ in range(n)], p)
         if zx_deg(r) < 1:
@@ -454,13 +425,12 @@ def fp_edf(f, d, p, rng: random.Random):
         if not 0 < zx_deg(g) < n:
             if p == 2:
                 # trace map: r + r^2 + r^4 + ... + r^(2^(d-1)) mod f
-                acc = r[:]
-                h = r[:]
+                acc = h = r
                 for _ in range(d - 1):
-                    acc = fp_pow_mod(acc, 2, f, 2)
+                    acc = ring.pow(acc, 2)
                     h = fp_norm(zx_add(h, acc), 2)
             else:
-                h = fp_sub(fp_pow_mod(r, (p**d - 1) // 2, f, p), [1], p)
+                h = fp_sub(ring.pow(r, (p**d - 1) // 2), [1], p)
             g = fp_gcd(h, f, p)
             if not 0 < zx_deg(g) < n:
                 continue
@@ -646,74 +616,23 @@ def _degree_sums(ddf, bound: int) -> int:
     return sums
 
 
-def _products(e: int) -> int:
-    """Modular products in the binary powering to exponent e."""
-    return e.bit_length() + bin(e).count("1") - 2
-
-
-def _ddf_work(n: int, bound: int, p: int, ddf) -> int:
-    """Estimated squarefree test plus bounded DDF of degree n mod p, in packed products.
-
-    The unit is one packed product at degree n: a modular product counts 3,
-    a series inverse 4, and k schoolbook steps of a gcd or a division
-    k / (2n), about what they took in Python 3.11. The per-degree shape of
-    fp_ddf takes a powering with its own inverse and a gcd at degree n per
-    degree. The one-gcd shape takes bound powerings with one inverse,
-    bound - 1 products and a gcd at degree n; then, for the part of degree
-    <= bound that `ddf` found, the reductions by it and the per-degree gcds
-    on it, replayed from the degrees found.
-    """
-    test = n // 2
-    if bound < 2 or n <= 2 * bound:
-        return test + min(bound, n // 2) * (3 * _products(p) + 4 + n // 2)
-    work = test + 4 + 3 * (bound * _products(p) + bound - 1) + n // 2
-    found = {d: zx_deg(g) for g, d in ddf if d <= bound}
-    m = sum(found.values())
-    if m:
-        work += (bound + 2) * (n - m) * m // (2 * n)
-        for d in range(1, bound + 1):
-            if m < 2 * d:
-                break
-            work += m * m // (2 * n)
-            m -= found.get(d, 0)
-    return work
-
-
-def _split_work(n: int, ddf, bound: int, p: int, steps: int) -> int:
-    """Estimated EDF plus Hensel work for the factors of degree <= bound, in packed products.
-
-    Splitting a product of k factors of degree d takes about log2 k + 1
-    powerings to (p^d - 1) / 2 and gcds at its degree m; lifting a factor of
-    degree m takes `steps` Newton steps of O(n m) schoolbook steps each.
-    """
-    work = 0
-    for g, d in ddf:
-        m = zx_deg(g)
-        if d > bound:
-            continue
-        k = m // d
-        if k > 1:
-            powering = ((3 * _products((p**d - 1) // 2) + 4) * m + m * m) // n
-            work += k.bit_length() * powering
-        work += m * steps
-    return work
-
-
 def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     """Irreducible factors of degree <= bound of a primitive squarefree f, plus cofactor.
 
     Returns (factors, residual) with prod(factors) * residual = f exactly. The
     factors are primitive with positive leading coefficient, sorted.
 
-    The work follows the bound. Only the bounded DDF runs at successive good
+    The work follows the bound. Only the bounded DDF runs at one or two good
     primes, least first: a factor of f over Q of degree k <= bound is a
     product of modular factors of total degree k at every prime, so k lies in
     the intersection of their sets of subset sums of degrees <= bound
     (Musser's degree analysis). When that leaves only 0, f has no factor of
-    degree <= bound and nothing is split or lifted. Otherwise the analysis
-    stops once the estimated EDF plus Hensel work at the best prime so far is
-    no more than the DDF work spent, which after the first prime is one more
-    DDF. Only that prime splits its modular factors of degree <= bound; the
+    degree <= bound and nothing is split or lifted. A second prime is read
+    only when the first leaves no modular factor of degree > bound and at
+    least three of degree <= bound, and a third never: only then can a
+    second degree set rule out every factor, or leave fewer factors to split
+    and lift, at the cost of one more DDF. Only the prime with fewer
+    modular factors of degree <= bound, the first on a tie, splits them; the
     product of the factors of higher degree stays one unsplit modular factor,
     which no recombination can use and which is never lifted. Each modular
     factor of degree <= bound is Hensel-lifted on its own to the least power
@@ -733,23 +652,19 @@ def zx_factor_bounded(f: ZX, bound: int) -> tuple[list[ZX], ZX]:
     # lesser of Mignotte's and the one from the root bound
     bnd = min(2**bound * math.isqrt(zx_l2_norm_sq(f)) + 1, (_root_bound(f) + 1) ** bound)
     need = 2 * abs(f[-1]) * bnd + 1
-    sums, best, spent = -1, None, 0
+    sums, reads = -1, []
     for p in _good_primes(f):
         ddf = fp_ddf(fp_monic(f, p), p, bound)
         sums &= _degree_sums(ddf, bound)
         if sums == 1:
             return [], f
-        spent += _ddf_work(n, bound, p, ddf)
-        steps = (_lift_target(p, need)[0] - 1).bit_length()
-        work = _split_work(n, ddf, bound, p, steps)
-        if best is None or work < best[0]:
-            best = (work, p, ddf)
-        if best[0] <= spent:
+        small = [(g, d) for g, d in ddf if d <= bound]
+        reads.append((sum(zx_deg(g) // d for g, d in small), p, small))
+        if len(reads) == 2 or len(small) < len(ddf) or reads[0][0] < 3:
             break
-    _, p, ddf = best
-    small = _fp_split([(g, d) for g, d in ddf if d <= bound], p)
+    _, p, small = min(reads, key=lambda r: r[0])
     target, pl = _lift_target(p, need)
-    lifted = hensel_lift(p, f, small, target)
+    lifted = hensel_lift(p, f, _fp_split(small, p), target)
     return _recombine(f, lifted, pl, bound, sums)
 
 

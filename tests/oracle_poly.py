@@ -9,26 +9,30 @@ step lifts a factorization f = g h together with its Bezout pair, and the
 tree splits where the running degree reaches half of deg f. The library
 lifts each factor on its own against its cofactor instead.
 `fp_pow_mod` is right-to-left binary powering in F_p[x] with a schoolbook
-product and a schoolbook division at every step. The library packs each
-product into one integer multiplication and reduces through a power series
-inverse of the reversed modulus instead.
+product and a schoolbook division at every step. `packed_pow_mod` powers
+through the library's packed products instead: each product is one integer
+multiplication, reduced through a power series inverse of the reversed
+modulus.
 `fp_ddf` is the per-degree distinct-degree factorization: at every degree
 d it powers h -> h^p mod the remaining product and takes one gcd with
-h - x. With a bound, the library finds the whole part of degree <= bound
-with one gcd per prime and runs the per-degree steps on that part alone.
+h - x. The library makes the powers mod f once, finds the whole part of
+degree <= min(bound, n / 2) with one gcd and runs the per-degree gcds on
+that part alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from twistsel.polyzq import fp_pow_mod as library_pow_mod
+from twistsel.errors import InvalidParameterError
 from twistsel.polyzq import (
     ZX,
     _fp_gcdex,
+    _PackedMod,
     _zx_trunc,
     fp_divmod,
     fp_gcd,
+    fp_monic,
     fp_mul,
     fp_sub,
     zx_add,
@@ -135,6 +139,26 @@ def fp_pow_mod(f, e: int, m, p: int) -> list[int]:
     return out
 
 
+def packed_pow_mod(f, e, m, p):
+    """f^e mod m over F_p, for a prime p and a nonzero m mod p; nonnegative e.
+
+    The products are the library's packed integer products, reduced through
+    a series inverse of rev(m) made once per call (polyzq._PackedMod).
+    """
+    m = fp_monic(m, p)
+    n = len(m) - 1
+    if n < 0:
+        raise InvalidParameterError("division by zero polynomial")
+    f = fp_divmod(f, m, p)[1]
+    if e == 0 and n:
+        return [1]
+    if not f or n == 0:
+        return []
+    if n == 1:
+        return [pow(f[0], e, p)]
+    return _PackedMod(m, p).pow(f, e)
+
+
 def fp_ddf(f, p, bound: int | None = None):
     """Distinct-degree factorization of a monic squarefree f: list of (product, degree).
 
@@ -142,9 +166,9 @@ def fp_ddf(f, p, bound: int | None = None):
     irreducible factors of degree d. With a bound, the search stops after
     degree bound. The cofactor left over, every irreducible factor of which
     has degree > bound, comes last as one entry (cofactor, deg cofactor).
-    Each step is one powering h -> h^p mod the remaining product (the
-    library's packed fp_pow_mod, checked against the schoolbook one above)
-    and one gcd.
+    Each step is one powering h -> h^p mod the remaining product (by
+    packed_pow_mod, checked against the schoolbook fp_pow_mod above) and
+    one gcd.
     """
     out = []
     v = f[:]
@@ -152,7 +176,7 @@ def fp_ddf(f, p, bound: int | None = None):
     d = 0
     while zx_deg(v) >= 2 * (d + 1) and (bound is None or d < bound):
         d += 1
-        h = library_pow_mod(h, p, v, p)
+        h = packed_pow_mod(h, p, v, p)
         g = fp_gcd(fp_sub(h, [0, 1], p), v, p)
         if zx_deg(g) > 0:
             out.append((g, d))

@@ -10,7 +10,11 @@ JSON lines for the FACTOR_SHAPE_CURVES, in order, each at the FACTOR_SHAPE_ARGS
 (ell, degree bound) pairs, in order. TORSION_FIELD_SHA256 is the SHA-256 of
 `twistsel torsion-field` on curve 26 for TORSION_FIELD_FACTOR, the degree-12
 factor of its psi_5 (a degree-24 tower). Refactors of bounded Zassenhaus must
-keep both.
+keep both. FACTOR_SHAPE_GRID_SHA256 is the same digest over the whole grid: the
+FACTOR_SHAPE_CURVES, in order, each at every ell of FACTOR_SHAPE_GRID_ELLS
+and, within it, every bound of FACTOR_SHAPE_GRID_BOUNDS. The degree analysis
+reads different primes on some of these calls than on the FACTOR_SHAPE_ARGS
+ones, so refactors of its stop rule must keep it too.
 
 CLASSGROUP_SHA256 is the SHA-256 of "<exit code>:<stdout>" of `twistsel
 classgroup --D D` for every D from -3 down to -3000, in that order (D = 2, 3
@@ -96,6 +100,9 @@ FACTOR_SHAPE_CURVES = (
 )
 FACTOR_SHAPE_ARGS = ((5, 1), (7, 6), (13, 12))
 FACTOR_SHAPE_SHA256 = "98fcbfc01306227ccc465e30d7b2daf072efd0d72b4535ae96294441871fe9b7"
+FACTOR_SHAPE_GRID_ELLS = (3, 5, 7, 11, 13)
+FACTOR_SHAPE_GRID_BOUNDS = (1, 2, 3, 6, 12)
+FACTOR_SHAPE_GRID_SHA256 = "1075c73986d6d5330ac80a3078c2feb60a48dae75d6fc5ab6847a8ab3105c084"
 
 TORSION_FIELD_FACTOR = "[-10945,12285,26150,-61715,49015,-20358,4380,2370,-3435,1385,-146,-15,5]"
 TORSION_FIELD_SHA256 = "42b07b785f5a3ea4ff71363a4768986d0583480acf7be49dc5c27f68800627aa"

@@ -15,6 +15,9 @@ from pinned_outputs import (
     EXPLAIN_SHA256,
     FACTOR_SHAPE_ARGS,
     FACTOR_SHAPE_CURVES,
+    FACTOR_SHAPE_GRID_BOUNDS,
+    FACTOR_SHAPE_GRID_ELLS,
+    FACTOR_SHAPE_GRID_SHA256,
     FACTOR_SHAPE_SHA256,
     RAYCLASS_ARGS,
     RAYCLASS_SHA256,
@@ -121,6 +124,20 @@ def test_factor_shapes_and_tower_are_pinned(capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TORSION_FIELD_SHA256
+
+
+def test_factor_shape_grid_is_pinned(capsys):
+    outs = []
+    for curve in FACTOR_SHAPE_CURVES:
+        for ell in FACTOR_SHAPE_GRID_ELLS:
+            for bound in FACTOR_SHAPE_GRID_BOUNDS:
+                code, out, _ = run_cli(
+                    capsys, "factor-shape", "--curve", curve, "--ell", str(ell),
+                    "--degree-bound", str(bound),
+                )
+                assert code == 0
+                outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == FACTOR_SHAPE_GRID_SHA256
 
 
 def test_classgroup(capsys):

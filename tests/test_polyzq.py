@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracle_poly import fp_ddf as per_degree_ddf
 from oracle_poly import fp_pow_mod as schoolbook_pow_mod
 from oracle_poly import hensel_lift as tree_hensel_lift
-from oracle_poly import sylvester_resultant, zx_eval
+from oracle_poly import packed_pow_mod, sylvester_resultant, zx_eval
 from pinned_outputs import FACTOR_SHAPE_CURVES
 
 from twistsel import polyzq
@@ -24,7 +24,6 @@ from twistsel.polyzq import (
     fp_monic,
     fp_mul,
     fp_norm,
-    fp_pow_mod,
     hensel_lift,
     poly_from_string,
     resultant_eliminate,
@@ -226,6 +225,77 @@ def test_rational_torsion_factoring_reads_one_prime(monkeypatch, a, ell):
     assert primes_used == _first_good_primes(psi, 1)
 
 
+def _spy_primes(monkeypatch):
+    """Record the primes zx_factor_bounded reads, and the prime it lifts at."""
+    primes_used, lifted_at = _spy_ddf(monkeypatch), []
+    lift = polyzq.hensel_lift
+    monkeypatch.setattr(
+        polyzq, "hensel_lift", lambda p, f, fs, t: lifted_at.append(p) or lift(p, f, fs, t)
+    )
+    return primes_used, lifted_at
+
+
+E13 = "[0,0,0,13674069,324405221670]"
+
+
+def _e13_cubic():
+    """The cubic factor of E13's psi_13 whose field the golden suite builds."""
+    shape = psi_factor_shape(curve_from_string(E13), 13, 6)
+    return next(list(g) for deg, g in shape.factors if deg == 3)
+
+
+@pytest.mark.parametrize(
+    "curve, ell, bound, read, lifted",
+    [
+        # check, search on 11a3 and verify-paper-examples: rational 5-torsion
+        ("[0,-1,1,0,0]", 5, 1, [3], [3]),
+        # search on curve 26: rational 7-torsion
+        ("[1,-1,1,-3,3]", 7, 1, [3], [3]),
+        # paper-examples: verify-paper-examples and the pinned factor shapes
+        (E13, 13, 6, [5], [5]),
+        (E13, "cubic", 3, [5], [5]),
+        ("[0,-1,1,0,0]", 11, 6, [3], [3]),
+        ("[0,-1,1,0,0]", 13, 6, [3], []),
+        ("[1,-1,1,-3,3]", 11, 6, [3], []),
+        ("[1,-1,1,-3,3]", 13, 6, [3, 5], []),
+    ],
+    ids=["11a3-psi5", "26-psi7", "E13-psi13", "E13-cubic", "11a3-psi11", "11a3-psi13",
+         "26-psi11", "26-psi13"],
+)
+def test_workload_factoring_reads_the_pinned_primes(monkeypatch, curve, ell, bound, read, lifted):
+    """Every factoring call of the benchmark workloads reads these primes and lifts at
+    this one (none when the degree sets rule out a factor of degree <= bound)."""
+    f = _e13_cubic() if ell == "cubic" else division_poly_primitive(curve_from_string(curve), ell)
+    primes_used, lifted_at = _spy_primes(monkeypatch)
+    zx_factor_bounded(f, bound)
+    assert (primes_used, lifted_at) == (read, lifted)
+
+
+@pytest.mark.parametrize(
+    "curve, ell, bound, lifted",
+    [("[0,0,0,1,0]", 13, 12, 5), ("[1,-1,1,-3,3]", 7, 6, 3)],
+    ids=["fewer-at-5", "tie"],
+)
+def test_degree_analysis_lifts_at_the_prime_with_fewer_small_factors(
+    monkeypatch, curve, ell, bound, lifted
+):
+    """Both primes leave every modular factor of degree <= bound, so the analysis reads
+    two, and splits and lifts at the one with fewer factors, the first on a tie. psi_13
+    of [0,0,0,1,0] has 14 sextic factors mod 3 against 9 factors mod 5 (two cubic, one
+    sextic, six of degree 12); psi_7 of curve 26 has 7 factors of degree <= 6 mod 3
+    and mod 5."""
+    f = division_poly_primitive(curve_from_string(curve), ell)
+    counts = []
+    for p in (3, 5):
+        ddf = fp_ddf(fp_monic(f, p), p, bound)
+        assert all(d <= bound for _, d in ddf)
+        counts.append(sum(zx_deg(g) // d for g, d in ddf))
+    assert counts == ([14, 9] if lifted == 5 else [7, 7])
+    primes_used, lifted_at = _spy_primes(monkeypatch)
+    zx_factor_bounded(f, bound)
+    assert (primes_used, lifted_at) == ([3, 5], [lifted])
+
+
 def test_recombination_skips_subsets_outside_the_degree_set():
     degs = {0: 1, 1: 1, 2: 2, 3: 3}
     sums = 1 | 1 << 3  # only degree 3 survived the degree analysis
@@ -248,9 +318,9 @@ def test_packed_powering_matches_schoolbook(p):
             f = [rng.randrange(-p, 2 * p) for _ in range(rng.randint(0, 2 * n + 2))]
             d = 1 + n % 2
             for e in (0, 1, p, (p**d - 1) // 2):
-                assert fp_pow_mod(f, e, m, p) == schoolbook_pow_mod(f, e, m, p), (n, monic, e)
+                assert packed_pow_mod(f, e, m, p) == schoolbook_pow_mod(f, e, m, p), (n, monic, e)
     # a product that vanishes mod m: x^3 = 0 mod x^2
-    assert fp_pow_mod([0, 1], 3, [0, 0, 1], p) == schoolbook_pow_mod([0, 1], 3, [0, 0, 1], p) == []
+    assert packed_pow_mod([0, 1], 3, [0, 0, 1], p) == schoolbook_pow_mod([0, 1], 3, [0, 0, 1], p) == []
 
 
 def _factor_list_sympy(f):
@@ -592,9 +662,10 @@ def _seeded_squarefree(rng, p, n, max_factor_degree=None):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 10007])
 def test_bounded_ddf_matches_the_per_degree_oracle(p):
-    """The one-gcd bounded DDF against the per-degree DDF, seeded squarefree inputs of
-    degree 2 to 90: random ones, ones whose factors all have degree <= bound, and
-    ones of degree <= 2 bound."""
+    """fp_ddf against the per-degree DDF, seeded squarefree inputs of degree 2 to 90:
+    random ones, ones whose factors all have degree <= bound, and ones of degree
+    <= 2 bound. Bound None and bound > n / 2 are the path that fp_factor and
+    zx_factor take; bound 0 finds nothing."""
     rng = random.Random(p)
     for bound in (1, 2, 3, 6, 12):
         cases = [_seeded_squarefree(rng, p, n) for n in (2, 5, 2 * bound, 2 * bound + 1, 40, 84, 90)]
@@ -603,6 +674,13 @@ def test_bounded_ddf_matches_the_per_degree_oracle(p):
         for f in cases:
             if zx_deg(f) >= 2:
                 assert fp_ddf(f, p, bound) == per_degree_ddf(f, p, bound), (bound, f)
+    for bound in (None, 40):
+        cases = [_seeded_squarefree(rng, p, n) for n in (2, 3, 33, 61)]
+        cases += [_seeded_squarefree(rng, p, n, k) for n, k in ((12, 1), (40, 4))]
+        for f in cases:
+            assert fp_ddf(f, p, bound) == per_degree_ddf(f, p, bound), (bound, f)
+    for f in [[1], [rng.randrange(p), 1], _seeded_squarefree(rng, p, 12)]:
+        assert fp_ddf(f, p, 0) == per_degree_ddf(f, p, 0) == ([(f, zx_deg(f))] if zx_deg(f) else [])
 
 
 def test_lift_target_follows_the_root_bound(monkeypatch):
@@ -624,7 +702,7 @@ def test_bounded_ddf_takes_one_gcd_at_full_degree_per_prime(monkeypatch):
     every factor has degree 2 or 6, so x^(3^6) = x mod f, the product vanishes and
     its gcd with f is f at no cost; the per-degree steps on all of f then take two
     gcds at degree 84 (degrees 1 and 2, before the quadratic factors leave) and
-    four at degree 78."""
+    three at degree 78 (degrees 3 to 5): what is left at degree 6 takes none."""
     psi = division_poly_primitive(CurveQ(1, -1, 1, -3, 3), 13)
     gcds = []  # (p, inside fp_ddf, the larger degree) of each gcd
     inside = []
@@ -644,7 +722,7 @@ def test_bounded_ddf_takes_one_gcd_at_full_degree_per_prime(monkeypatch):
     monkeypatch.setattr(polyzq, "fp_gcd", spy_gcd)
     monkeypatch.setattr(polyzq, "fp_ddf", spy_ddf)
     assert zx_factor_bounded(psi, 6) == ([], psi)
-    assert gcds == [(3, False, 84)] + [(3, True, 84)] * 3 + [(3, True, 78)] * 4 + [
+    assert gcds == [(3, False, 84)] + [(3, True, 84)] * 3 + [(3, True, 78)] * 3 + [
         (5, False, 84),
         (5, True, 84),
     ]
@@ -660,24 +738,22 @@ def test_bounded_ddf_powers_each_frobenius_once(monkeypatch, curve, ell, p, boun
     cases, 12 of 84 degrees in the third. In the second every factor has degree 6,
     so x^(3^6) = x mod f and no higher power is made."""
     f = fp_monic(division_poly_primitive(curve_from_string(curve), ell), p)
-    calls = []  # (input, exponent, output) of each powering
+    calls = []  # (modulus, input, exponent, output) of each powering
     power = polyzq._PackedMod.pow
 
     def spy(self, g, e):
         h = power(self, g, e)
-        calls.append((g, e, h))
+        calls.append((self.m, g, e, h))
         return h
 
-    def refuse(*args):
-        raise AssertionError("powered mod a factor of f")
-
     monkeypatch.setattr(polyzq._PackedMod, "pow", spy)
-    monkeypatch.setattr(polyzq, "fp_pow_mod", refuse)
     ddf = fp_ddf(f, p, bound)
     assert sum(zx_deg(g) for g, d in ddf if d <= bound) > 0
+    # nothing is powered mod a factor of f
+    assert all(m == f for m, _, _, _ in calls)
     # x -> x^p -> x^(p^2) -> ...: each power raises the one before
     assert len(calls) == (6 if curve == "[0,0,0,1,0]" else bound)
-    assert all(e == p for _, e, _ in calls)
-    assert [g for g, _, _ in calls] == [[0, 1]] + [h for _, _, h in calls[:-1]]
+    assert all(e == p for _, _, e, _ in calls)
+    assert [g for _, g, _, _ in calls] == [[0, 1]] + [h for _, _, _, h in calls[:-1]]
     monkeypatch.undo()
     assert ddf == per_degree_ddf(f, p, bound)
