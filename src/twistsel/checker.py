@@ -11,8 +11,10 @@ with the nontriviality equivalence.
 The admissibility rules are built once per curve: `twist_rules` fixes the
 conductor, the exceptional sets and the required Artin class at each bad
 prime, and `evaluate_admissibility` applies them to one d, reading only d and
-the Kronecker symbols of its field discriminant. `certify` reads the same
-rules, so a scan does the curve-level work once.
+the Kronecker symbols of its field discriminant. It is the one place where d
+is found squarefree (by factoring it, or from a scan's sieve verdict) and D
+derived. `certify` reads the same rules, so a scan does the curve-level work
+once, and hands that D to the ray class layer.
 """
 
 from __future__ import annotations
@@ -301,10 +303,16 @@ def twist_rules(
 _ARTIN_CLASS = {1: ArtinClass.SPLIT, -1: ArtinClass.INERT, 0: ArtinClass.RAMIFIED}
 
 
-def evaluate_admissibility(rules: TwistRules, d: int) -> tuple[ConditionReport, int | None]:
+def evaluate_admissibility(
+    rules: TwistRules, d: int, squarefree: bool | None = None
+) -> tuple[ConditionReport, int | None]:
     """The report for the twist parameter d under the curve's rules, and the
     field discriminant D of Q(sqrt(d)); D is None when a domain clause fails,
-    and then every symbol clause is undetermined."""
+    and then every symbol clause is undetermined.
+
+    squarefree is a verdict on d already reached, as a scan's sieve reaches
+    it; when it is None, d is factored here.
+    """
     if not isinstance(d, int) or d == 0:
         raise InvalidParameterError("twist parameter must be a nonzero integer")
     ell, N = rules.ell, rules.N
@@ -315,7 +323,9 @@ def evaluate_admissibility(rules: TwistRules, d: int) -> tuple[ConditionReport, 
         clauses.append(Clause(cid, cite, v, detail))
 
     add("domain.negative", "d < 0", d < 0, f"d = {d}")
-    add("domain.squarefree", "d squarefree", is_squarefree(d), f"d = {d}")
+    if squarefree is None:
+        squarefree = is_squarefree(d)
+    add("domain.squarefree", "d squarefree", squarefree, f"d = {d}")
     add("domain.congruence", "d = 3 (mod 4)", d % 4 == 3, f"d mod 4 = {d % 4}")
     g = math.gcd(d, ell * N)
     add("domain.coprime", "gcd(d, ell N) = 1", g == 1, f"gcd({d}, {ell}*{N}) = {g}")
@@ -418,20 +428,21 @@ class Certificate:
     sandwich: SandwichResult | None = None
 
 
-def certify(rules: TwistRules, d: int) -> Certificate:
+def certify(rules: TwistRules, d: int, squarefree: bool | None = None) -> Certificate:
     """Admissibility, the Selmer lower bound and the sandwich from one class-group pass.
 
     One ray class computation over S_E gives both the bound and, through its
     h and class-group ell-rank, the sandwich: the sandwich needs the
     exceptional set S~_E empty, and S_E is a subset of it, so the modulus is
-    trivial there.
+    trivial there. squarefree is passed on to `evaluate_admissibility`, and
+    the ray class computation takes the D found there.
     """
-    report, D = evaluate_admissibility(rules, d)
+    report, D = evaluate_admissibility(rules, d, squarefree)
     if report.overall is not Overall.ADMISSIBLE:
         return Certificate(report, D)
     ell, ssets = rules.ell, rules.ssets
     try:
-        data = ray_class_data(d, ssets.s, ell)
+        data = ray_class_data(D, ssets.s, ell)
     except (PreconditionError, UnsupportedError) as exc:
         # only a nonempty modulus can fail, so the sandwich is NotApplicable
         h = class_number(D)

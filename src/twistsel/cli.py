@@ -15,7 +15,7 @@ import sys
 from . import checker, divpoly, golden, quadforms, rayclass, reduction, search
 from .curves import curve_from_string, curve_invariants, format_rational
 from .dirichlet import DirichletPredicate
-from .errors import PreconditionError, TwistselError, UnsupportedError
+from .errors import InvalidParameterError, PreconditionError, TwistselError, UnsupportedError
 from .polyzq import poly_from_string
 
 EXIT_OK = 0
@@ -163,10 +163,17 @@ def cmd_classgroup(args) -> int:
 
 
 def cmd_rayclass(args) -> int:
-    data = rayclass.ray_class_data(args.d, args.s, args.ell)
+    # the one place where a bare d from outside becomes a field discriminant
+    try:
+        D = quadforms.field_discriminant(args.d) if args.d < 0 else None
+    except InvalidParameterError:
+        D = None
+    if D is None:
+        raise UnsupportedError("d must be a negative squarefree integer")
+    data = rayclass.ray_class_data(D, args.s, args.ell)
     _dump(
         {
-            "d": data.d,
+            "d": args.d,
             "D": data.D,
             "S": list(data.S),
             "h": data.h,

@@ -201,12 +201,6 @@ def curve_invariants(E: CurveQ) -> dict[str, Fraction]:
 # group law
 
 
-def negate(E: CurveQ, P: PointQ) -> PointQ:
-    if P.is_infinity():
-        return P
-    return PointQ(P.x, -P.y - E.a1 * P.x - E.a3)
-
-
 def add_points(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
     """Chord-tangent addition on the long model."""
     if not P.on_curve(E) or not Q.on_curve(E):
@@ -226,19 +220,6 @@ def add_points(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
     x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
     y3 = -(lam + E.a1) * x3 - nu - E.a3
     return PointQ(x3, y3)
-
-
-def multiply_point(E: CurveQ, n: int, P: PointQ) -> PointQ:
-    if n < 0:
-        return multiply_point(E, -n, negate(E, P))
-    R = PointQ.infinity()
-    Q = P
-    while n:
-        if n & 1:
-            R = add_points(E, R, Q)
-        Q = add_points(E, Q, Q)
-        n >>= 1
-    return R
 
 
 def point_order(E: CurveQ, P: PointQ, bound: int) -> int | None:

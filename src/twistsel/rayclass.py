@@ -1,7 +1,8 @@
 """Tame ray class ell-ranks for imaginary quadratic fields.
 
-For K = Q(sqrt(d)), d < -4 squarefree, and a modulus m = prod p O_K over odd
-unramified rational primes p distinct from ell, the ray class group sits in
+For K = Q(sqrt(D)), D a negative fundamental discriminant, and a modulus
+m = prod p O_K over odd unramified rational primes p distinct from ell, the
+ray class group sits in
 
     1 -> (O/m)* / <-1>  ->  Cl_m  ->  Cl  ->  1.
 
@@ -12,16 +13,21 @@ to alpha mod m. Forms carry it without ideal arithmetic. A form (a, b, c) with
 gcd(a, m D) = 1 is the ideal a = [a, (-b + sqrt(D))/2], and its ell-th power
 is the unreduced composition of ell copies of it: (a^ell, B, C), the ideal
 [a^ell, (-B + sqrt(D))/2]. Its generator alpha comes from exact lattice
-reduction (the unit group is just {+-1} once d < -4). In each cyclic
+reduction (the unit group is just {+-1} once D is not -3 or -4). In each cyclic
 component of (O/m)* of order divisible by ell, the coordinate of alpha is its
 discrete logarithm to any fixed primitive ell-th root of unity: changing the
 root scales a column by a unit of F_ell, which keeps the rank.
+
+O_K is Z[omega] with omega^2 = t omega - n, and its norm form
+x^2 + t xy + n y^2 is the principal form (1, t, n) of D, which every
+function here reads t and n from. D is taken as given: its callers derive it
+from d, which is where squarefreeness is decided.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
 from .intmath import is_prime, kronecker, sqrt_mod
@@ -32,52 +38,28 @@ from .quadforms import (
     compose,
     compose_unreduced,
     ell_part,
-    field_discriminant,
     principal_form,
 )
 
 # ---------------------------------------------------------------------------
-# O_K = Z[omega] and its ideals as forms
+# ideals of O_K as forms
 
 
-@dataclass(frozen=True)
-class QuadOrder:
-    """Maximal order Z[omega] of Q(sqrt(d)): omega^2 = t*omega - n.
-
-    The field discriminant D is derived once, at construction, which also
-    checks that d is squarefree.
-    """
-
-    d: int
-    D: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "D", field_discriminant(self.d))
-
-    @property
-    def t(self) -> int:  # trace of omega
-        return 1 if self.d % 4 == 1 else 0
-
-    @property
-    def n(self) -> int:  # norm of omega
-        return (1 - self.d) // 4 if self.d % 4 == 1 else -self.d
-
-    def norm(self, x: int, y: int) -> int:
-        return x * x + self.t * x * y + self.n * y * y
-
-
-def principal_generator(o: QuadOrder, F: BQF) -> tuple[int, int] | None:
+def principal_generator(F: BQF) -> tuple[int, int] | None:
     """Generator (x, y) of the ideal [F.a, (-F.b + sqrt(D))/2] when it is principal, else None.
 
     In Z[omega] coordinates the ideal is the lattice spanned by (F.a, 0) and
-    (-(F.b + t)/2, 1). Lagrange-reduce it under the norm form; for d < -4 the
-    units are +-1, so the ideal is principal iff its shortest vector has norm F.a.
+    (-(F.b + t)/2, 1). Lagrange-reduce it under the norm form, the principal
+    form (1, t, n) of D = F.disc; for D other than -3 and -4 the units are
+    +-1, so the ideal is principal iff its shortest vector has norm F.a.
     """
+    one = principal_form(F.disc)
+    t, n = one.b, one.c
     v1 = (F.a, 0)
-    v2 = (-(F.b + o.t) // 2, 1)
+    v2 = (-(F.b + t) // 2, 1)
 
     def N(v):
-        return o.norm(v[0], v[1])
+        return v[0] * v[0] + t * v[0] * v[1] + n * v[1] * v[1]
 
     def B(u, v):  # associated bilinear form
         return (N((u[0] + v[0], u[1] + v[1])) - N(u) - N(v)) // 2
@@ -160,20 +142,21 @@ def _fq_pow(a, e, p, t, n):
     return out
 
 
-def _components(o: QuadOrder, S: tuple[int, ...]) -> list[_Component]:
+def _components(one: BQF, S: tuple[int, ...]) -> list[_Component]:
     """The cyclic factors of (O/m)*, for odd p in S unramified in K (as `_validate` ensures)."""
+    D, t = one.disc, one.b
     comps: list[_Component] = []
     for p in S:
-        if kronecker(o.D, p) == 1:
+        if kronecker(D, p) == 1:
             # omega mod the two primes above p: the roots (t +- sqrt(D)) / 2 of x^2 - t x + n
-            s = sqrt_mod(o.D % p, p)
-            comps += [_Component(p, (o.t + e * s) * pow(2, -1, p) % p, p - 1) for e in (1, -1)]
+            s = sqrt_mod(D % p, p)
+            comps += [_Component(p, (t + e * s) * pow(2, -1, p) % p, p - 1) for e in (1, -1)]
         else:
             comps.append(_Component(p, None, p * p - 1))
     return comps
 
 
-def _root_of_unity(o: QuadOrder, comp: _Component, ell: int) -> tuple[int, int]:
+def _root_of_unity(one: BQF, comp: _Component, ell: int) -> tuple[int, int]:
     """A primitive ell-th root of unity in comp: c^(order/ell) for a c that is no ell-th power.
 
     Some c = x + y omega with y in (0, 1) is no ell-th power: the y = 0 part
@@ -183,23 +166,23 @@ def _root_of_unity(o: QuadOrder, comp: _Component, ell: int) -> tuple[int, int]:
     p, q = comp.p, comp.order // ell
     for y in (0, 1):
         for x in range(p):
-            zeta = _fq_pow(comp.reduce((x, y)), q, p, o.t, o.n)
+            zeta = _fq_pow(comp.reduce((x, y)), q, p, one.b, one.c)
             if zeta not in ((0, 0), (1, 0)):
                 return zeta
     raise PreconditionError("internal: no primitive ell-th root of unity found")
 
 
 def _dlog_mod_ell(
-    o: QuadOrder, comp: _Component, zeta: tuple[int, int], alpha: tuple[int, int], ell: int
+    one: BQF, comp: _Component, zeta: tuple[int, int], alpha: tuple[int, int], ell: int
 ) -> int:
     """Coordinate of alpha in comp's order-ell quotient: the k with alpha^(order/ell) = zeta^k."""
     p = comp.p
-    target = _fq_pow(comp.reduce(alpha), comp.order // ell, p, o.t, o.n)
+    target = _fq_pow(comp.reduce(alpha), comp.order // ell, p, one.b, one.c)
     acc = (1, 0)
     for k in range(ell):
         if acc == target:
             return k
-        acc = _fq_mul(acc, zeta, p, o.t, o.n)
+        acc = _fq_mul(acc, zeta, p, one.b, one.c)
     raise PreconditionError("internal: discrete log failed")
 
 
@@ -252,7 +235,6 @@ def _matrix_rank_mod(rows: list[list[int]], ell: int) -> int:
 
 @dataclass(frozen=True)
 class RayClassData:
-    d: int
     D: int
     S: tuple[int, ...]
     h: int
@@ -269,17 +251,13 @@ class RayClassData:
         return self.cl_ell_rank + self.w_ell_dim - self.delta_rank
 
 
-def _validate(d: int, S: tuple[int, ...], ell: int) -> QuadOrder:
-    if d >= 0:
-        raise UnsupportedError("d must be a negative squarefree integer")
-    try:
-        o = QuadOrder(d)  # the one squarefree check of d
-    except InvalidParameterError:
-        raise UnsupportedError("d must be a negative squarefree integer") from None
+def _validate(D: int, S: tuple[int, ...], ell: int) -> BQF:
+    """The principal form of D, once D, S and ell are checked."""
+    one = principal_form(D)
     if ell < 3 or not is_prime(ell):
         raise InvalidParameterError("ell must be an odd prime")
-    if S and d >= -4:
-        raise UnsupportedError("nontrivial units: need d < -4 for a ray modulus")
+    if S and D in (-3, -4):
+        raise UnsupportedError("nontrivial units: no ray modulus for D = -3 or D = -4")
     for p in S:
         if not is_prime(p):
             raise InvalidParameterError(f"modulus entry {p} is not prime")
@@ -287,19 +265,23 @@ def _validate(d: int, S: tuple[int, ...], ell: int) -> QuadOrder:
             raise PreconditionError("primes above 2 violate the tameness assumptions")
         if p == ell:
             raise PreconditionError("the modulus must avoid ell (tame case only)")
-        if kronecker(o.D, p) == 0:
+        if kronecker(D, p) == 0:
+            d = D if D % 4 else D // 4  # the squarefree d with Q(sqrt(d)) = K
             raise PreconditionError(f"{p} ramifies in Q(sqrt({d})); tame case needs unramified p")
-    return o
+    return one
 
 
-def ray_class_data(d: int, S: tuple[int, ...], ell: int) -> RayClassData:
-    """Ray class group data of K = Q(sqrt(d)) with modulus prod_{p in S} p O_K."""
+def ray_class_data(D: int, S: tuple[int, ...], ell: int) -> RayClassData:
+    """Ray class group data of K = Q(sqrt(D)) with modulus prod_{p in S} p O_K.
+
+    D must be the fundamental discriminant of K; only its sign and its
+    residue mod 4 are checked here.
+    """
     S = tuple(sorted(set(S)))
-    o = _validate(d, S, ell)
-    D = o.D
+    one = _validate(D, S, ell)
     part = ell_part(D, ell)
     cl_rank = part.rank
-    comps = _components(o, S)
+    comps = _components(one, S)
     w_order = math.prod(comp.order for comp in comps)
     unit_image = 1 if not S else 2  # -1 = 1 mod m only for the empty modulus
     ray_h = part.h * w_order // unit_image
@@ -307,7 +289,7 @@ def ray_class_data(d: int, S: tuple[int, ...], ell: int) -> RayClassData:
     if not ell_comps or cl_rank == 0:
         delta_rank = 0
     else:
-        zetas = [_root_of_unity(o, comp, ell) for comp in ell_comps]
+        zetas = [_root_of_unity(one, comp, ell) for comp in ell_comps]
         rows = []
         for f in _ell_torsion_basis(part):
             # gcd(a, D) = 1 makes a composition of f with itself the ideal power
@@ -317,13 +299,12 @@ def ray_class_data(d: int, S: tuple[int, ...], ell: int) -> RayClassData:
                 power = compose_unreduced(power, f)
             if power.a != f.a**ell:
                 raise PreconditionError("internal: ell-fold composition is not the ell-th ideal power")
-            alpha = principal_generator(o, power)
+            alpha = principal_generator(power)
             if alpha is None:
                 raise PreconditionError("internal: ell-th power of a torsion class not principal")
-            rows.append([_dlog_mod_ell(o, c, zeta, alpha, ell) for c, zeta in zip(ell_comps, zetas)])
+            rows.append([_dlog_mod_ell(one, c, zeta, alpha, ell) for c, zeta in zip(ell_comps, zetas)])
         delta_rank = _matrix_rank_mod(rows, ell)
     return RayClassData(
-        d,
         D,
         S,
         part.h,

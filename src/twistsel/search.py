@@ -3,7 +3,8 @@
 The scan is deterministic: candidates stream in order of |d| (ascending by
 default), and each d becomes a finished row from one `certify` call, which
 applies the curve's admissibility rules, built once per scan, and runs the
-one class-group pass.
+one class-group pass. The squarefree sieve of `enumerate_d` is the scan's
+only squarefree test: `certify` takes its verdict and factors no d.
 
 `jobs` is an upper bound on worker processes, not a request for them. The
 scan always starts in-process. Once that prefix has run for `PROBE_S`, the
@@ -101,8 +102,11 @@ CSV_HEADER = "d,D,h,ell_rank,selmer_lb,verdict,failed_clauses"
 def _row(
     rules: TwistRules, mode: SearchMode, include_inadmissible: bool, d: int
 ) -> TwistCandidate | None:
-    """The finished row for one d, or None for an inadmissible d left out of the scan."""
-    cert = certify(rules, d)
+    """The finished row for one d, or None for an inadmissible d left out of the scan.
+
+    d comes from `enumerate_d`, so the sieve has found it squarefree.
+    """
+    cert = certify(rules, d, squarefree=True)
     if cert.bound is None:
         if not include_inadmissible:
             return None

@@ -2,9 +2,15 @@
 
 Independent of the library: plain affine enumeration and a textbook group
 law mod p. Slow on purpose; only correctness matters here.
+
+`negate_point` and `multiply_point` are the exception: scalar multiples of
+rational points, built on the library's chord-tangent `add_points`, for
+tests that need a point such as nP but whose subject is something else.
 """
 
 from __future__ import annotations
+
+from twistsel.curves import CurveQ, PointQ, add_points
 
 INF = None
 
@@ -92,3 +98,23 @@ def nonsingular_reduction_count(ainvs, p):
                 continue
             count += 1
     return count
+
+
+def negate_point(E: CurveQ, P: PointQ) -> PointQ:
+    if P.is_infinity():
+        return P
+    return PointQ(P.x, -P.y - E.a1 * P.x - E.a3)
+
+
+def multiply_point(E: CurveQ, n: int, P: PointQ) -> PointQ:
+    """nP by binary double-and-add over add_points; -P for negative n."""
+    if n < 0:
+        n, P = -n, negate_point(E, P)
+    R = PointQ.infinity()
+    Q = P
+    while n:
+        if n & 1:
+            R = add_points(E, R, Q)
+        Q = add_points(E, Q, Q)
+        n >>= 1
+    return R

@@ -12,24 +12,55 @@ Two independent reconstructions check the library's rank:
   forms alone, with any primitive ell-th root of unity as the base.
 
 Caveat: `ray_class_oracle` assumes the prime ideals below qmax generate the
-full ray class group; when they only generate a proper subgroup the reported
-order is too small. The tests therefore only trust runs whose order matches
-the ray class number formula, which the library computes independently.
+full ray class group, and that its search box finds every relation among
+them. When the primes only generate a proper subgroup the reported order is
+too small; when relations are missing it is too large (d = -2, S = (5, 7)
+reports 1152 against 576). The tests therefore only trust runs whose order
+matches the ray class number formula, which the library computes
+independently.
 
 `ideal_to_form` inverts `form_to_ideal`, so the tests can check ideal
-arithmetic against form composition.
+arithmetic against form composition. `QuadOrder` is O_K = Z[omega] with its
+norm form, built from d; the library reads the same norm form off the
+principal form of D.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from oracle_dirichlet import primitive_root
 from twistsel.errors import InvalidParameterError, PreconditionError
 from twistsel.intmath import factorint, kronecker, log_p, sqrt_mod
-from twistsel.quadforms import BQF, _xgcd, ell_part, principal_form
-from twistsel.rayclass import QuadOrder, form_with_coprime_a
+from twistsel.quadforms import BQF, _xgcd, ell_part, field_discriminant, principal_form
+from twistsel.rayclass import form_with_coprime_a
+
+
+@dataclass(frozen=True)
+class QuadOrder:
+    """Maximal order Z[omega] of Q(sqrt(d)): omega^2 = t*omega - n.
+
+    The field discriminant D is derived once, at construction, which also
+    checks that d is squarefree.
+    """
+
+    d: int
+    D: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "D", field_discriminant(self.d))
+
+    @property
+    def t(self) -> int:  # trace of omega
+        return 1 if self.d % 4 == 1 else 0
+
+    @property
+    def n(self) -> int:  # norm of omega
+        return (1 - self.d) // 4 if self.d % 4 == 1 else -self.d
+
+    def norm(self, x: int, y: int) -> int:
+        return x * x + self.t * x * y + self.n * y * y
 
 
 def ideal_to_form(I: Ideal) -> BQF:
@@ -124,8 +155,8 @@ def ideal_pow(I: Ideal, k: int) -> Ideal:
 def ideal_generator(I: Ideal) -> tuple[int, int] | None:
     """Generator (x, y) of I when I is principal, else None.
 
-    Lagrange-reduce the rank-2 lattice under the norm form; for d < -4 the
-    units are +-1, so I is principal iff its shortest vector has norm N(I).
+    Lagrange-reduce the rank-2 lattice under the norm form; for d other than
+    -1 and -3 the units are +-1, so I is principal iff its shortest vector has norm N(I).
     """
     o = I.order
     v1 = (I.a * I.c, 0)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from oracle_ec import torsion_x_coords
 from oracle_forms import inverse
 from oracle_poly import zx_eval
+from oracle_rayclass import QuadOrder
 from twistsel.checker import (
     Overall,
     SelmerVerdict,
@@ -35,7 +36,7 @@ from twistsel.quadforms import (
     principal_form,
     reduced_forms,
 )
-from twistsel.rayclass import QuadOrder, ray_class_data
+from twistsel.rayclass import ray_class_data
 from twistsel.reduction import (
     ReductionKind,
     SupersingularVerdict,
@@ -265,14 +266,14 @@ def test_criterion_8_ray_class_identities():
         split_p = next(p for p in (3, 7, 11, 13, 17, 19, 23, 29) if kronecker(D, p) == 1)
         inert_p = next(p for p in (3, 7, 11, 13, 17, 19, 23, 29) if kronecker(D, p) == -1)
         for p in (split_p, inert_p):
-            data = ray_class_data(d, (p,), 5)
+            data = ray_class_data(D, (p,), 5)
             o = QuadOrder(d)
             units = sum(1 for x in range(p) for y in range(p) if math.gcd(o.norm(x, y), p) == 1)
             assert data.ray_class_number * data.unit_image_order == data.h * units
         from twistsel.quadforms import ell_rank
 
         for ell in (3, 5, 7):
-            assert ray_class_data(d, (), ell).ell_rank == ell_rank(D, ell)[0]
+            assert ray_class_data(D, (), ell).ell_rank == ell_rank(D, ell)[0]
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _report(8, "ray-class cardinality identity and empty-modulus agreement", elapsed, 5)

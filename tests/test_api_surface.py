@@ -66,17 +66,29 @@ def _definitions(trees: dict[str, ast.Module]):
 
 
 def _uses(trees: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
-    """(names loaded or imported, attribute names accessed) across src/."""
+    """(names loaded or imported, attribute names accessed) across src/.
+
+    A load of a def's own name inside its own body is a call to itself, not
+    a use: a recursive function with no other caller is still uncalled.
+    """
     names: set[str] = set()
     attrs: set[str] = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in inside:
                 names.add(node.id)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            attrs.add(node.attr)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for tree in trees.values():
+        visit(tree, frozenset())
     return names, attrs
 
 
@@ -107,7 +119,9 @@ def test_guard_sees_an_uncalled_function(tmp_path):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     (tmp_path / "intmath.py").write_text(
-        (tmp_path / "intmath.py").read_text() + "\n\ndef orphan_helper(n):\n    return n\n"
+        (tmp_path / "intmath.py").read_text()
+        + "\n\ndef orphan_helper(n):\n    return n\n"
+        + "\n\ndef orphan_recursive(n):\n    return orphan_recursive(n - 1) if n else 0\n"
     )
     (tmp_path / "polyzq.py").write_text(
         (tmp_path / "polyzq.py").read_text()
@@ -126,6 +140,7 @@ def test_guard_sees_an_uncalled_function(tmp_path):
     )
     assert uncalled_api(tmp_path) == [
         "intmath.orphan_helper",
+        "intmath.orphan_recursive",
         "polyzq._orphan_private",
         "polyzq._OrphanClass",
         "quadforms.BQF.orphan_method",

@@ -174,7 +174,7 @@ def test_selmer_lower_bound_nonempty_s():
             continue
         sb = selmer_lower_bound(E38, 5, d)
         assert sb.s_used == (19,)
-        assert sb.rank == ray_class_data(d, (19,), 5).ell_rank
+        assert sb.rank == ray_class_data(field_discriminant(d), (19,), 5).ell_rank
         assert sb.bound == 5**sb.rank
         # the ray rank is at least the plain class-group rank
         assert sb.rank >= ell_rank(field_discriminant(d), 5)[0]
@@ -246,7 +246,7 @@ def test_ell_7_pipeline():
     # the whole bound comes from the ray part: h(-20) = 2 has no 7-torsion
     assert sb.s_used == (13,) and sb.bound == 7
     assert ell_rank(-20, 7)[0] == 0
-    assert sb.rank == ray_class_data(-5, (13,), 7).ell_rank
+    assert sb.rank == ray_class_data(-20, (13,), 7).ell_rank
 
 
 E26 = CurveQ(1, -1, 1, -3, 3)

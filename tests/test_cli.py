@@ -171,6 +171,19 @@ def test_rayclass(capsys):
     assert payload["ray_class_number"] == 120 and payload["ell_rank"] == 1
 
 
+def test_rayclass_refuses_only_the_fields_with_more_units(capsys):
+    # d = -2 has units +-1 only and takes a modulus; d = -1 and d = -3 do not
+    code, out, _ = run_cli(capsys, "rayclass", "--d", "-2", "--s", "3", "--ell", "5")
+    payload = json.loads(out)
+    assert code == 0 and payload["D"] == -8 and payload["ray_class_number"] == 2
+    for d in ("-1", "-3"):
+        code, _, err = run_cli(capsys, "rayclass", "--d", d, "--s", "7", "--ell", "5")
+        assert code == 2 and "nontrivial units" in err
+    # a bad d is refused before a bad ell or modulus entry
+    code, _, err = run_cli(capsys, "rayclass", "--d", "-4", "--s", "4", "--ell", "4")
+    assert (code, err) == (2, "error: d must be a negative squarefree integer\n")
+
+
 def test_rayclass_is_pinned(capsys, monkeypatch):
     parser = cli.build_parser()  # one parser for all calls: building it dominates a call
     monkeypatch.setattr(cli, "build_parser", lambda command: parser)

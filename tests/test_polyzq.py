@@ -20,6 +20,7 @@ from twistsel.polyzq import (
     fp_divmod,
     fp_factor,
     fp_factor_squarefree,
+    fp_gcd,
     fp_is_squarefree,
     fp_monic,
     fp_mul,
@@ -643,7 +644,8 @@ def _seeded_squarefree(rng, p, n, max_factor_degree=None):
     """A monic squarefree polynomial mod p: random of degree n, or a product of random
     monic factors of degree <= max_factor_degree, of degree n where F_p has enough
     of them (a factor that would repeat one already taken is drawn again, 200 times
-    at most)."""
+    at most). f is squarefree, so f h is exactly when h is and gcd(f, h) = 1: only
+    the new factor h is tested, not the whole product."""
     if max_factor_degree is None:
         while True:
             f = [rng.randrange(p) for _ in range(n)] + [1]
@@ -654,9 +656,9 @@ def _seeded_squarefree(rng, p, n, max_factor_degree=None):
         if zx_deg(f) >= n:
             break
         k = rng.randint(1, min(max_factor_degree, n - zx_deg(f)))
-        g = fp_mul(f, [rng.randrange(p) for _ in range(k)] + [1], p)
-        if fp_is_squarefree(g, p):
-            f = g
+        h = [rng.randrange(p) for _ in range(k)] + [1]
+        if fp_is_squarefree(h, p) and fp_gcd(f, h, p) == [1]:
+            f = fp_mul(f, h, p)
     return f
 
 

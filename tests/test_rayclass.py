@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracle_rayclass import (
+    QuadOrder,
     connecting_rank_by_ideals,
     form_to_ideal,
     ideal_generator,
@@ -15,13 +16,14 @@ from oracle_rayclass import (
 from twistsel.errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
 from twistsel.intmath import is_prime, is_squarefree, kronecker
 from twistsel.quadforms import BQF, compose, compose_unreduced, ell_rank, field_discriminant, reduced_forms
-from twistsel.rayclass import QuadOrder, form_with_coprime_a, principal_generator, ray_class_data
+from twistsel.rayclass import form_with_coprime_a, principal_generator, ray_class_data
 
 
 def test_spec_examples():
-    assert ray_class_data(-5, (), 5).ell_rank == 0
-    assert ray_class_data(-5, (11,), 5).ell_rank == 1
-    assert ray_class_data(-5, (3,), 5).ell_rank == 0
+    # d = -5: D = -20
+    assert ray_class_data(-20, (), 5).ell_rank == 0
+    assert ray_class_data(-20, (11,), 5).ell_rank == 1
+    assert ray_class_data(-20, (3,), 5).ell_rank == 0
 
 
 def test_cardinality_identity_with_unit_count_oracle():
@@ -31,7 +33,7 @@ def test_cardinality_identity_with_unit_count_oracle():
         split_p = next(p for p in (3, 7, 11, 13, 17, 19, 23, 29) if kronecker(D, p) == 1)
         inert_p = next(p for p in (3, 7, 11, 13, 17, 19, 23, 29) if kronecker(D, p) == -1)
         for p in (split_p, inert_p):
-            data = ray_class_data(d, (p,), 5)
+            data = ray_class_data(D, (p,), 5)
             o = QuadOrder(d)
             units = sum(
                 1 for x in range(p) for y in range(p) if math.gcd(o.norm(x, y), p) == 1
@@ -47,14 +49,14 @@ def test_empty_modulus_reduces_to_class_group():
     for d in (-5, -13, -23, -37, -47, -163):
         D = field_discriminant(d)
         for ell in (3, 5, 7):
-            assert ray_class_data(d, (), ell).ell_rank == ell_rank(D, ell)[0]
+            assert ray_class_data(D, (), ell).ell_rank == ell_rank(D, ell)[0]
 
 
 def test_rank_against_relation_oracle():
     # independent reconstruction of Cl_m by relations + Smith form
     cases = [(-5, (3,), 5), (-23, (5,), 3), (-23, (7,), 3), (-31, (5,), 3)]
     for d, S, ell in cases:
-        data = ray_class_data(d, S, ell)
+        data = ray_class_data(field_discriminant(d), S, ell)
         order, invariants = ray_class_oracle(d, S)
         assert order is not None, (d, S)
         assert order == data.ray_class_number
@@ -72,16 +74,17 @@ def test_delta_correction_is_exercised():
 
 
 def test_preconditions():
+    with pytest.raises(PreconditionError, match=r"5 ramifies in Q\(sqrt\(-5\)\)"):
+        ray_class_data(-20, (5,), 3)  # ramified
     with pytest.raises(PreconditionError):
-        ray_class_data(-5, (5,), 5)  # ramified
-    with pytest.raises(PreconditionError):
-        ray_class_data(-5, (2,), 5)  # dyadic
+        ray_class_data(-20, (2,), 5)  # dyadic
     with pytest.raises(PreconditionError):
         ray_class_data(-7, (5,), 5)  # p = ell
     with pytest.raises(InvalidParameterError):
-        ray_class_data(-5, (55,), 5)
-    with pytest.raises(UnsupportedError):
-        ray_class_data(-3, (7,), 5)  # d >= -4 with nonempty modulus
+        ray_class_data(-20, (55,), 5)
+    for D in (-3, -4):  # d = -3 and d = -1: units beyond +-1, with a nonempty modulus
+        with pytest.raises(UnsupportedError, match="nontrivial units"):
+            ray_class_data(D, (7,), 5)
     with pytest.raises(UnsupportedError):
         ray_class_data(5, (), 5)
 
@@ -118,9 +121,9 @@ def test_principal_generator_of_an_unreduced_cube():
     g = compose_unreduced(compose_unreduced(f, f), f)
     assert g.a == f.a**3
     assert form_to_ideal(o, g) == ideal_pow(form_to_ideal(o, f), 3)  # the same lattice, not only the class
-    alpha = principal_generator(o, g)
+    alpha = principal_generator(g)
     assert alpha is not None and o.norm(*alpha) == g.a
-    assert principal_generator(o, f) is None
+    assert principal_generator(f) is None
 
 
 def test_form_with_coprime_a():
@@ -155,9 +158,22 @@ def test_connecting_rank_matches_the_ideal_path():
     cases.append((-129, (7,), 3))
     nonzero = 0
     for d, S, ell in cases:
-        if any(kronecker(field_discriminant(d), p) == 0 for p in S):
+        D = field_discriminant(d)
+        if any(kronecker(D, p) == 0 for p in S):
             continue  # a ramified p is refused
-        data = ray_class_data(d, S, ell)
+        data = ray_class_data(D, S, ell)
         assert data.delta_rank == connecting_rank_by_ideals(d, S, ell), (d, S, ell)
         nonzero += data.delta_rank > 0
     assert nonzero > 100
+
+
+def test_d_minus_2_takes_a_ray_modulus():
+    # Z[sqrt(-2)] has units +-1 only, so D = -8 takes a modulus; h(-8) = 1, so the
+    # ell-rank is that of (O/m)*/<-1>, which the relation oracle rebuilds
+    # independently on these complete runs
+    for S, ell, rank in (((3,), 5, 0), ((5,), 3, 1), ((7,), 5, 0), ((11,), 5, 2), ((13,), 7, 1)):
+        data = ray_class_data(-8, S, ell)
+        order, invariants = ray_class_oracle(-2, S)
+        assert order == data.ray_class_number, (S, ell)
+        assert data.ell_rank == sum(1 for v in invariants if v % ell == 0) == rank, (S, ell)
+        assert data.delta_rank == connecting_rank_by_ideals(-2, S, ell) == 0

@@ -1,7 +1,7 @@
 import pytest
 
-from oracle_ec import nonsingular_reduction_count
-from twistsel.curves import CurveQ, PointQ, curve_from_string, minimal_model, multiply_point, quadratic_twist
+from oracle_ec import multiply_point, nonsingular_reduction_count
+from twistsel.curves import CurveQ, PointQ, curve_from_string, minimal_model, quadratic_twist
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import legendre, primes_up_to
 from twistsel.reduction import (

@@ -1,5 +1,7 @@
 import itertools
+import json
 import os
+import random
 import sys
 
 import pytest
@@ -235,7 +237,7 @@ def test_scan_ray_ranks_match_the_relation_oracle():
     trusted = (-17, -29, -41, -53, -89, -101, -149, -241, -409, -521, -569)
     for d in trusted:
         order, invariants = ray_class_oracle(d, (13,))
-        assert order == ray_class_data(d, (13,), 7).ray_class_number, d
+        assert order == ray_class_data(field_discriminant(d), (13,), 7).ray_class_number, d
         assert rows[d].ell_rank == sum(1 for v in invariants if v % 7 == 0), d
     assert {rows[d].ell_rank for d in trusted} == {0, 1, 2}
 
@@ -282,3 +284,79 @@ def test_search_does_curve_level_work_once(monkeypatch):
     assert many > 5 * few
     assert first["compute_s_sets"] == second["compute_s_sets"] == 1
     assert first["conductor"] == second["conductor"]
+
+
+def test_squarefreeness_is_decided_once_per_d(monkeypatch, capsys):
+    # a scan takes the sieve's verdict, so certify factors no d, with or without
+    # the inadmissible rows; a check factors its one d exactly once, admissible or not
+    from twistsel import checker, cli, intmath
+
+    squarefree, certify = intmath.is_squarefree, checker.certify
+    inside, factored = [], []
+    certified = 0
+
+    def counting_squarefree(n):
+        if inside:
+            factored.append(n)
+        return squarefree(n)
+
+    def tracking_certify(*args, **kwargs):
+        nonlocal certified
+        certified += 1
+        inside.append(True)
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    originals = {"is_squarefree": (squarefree, counting_squarefree), "certify": (certify, tracking_certify)}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("twistsel."):
+            for name, (fn, wrapper) in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, wrapper)
+    candidates = list(enumerate_d(-3399, -3000, 5, 11))
+    for explain in (False, True):
+        certified = 0
+        rows = search_twists(E11A3, 5, -3399, -3000, include_inadmissible=explain, jobs=1)
+        assert certified == len(candidates) and factored == []
+        assert len(rows) == len(candidates) if explain else 0 < len(rows) < len(candidates)
+    # -37 and -3001 are admissible; -38 = 2 (mod 4), -45 = -3^2 * 5, -55 shares 5 and
+    # 11 with ell N, and 37 is positive
+    for d in (-37, -3001, -38, -45, -55, 37):
+        factored.clear()
+        assert cli.main(["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", str(d)]) == 0
+        assert factored == [d]
+    overall = [json.loads(line)["overall"] for line in capsys.readouterr().out.splitlines()]
+    assert overall == ["Admissible"] * 2 + ["Inadmissible"] * 4
+
+
+@pytest.mark.parametrize("curve, ell, start, seed", [(E11A3, 5, 3000, 11), (E26, 7, 2000, 26)])
+def test_sieve_matches_the_factoring_path(monkeypatch, curve, ell, start, seed):
+    # on seeded windows, the scan that takes the sieve's verdict gives the rows that
+    # certify gives when it factors every d, and enumerate_d yields exactly the d of
+    # the window that pass the four domain clauses on the factoring path
+    from twistsel import checker
+    from twistsel.checker import Verdict, evaluate_admissibility, twist_rules
+
+    rules = twist_rules(curve, ell)
+    rng = random.Random(seed)
+    for _ in range(2):
+        hi = -rng.randrange(start, 2 * start)
+        lo = hi - 399
+        domain = [
+            d
+            for d in range(hi, lo - 1, -1)
+            if all(
+                c.verdict is Verdict.PASS
+                for c in evaluate_admissibility(rules, d)[0].clauses
+                if c.clause_id.startswith("domain.")
+            )
+        ]
+        assert list(enumerate_d(lo, hi, ell, rules.N)) == domain
+        sieved = search_twists(curve, ell, lo, hi, include_inadmissible=True)
+        with monkeypatch.context() as m:
+            m.setattr(search, "certify", lambda rules, d, squarefree=None: checker.certify(rules, d))
+            factoring = search_twists(curve, ell, lo, hi, include_inadmissible=True)
+        assert sieved == factoring
+        assert [row.d for row in sieved] == domain
