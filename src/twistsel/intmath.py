@@ -7,6 +7,7 @@ factorizer uses a fixed-seed Brent cycle so repeated runs agree bit for bit.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from .errors import InvalidParameterError, ResourceError
 
@@ -53,7 +54,7 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, b in enumerate(sieve) if b]
+    return list(compress(range(n + 1), sieve))
 
 
 def _brent_rho(n: int, budget: list[int]) -> int:

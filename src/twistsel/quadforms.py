@@ -1,8 +1,8 @@
 """Class groups of imaginary quadratic fields via binary quadratic forms.
 
 Forms (a, b, c) of discriminant D = b^2 - 4ac < 0 are composed by Dirichlet
-composition and reduced. Of the sieve in `_kernels` only the class number h
-is read. With h = p^k m, `sylow_subgroup` grows the p-part of cl(D) from the
+composition and reduced. Of `_kernels` only the class number h is read, and
+it is counted there without listing the forms. With h = p^k m, `sylow_subgroup` grows the p-part of cl(D) from the
 m-th powers of the prime forms (q, b, c), q = 2, 3, 5, ..., and certifies it
 by its order p^k; `ell_part` and `class_group_structure` count torsion there,
 not over all h forms. Only imaginary discriminants: positive D would drag in

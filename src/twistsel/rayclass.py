@@ -254,6 +254,8 @@ class RayClassData:
 def _validate(D: int, S: tuple[int, ...], ell: int) -> BQF:
     """The principal form of D, once D, S and ell are checked."""
     one = principal_form(D)
+    if D % 16 in (0, 4):
+        raise InvalidParameterError("a field discriminant 4m must have m = 2 or 3 mod 4")
     if ell < 3 or not is_prime(ell):
         raise InvalidParameterError("ell must be an odd prime")
     if S and D in (-3, -4):
@@ -274,8 +276,9 @@ def _validate(D: int, S: tuple[int, ...], ell: int) -> BQF:
 def ray_class_data(D: int, S: tuple[int, ...], ell: int) -> RayClassData:
     """Ray class group data of K = Q(sqrt(D)) with modulus prod_{p in S} p O_K.
 
-    D must be the fundamental discriminant of K; only its sign and its
-    residue mod 4 are checked here.
+    D must be the fundamental discriminant of K. Its sign, its residue mod 4
+    and, for even D = 4m, m mod 4 are checked here; an odd square factor
+    (D = -36) is not, and stays the caller's contract.
     """
     S = tuple(sorted(set(S)))
     one = _validate(D, S, ell)

@@ -89,6 +89,18 @@ def test_preconditions():
         ray_class_data(5, (), 5)
 
 
+def test_refuses_a_discriminant_not_maximal_at_2():
+    # -12 and -80 are 4m with m = 1 or 0 mod 4: the orders Z[sqrt(-3)] and
+    # Z[2 sqrt(-5)], not the rings of integers of their fields
+    for D in (-12, -80):
+        with pytest.raises(InvalidParameterError, match="m = 2 or 3 mod 4"):
+            ray_class_data(D, (7,), 3)
+        with pytest.raises(InvalidParameterError, match="m = 2 or 3 mod 4"):
+            ray_class_data(D, (), 3)
+    # an odd square factor is not checked: D = -36 = 9 * (-4) is the caller's contract
+    assert ray_class_data(-36, (7,), 3).D == -36
+
+
 def test_ideal_arithmetic_roundtrip():
     o = QuadOrder(-23)
     for f in reduced_forms(-23):
