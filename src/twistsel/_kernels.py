@@ -151,7 +151,8 @@ def _local_roots(D: int, p: int, k: int) -> list[int]:
 
     At p = 2 the congruence is mod 2^(k+2), and a root x mod 2^(k+2) and
     x + 2^(k+1) are the same b. The form is imprimitive at p when p | b and
-    p | c, that is when b^2 = D mod p^(e+1) for the congruence's p^e.
+    p | c, that is when b^2 = D mod p^(e+1) for the congruence's p^e; at
+    k = 0 (p = 2, a odd) there is no such condition.
     """
     e, m = (k + 2, 2 ** (k + 1)) if p == 2 else (k, p**k)
     q = p**e
@@ -172,8 +173,10 @@ def class_number(D: int) -> int:
     rho(a) = #{b in (-a, a] : b^2 = D mod 4a, gcd(a, b, c) = 1} is
     multiplicative in a. At p^k || a its factor is 1 + (D/p) when p does not
     divide D (at p = 2, D odd, that is 2 or 0 as D is 1 or 5 mod 8), and 1 at
-    k = 1 and 0 above when p || D for odd p. At p = 2 with D even and at
-    p^2 | D it is counted from the roots (`_local_roots`). A reduced form
+    k = 1 and 0 above when p is ramified in a fundamental way: p || D for odd
+    p, or D = 4m with m = 2, 3 mod 4 at p = 2. At the other p | D (p^2 | D,
+    or D = 4m with m = 0, 1 mod 4 at p = 2) it is counted from the roots
+    (`_local_roots`). A reduced form
     (a, b, c) has a <= sqrt(|D|/3), and for 4a^2 < |D| every counted b has
     c > a, so each gives exactly one reduced form: those a add rho(a), summed
     from a byte table built by slice operations, one per prime. Only the top

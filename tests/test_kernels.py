@@ -1,6 +1,5 @@
 """Correctness of the hot kernels against independent oracles."""
 
-import functools
 import math
 import random
 import time
@@ -30,10 +29,6 @@ def test_count_points_vs_naive(ainvs, p):
     got = _kernels.count_points(*reduced, p)
     want = count_points_naive(ainvs, p)
     assert got == want
-
-
-# the exhaustive oracle over [-4000, -3] is shared by the list and count tests
-_naive_forms = functools.lru_cache(maxsize=None)(reduced_forms_naive)
 
 
 def _is_fundamental(D: int) -> bool:
@@ -80,7 +75,7 @@ def test_reduced_forms_match_exhaustive_oracle():
     # every discriminant in [-4000, -3], non-fundamental ones included
     for D in range(-3, -4001, -1):
         if D % 4 in (0, 1):
-            assert _kernels.reduced_forms(D) == _naive_forms(D), D
+            assert _kernels.reduced_forms(D) == reduced_forms_naive(D), D
     large = _seeded_discriminants(10**6, 4 * 10**6, 8, lambda D: True)
     assert any(len(factorint(-D)) >= 4 for D in large)
     assert any(not _is_fundamental(D) for D in large)
@@ -92,7 +87,7 @@ def test_class_number_matches_exhaustive_oracle():
     # the count against the exhaustive pair search, non-fundamental D included
     for D in range(-3, -4001, -1):
         if D % 4 in (0, 1):
-            assert _kernels.class_number(D) == len(_naive_forms(D)), D
+            assert _kernels.class_number(D) == len(reduced_forms_naive(D)), D
 
 
 def _prime_below(n: int) -> int:
