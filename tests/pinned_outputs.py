@@ -40,6 +40,15 @@ CHARACTER_REFUSALS pins `twistsel check --curve "[0,-1,1,0,0]" --ell 5 --d -37
 CHARACTER_ACCEPTED_SHA256 gives, for each accepted SPEC, the SHA-256 of the
 stdout of the same command, which exits 0 with empty stderr. Refactors of the
 character validation must keep both.
+
+SEARCH_FORMAT_PINS gives, for `twistsel search` over SEARCH_FORMAT_RANGE on
+11a3 with ell = 5 and on curve 26 with ell = 7, in each --format, each --mode
+and with and without --explain, the SHA-256 of its stdout; every such call
+exits 0 with empty stderr. CHECK_PINS gives, for `twistsel check` on one d in
+one --format, the exit code and the SHA-256 of stdout: the text form of an
+admissible d, the JSON of an inadmissible one, and the JSON of curve 26 at
+d = -1, whose ray-class bound is undetermined (exit 3). Refactors of the result
+schema must keep them all.
 """
 
 SEARCH_26_CSV = (
@@ -134,4 +143,40 @@ CHARACTER_REFUSALS = (
 CHARACTER_ACCEPTED_SHA256 = (
     ("11:1", "e79df9c5e880a83e47d2c666c64e78d9cd131ef6d5c37e42826998527e705c65"),
     ("25:1", "6e1a08e001a62e4a528e60adb6e62298cfd251d2c71f84bee7192090b0c70737"),
+)
+
+SEARCH_FORMAT_RANGE = "-600:-3"
+# (curve, ell, format, mode, explain, SHA-256 of stdout)
+SEARCH_FORMAT_PINS = (
+    ("[0,-1,1,0,0]", "5", "json", "CorollaryE", False, "d163350ad708e56b8d2e7cac702bf59c1e85011fcb878dd7703283cd095d0011"),
+    ("[0,-1,1,0,0]", "5", "json", "CorollaryE", True, "bdca6486941ed74115a2f6498b56d4ef1b165f171381eeeba4e6fb1d584ade6a"),
+    ("[0,-1,1,0,0]", "5", "json", "LowerBoundOnly", False, "4139ef926e21841b3635752720613996188ae9c530f6d78bff82722aee1040fd"),
+    ("[0,-1,1,0,0]", "5", "json", "LowerBoundOnly", True, "af7642a308e20393822565e8d5640e2c045d2585a4ab2e7ce9f1852f547e5e7e"),
+    ("[0,-1,1,0,0]", "5", "text", "CorollaryE", False, "6398d15f5f9bc781bad386e9dbc6c022422d9e4b477a2b7466ab4bbb38672ec3"),
+    ("[0,-1,1,0,0]", "5", "text", "CorollaryE", True, "b3614fdddea6b59803763c210e3eb08b0da49e1b77521f90804e00f36998bc42"),
+    ("[0,-1,1,0,0]", "5", "text", "LowerBoundOnly", False, "aaa49806a4db9e394a4737ab77a5c419cbfc30f97a850add706609b1390b294b"),
+    ("[0,-1,1,0,0]", "5", "text", "LowerBoundOnly", True, "02e7ee08867abb5f25dd67576c9a4ea4e5ac585ba2b500ec45547ff9e582823b"),
+    ("[0,-1,1,0,0]", "5", "csv", "CorollaryE", False, "5c84e1e3d76df758e38d674a415bd151efc941fd616fc9bf61337c52fc5505c1"),
+    ("[0,-1,1,0,0]", "5", "csv", "CorollaryE", True, "3fb32b1acaef7d7cdd9061f90b54d2d878e5b90b4521b4f36e3dae118a1656f4"),
+    ("[0,-1,1,0,0]", "5", "csv", "LowerBoundOnly", False, "17d1ca56b2f693da1fd131add644356af8dfd097745230af9af921ba543952f2"),
+    ("[0,-1,1,0,0]", "5", "csv", "LowerBoundOnly", True, "f926b55e62ee498af3aaa0ca670d8f336964d6b994527cbb3b15609e6fb773a0"),
+    ("[1,-1,1,-3,3]", "7", "json", "CorollaryE", False, "d1245a8e1cb75bcc580eb8b61cba6e3c73f0ff4d85da40bd3b518ef2afb40aa6"),
+    ("[1,-1,1,-3,3]", "7", "json", "CorollaryE", True, "d1245a8e1cb75bcc580eb8b61cba6e3c73f0ff4d85da40bd3b518ef2afb40aa6"),
+    ("[1,-1,1,-3,3]", "7", "json", "LowerBoundOnly", False, "00b006bf1a5bd2badfc6363cf0eca9c17d2dc9cc5730702b9011bdc4bf47c4be"),
+    ("[1,-1,1,-3,3]", "7", "json", "LowerBoundOnly", True, "00b006bf1a5bd2badfc6363cf0eca9c17d2dc9cc5730702b9011bdc4bf47c4be"),
+    ("[1,-1,1,-3,3]", "7", "text", "CorollaryE", False, "024a27da16d27c85f5261fb4db7ba817d26486d9f2d237f0336f7e12e032bfbf"),
+    ("[1,-1,1,-3,3]", "7", "text", "CorollaryE", True, "024a27da16d27c85f5261fb4db7ba817d26486d9f2d237f0336f7e12e032bfbf"),
+    ("[1,-1,1,-3,3]", "7", "text", "LowerBoundOnly", False, "d00aaa17241482add4801ca326d157919dfea04a35ca12f5098d45f59c06d79d"),
+    ("[1,-1,1,-3,3]", "7", "text", "LowerBoundOnly", True, "d00aaa17241482add4801ca326d157919dfea04a35ca12f5098d45f59c06d79d"),
+    ("[1,-1,1,-3,3]", "7", "csv", "CorollaryE", False, "60f3c263c1b0de5cb171cb3ab52e6793d49b3edaf9e2149fc03369db4e7bdb35"),
+    ("[1,-1,1,-3,3]", "7", "csv", "CorollaryE", True, "60f3c263c1b0de5cb171cb3ab52e6793d49b3edaf9e2149fc03369db4e7bdb35"),
+    ("[1,-1,1,-3,3]", "7", "csv", "LowerBoundOnly", False, "0b91b6c739e5c6c4c4e278dded20eb969343efae9272f8b82f283966f63db3ad"),
+    ("[1,-1,1,-3,3]", "7", "csv", "LowerBoundOnly", True, "0b91b6c739e5c6c4c4e278dded20eb969343efae9272f8b82f283966f63db3ad"),
+)
+
+# (curve, ell, d, format, exit code, SHA-256 of stdout)
+CHECK_PINS = (
+    ("[0,-1,1,0,0]", "5", "-37", "text", 0, "25cae19c893c744ff50ab9e8b6a64a5e2f9a1648c273bc8358ce0d4a34fcb09b"),
+    ("[0,-1,1,0,0]", "5", "-13", "json", 0, "090caac903af9b775aacf63a436ee112a73b86d564ad2024d6f80edd872f8a29"),
+    ("[1,-1,1,-3,3]", "7", "-1", "json", 3, "67ca0340114cd63e19caf7a3fbc05f5267498b93fb65d27e97f9a52b95ac8eb9"),
 )

@@ -10,6 +10,7 @@ from pinned_outputs import (
     CHARACTER_REFUSALS,
     CHECK_11A3_D181,
     CHECK_26_D5,
+    CHECK_PINS,
     CLASSGROUP_SHA256,
     EXPLAIN_ARGS,
     EXPLAIN_SHA256,
@@ -22,6 +23,8 @@ from pinned_outputs import (
     RAYCLASS_ARGS,
     RAYCLASS_SHA256,
     SEARCH_26_CSV,
+    SEARCH_FORMAT_PINS,
+    SEARCH_FORMAT_RANGE,
     TORSION_FIELD_FACTOR,
     TORSION_FIELD_SHA256,
 )
@@ -277,6 +280,28 @@ def test_explain_csv_is_pinned(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
+def test_search_formats_are_pinned(capsys):
+    for curve, ell, fmt, mode, explain, want in SEARCH_FORMAT_PINS:
+        argv = ["search", "--curve", curve, "--ell", ell, f"--range={SEARCH_FORMAT_RANGE}",
+                "--format", fmt, "--mode", mode] + (["--explain"] if explain else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
+def test_check_outputs_and_exit_codes_are_pinned(capsys):
+    for curve, ell, d, fmt, exit_code, want in CHECK_PINS:
+        argv = ["check", "--curve", curve, "--ell", ell, f"--d={d}", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (exit_code, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+    # the undetermined bound of curve 26 at d = -1 names its reason
+    out = run_cli(capsys, "check", "--curve", "[1,-1,1,-3,3]", "--ell", "7", "--d=-1")[1]
+    payload = json.loads(out)
+    assert payload["ray_rank"] is None and payload["selmer_lower_bound"] is None
+    assert payload["undetermined_reason"].startswith("nontrivial units")
 
 
 def test_character_outcomes_are_pinned(capsys):
