@@ -269,13 +269,10 @@ def squarefree_sieve(lo: int, hi: int) -> list[bool]:
     """Flags for squarefreeness of lo..hi inclusive (indexed by n - lo)."""
     size = hi - lo + 1
     flags = [True] * size
-    q = 2
-    while q * q <= max(abs(lo), abs(hi)):
+    for q in primes_up_to(math.isqrt(max(abs(lo), abs(hi)))):
         q2 = q * q
-        start = lo + (-lo) % q2
-        for n in range(start, hi + 1, q2):
+        for n in range(lo + (-lo) % q2, hi + 1, q2):
             flags[n - lo] = False
-        q += 1
     if 0 >= lo and 0 <= hi:
         flags[-lo] = False
     return flags

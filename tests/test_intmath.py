@@ -132,10 +132,14 @@ def test_squarefree_stops_at_a_rho_split_sharing_a_factor(monkeypatch):
 
 
 def test_squarefree_sieve_agrees():
-    lo, hi = -100, -1
-    flags = squarefree_sieve(lo, hi)
-    for n in range(lo, hi + 1):
-        assert flags[n - lo] == is_squarefree(n)
+    # the second window lies near -10^9 and holds -31607^2, the square of the
+    # largest prime the sieve reads there
+    q2 = 31607**2
+    for lo, hi in ((-100, -1), (-q2 - 200, -q2 + 199)):
+        flags = squarefree_sieve(lo, hi)
+        for n in range(lo, hi + 1):
+            assert flags[n - lo] == is_squarefree(n), n
+    assert not flags[-q2 - lo]
 
 
 @given(st.integers(min_value=-200, max_value=200))
