@@ -416,16 +416,55 @@ class SandwichResult:
     reason: str
 
 
+# the columns of a scan row, in output order
+SCAN_COLUMNS = ("d", "D", "h", "ell_rank", "selmer_lb", "verdict", "failed_clauses")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Every per-d conclusion; h, bound and sandwich are None unless d is
-    admissible, and D is None unless d passes the domain clauses."""
+    admissible, and D is None unless d passes the domain clauses.
+
+    The output names of its fields are given here only: `to_dict` is the
+    payload of `check`, and `scan_row` the row of a scan, keyed by SCAN_COLUMNS.
+    """
 
     report: ConditionReport
     D: int | None = None
     h: int | None = None
     bound: SelmerBound | None = None
     sandwich: SandwichResult | None = None
+
+    @property
+    def is_undetermined(self) -> bool:
+        """An admissibility clause or the ray class bound is undetermined."""
+        bound = self.bound
+        return self.report.overall is Overall.UNDETERMINED or bool(bound and bound.is_undetermined)
+
+    def to_dict(self) -> dict:
+        out = self.report.to_dict()
+        bound, sandwich = self.bound, self.sandwich
+        if bound is not None:
+            out["selmer_lower_bound"] = bound.bound
+            out["ray_rank"] = bound.rank
+            out["s_used"] = list(bound.s_used)
+            out["verdict"] = sandwich.verdict.value
+            if sandwich.lower is not None:
+                out["bounds"] = [sandwich.lower, sandwich.upper]
+            if bound.is_undetermined:
+                out["undetermined_reason"] = bound.undetermined_reason
+        return out
+
+    def scan_row(self, with_sandwich: bool = True) -> dict:
+        """The row of a scan: the ray-class rank and bound of an admissible d
+        with the sandwich verdict (blank unless with_sandwich), or the overall
+        verdict and failed clauses of any other d."""
+        bound, report = self.bound, self.report
+        if bound is None:
+            cells = (None, None, report.overall.value)
+        else:
+            cells = (bound.rank, bound.bound, self.sandwich.verdict.value if with_sandwich else "")
+        return dict(zip(SCAN_COLUMNS, (report.d, self.D, self.h, *cells, report.failed_clauses())))
 
 
 def certify(rules: TwistRules, d: int, squarefree: bool | None = None) -> Certificate:

@@ -196,23 +196,8 @@ def cmd_check(args) -> int:
         _dump(hyp.to_dict(), args.format)
         return EXIT_UNDETERMINED if hyp.undetermined else EXIT_PRECONDITION
     cert = checker.certify(checker.twist_rules(E, args.ell, pred), args.d)
-    report, bound, sandwich = cert.report, cert.bound, cert.sandwich
-    payload = report.to_dict()
-    if bound is not None:
-        payload["selmer_lower_bound"] = bound.bound
-        payload["ray_rank"] = bound.rank
-        payload["s_used"] = list(bound.s_used)
-        payload["verdict"] = sandwich.verdict.value
-        if sandwich.lower is not None:
-            payload["bounds"] = [sandwich.lower, sandwich.upper]
-        if bound.is_undetermined:
-            payload["undetermined_reason"] = bound.undetermined_reason
-            _dump(payload, args.format)
-            return EXIT_UNDETERMINED
-    _dump(payload, args.format)
-    if report.overall.value == "Undetermined":
-        return EXIT_UNDETERMINED
-    return EXIT_OK
+    _dump(cert.to_dict(), args.format)
+    return EXIT_UNDETERMINED if cert.is_undetermined else EXIT_OK
 
 
 def cmd_search(args) -> int:
@@ -228,11 +213,10 @@ def cmd_search(args) -> int:
         jobs=args.jobs,
     )
     if args.format == "csv":
-        print(search.CSV_HEADER)
-        for row in rows:
-            print(row.to_csv_row())
+        for line in search.csv_lines(rows):
+            print(line)
     else:
-        _dump([row.to_dict() for row in rows], args.format)
+        _dump(rows, args.format)
     return EXIT_OK
 
 

@@ -13,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checker import (
-    Overall,
-    SelmerVerdict,
-    admissibility_check,
-    compute_s_sets,
-    corollary_sandwich,
-    hypothesis_check,
-)
+from .checker import Overall, SelmerVerdict, certify, hypothesis_check, twist_rules
 from .curves import CurveQ, PointQ, point_order
 from .divpoly import division_polynomial, psi_factor_shape, rational_ell_torsion_point
 from .numfield import NO, dedekind_split, number_field, zeta_in_field
@@ -97,17 +90,18 @@ def _case_degree84_pipeline() -> CaseResult:
 
 def _case_scan() -> CaseResult:
     E = CURVE_11A3
-    checks = []
-    checks.append(hypothesis_check(E, 5).ok)
-    checks.append(compute_s_sets(E, 5).s_tilde == ())
-    r37 = admissibility_check(E, 5, -37)
-    checks.append(r37.overall is Overall.ADMISSIBLE)
-    s37 = corollary_sandwich(E, 5, -37)
-    checks.append(s37.verdict is SelmerVerdict.TRIVIAL and (s37.lower, s37.upper) == (1, 1))
-    r13 = admissibility_check(E, 5, -13)
-    checks.append(r13.overall is Overall.INADMISSIBLE and "symbol.11" in r13.failed_clauses())
-    s181 = corollary_sandwich(E, 5, -181)
-    checks.append(s181.verdict is SelmerVerdict.NONTRIVIAL and (s181.lower, s181.upper) == (5, 25))
+    rules = twist_rules(E, 5)
+    c37, c13, c181 = (certify(rules, d) for d in (-37, -13, -181))
+    s37, s181 = c37.sandwich, c181.sandwich
+    checks = [
+        hypothesis_check(E, 5).ok,
+        rules.ssets.s_tilde == (),
+        c37.report.overall is Overall.ADMISSIBLE,
+        s37 is not None and (s37.verdict, s37.lower, s37.upper) == (SelmerVerdict.TRIVIAL, 1, 1),
+        c13.report.overall is Overall.INADMISSIBLE and "symbol.11" in c13.report.failed_clauses(),
+        s181 is not None
+        and (s181.verdict, s181.lower, s181.upper) == (SelmerVerdict.NONTRIVIAL, 5, 25),
+    ]
     return CaseResult(
         "twist-scan",
         all(checks),

@@ -3,7 +3,8 @@
 The scan is deterministic: candidates stream in order of |d| (ascending by
 default), and each d becomes a finished row from one `certify` call, which
 applies the curve's admissibility rules, built once per scan, and runs the
-one class-group pass. The squarefree sieve of `enumerate_d` is the scan's
+one class-group pass; the row is the certificate's `scan_row`, a dict keyed
+by the scan columns that `checker` names. The squarefree sieve of `enumerate_d` is the scan's
 only squarefree test: `certify` takes its verdict and factors no d.
 
 `jobs` is an upper bound on worker processes, not a request for them. The
@@ -21,15 +22,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from time import perf_counter
 
-from .checker import TwistRules, certify, hypothesis_check, twist_rules
+from .checker import SCAN_COLUMNS, TwistRules, certify, hypothesis_check, twist_rules
 from .curves import CurveQ
 from .dirichlet import DirichletPredicate
-from .errors import InvalidParameterError, PreconditionError
+from .errors import InvalidParameterError, PreconditionError, ResourceError
 from .intmath import squarefree_sieve
 
 # In-process time before the first estimate of the remaining work, so that the
@@ -44,6 +44,11 @@ PROBE_S = 0.005
 # 0.061 s, 1600 took 0.109 s and 0.098 s, 6400 took 0.444 s and 0.312 s.
 POOL_BREAK_EVEN_S = 0.060
 
+# Widest range of d one scan takes: its sieve holds one flag per d, so a range
+# of 10^8 reached 800 MiB before the first row. 10^7 keeps the full scan of
+# |d| <= 2*10^6.
+MAX_SCAN_WIDTH = 10**7
+
 
 def enumerate_d(lo: int, hi: int, ell: int, N: int):
     """Candidates d in [lo, hi] by |d| ascending.
@@ -52,15 +57,12 @@ def enumerate_d(lo: int, hi: int, ell: int, N: int):
     """
     if lo > hi or hi >= 0:
         raise InvalidParameterError("need lo <= hi < 0")
+    if hi - lo + 1 > MAX_SCAN_WIDTH:
+        raise ResourceError(f"a scan takes at most {MAX_SCAN_WIDTH} values of d")
     flags = squarefree_sieve(lo, hi)
     for d in range(hi, lo - 1, -1):
-        if d % 4 != 3:
-            continue
-        if not flags[d - lo]:
-            continue
-        if math.gcd(d, ell * N) != 1:
-            continue
-        yield d
+        if d % 4 == 3 and flags[d - lo] and math.gcd(d, ell * N) == 1:
+            yield d
 
 
 class SearchMode(Enum):
@@ -68,54 +70,29 @@ class SearchMode(Enum):
     LOWER_BOUND_ONLY = "LowerBoundOnly"
 
 
-@dataclass(frozen=True)
-class TwistCandidate:
-    d: int
-    D: int
-    h: int | None
-    ell_rank: int | None
-    selmer_lower_bound: int | None
-    verdict: str
-    failed_clauses: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "D": self.D,
-            "h": self.h,
-            "ell_rank": self.ell_rank,
-            "selmer_lb": self.selmer_lower_bound,
-            "verdict": self.verdict,
-            "failed_clauses": list(self.failed_clauses),
-        }
-
-    def to_csv_row(self) -> str:
-        lb = "" if self.selmer_lower_bound is None else str(self.selmer_lower_bound)
-        h = "" if self.h is None else str(self.h)
-        r = "" if self.ell_rank is None else str(self.ell_rank)
-        return f"{self.d},{self.D},{h},{r},{lb},{self.verdict},{';'.join(self.failed_clauses)}"
-
-
-CSV_HEADER = "d,D,h,ell_rank,selmer_lb,verdict,failed_clauses"
-
-
-def _row(
-    rules: TwistRules, mode: SearchMode, include_inadmissible: bool, d: int
-) -> TwistCandidate | None:
+def _row(rules: TwistRules, mode: SearchMode, include_inadmissible: bool, d: int) -> dict | None:
     """The finished row for one d, or None for an inadmissible d left out of the scan.
 
     d comes from `enumerate_d`, so the sieve has found it squarefree.
     """
     cert = certify(rules, d, squarefree=True)
-    if cert.bound is None:
-        if not include_inadmissible:
-            return None
-        report = cert.report
-        return TwistCandidate(
-            d, cert.D, None, None, None, report.overall.value, tuple(report.failed_clauses())
-        )
-    verdict = cert.sandwich.verdict.value if mode is SearchMode.COROLLARY_E else ""
-    return TwistCandidate(d, cert.D, cert.h, cert.bound.rank, cert.bound.bound, verdict, ())
+    if cert.bound is None and not include_inadmissible:
+        return None
+    return cert.scan_row(mode is SearchMode.COROLLARY_E)
+
+
+def _csv_line(cells) -> str:
+    # None is an empty cell and a list its items joined by ";"
+    return ",".join(
+        "" if v is None else ";".join(v) if isinstance(v, list) else str(v) for v in cells
+    )
+
+
+def csv_lines(rows: list[dict]):
+    """The CSV of scan rows: a header of the scan columns, then one line per row."""
+    yield _csv_line(SCAN_COLUMNS)
+    for row in rows:
+        yield _csv_line(row[c] for c in SCAN_COLUMNS)
 
 
 def _usable_cpus() -> int:
@@ -134,7 +111,7 @@ def search_twists(
     predicate: DirichletPredicate | None = None,
     include_inadmissible: bool = False,
     jobs: int = 1,
-) -> list[TwistCandidate]:
+) -> list[dict]:
     """Scan twist parameters for one curve; rows sorted by |d| ascending.
 
     `jobs` (at least 1) caps the worker processes; no more than the usable

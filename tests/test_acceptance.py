@@ -180,10 +180,10 @@ def test_criterion_5_end_to_end_scan():
     assert compute_s_sets(E11A3, 5).s_tilde == ()
     # full scan over [-3000, -3]
     rows = search_twists(E11A3, 5, -3000, -3, mode=SearchMode.COROLLARY_E)
-    by_d = {row.d: row for row in rows}
+    by_d = {row["d"]: row for row in rows}
     # (b) d = -37 admissible, SelmerTrivial with bounds [1, 1]
     row37 = by_d[-37]
-    assert row37.verdict == "SelmerTrivial"
+    assert row37["verdict"] == "SelmerTrivial"
     s37 = corollary_sandwich(E11A3, 5, -37)
     assert (s37.lower, s37.upper) == (1, 1)
     # (c) d = -13 rejected with the symbol clause at 11 cited
@@ -191,7 +191,7 @@ def test_criterion_5_end_to_end_scan():
     assert rep13.overall is Overall.INADMISSIBLE
     assert rep13.failed_clauses() == ["symbol.11"]
     # (d) the pinned first nontrivial twist
-    nontrivial = [row.d for row in rows if row.verdict == "SelmerNontrivial"]
+    nontrivial = [row["d"] for row in rows if row["verdict"] == "SelmerNontrivial"]
     assert nontrivial and max(nontrivial) == PINNED_NONTRIVIAL_D
     s181 = corollary_sandwich(E11A3, 5, PINNED_NONTRIVIAL_D)
     r = s181.ell_rank
@@ -199,7 +199,7 @@ def test_criterion_5_end_to_end_scan():
     assert s181.verdict is SelmerVerdict.NONTRIVIAL
     # every nontrivial row has 5 | h
     for row in rows:
-        assert (row.verdict == "SelmerNontrivial") == (row.h % 5 == 0)
+        assert (row["verdict"] == "SelmerNontrivial") == (row["h"] % 5 == 0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report(5, f"end-to-end scan of [-3000, -3], {len(rows)} admissible rows", elapsed, 60)

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from twistsel.checker import (
+    SCAN_COLUMNS,
     ArtinClass,
     Overall,
     SelmerVerdict,
     admissibility_check,
+    certify,
     compute_s_sets,
     corollary_sandwich,
     evaluate_admissibility,
@@ -247,6 +249,22 @@ def test_ell_7_pipeline():
     assert sb.s_used == (13,) and sb.bound == 7
     assert ell_rank(-20, 7)[0] == 0
     assert sb.rank == ray_class_data(-20, (13,), 7).ell_rank
+
+
+def test_scan_row_and_check_payload_read_one_certificate():
+    # the scan's ell_rank and selmer_lb are the check's ray_rank and
+    # selmer_lower_bound; an inadmissible d has neither, and its row names why
+    rules = twist_rules(E26, 7)
+    for d, undetermined in ((-5, False), (-1, True), (-13, False)):
+        cert = certify(rules, d)
+        row, payload = cert.scan_row(), cert.to_dict()
+        assert tuple(row) == SCAN_COLUMNS
+        assert (row["d"], row["h"], row["failed_clauses"]) == (d, cert.h, cert.report.failed_clauses())
+        assert row["ell_rank"] == payload.get("ray_rank")
+        assert row["selmer_lb"] == payload.get("selmer_lower_bound")
+        assert cert.is_undetermined is undetermined
+        assert cert.scan_row(with_sandwich=False)["verdict"] == ("" if cert.bound else row["verdict"])
+    assert row["verdict"] == "Inadmissible" and "ray_rank" not in payload
 
 
 E26 = CurveQ(1, -1, 1, -3, 3)

@@ -28,7 +28,7 @@ from pinned_outputs import (
     TORSION_FIELD_FACTOR,
     TORSION_FIELD_SHA256,
 )
-from twistsel import cli
+from twistsel import cli, search
 from twistsel.cli import main
 
 
@@ -249,6 +249,16 @@ def test_search_rejects_jobs_below_one(capsys):
         )
         assert (code, out) == (1, "")
         assert "jobs must be at least 1" in err
+
+
+def test_search_refuses_an_over_wide_range(capsys):
+    # one value of d past the ceiling: refused before the sieve allocates
+    lo = -3 - search.MAX_SCAN_WIDTH
+    code, out, err = run_cli(
+        capsys, "search", "--curve", "[0,-1,1,0,0]", "--ell", "5", f"--range={lo}:-3"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: a scan takes at most {search.MAX_SCAN_WIDTH} values of d\n"
 
 
 @pytest.mark.parametrize(

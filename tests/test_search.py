@@ -13,10 +13,10 @@ from pinned_outputs import SEARCH_26_CSV
 from twistsel import search
 from twistsel.checker import Overall, admissibility_check
 from twistsel.curves import CurveQ
-from twistsel.errors import InvalidParameterError, PreconditionError
+from twistsel.errors import InvalidParameterError, PreconditionError, ResourceError
 from twistsel.quadforms import class_number, field_discriminant
 from twistsel.rayclass import ray_class_data
-from twistsel.search import CSV_HEADER, SearchMode, enumerate_d, search_twists
+from twistsel.search import SearchMode, csv_lines, enumerate_d, search_twists
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
 E26 = CurveQ(1, -1, 1, -3, 3)
@@ -45,11 +45,32 @@ def test_search_rows_revalidate():
     rows = search_twists(E11A3, 5, -100, -3)
     assert rows  # nonempty
     for row in rows:
-        rep = admissibility_check(E11A3, 5, row.d)
+        rep = admissibility_check(E11A3, 5, row["d"])
         assert rep.overall is Overall.ADMISSIBLE
-        assert row.D == field_discriminant(row.d)
-        assert row.h == class_number(row.D)
-        assert row.selmer_lower_bound == 5**row.ell_rank
+        assert row["D"] == field_discriminant(row["d"])
+        assert row["h"] == class_number(row["D"])
+        assert row["selmer_lb"] == 5**row["ell_rank"]
+
+
+def test_scan_width_is_refused_before_the_sieve(monkeypatch):
+    # a range one wider than the ceiling is refused; one at the ceiling reaches the
+    # sieve, which stands in here for the allocation it would make
+    class SieveReached(Exception):
+        pass
+
+    def sieve(lo, hi):
+        raise SieveReached
+
+    monkeypatch.setattr(search, "squarefree_sieve", sieve)
+    width = search.MAX_SCAN_WIDTH
+    with pytest.raises(ResourceError):
+        list(enumerate_d(-3 - width, -3, 5, 11))
+    with pytest.raises(ResourceError):
+        search_twists(E11A3, 5, -3 - width, -3)
+    with pytest.raises(SieveReached):
+        list(enumerate_d(-2 - width, -3, 5, 11))
+    with pytest.raises(SieveReached):
+        search_twists(E11A3, 5, -2 - width, -3)
 
 
 def test_search_row_count_and_order():
@@ -59,28 +80,28 @@ def test_search_row_count_and_order():
         for d in enumerate_d(-100, -3, 5, 11)
         if admissibility_check(E11A3, 5, d).overall is Overall.ADMISSIBLE
     ]
-    assert [row.d for row in rows] == sorted(admissible, key=abs)
-    assert len(rows) == len(set(row.d for row in rows))
+    assert [row["d"] for row in rows] == sorted(admissible, key=abs)
+    assert len(rows) == len(set(row["d"] for row in rows))
 
 
 def test_search_includes_d37():
-    rows = {row.d: row for row in search_twists(E11A3, 5, -100, -3)}
+    rows = {row["d"]: row for row in search_twists(E11A3, 5, -100, -3)}
     row = rows[-37]
-    assert (row.h, row.ell_rank, row.selmer_lower_bound, row.verdict) == (2, 0, 1, "SelmerTrivial")
+    assert (row["h"], row["ell_rank"], row["selmer_lb"], row["verdict"]) == (2, 0, 1, "SelmerTrivial")
 
 
 def test_search_corollary_mode_verdict_consistency():
     rows = search_twists(E11A3, 5, -400, -3)
     for row in rows:
-        want = "SelmerNontrivial" if row.h % 5 == 0 else "SelmerTrivial"
-        assert row.verdict == want
+        want = "SelmerNontrivial" if row["h"] % 5 == 0 else "SelmerTrivial"
+        assert row["verdict"] == want
 
 
 def test_search_explain_mode():
     rows = search_twists(E11A3, 5, -50, -3, include_inadmissible=True)
-    by_d = {row.d: row for row in rows}
-    assert by_d[-13].verdict == "Inadmissible"
-    assert "symbol.11" in by_d[-13].failed_clauses
+    by_d = {row["d"]: row for row in rows}
+    assert by_d[-13]["verdict"] == "Inadmissible"
+    assert "symbol.11" in by_d[-13]["failed_clauses"]
     # all enumerated candidates appear exactly once
     assert sorted(by_d) == sorted(enumerate_d(-50, -3, 5, 11))
 
@@ -88,8 +109,8 @@ def test_search_explain_mode():
 def test_search_lower_bound_only_mode():
     rows = search_twists(E11A3, 5, -100, -3, mode=SearchMode.LOWER_BOUND_ONLY)
     for row in rows:
-        assert row.verdict == ""
-        assert row.selmer_lower_bound is not None
+        assert row["verdict"] == ""
+        assert row["selmer_lb"] is not None
 
 
 def test_search_hypothesis_failure():
@@ -108,7 +129,7 @@ def test_search_parallel_matches_serial(monkeypatch):
     pinned = SEARCH_26_CSV.splitlines()
     for jobs in (1, 2):
         rows = search_twists(E26, 7, -120, -3, jobs=jobs)
-        assert [CSV_HEADER] + [row.to_csv_row() for row in rows] == pinned
+        assert list(csv_lines(rows)) == pinned
     assert len(handed) == 2
 
 
@@ -124,7 +145,7 @@ def test_search_rows_do_not_depend_on_jobs(curve, ell, start):
         handed = force_pool(mp)
         assert search_twists(curve, ell, lo, hi, include_inadmissible=True, jobs=2) == serial
     # every candidate has a row here, so the pool gets all d but the first
-    assert handed == ([[row.d for row in serial][1:]] if len(serial) > 1 else [])
+    assert handed == ([[row["d"] for row in serial][1:]] if len(serial) > 1 else [])
 
 
 def test_search_pool_takes_over_mid_scan(monkeypatch):
@@ -141,7 +162,7 @@ def test_search_pool_takes_over_mid_scan(monkeypatch):
     assert handed == [ds[3:]]
     serial = search_twists(E26, 7, lo, hi, include_inadmissible=True, jobs=1)
     assert len(handed) == 1
-    assert [row.d for row in pooled] == ds
+    assert [row["d"] for row in pooled] == ds
     assert pooled == serial
 
 
@@ -211,7 +232,7 @@ def test_search_starts_no_more_workers_than_usable_cpus(
 def test_search_undetermined_bound_keeps_h():
     # d = -1 has units +-i, so the ray class bound over S_E = {13} is undetermined
     rows = search_twists(E26, 7, -8, -1)
-    assert [row.to_csv_row() for row in rows] == [
+    assert list(csv_lines(rows))[1:] == [
         "-1,-4,1,,,NotApplicable,",
         "-5,-20,2,1,7,NotApplicable,",
     ]
@@ -219,10 +240,12 @@ def test_search_undetermined_bound_keeps_h():
 
 def test_csv_rows():
     rows = search_twists(E11A3, 5, -50, -3)
-    header_fields = CSV_HEADER.split(",")
+    header, *lines = csv_lines(rows)
+    header_fields = header.split(",")
     assert header_fields == ["d", "D", "h", "ell_rank", "selmer_lb", "verdict", "failed_clauses"]
-    for row in rows:
-        assert len(row.to_csv_row().split(",")) == 7
+    assert len(lines) == len(rows)
+    for line in lines:
+        assert len(line.split(",")) == 7
 
 
 def test_scan_ray_ranks_match_the_relation_oracle():
@@ -233,13 +256,13 @@ def test_scan_ray_ranks_match_the_relation_oracle():
     7-ranks 0, 1 and 2 (rank 2 at d = -149); on the other 86 the oracle is
     incomplete. At about 0.3 s per d only those 11 are run.
     """
-    rows = {row.d: row for row in search_twists(E26, 7, -600, -3)}
+    rows = {row["d"]: row for row in search_twists(E26, 7, -600, -3)}
     trusted = (-17, -29, -41, -53, -89, -101, -149, -241, -409, -521, -569)
     for d in trusted:
         order, invariants = ray_class_oracle(d, (13,))
         assert order == ray_class_data(field_discriminant(d), (13,), 7).ray_class_number, d
-        assert rows[d].ell_rank == sum(1 for v in invariants if v % 7 == 0), d
-    assert {rows[d].ell_rank for d in trusted} == {0, 1, 2}
+        assert rows[d]["ell_rank"] == sum(1 for v in invariants if v % 7 == 0), d
+    assert {rows[d]["ell_rank"] for d in trusted} == {0, 1, 2}
 
 
 def test_search_nonempty_s_curve():
@@ -248,8 +271,8 @@ def test_search_nonempty_s_curve():
     rows = search_twists(E38, 5, -60, -3)
     assert rows
     for row in rows:
-        assert row.verdict == "NotApplicable"
-        assert row.selmer_lower_bound is not None
+        assert row["verdict"] == "NotApplicable"
+        assert row["selmer_lb"] is not None
 
 
 def test_search_does_curve_level_work_once(monkeypatch):
@@ -359,4 +382,4 @@ def test_sieve_matches_the_factoring_path(monkeypatch, curve, ell, start, seed):
             m.setattr(search, "certify", lambda rules, d, squarefree=None: checker.certify(rules, d))
             factoring = search_twists(curve, ell, lo, hi, include_inadmissible=True)
         assert sieved == factoring
-        assert [row.d for row in sieved] == domain
+        assert [row["d"] for row in sieved] == domain
