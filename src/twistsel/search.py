@@ -49,6 +49,10 @@ POOL_BREAK_EVEN_S = 0.060
 # |d| <= 2*10^6.
 MAX_SCAN_WIDTH = 10**7
 
+# Largest |d| one scan takes: the class groups stop at |D| = 4*10^12, and the
+# sieve lists the primes up to sqrt|d|, which would pass 10^9 bytes near 10^18.
+MAX_SCAN_ABS_D = 10**12
+
 
 def enumerate_d(lo: int, hi: int, ell: int, N: int):
     """Candidates d in [lo, hi] by |d| ascending.
@@ -59,6 +63,8 @@ def enumerate_d(lo: int, hi: int, ell: int, N: int):
         raise InvalidParameterError("need lo <= hi < 0")
     if hi - lo + 1 > MAX_SCAN_WIDTH:
         raise ResourceError(f"a scan takes at most {MAX_SCAN_WIDTH} values of d")
+    if -lo > MAX_SCAN_ABS_D:
+        raise ResourceError(f"a scan takes no d below -{MAX_SCAN_ABS_D}")
     flags = squarefree_sieve(lo, hi)
     for d in range(hi, lo - 1, -1):
         if d % 4 == 3 and flags[d - lo] and math.gcd(d, ell * N) == 1:

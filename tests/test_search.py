@@ -52,7 +52,7 @@ def test_search_rows_revalidate():
         assert row["selmer_lb"] == 5**row["ell_rank"]
 
 
-def test_scan_width_is_refused_before_the_sieve(monkeypatch):
+def test_scan_width_and_depth_are_refused_before_the_sieve(monkeypatch):
     # a range one wider than the ceiling is refused; one at the ceiling reaches the
     # sieve, which stands in here for the allocation it would make
     class SieveReached(Exception):
@@ -71,6 +71,12 @@ def test_scan_width_is_refused_before_the_sieve(monkeypatch):
         list(enumerate_d(-2 - width, -3, 5, 11))
     with pytest.raises(SieveReached):
         search_twists(E11A3, 5, -2 - width, -3)
+    # the same on both sides of the ceiling on |d|
+    deepest = search.MAX_SCAN_ABS_D
+    with pytest.raises(ResourceError):
+        list(enumerate_d(-1 - deepest, -deepest + 399, 5, 11))
+    with pytest.raises(SieveReached):
+        list(enumerate_d(-deepest, -deepest + 399, 5, 11))
 
 
 def test_search_row_count_and_order():
