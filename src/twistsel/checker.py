@@ -393,10 +393,6 @@ class SelmerBound:
     s_used: tuple[int, ...]
     undetermined_reason: str | None = None
 
-    @property
-    def is_undetermined(self) -> bool:
-        return self.rank is None
-
 
 class SelmerVerdict(Enum):
     NONTRIVIAL = "SelmerNontrivial"
@@ -439,7 +435,7 @@ class Certificate:
     def is_undetermined(self) -> bool:
         """An admissibility clause or the ray class bound is undetermined."""
         bound = self.bound
-        return self.report.overall is Overall.UNDETERMINED or bool(bound and bound.is_undetermined)
+        return self.report.overall is Overall.UNDETERMINED or bool(bound and bound.rank is None)
 
     def to_dict(self) -> dict:
         out = self.report.to_dict()
@@ -451,7 +447,7 @@ class Certificate:
             out["verdict"] = sandwich.verdict.value
             if sandwich.lower is not None:
                 out["bounds"] = [sandwich.lower, sandwich.upper]
-            if bound.is_undetermined:
+            if bound.rank is None:
                 out["undetermined_reason"] = bound.undetermined_reason
         return out
 

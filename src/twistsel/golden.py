@@ -92,11 +92,11 @@ def _case_scan() -> CaseResult:
     E = CURVE_11A3
     rules = twist_rules(E, 5)
     c37, c13, c181 = (certify(rules, d) for d in (-37, -13, -181))
+    # a certificate has a sandwich only when d is admissible
     s37, s181 = c37.sandwich, c181.sandwich
     checks = [
         hypothesis_check(E, 5).ok,
         rules.ssets.s_tilde == (),
-        c37.report.overall is Overall.ADMISSIBLE,
         s37 is not None and (s37.verdict, s37.lower, s37.upper) == (SelmerVerdict.TRIVIAL, 1, 1),
         c13.report.overall is Overall.INADMISSIBLE and "symbol.11" in c13.report.failed_clauses(),
         s181 is not None

@@ -44,13 +44,11 @@ PROBE_S = 0.005
 # 0.061 s, 1600 took 0.109 s and 0.098 s, 6400 took 0.444 s and 0.312 s.
 POOL_BREAK_EVEN_S = 0.060
 
-# Widest range of d one scan takes: its sieve holds one flag per d, so a range
-# of 10^8 reached 800 MiB before the first row. 10^7 keeps the full scan of
-# |d| <= 2*10^6.
+# A scan takes at most MAX_SCAN_WIDTH values of d, none below -MAX_SCAN_ABS_D,
+# because its sieve holds one flag per d (a range of 10^8 reached 800 MiB before
+# the first row) and lists the primes up to sqrt|d|. 10^7 keeps the full scan of
+# |d| <= 2*10^6, and 10^12 is where the class groups stop (|D| = 4*10^12).
 MAX_SCAN_WIDTH = 10**7
-
-# Largest |d| one scan takes: the class groups stop at |D| = 4*10^12, and the
-# sieve lists the primes up to sqrt|d|, which would pass 10^9 bytes near 10^18.
 MAX_SCAN_ABS_D = 10**12
 
 
@@ -67,8 +65,13 @@ def enumerate_d(lo: int, hi: int, ell: int, N: int):
         raise ResourceError(f"a scan takes no d below -{MAX_SCAN_ABS_D}")
     flags = squarefree_sieve(lo, hi)
     for d in range(hi, lo - 1, -1):
-        if d % 4 == 3 and flags[d - lo] and math.gcd(d, ell * N) == 1:
-            yield d
+        if d % 4 != 3:
+            continue
+        if not flags[d - lo]:
+            continue
+        if math.gcd(d, ell * N) != 1:
+            continue
+        yield d
 
 
 class SearchMode(Enum):
