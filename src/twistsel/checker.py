@@ -457,10 +457,11 @@ class Certificate:
         verdict and failed clauses of any other d."""
         bound, report = self.bound, self.report
         if bound is None:
-            cells = (None, None, report.overall.value)
+            cells = (None, None, report.overall.value, report.failed_clauses())
         else:
-            cells = (bound.rank, bound.bound, self.sandwich.verdict.value if with_sandwich else "")
-        return dict(zip(SCAN_COLUMNS, (report.d, self.D, self.h, *cells, report.failed_clauses())))
+            verdict = self.sandwich.verdict.value if with_sandwich else ""
+            cells = (bound.rank, bound.bound, verdict, [])  # an admissible d fails no clause
+        return dict(zip(SCAN_COLUMNS, (report.d, self.D, self.h, *cells)))
 
 
 def certify(rules: TwistRules, d: int, squarefree: bool | None = None) -> Certificate:

@@ -3,9 +3,10 @@
 The scan is deterministic: candidates stream in order of |d| (ascending by
 default), and each d becomes a finished row from one `certify` call, which
 applies the curve's admissibility rules, built once per scan, and runs the
-one class-group pass; the row is the certificate's `scan_row`, a dict keyed
-by the scan columns that `checker` names. The squarefree sieve of `enumerate_d` is the scan's
-only squarefree test: `certify` takes its verdict and factors no d.
+one class-group pass. The row is the certificate's `scan_row`, a dict keyed
+by the scan columns that `checker` names. The squarefree sieve of
+`enumerate_d` is the scan's only squarefree test: `certify` takes its
+verdict and factors no d.
 
 `jobs` is an upper bound on worker processes, not a request for them. The
 scan always starts in-process. Once that prefix has run for `PROBE_S`, the
@@ -91,14 +92,14 @@ def _row(rules: TwistRules, mode: SearchMode, include_inadmissible: bool, d: int
 
 
 def _csv_line(cells) -> str:
-    # None is an empty cell and a list its items joined by ";"
     return ",".join(
         "" if v is None else ";".join(v) if isinstance(v, list) else str(v) for v in cells
     )
 
 
 def csv_lines(rows: list[dict]):
-    """The CSV of scan rows: a header of the scan columns, then one line per row."""
+    """The CSV of scan rows: a header of the scan columns, then one line per
+    row, with None as an empty cell and a list as its items joined by ";"."""
     yield _csv_line(SCAN_COLUMNS)
     for row in rows:
         yield _csv_line(row[c] for c in SCAN_COLUMNS)
