@@ -451,7 +451,7 @@ class Certificate:
                 out["undetermined_reason"] = bound.undetermined_reason
         return out
 
-    def scan_row(self, with_sandwich: bool = True) -> dict:
+    def scan_row(self, with_sandwich: bool) -> dict:
         """The row of a scan: the ray-class rank and bound of an admissible d
         with the sandwich verdict (blank unless with_sandwich), or the overall
         verdict and failed clauses of any other d."""

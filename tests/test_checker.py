@@ -257,7 +257,7 @@ def test_scan_row_and_check_payload_read_one_certificate():
     rules = twist_rules(E26, 7)
     for d, undetermined in ((-5, False), (-1, True), (-13, False)):
         cert = certify(rules, d)
-        row, payload = cert.scan_row(), cert.to_dict()
+        row, payload = cert.scan_row(True), cert.to_dict()
         assert tuple(row) == SCAN_COLUMNS
         assert (row["d"], row["h"], row["failed_clauses"]) == (d, cert.h, cert.report.failed_clauses())
         assert row["ell_rank"] == payload.get("ray_rank")
