@@ -1,12 +1,18 @@
 """Class groups of imaginary quadratic fields via binary quadratic forms.
 
-Forms (a, b, c) of discriminant D = b^2 - 4ac < 0 are composed by Dirichlet
-composition and reduced. Of `_kernels` only the class number h is read, and
-it is counted there without listing the forms. With h = p^k m, `sylow_subgroup` grows the p-part of cl(D) from the
-m-th powers of the prime forms (q, b, c), q = 2, 3, 5, ..., and certifies it
-by its order p^k; `ell_part` and `class_group_structure` count torsion there,
-not over all h forms. Only imaginary discriminants: positive D would drag in
-infinite unit groups on purpose left out.
+A form is a plain (a, b, c) int tuple: a x^2 + b xy + c y^2 of discriminant
+D = b^2 - 4ac < 0. Tuples compare and hash as the classes need, and sort by
+(a, b) among forms of one D. No form enters from outside: callers pass D,
+checked where it enters (`_check_disc` in `principal_form` and the kernels,
+`field_discriminant` for d), and every form is made here from that D. So
+Dirichlet composition and reduction check nothing and build no object.
+
+Of `_kernels` only the class number h is read, and it is counted there
+without listing the forms. With h = p^k m, `sylow_subgroup` grows the p-part
+of cl(D) from the m-th powers of the prime forms (q, b, c), q = 2, 3, 5, ...,
+and certifies it by its order p^k; `ell_part` and `class_group_structure`
+count torsion there, not over all h forms. Only imaginary discriminants:
+positive D would drag in infinite unit groups on purpose left out.
 """
 
 from __future__ import annotations
@@ -28,63 +34,46 @@ def field_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-@dataclass(frozen=True)
-class BQF:
-    """Primitive positive definite binary quadratic form a x^2 + b xy + c y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.disc >= 0:
-            raise InvalidParameterError("form must be positive definite with negative discriminant")
-        if math.gcd(math.gcd(self.a, self.b), self.c) != 1:
-            raise InvalidParameterError("form must be primitive")
-
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def reduced(self) -> "BQF":
-        a, b, c = self.a, self.b, self.c
-        while True:
-            if -a < b <= a <= c:
-                break
-            if b > a or b <= -a:
-                # normalize: shift b into (-a, a]
-                r = (a - b) // (2 * a)
-                b, c = b + 2 * r * a, a * r * r + b * r + c
-            if a > c:
-                a, b, c = c, -b, a
-        if a == c and b < 0:
-            b = -b
-        return BQF(a, b, c)
+Form = tuple[int, int, int]
 
 
-def principal_form(D: int) -> BQF:
+def reduce_form(f: Form) -> Form:
+    """The reduced form properly equivalent to f: -a < b <= a <= c, and b >= 0 when a = c."""
+    a, b, c = f
+    while not -a < b <= a <= c:
+        if b > a or b <= -a:
+            # normalize: shift b into (-a, a]
+            r = (a - b) // (2 * a)
+            b, c = b + 2 * r * a, a * r * r + b * r + c
+        if a > c:
+            a, b, c = c, -b, a
+    if a == c and b < 0:
+        b = -b
+    return a, b, c
+
+
+def principal_form(D: int) -> Form:
     _check_disc(D)
     k = D % 2
-    return BQF(1, k, (k * k - D) // 4)
+    return 1, k, (k * k - D) // 4
 
 
-def compose(f: BQF, g: BQF) -> BQF:
+def compose(f: Form, g: Form) -> Form:
     """Dirichlet composition, reduced; the group law of cl(D)."""
-    return compose_unreduced(f, g).reduced()
+    return reduce_form(compose_unreduced(f, g))
 
 
-def compose_unreduced(f: BQF, g: BQF) -> BQF:
+def compose_unreduced(f: Form, g: Form) -> Form:
     """Dirichlet composition before reduction: (a1 a2, B, C) when gcd(a1, a2, (b1 + b2)/2) = 1.
 
     Then it is the form of the ideal product [a1, (-b1 + sqrt(D))/2][a2, (-b2 + sqrt(D))/2]
-    = [a1 a2, (-B + sqrt(D))/2] (Cohen, GTM 138, 5.2).
+    = [a1 a2, (-B + sqrt(D))/2] (Cohen, GTM 138, 5.2). f and g share their
+    discriminant by construction: every form here is made from one D.
     """
-    if f.disc != g.disc:
-        raise InvalidParameterError("forms must share a discriminant")
-    if f.a > g.a:
+    if f[0] > g[0]:
         f, g = g, f
-    a1, b1, c1 = f.a, f.b, f.c
-    a2, b2, c2 = g.a, g.b, g.c
+    a1, b1, _c1 = f
+    a2, b2, c2 = g
     s = (b1 + b2) // 2
     n = b2 - s
     if a2 % a1 == 0:
@@ -103,7 +92,7 @@ def compose_unreduced(f: BQF, g: BQF) -> BQF:
     b3 = b2 + 2 * v2 * r
     a3 = v1 * v2
     c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
-    return BQF(a3, b3, c3)
+    return a3, b3, c3
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -116,9 +105,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def form_power(f: BQF, n: int) -> BQF:
+def form_power(f: Form, n: int) -> Form:
     """f^n for n >= 0, by binary powering."""
-    out = principal_form(f.disc)
+    a, b, c = f
+    out = principal_form(b * b - 4 * a * c)
     base = f
     while n:
         if n & 1:
@@ -128,9 +118,9 @@ def form_power(f: BQF, n: int) -> BQF:
     return out
 
 
-def reduced_forms(D: int) -> list[BQF]:
+def reduced_forms(D: int) -> list[Form]:
     """All primitive reduced forms of discriminant D < 0, sorted by (a, b)."""
-    return [BQF(a, b, c) for a, b, c in _kernel_reduced_forms(D)]
+    return _kernel_reduced_forms(D)
 
 
 def class_number(D: int) -> int:
@@ -152,10 +142,10 @@ def _prime_forms(D: int):
         b = s + q * ((s - D) % 2)
         c = (b * b - D) // (4 * q)
         if math.gcd(q, b, c) == 1:
-            yield BQF(q, b, c).reduced()
+            yield reduce_form((q, b, c))
 
 
-def sylow_subgroup(D: int, h: int, p: int) -> list[BQF]:
+def sylow_subgroup(D: int, h: int, p: int) -> list[Form]:
     """The Sylow p-subgroup of cl(D), given its class number h.
 
     With h = p^k m and p not dividing m, the subgroup is the image of f -> f^m.
@@ -190,7 +180,7 @@ class EllPart:
     D: int
     ell: int
     h: int
-    torsion: tuple[BQF, ...]
+    torsion: tuple[Form, ...]  # sorted
 
     @property
     def rank(self) -> int:
@@ -212,7 +202,7 @@ def ell_part(D: int, ell: int) -> EllPart:
     sylow = sylow_subgroup(D, h, ell)
     # a Sylow subgroup of order ell is all ell-torsion
     torsion = sylow if len(sylow) == ell else [x for x in sylow if form_power(x, ell) == one]
-    torsion.sort(key=lambda x: (x.a, x.b))
+    torsion.sort()
     return EllPart(D, ell, h, tuple(torsion))
 
 

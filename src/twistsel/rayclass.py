@@ -22,6 +22,11 @@ O_K is Z[omega] with omega^2 = t omega - n, and its norm form
 x^2 + t xy + n y^2 is the principal form (1, t, n) of D, which every
 function here reads t and n from. D is taken as given: its callers derive it
 from d, which is where squarefreeness is decided.
+
+Forms are plain (a, b, c) tuples, as in `quadforms`. None comes from the
+caller: `ray_class_data` takes D, S and ell, `_validate` checks them where
+they enter, and every form here is made from that D, so no form is checked
+again.
 """
 
 from __future__ import annotations
@@ -31,32 +36,24 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
 from .intmath import is_prime, kronecker, sqrt_mod
-from .quadforms import (
-    BQF,
-    EllPart,
-    _xgcd,
-    compose,
-    compose_unreduced,
-    ell_part,
-    principal_form,
-)
+from .quadforms import EllPart, Form, _xgcd, compose, compose_unreduced, ell_part, principal_form
 
 # ---------------------------------------------------------------------------
 # ideals of O_K as forms
 
 
-def principal_generator(F: BQF) -> tuple[int, int] | None:
-    """Generator (x, y) of the ideal [F.a, (-F.b + sqrt(D))/2] when it is principal, else None.
+def principal_generator(F: Form) -> tuple[int, int] | None:
+    """Generator (x, y) of the ideal [a, (-b + sqrt(D))/2] of F = (a, b, c) if principal, else None.
 
-    In Z[omega] coordinates the ideal is the lattice spanned by (F.a, 0) and
-    (-(F.b + t)/2, 1). Lagrange-reduce it under the norm form, the principal
-    form (1, t, n) of D = F.disc; for D other than -3 and -4 the units are
-    +-1, so the ideal is principal iff its shortest vector has norm F.a.
+    In Z[omega] coordinates the ideal is the lattice spanned by (a, 0) and
+    (-(b + t)/2, 1). Lagrange-reduce it under the norm form, the principal
+    form (1, t, n) of D = b^2 - 4ac; for D other than -3 and -4 the units are
+    +-1, so the ideal is principal iff its shortest vector has norm a.
     """
-    one = principal_form(F.disc)
-    t, n = one.b, one.c
-    v1 = (F.a, 0)
-    v2 = (-(F.b + t) // 2, 1)
+    a, b, c = F
+    _, t, n = principal_form(b * b - 4 * a * c)
+    v1 = (a, 0)
+    v2 = (-(b + t) // 2, 1)
 
     def N(v):
         return v[0] * v[0] + t * v[0] * v[1] + n * v[1] * v[1]
@@ -74,24 +71,25 @@ def principal_generator(F: BQF) -> tuple[int, int] | None:
             break
         v2 = w
     short = v1 if N(v1) <= N(v2) else v2
-    if N(short) == F.a:
+    if N(short) == a:
         return short
     return None
 
 
-def form_with_coprime_a(f: BQF, M: int) -> BQF:
+def form_with_coprime_a(f: Form, M: int) -> Form:
     """A properly equivalent form whose leading coefficient is coprime to M.
 
     The search covers the box 0 <= x < 40, |y| <= 40 only. Such a form always
     exists, so a box without one is a search limit, raised as ResourceError.
     """
-    if math.gcd(f.a, M) == 1:
+    a, b, c = f
+    if math.gcd(a, M) == 1:
         return f
     for x in range(0, 40):
         for y in range(-40, 41):
             if math.gcd(x, abs(y)) != 1:
                 continue
-            val = f.a * x * x + f.b * x * y + f.c * y * y
+            val = a * x * x + b * x * y + c * y * y
             if val == 0 or math.gcd(val, M) != 1:
                 continue
             g, u, v = _xgcd(x, y)
@@ -99,9 +97,9 @@ def form_with_coprime_a(f: BQF, M: int) -> BQF:
                 u, v = -u, -v
             # [[x, -v], [y, u]] has determinant xu + yv = 1
             p, q = -v, u
-            b2 = 2 * (f.a * x * p + f.c * y * q) + f.b * (x * q + y * p)
-            c2 = f.a * p * p + f.b * p * q + f.c * q * q
-            return BQF(val, b2, c2)
+            b2 = 2 * (a * x * p + c * y * q) + b * (x * q + y * p)
+            c2 = a * p * p + b * p * q + c * q * q
+            return val, b2, c2
     raise ResourceError("no representative coprime to the modulus in the search box")
 
 
@@ -142,9 +140,10 @@ def _fq_pow(a, e, p, t, n):
     return out
 
 
-def _components(one: BQF, S: tuple[int, ...]) -> list[_Component]:
+def _components(one: Form, S: tuple[int, ...]) -> list[_Component]:
     """The cyclic factors of (O/m)*, for odd p in S unramified in K (as `_validate` ensures)."""
-    D, t = one.disc, one.b
+    _, t, n = one
+    D = t * t - 4 * n
     comps: list[_Component] = []
     for p in S:
         if kronecker(D, p) == 1:
@@ -156,33 +155,35 @@ def _components(one: BQF, S: tuple[int, ...]) -> list[_Component]:
     return comps
 
 
-def _root_of_unity(one: BQF, comp: _Component, ell: int) -> tuple[int, int]:
+def _root_of_unity(one: Form, comp: _Component, ell: int) -> tuple[int, int]:
     """A primitive ell-th root of unity in comp: c^(order/ell) for a c that is no ell-th power.
 
     Some c = x + y omega with y in (0, 1) is no ell-th power: the y = 0 part
     is F_p*, and 1 with the x + omega represents every coset of F_p* in
     F_(p^2)*, so if all of them were ell-th powers, every element would be.
     """
+    _, t, n = one
     p, q = comp.p, comp.order // ell
     for y in (0, 1):
         for x in range(p):
-            zeta = _fq_pow(comp.reduce((x, y)), q, p, one.b, one.c)
+            zeta = _fq_pow(comp.reduce((x, y)), q, p, t, n)
             if zeta not in ((0, 0), (1, 0)):
                 return zeta
     raise PreconditionError("internal: no primitive ell-th root of unity found")
 
 
 def _dlog_mod_ell(
-    one: BQF, comp: _Component, zeta: tuple[int, int], alpha: tuple[int, int], ell: int
+    one: Form, comp: _Component, zeta: tuple[int, int], alpha: tuple[int, int], ell: int
 ) -> int:
     """Coordinate of alpha in comp's order-ell quotient: the k with alpha^(order/ell) = zeta^k."""
+    _, t, n = one
     p = comp.p
-    target = _fq_pow(comp.reduce(alpha), comp.order // ell, p, one.b, one.c)
+    target = _fq_pow(comp.reduce(alpha), comp.order // ell, p, t, n)
     acc = (1, 0)
     for k in range(ell):
         if acc == target:
             return k
-        acc = _fq_mul(acc, zeta, p, one.b, one.c)
+        acc = _fq_mul(acc, zeta, p, t, n)
     raise PreconditionError("internal: discrete log failed")
 
 
@@ -190,10 +191,10 @@ def _dlog_mod_ell(
 # the rank computation
 
 
-def _ell_torsion_basis(part: EllPart) -> list[BQF]:
+def _ell_torsion_basis(part: EllPart) -> list[Form]:
     """A basis of cl(D)[ell] as an F_ell vector space."""
     one = principal_form(part.D)
-    basis: list[BQF] = []
+    basis: list[Form] = []
     span = {one}
     for f in part.torsion:
         if f in span:
@@ -251,7 +252,7 @@ class RayClassData:
         return self.cl_ell_rank + self.w_ell_dim - self.delta_rank
 
 
-def _validate(D: int, S: tuple[int, ...], ell: int) -> BQF:
+def _validate(D: int, S: tuple[int, ...], ell: int) -> Form:
     """The principal form of D, once D, S and ell are checked."""
     one = principal_form(D)
     if D % 16 in (0, 4):
@@ -300,7 +301,7 @@ def ray_class_data(D: int, S: tuple[int, ...], ell: int) -> RayClassData:
             power = f
             for _ in range(ell - 1):
                 power = compose_unreduced(power, f)
-            if power.a != f.a**ell:
+            if power[0] != f[0] ** ell:
                 raise PreconditionError("internal: ell-fold composition is not the ell-th ideal power")
             alpha = principal_generator(power)
             if alpha is None:

@@ -20,9 +20,9 @@ matches the ray class number formula, which the library computes
 independently.
 
 `ideal_to_form` inverts `form_to_ideal`, so the tests can check ideal
-arithmetic against form composition. `QuadOrder` is O_K = Z[omega] with its
-norm form, built from d; the library reads the same norm form off the
-principal form of D.
+arithmetic against form composition; it reduces with `oracle_forms`, not
+the library. `QuadOrder` is O_K = Z[omega] with its norm form, built from
+d; the library reads the same norm form off the principal form of D.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ import math
 from dataclasses import dataclass, field
 
 from oracle_dirichlet import primitive_root
+from oracle_forms import principal_form, reduce_form
 from twistsel.errors import InvalidParameterError, PreconditionError
 from twistsel.intmath import factorint, kronecker, log_p, sqrt_mod
-from twistsel.quadforms import BQF, _xgcd, ell_part, field_discriminant, principal_form
+from twistsel.quadforms import _xgcd, ell_part, field_discriminant
 from twistsel.rayclass import form_with_coprime_a
 
 
@@ -63,7 +64,7 @@ class QuadOrder:
         return x * x + self.t * x * y + self.n * y * y
 
 
-def ideal_to_form(I: Ideal) -> BQF:
+def ideal_to_form(I: Ideal) -> tuple[int, int, int]:
     """Reduced form (a, -(2b + t), c) of the ideal [a, b + omega], t the trace of omega."""
     o = I.order
     if o.d % 4 == 1:
@@ -71,7 +72,7 @@ def ideal_to_form(I: Ideal) -> BQF:
     else:
         b = -2 * I.b
     c = (b * b - o.D) // (4 * I.a)
-    return BQF(I.a, b, c).reduced()
+    return reduce_form((I.a, b, c))
 
 
 @dataclass(frozen=True)
@@ -183,13 +184,14 @@ def ideal_generator(I: Ideal) -> tuple[int, int] | None:
     return None
 
 
-def form_to_ideal(o: QuadOrder, f: BQF) -> Ideal:
-    """The standard ideal [a, (-b + sqrt(D))/2] of a primitive form."""
+def form_to_ideal(o: QuadOrder, f: tuple[int, int, int]) -> Ideal:
+    """The standard ideal [a, (-b + sqrt(D))/2] of a primitive form (a, b, c)."""
+    a, b, _ = f
     if o.d % 4 == 1:
-        b0 = (-f.b - 1) // 2
+        b0 = (-b - 1) // 2
     else:
-        b0 = -f.b // 2
-    return Ideal(o, f.a, b0 % f.a, 1)
+        b0 = -b // 2
+    return Ideal(o, a, b0 % a, 1)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,8 @@ def test_guard_sees_an_uncalled_function(tmp_path):
     )
     (tmp_path / "quadforms.py").write_text(
         (tmp_path / "quadforms.py").read_text().replace(
-            "    def reduced(self)", "    def orphan_method(self):\n        return self\n\n    def reduced(self)"
+            "    @property\n    def rank(self)",
+            "    def orphan_method(self):\n        return self\n\n    @property\n    def rank(self)",
         )
     )
     (tmp_path / "reduction.py").write_text(
@@ -143,6 +144,6 @@ def test_guard_sees_an_uncalled_function(tmp_path):
         "intmath.orphan_recursive",
         "polyzq._orphan_private",
         "polyzq._OrphanClass",
-        "quadforms.BQF.orphan_method",
+        "quadforms.EllPart.orphan_method",
         "reduction.SupersingularResult.orphan_field",
     ]

@@ -7,10 +7,11 @@ of the same function object.  Renaming any of these breaks the benchmark.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import twistsel
-from twistsel import _kernels, quadforms, reduction
+from twistsel import _kernels, quadforms, rayclass, reduction
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,10 +32,49 @@ def test_callers_bind_the_kernel_functions():
     assert reduction.count_points is _kernels.count_points
 
 
-def test_tracer_targets_exist():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_exist():
+    tracer = _load_tracer()
     for mod_name, attr, _name, _mode in tracer.TARGETS:
         mod = importlib.import_module(f"twistsel.{mod_name}")
         assert callable(getattr(mod, attr, None)), f"{mod_name}.{attr}"
+
+
+def _traced(monkeypatch, call):
+    """(counts, span names) of one call under the benchmark's tracer, bindings restored after."""
+    tracer_mod = _load_tracer()
+    for mod_name, *_ in tracer_mod.TARGETS:
+        importlib.import_module(f"twistsel.{mod_name}")
+    with monkeypatch.context() as m:
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "twistsel" or mod_name.startswith("twistsel."):
+                for attr, value in list(vars(mod).items()):
+                    if callable(value):
+                        m.setattr(mod, attr, value)  # undone when the context closes
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        call()
+        return tracer.counts(), {span[0] for span in tracer.spans}
+
+
+def test_tracer_counts_every_composition_of_both_layers(monkeypatch):
+    # h(-724) = 10: the Sylow 5-walk composes through quadforms.compose
+    counts, _ = _traced(monkeypatch, lambda: quadforms.ell_part(-724, 5))
+    assert counts.get("quadforms.compose", 0) > 0
+    # curve 26, d = -2033: h = 28 and 13 inert, so the connecting map runs (delta rank 1)
+    data = []
+    counts, spans = _traced(monkeypatch, lambda: data.append(rayclass.ray_class_data(-8132, (13,), 7)))
+    assert (data[0].cl_ell_rank, data[0].w_ell_dim, data[0].delta_rank) == (1, 1, 1)
+    assert counts.get("quadforms.compose", 0) > 0
+    # and the torsion basis composes in rayclass too, beyond the class-group walk
+    walk, _ = _traced(monkeypatch, lambda: quadforms.ell_part(-8132, 7))
+    assert counts["quadforms.compose"] > walk["quadforms.compose"] > 0
+    assert {"rayclass.ray_class_data", "rayclass.principal_generator"} <= spans
+    # the bindings are restored
+    assert quadforms.compose.__module__ == "twistsel.quadforms" and not hasattr(quadforms.compose, "__wrapped__")

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_forms
 from oracle_forms import (
     class_group_invariants,
+    disc,
     form_order,
     inverse,
     is_reduced,
@@ -15,7 +18,6 @@ from twistsel import _kernels, quadforms
 from twistsel.errors import InvalidParameterError, TwistselError, UnsupportedError
 from twistsel.intmath import is_squarefree
 from twistsel.quadforms import (
-    BQF,
     class_group_structure,
     class_number,
     compose,
@@ -24,15 +26,22 @@ from twistsel.quadforms import (
     field_discriminant,
     form_power,
     principal_form,
+    reduce_form,
     reduced_forms,
     sylow_subgroup,
 )
 
 
+def _assert_reduced_of_disc(f, D):
+    assert type(f) is tuple and len(f) == 3 and all(type(x) is int for x in f), f
+    assert is_reduced(f) and disc(f) == D, (f, D)
+    assert f[0] > 0 and math.gcd(*f) == 1, f
+
+
 def test_reduced_forms_examples():
-    assert [(f.a, f.b, f.c) for f in reduced_forms(-3)] == [(1, 1, 1)]
-    assert [(f.a, f.b, f.c) for f in reduced_forms(-20)] == [(1, 0, 5), (2, 2, 3)]
-    assert [(f.a, f.b, f.c) for f in reduced_forms(-148)] == [(1, 0, 37), (2, 2, 19)]
+    assert reduced_forms(-3) == [(1, 1, 1)]
+    assert reduced_forms(-20) == [(1, 0, 5), (2, 2, 3)]
+    assert reduced_forms(-148) == [(1, 0, 37), (2, 2, 19)]
     with pytest.raises(UnsupportedError):
         reduced_forms(20)
     with pytest.raises(InvalidParameterError):
@@ -50,20 +59,51 @@ def test_field_discriminant():
 def test_compose_identity_and_inverse():
     for D in (-20, -23, -47, -148, -231):
         one = principal_form(D)
+        assert one == oracle_forms.principal_form(D)
+        _assert_reduced_of_disc(one, D)
         for f in reduced_forms(D):
             assert compose(one, f) == f
             assert compose(f, inverse(f)) == one
 
 
 def test_compose_example():
-    f = BQF(2, 2, 3)
-    assert compose(f, f) == BQF(1, 0, 5)
+    f = (2, 2, 3)
+    assert compose(f, f) == (1, 0, 5)
 
 
 def test_reduction_is_canonical():
-    f = BQF(12, 23, 34)  # D = 529 - 4*12*34 = -1103
-    r = f.reduced()
-    assert is_reduced(r) and r.disc == f.disc
+    f = (12, 23, 34)  # D = 529 - 4*12*34 = -1103
+    r = reduce_form(f)
+    _assert_reduced_of_disc(r, disc(f))
+    assert r == oracle_forms.reduce_form(f)
+    # reduction is the identity on reduced forms, and the same form for every
+    # properly equivalent one: (a, b, c) -> (a, b + 2ka, ...) and (c, -b, a)
+    for D in (-3, -4, -20, -23, -1103, -3299):
+        for g in reduced_forms_naive(D):
+            a, b, c = g
+            assert reduce_form(g) == g
+            assert reduce_form((c, -b, a)) == g
+            for k in (-3, -1, 1, 5):
+                assert reduce_form((a, b + 2 * k * a, a * k * k + b * k + c)) == g
+
+
+def test_compose_matches_the_oracle_on_every_pair():
+    """The library's composition against Dirichlet's united forms, every ordered pair.
+
+    All D = 0, 1 mod 4 in [-1500, -3], non-fundamental ones included: 133538 pairs.
+    """
+    pairs = 0
+    for D in range(-3, -1501, -1):
+        if D % 4 not in (0, 1):
+            continue
+        forms = reduced_forms_naive(D)
+        for f in forms:
+            for g in forms:
+                fg = compose(f, g)
+                _assert_reduced_of_disc(fg, D)
+                assert fg == oracle_forms.compose(f, g), (D, f, g)
+                pairs += 1
+    assert pairs == 133538
 
 
 def test_class_group_closure_all_small_discs():
@@ -77,12 +117,18 @@ def test_class_group_closure_all_small_discs():
         one = principal_form(D)
         assert one in forms_set
         for f in forms:
+            _assert_reduced_of_disc(f, D)
             assert compose(f, inverse(f)) == one
-            assert form_power(f, form_order(f)) == one
+            n = form_order(f)
+            assert form_power(f, n) == one
+            assert form_power(f, n + 1) == f
+            _assert_reduced_of_disc(form_power(f, 2), D)
         # closure on a deterministic sample of pairs
         for f in forms[:5]:
             for g in forms[:5]:
-                assert compose(f, g) in forms_set
+                fg = compose(f, g)
+                _assert_reduced_of_disc(fg, D)
+                assert fg in forms_set
 
 
 @settings(max_examples=20, deadline=None)
@@ -193,7 +239,7 @@ def test_sylow_subgroup_certifies_its_order():
 
 
 def _assert_class_group_matches_oracle(D):
-    forms = [BQF(*f) for f in reduced_forms_naive(D)]
+    forms = reduced_forms_naive(D)
     data = class_group_structure(D)
     assert (data.h, data.structure) == (len(forms), class_group_invariants(forms)), D
     for ell in (2, 3, 5, 7):
@@ -237,8 +283,10 @@ def test_ell_part_builds_no_form_when_ell_does_not_divide_h(monkeypatch):
     assert _kernels.class_number(D) % 11
     one = principal_form(D)
     built = []
-    check = BQF.__post_init__
-    monkeypatch.setattr(BQF, "__post_init__", lambda f: built.append(f) or check(f))
+    # every form of the layer comes out of one of these three
+    for name in ("principal_form", "compose_unreduced", "reduce_form"):
+        make = getattr(quadforms, name)
+        monkeypatch.setattr(quadforms, name, lambda *args, make=make: built.append(make(*args)) or built[-1])
     part = ell_part(D, 11)
     assert built == [one]
     assert part.torsion == (one,) and part.rank == 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracle_forms import disc, reduce_form
 from oracle_rayclass import (
     QuadOrder,
     connecting_rank_by_ideals,
@@ -15,7 +16,7 @@ from oracle_rayclass import (
 )
 from twistsel.errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
 from twistsel.intmath import is_prime, is_squarefree, kronecker
-from twistsel.quadforms import BQF, compose, compose_unreduced, ell_rank, field_discriminant, reduced_forms
+from twistsel.quadforms import compose, compose_unreduced, ell_rank, field_discriminant, reduced_forms
 from twistsel.rayclass import form_with_coprime_a, principal_generator, ray_class_data
 
 
@@ -105,7 +106,7 @@ def test_ideal_arithmetic_roundtrip():
     o = QuadOrder(-23)
     for f in reduced_forms(-23):
         ideal = form_to_ideal(o, f)
-        assert ideal.norm == f.a
+        assert ideal.norm == f[0]
         assert ideal_to_form(ideal) == f
     # multiplication matches composition on classes
     forms = reduced_forms(-23)
@@ -131,25 +132,27 @@ def test_principal_generator_of_an_unreduced_cube():
     o = QuadOrder(-23)
     f = reduced_forms(-23)[1]
     g = compose_unreduced(compose_unreduced(f, f), f)
-    assert g.a == f.a**3
+    assert g[0] == f[0] ** 3 and disc(g) == disc(f) == -23
     assert form_to_ideal(o, g) == ideal_pow(form_to_ideal(o, f), 3)  # the same lattice, not only the class
     alpha = principal_generator(g)
-    assert alpha is not None and o.norm(*alpha) == g.a
+    assert alpha is not None and o.norm(*alpha) == g[0]
     assert principal_generator(f) is None
 
 
 def test_form_with_coprime_a():
     forms = reduced_forms(-20)
     f = forms[1]  # (2, 2, 3)
-    g = form_with_coprime_a(f, 2 * f.a)
-    assert math.gcd(g.a, 2 * f.a) == 1
-    assert g.reduced() == f.reduced()
+    g = form_with_coprime_a(f, 2 * f[0])
+    assert math.gcd(g[0], 2 * f[0]) == 1
+    assert disc(g) == disc(f) and g[0] > 0 and math.gcd(*g) == 1
+    assert reduce_form(g) == reduce_form(f)
     # (2, -1, 3) and its inverse (2, 1, 3) are distinct classes for D = -23:
     # the transform must have determinant +1, not -1
-    f = BQF(2, -1, 3)
+    f = (2, -1, 3)
     g = form_with_coprime_a(f, 2)
-    assert g.a % 2 == 1
-    assert g.reduced() == f
+    assert g[0] % 2 == 1
+    assert disc(g) == disc(f) and g[0] > 0 and math.gcd(*g) == 1
+    assert reduce_form(g) == f
 
 
 def test_form_with_coprime_a_reports_its_search_box_as_a_resource_limit():
@@ -157,7 +160,7 @@ def test_form_with_coprime_a_reports_its_search_box_as_a_resource_limit():
     limit (ResourceError, exit 1), not a failed hypothesis (PreconditionError, exit 2)."""
     M = math.prod(p for p in range(2, 10**4) if is_prime(p))
     with pytest.raises(ResourceError, match="search box"):
-        form_with_coprime_a(BQF(2, 1, 3), M)
+        form_with_coprime_a((2, 1, 3), M)
 
 
 def test_connecting_rank_matches_the_ideal_path():
