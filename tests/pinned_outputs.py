@@ -47,8 +47,18 @@ and with and without --explain, the SHA-256 of its stdout; every such call
 exits 0 with empty stderr. CHECK_PINS gives, for `twistsel check` on one d in
 one --format, the exit code and the SHA-256 of stdout: the text form of an
 admissible d, the JSON of an inadmissible one, and the JSON of curve 26 at
-d = -1, whose ray-class bound is undetermined (exit 3). Refactors of the result
-schema must keep them all.
+d = -1, whose ray-class bound is undetermined (exit 3). It also gives `check`
+in JSON and text on two curves whose hypothesis report is printed instead:
+[0,0,0,0,1] with ell = 5, which has no rational 5-torsion point (exit 2), and
+50b1 [1,1,1,-3,1] with ell = 5, whose kernel clause runs the bad-reduction
+branch (type II) and whose ordinary clause is undetermined (exit 3).
+Refactors of the result schema must keep them all.
+
+HYPOTHESIS_PINS gives the JSON of `hypothesis_check(E, ell).to_dict()`, with
+sorted keys and no spaces, for 11a3 with ell = 5 (good reduction, ordinary
+decided from a_5) and for [-4,-5,-5,0,0] with ell = 5 (split multiplicative
+at 5, so the ordinary clause is vacuous). Refactors of the hypothesis check
+must keep them.
 """
 
 SEARCH_26_CSV = (
@@ -179,4 +189,36 @@ CHECK_PINS = (
     ("[0,-1,1,0,0]", "5", "-37", "text", 0, "25cae19c893c744ff50ab9e8b6a64a5e2f9a1648c273bc8358ce0d4a34fcb09b"),
     ("[0,-1,1,0,0]", "5", "-13", "json", 0, "090caac903af9b775aacf63a436ee112a73b86d564ad2024d6f80edd872f8a29"),
     ("[1,-1,1,-3,3]", "7", "-1", "json", 3, "67ca0340114cd63e19caf7a3fbc05f5267498b93fb65d27e97f9a52b95ac8eb9"),
+    ("[0,0,0,0,1]", "5", "-37", "json", 2, "1960c218e65e357a234882cd13e8300a104a67145ba448ac90f39711048018cb"),
+    ("[0,0,0,0,1]", "5", "-37", "text", 2, "e48b65ced41ab94acb3f0007a603cdfd2bba7606aa5d331ff31ab9f2f7498f7c"),
+    ("[1,1,1,-3,1]", "5", "-37", "json", 3, "ec55524b52efba856a849628e433d0eb057e69d574d3a73b36295f6981a9d1a4"),
+    ("[1,1,1,-3,1]", "5", "-37", "text", 3, "185085e21c61fcf4aaf22dd7b39614bd4c2d015d7c9306b438ec5d03094c60c7"),
+)
+
+# (curve, ell, JSON of hypothesis_check(E, ell).to_dict())
+HYPOTHESIS_PINS = (
+    (
+        "[0,-1,1,0,0]",
+        5,
+        '{"checks":[{"cite":"rational point of odd prime order 5",'
+        '"detail":"P = (0,0) has exact order 5","id":"hypothesis.torsion","pass":true},'
+        '{"cite":"P not in the kernel of reduction mod 5",'
+        '"detail":"good reduction at 5; ord_5(x(P)) on the minimal model decides",'
+        '"id":"hypothesis.kernel","pass":true},'
+        '{"cite":"E not supersingular mod 5 when ord_5(j) >= 0",'
+        '"detail":"good reduction, a_5 = 1","id":"hypothesis.ordinary","pass":true}],'
+        '"curve":"[0,-1,1,0,0]","ell":5,"ok":true,"torsion_point":"(0,0)"}',
+    ),
+    (
+        "[-4,-5,-5,0,0]",
+        5,
+        '{"checks":[{"cite":"rational point of odd prime order 5",'
+        '"detail":"P = (0,5) has exact order 5","id":"hypothesis.torsion","pass":true},'
+        '{"cite":"P not in the kernel of reduction mod 5",'
+        '"detail":"bad reduction at 5 (I5); x-valuation test on the minimal model",'
+        '"id":"hypothesis.kernel","pass":true},'
+        '{"cite":"E not supersingular mod 5 when ord_5(j) >= 0",'
+        '"detail":"vacuous: ord_5(j) < 0","id":"hypothesis.ordinary","pass":true}],'
+        '"curve":"[-4,-5,-5,0,0]","ell":5,"ok":true,"torsion_point":"(0,5)"}',
+    ),
 )

@@ -18,6 +18,7 @@ from twistsel.checker import (
     twist_rules,
 )
 from oracle_checker import admissibility_check_per_d, artin_symbol_quadratic
+from pinned_outputs import HYPOTHESIS_PINS
 from twistsel.curves import CurveQ, curve_from_string
 from twistsel.dirichlet import DirichletPredicate
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
@@ -95,6 +96,12 @@ def test_hypothesis_check_bad_reduction_branch():
     # (11 > 7 never has rational 11-torsion, but the machinery must not crash)
     rep = hypothesis_check(E38, 5)
     assert rep.ok
+
+
+def test_hypothesis_reports_are_pinned():
+    for curve, ell, want in HYPOTHESIS_PINS:
+        rep = hypothesis_check(curve_from_string(curve), ell)
+        assert json.dumps(rep.to_dict(), sort_keys=True, separators=(",", ":")) == want, curve
 
 
 def test_admissibility_11a3():
