@@ -15,6 +15,14 @@ the Kronecker symbols of its field discriminant. It is the one place where d
 is found squarefree (by factoring it, or from a scan's sieve verdict) and D
 derived. `certify` reads the same rules, so a scan does the curve-level work
 once, and hands that D to the ray class layer.
+
+Each result holds each fact once, and every clause comes from `_clause`. A
+`ConditionReport` holds d's clauses and overall verdict; a `HypothesisReport`
+its checks, from which `ok` and `undetermined` are read; a `SelmerBound` the
+ray class rank, its bound and S_E, or why the rank is undetermined; and a
+`SandwichResult` the verdict, with the class-group ell-rank r and the bounds
+ell^r, ell^(2r) when S~_E is empty. A reason is derived when printed, from
+`rules.ssets.s_tilde`, `Certificate.h` and `ell_rank`, not stored.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .curves import CurveQ, PointQ, minimal_model
+from .curves import CurveQ, PointQ
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
 from .divpoly import rational_ell_torsion_point
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
@@ -35,10 +43,9 @@ from .reduction import (
     SupersingularVerdict,
     bad_primes,
     conductor,
-    in_kernel_of_reduction,
     is_supersingular,
     local_reduction,
-    _vp_frac,
+    _x_has_pole_at,
 )
 
 
@@ -92,6 +99,11 @@ class Verdict(Enum):
     UNDETERMINED = "undetermined"
 
 
+# the "pass" value of a verdict in output, and the verdict of such a value
+_PASS_VALUE = {Verdict.PASS: True, Verdict.FAIL: False, Verdict.UNDETERMINED: None}
+_VERDICT = {ok: verdict for verdict, ok in _PASS_VALUE.items()}
+
+
 @dataclass(frozen=True)
 class Clause:
     clause_id: str
@@ -103,9 +115,14 @@ class Clause:
         return {
             "id": self.clause_id,
             "cite": self.cite,
-            "pass": {"pass": True, "fail": False, "undetermined": None}[self.verdict.value],
+            "pass": _PASS_VALUE[self.verdict],
             "detail": self.detail,
         }
+
+
+def _clause(cid: str, cite: str, ok: bool | None, detail: str) -> Clause:
+    """The clause cid, passed, failed or undetermined as ok is True, False or None."""
+    return Clause(cid, cite, _VERDICT[ok], detail)
 
 
 class Overall(Enum):
@@ -141,8 +158,16 @@ class HypothesisReport:
     ell: int
     torsion_point: PointQ | None
     checks: tuple[Clause, ...]
-    ok: bool
-    undetermined: bool = False
+
+    @property
+    def ok(self) -> bool:
+        """Every check passes."""
+        return all(c.verdict is Verdict.PASS for c in self.checks)
+
+    @property
+    def undetermined(self) -> bool:
+        """Some check could not be decided."""
+        return any(c.verdict is Verdict.UNDETERMINED for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -154,90 +179,43 @@ class HypothesisReport:
         }
 
 
+# whether E is ordinary at ell, by the verdict of `is_supersingular`
+_ORDINARY = {
+    SupersingularVerdict.NO: True,
+    SupersingularVerdict.YES: False,
+    SupersingularVerdict.NOT_APPLICABLE: None,
+}
+
+
 def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     """Curve-level hypotheses: a rational point of order ell that avoids the
     kernel of reduction at ell, and no supersingular reduction in the
     potentially good branch."""
     if ell < 5 or not is_prime(ell):
         raise UnsupportedError("the twist theorems need an odd prime ell >= 5")
-    checks: list[Clause] = []
     P = rational_ell_torsion_point(E, ell)
+    cite = f"rational point of odd prime order {ell}"
     if P is None:
-        checks.append(
-            Clause(
-                "hypothesis.torsion",
-                f"rational point of odd prime order {ell}",
-                Verdict.FAIL,
-                f"no rational root of the {ell}-division polynomial lifts to a rational point",
-            )
-        )
-        return HypothesisReport(E, ell, None, tuple(checks), False)
-    checks.append(
-        Clause(
-            "hypothesis.torsion",
-            f"rational point of odd prime order {ell}",
-            Verdict.PASS,
-            f"P = {P} has exact order {ell}",
-        )
-    )
+        detail = f"no rational root of the {ell}-division polynomial lifts to a rational point"
+        return HypothesisReport(E, ell, None, (_clause("hypothesis.torsion", cite, False, detail),))
+    checks = [_clause("hypothesis.torsion", cite, True, f"P = {P} has exact order {ell}")]
     red = local_reduction(E, ell)
+    # the formal-group test on the minimal model detects the kernel of
+    # reduction with bad reduction too
     if red.is_good:
-        in_ker = in_kernel_of_reduction(E, P, ell)
-        checks.append(
-            Clause(
-                "hypothesis.kernel",
-                f"P not in the kernel of reduction mod {ell}",
-                Verdict.FAIL if in_ker else Verdict.PASS,
-                f"good reduction at {ell}; ord_{ell}(x(P)) on the minimal model decides",
-            )
-        )
+        how = f"good reduction at {ell}; ord_{ell}(x(P)) on the minimal model decides"
     else:
-        # bad reduction: the formal-group test on the minimal model still
-        # detects the kernel of reduction
-        E_min, (u, r, s, t) = minimal_model(E)
-        P_min = E.transform_point(P, u, r, s, t)
-        in_ker = _vp_frac(P_min.x, ell) < 0
-        checks.append(
-            Clause(
-                "hypothesis.kernel",
-                f"P not in the kernel of reduction mod {ell}",
-                Verdict.FAIL if in_ker else Verdict.PASS,
-                f"bad reduction at {ell} ({red.kodaira}); x-valuation test on the minimal model",
-            )
-        )
-    undetermined = False
-    if not red.ord_j_negative:
+        how = f"bad reduction at {ell} ({red.kodaira}); x-valuation test on the minimal model"
+    cite = f"P not in the kernel of reduction mod {ell}"
+    checks.append(_clause("hypothesis.kernel", cite, not _x_has_pole_at(E, P, ell), how))
+    if red.ord_j_negative:
+        ordinary, why = True, f"vacuous: ord_{ell}(j) < 0"
+    else:
         ss = is_supersingular(E, ell)
-        if ss.verdict is SupersingularVerdict.NOT_APPLICABLE:
-            checks.append(
-                Clause(
-                    "hypothesis.ordinary",
-                    f"E not supersingular mod {ell} when ord_{ell}(j) >= 0",
-                    Verdict.UNDETERMINED,
-                    ss.reason,
-                )
-            )
-            undetermined = True
-        else:
-            checks.append(
-                Clause(
-                    "hypothesis.ordinary",
-                    f"E not supersingular mod {ell} when ord_{ell}(j) >= 0",
-                    Verdict.FAIL if ss.verdict is SupersingularVerdict.YES else Verdict.PASS,
-                    ss.reason,
-                )
-            )
-    else:
-        checks.append(
-            Clause(
-                "hypothesis.ordinary",
-                f"E not supersingular mod {ell} when ord_{ell}(j) >= 0",
-                Verdict.PASS,
-                f"vacuous: ord_{ell}(j) < 0",
-            )
-        )
-    ok = all(c.verdict is Verdict.PASS for c in checks)
-    return HypothesisReport(E, ell, P, tuple(checks), ok, undetermined)
+        ordinary, why = _ORDINARY[ss.verdict], ss.reason
+    cite = f"E not supersingular mod {ell} when ord_{ell}(j) >= 0"
+    checks.append(_clause("hypothesis.ordinary", cite, ordinary, why))
+    return HypothesisReport(E, ell, P, tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -319,8 +297,7 @@ def evaluate_admissibility(
     clauses: list[Clause] = []
 
     def add(cid: str, cite: str, ok: bool | None, detail: str) -> None:
-        v = Verdict.UNDETERMINED if ok is None else (Verdict.PASS if ok else Verdict.FAIL)
-        clauses.append(Clause(cid, cite, v, detail))
+        clauses.append(_clause(cid, cite, ok, detail))
 
     add("domain.negative", "d < 0", d < 0, f"d = {d}")
     if squarefree is None:
@@ -354,12 +331,8 @@ def evaluate_admissibility(
     for rule in rules.symbols:
         p, want = rule.p, rule.want
         if want is None:
-            add(
-                f"symbol.{p}",
-                f"prime {p} lies in the exceptional set; no symbol condition",
-                True,
-                rule.why,
-            )
+            cite = f"prime {p} lies in the exceptional set; no symbol condition"
+            add(f"symbol.{p}", cite, True, rule.why)
             continue
         sym = symbol(p)
         add(
@@ -386,8 +359,6 @@ def admissibility_check(
 
 @dataclass(frozen=True)
 class SelmerBound:
-    ell: int
-    d: int
     rank: int | None
     bound: int | None
     s_used: tuple[int, ...]
@@ -403,13 +374,9 @@ class SelmerVerdict(Enum):
 @dataclass(frozen=True)
 class SandwichResult:
     verdict: SelmerVerdict
-    ell: int
-    d: int
-    h: int | None
-    ell_rank: int | None
-    lower: int | None
-    upper: int | None
-    reason: str
+    ell_rank: int | None = None
+    lower: int | None = None
+    upper: int | None = None
 
 
 # the columns of a scan row, in output order
@@ -482,33 +449,16 @@ def certify(rules: TwistRules, d: int, squarefree: bool | None = None) -> Certif
     except (PreconditionError, UnsupportedError) as exc:
         # only a nonempty modulus can fail, so the sandwich is NotApplicable
         h = class_number(D)
-        bound = SelmerBound(ell, d, None, None, ssets.s, str(exc))
+        bound = SelmerBound(None, None, ssets.s, str(exc))
     else:
         h = data.h
-        bound = SelmerBound(ell, d, data.ell_rank, ell**data.ell_rank, ssets.s)
+        bound = SelmerBound(data.ell_rank, ell**data.ell_rank, ssets.s)
     if ssets.s_tilde:
-        sandwich = SandwichResult(
-            SelmerVerdict.NOT_APPLICABLE,
-            ell,
-            d,
-            None,
-            None,
-            None,
-            None,
-            f"exceptional set is nonempty: {list(ssets.s_tilde)}",
-        )
+        sandwich = SandwichResult(SelmerVerdict.NOT_APPLICABLE)
     else:
         r = data.cl_ell_rank
-        sandwich = SandwichResult(
-            SelmerVerdict.NONTRIVIAL if r > 0 else SelmerVerdict.TRIVIAL,
-            ell,
-            d,
-            h,
-            r,
-            ell**r,
-            ell ** (2 * r),
-            f"h({data.D}) = {h}, {ell}-rank {r}",
-        )
+        verdict = SelmerVerdict.NONTRIVIAL if r > 0 else SelmerVerdict.TRIVIAL
+        sandwich = SandwichResult(verdict, r, ell**r, ell ** (2 * r))
     return Certificate(report, D, h, bound, sandwich)
 
 

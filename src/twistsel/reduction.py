@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from ._kernels import count_points
@@ -377,13 +376,15 @@ def in_kernel_of_reduction(E: CurveQ, P: PointQ, ell: int) -> bool:
     red = local_reduction(E, ell)
     if not red.is_good:
         raise PreconditionError(f"bad reduction at {ell}; consult local_reduction first")
-    E_min, (u, r, s, t) = minimal_model(E)
-    P_min = E.transform_point(P, u, r, s, t)
-    x = P_min.x
-    return _vp_frac(x, ell) < 0
+    return _x_has_pole_at(E, P, ell)
 
 
-def _vp_frac(x: Fraction, p: int) -> int:
-    if x == 0:
-        return 10**9
-    return valuation(x.numerator, p) - valuation(x.denominator, p)
+def _x_has_pole_at(E: CurveQ, P: PointQ, ell: int) -> bool:
+    """Whether ord_ell(x(P)) < 0 on the minimal model, for an affine point P of E.
+
+    With good or bad reduction at ell, this is P reducing to the point at
+    infinity. x is in lowest terms, so its valuation is negative iff ell
+    divides its denominator.
+    """
+    _, (u, r, s, t) = minimal_model(E)
+    return E.transform_point(P, u, r, s, t).x.denominator % ell == 0
