@@ -16,7 +16,8 @@ is the unreduced composition of ell copies of it: (a^ell, B, C), the ideal
 reduction (the unit group is just {+-1} once D is not -3 or -4). In each cyclic
 component of (O/m)* of order divisible by ell, the coordinate of alpha is its
 discrete logarithm to any fixed primitive ell-th root of unity: changing the
-root scales a column by a unit of F_ell, which keeps the rank.
+root scales a column by a unit of F_ell, which keeps the rank. The root is
+taken from the alphas themselves, so none is searched for.
 
 O_K is Z[omega] with omega^2 = t omega - n, and its norm form
 x^2 + t xy + n y^2 is the principal form (1, t, n) of D, which every
@@ -155,36 +156,27 @@ def _components(one: Form, S: tuple[int, ...]) -> list[_Component]:
     return comps
 
 
-def _root_of_unity(one: Form, comp: _Component, ell: int) -> tuple[int, int]:
-    """A primitive ell-th root of unity in comp: c^(order/ell) for a c that is no ell-th power.
+def _quotient_column(
+    one: Form, comp: _Component, alphas: list[tuple[int, int]], ell: int
+) -> list[int]:
+    """Coordinates of the alphas in comp's order-ell quotient.
 
-    Some c = x + y omega with y in (0, 1) is no ell-th power: the y = 0 part
-    is F_p*, and 1 with the x + omega represents every coset of F_p* in
-    F_(p^2)*, so if all of them were ell-th powers, every element would be.
+    Each alpha^(order/ell) is an ell-th root of unity. The first of them that
+    is not 1 is primitive, ell being prime, and serves as zeta, so each is
+    zeta^k for one k < ell, its coordinate. When all are 1, the column is zero.
     """
     _, t, n = one
-    p, q = comp.p, comp.order // ell
-    for y in (0, 1):
-        for x in range(p):
-            zeta = _fq_pow(comp.reduce((x, y)), q, p, t, n)
-            if zeta not in ((0, 0), (1, 0)):
-                return zeta
-    raise PreconditionError("internal: no primitive ell-th root of unity found")
-
-
-def _dlog_mod_ell(
-    one: Form, comp: _Component, zeta: tuple[int, int], alpha: tuple[int, int], ell: int
-) -> int:
-    """Coordinate of alpha in comp's order-ell quotient: the k with alpha^(order/ell) = zeta^k."""
-    _, t, n = one
     p = comp.p
-    target = _fq_pow(comp.reduce(alpha), comp.order // ell, p, t, n)
+    targets = [_fq_pow(comp.reduce(alpha), comp.order // ell, p, t, n) for alpha in alphas]
+    zeta = next((z for z in targets if z != (1, 0)), None)
+    if zeta is None:
+        return [0] * len(alphas)
+    logs = {}
     acc = (1, 0)
     for k in range(ell):
-        if acc == target:
-            return k
+        logs[acc] = k
         acc = _fq_mul(acc, zeta, p, t, n)
-    raise PreconditionError("internal: discrete log failed")
+    return [logs[z] for z in targets]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +285,7 @@ def ray_class_data(D: int, S: tuple[int, ...], ell: int) -> RayClassData:
     if not ell_comps or cl_rank == 0:
         delta_rank = 0
     else:
-        zetas = [_root_of_unity(one, comp, ell) for comp in ell_comps]
-        rows = []
+        alphas = []
         for f in _ell_torsion_basis(part):
             # gcd(a, D) = 1 makes a composition of f with itself the ideal power
             f = form_with_coprime_a(f, math.prod(S) * D)
@@ -306,8 +297,10 @@ def ray_class_data(D: int, S: tuple[int, ...], ell: int) -> RayClassData:
             alpha = principal_generator(power)
             if alpha is None:
                 raise PreconditionError("internal: ell-th power of a torsion class not principal")
-            rows.append([_dlog_mod_ell(one, c, zeta, alpha, ell) for c, zeta in zip(ell_comps, zetas)])
-        delta_rank = _matrix_rank_mod(rows, ell)
+            alphas.append(alpha)
+        # one column per component; a matrix and its transpose have one rank
+        cols = [_quotient_column(one, comp, alphas, ell) for comp in ell_comps]
+        delta_rank = _matrix_rank_mod(cols, ell)
     return RayClassData(
         D,
         S,
