@@ -231,13 +231,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok_all else EXIT_INTERNAL
 
 
-def _common(p, curve=True, ell=False, fmt=True):
+def _common(p, curve=True, ell=False, formats=("json", "text")):
     if curve:
         p.add_argument("--curve", required=True, help='curve as "[a1,a2,a3,a4,a6]"')
     if ell:
         p.add_argument("--ell", type=int, required=True, help="odd prime torsion order")
-    if fmt:
-        p.add_argument("--format", choices=("json", "text", "csv"), default="json")
+    if formats:
+        p.add_argument("--format", choices=formats, default="json")
 
 
 _REQUIRED_INT = {"type": int, "required": True}
@@ -286,7 +286,7 @@ COMMANDS = {
     "search": (
         "scan twist parameters over a range",
         cmd_search,
-        {"ell": True},
+        {"ell": True, "formats": ("json", "text", "csv")},  # only a scan is written as CSV
         (
             ("--range", {"type": _lo_hi, "required": True, "help": "LO:HI with HI < 0"}),
             ("--mode", {"choices": [m.value for m in search.SearchMode], "default": "CorollaryE"}),
@@ -306,7 +306,7 @@ COMMANDS = {
     "verify-paper-examples": (
         "run the built-in golden suite",
         cmd_verify,
-        {"curve": False, "fmt": False},
+        {"curve": False, "formats": ()},
         (),
     ),
 }

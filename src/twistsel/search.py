@@ -27,7 +27,7 @@ from enum import Enum
 from functools import partial
 from time import perf_counter
 
-from .checker import SCAN_COLUMNS, TwistRules, certify, hypothesis_check, twist_rules
+from .checker import SCAN_COLUMNS, TwistRules, Verdict, certify, hypothesis_check, twist_rules
 from .curves import CurveQ
 from .dirichlet import DirichletPredicate
 from .errors import InvalidParameterError, PreconditionError, ResourceError
@@ -134,9 +134,10 @@ def search_twists(
         raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
     hyp = hypothesis_check(E, ell)
     if not hyp.ok:
+        unmet = (c for c in hyp.checks if c.verdict is not Verdict.PASS)
         raise PreconditionError(
             "curve-level hypotheses fail: "
-            + ", ".join(c.clause_id for c in hyp.checks if c.verdict.value != "pass")
+            + ", ".join(f"{c.clause_id} ({c.verdict.value})" for c in unmet)
         )
     rules = twist_rules(E, ell, predicate)
     ds = list(enumerate_d(lo, hi, ell, rules.N))

@@ -314,6 +314,36 @@ def test_check_outputs_and_exit_codes_are_pinned(capsys):
     assert payload["undetermined_reason"].startswith("nontrivial units")
 
 
+def test_search_names_each_unmet_hypothesis_with_its_verdict(capsys):
+    # check exits 2 on the first curve and 3 on the second; search refuses
+    # both with exit 2, saying which clause fails and which is undetermined
+    for curve, unmet in (
+        ("[0,0,0,0,1]", "hypothesis.torsion (fail)"),
+        ("[1,1,1,-3,1]", "hypothesis.ordinary (undetermined)"),
+    ):
+        argv = ["search", "--curve", curve, "--ell", "5", "--range=-100:-3"]
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: curve-level hypotheses fail: {unmet}\n"
+        ), curve
+
+
+def test_csv_is_a_format_of_search_only(capsys):
+    # only search writes CSV; every other subcommand refuses it as a usage error
+    for name in cli.COMMANDS:
+        code, out, err = run_cli(capsys, name, "--format", "csv")
+        assert code == 1 and out == "", name
+        if name == "search":
+            assert "invalid choice" not in err, err
+        elif name == "verify-paper-examples":
+            assert "unrecognized arguments: --format csv" in err, err
+        else:
+            assert "argument --format: invalid choice: 'csv'" in err, err
+    code, out, err = run_cli(
+        capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d=-37", "--format", "csv"
+    )
+    assert (code, out) == (1, "") and err.startswith("usage: twistsel check "), err
+
+
 def test_character_outcomes_are_pinned(capsys):
     argv = ["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37", "--character"]
     for spec, err in CHARACTER_REFUSALS:
