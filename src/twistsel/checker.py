@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .curves import CurveQ, PointQ
+from .curves import CurveQ, PointQ, check_twist_parameter
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
 from .divpoly import rational_ell_torsion_point
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
@@ -291,8 +291,7 @@ def evaluate_admissibility(
     squarefree is a verdict on d already reached, as a scan's sieve reaches
     it; when it is None, d is factored here.
     """
-    if not isinstance(d, int) or d == 0:
-        raise InvalidParameterError("twist parameter must be a nonzero integer")
+    check_twist_parameter(d)
     ell, N = rules.ell, rules.N
     clauses: list[Clause] = []
 

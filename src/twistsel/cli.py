@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import checker, divpoly, golden, quadforms, rayclass, reduction, search
-from .curves import curve_from_string, curve_invariants, format_rational
+from .curves import check_twist_parameter, curve_from_string, curve_invariants, format_rational
 from .dirichlet import DirichletPredicate
 from .errors import InvalidParameterError, PreconditionError, TwistselError, UnsupportedError
 from .polyzq import poly_from_string
@@ -191,6 +191,7 @@ def cmd_rayclass(args) -> int:
 def cmd_check(args) -> int:
     E = curve_from_string(args.curve)
     pred = _predicate(args)
+    check_twist_parameter(args.d)  # before the curve-level work, whatever the curve
     hyp = checker.hypothesis_check(E, args.ell)
     if not hyp.ok:
         _dump(hyp.to_dict(), args.format)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,60 +33,69 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
+def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
+    """(b2, b4, b6, b8, c4, c6, disc) of a long model; exact on ints and on Fractions."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
+
+
+def translated(ainvs: tuple, r, s, t) -> tuple:
+    """a-invariants after x = x' + r, y = y' + s x' + t (the u = 1 coordinate change)."""
+    a1, a2, a3, a4, a6 = ainvs
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
 @dataclass(frozen=True)
 class CurveQ:
-    """Nonsingular long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    """Nonsingular long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    The b-, c-invariants and disc are computed once, when the model is made;
+    equality, hashing, repr and pickling see only the a-invariants.
+    """
 
     a1: Fraction
     a2: Fraction
     a3: Fraction
     a4: Fraction
     a6: Fraction
+    b2: Fraction = field(init=False, repr=False, compare=False)
+    b4: Fraction = field(init=False, repr=False, compare=False)
+    b6: Fraction = field(init=False, repr=False, compare=False)
+    b8: Fraction = field(init=False, repr=False, compare=False)
+    c4: Fraction = field(init=False, repr=False, compare=False)
+    c6: Fraction = field(init=False, repr=False, compare=False)
+    disc: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.is_integral():  # the same values, 100x faster than in Fractions
+            invariants = map(Fraction, weierstrass_invariants(*(a.numerator for a in self.ainvs)))
+        else:
+            invariants = weierstrass_invariants(*self.ainvs)
+        for name, value in zip(("b2", "b4", "b6", "b8", "c4", "c6", "disc"), invariants):
+            object.__setattr__(self, name, value)
         if self.disc == 0:
             raise InvalidParameterError("singular model: discriminant is zero")
+
+    def __reduce__(self):
+        return CurveQ, self.ainvs
 
     @property
     def ainvs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    @property
-    def b2(self) -> Fraction:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self) -> Fraction:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self) -> Fraction:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self) -> Fraction:
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
-
-    @property
-    def c4(self) -> Fraction:
-        return self.b2 * self.b2 - 24 * self.b4
-
-    @property
-    def c6(self) -> Fraction:
-        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
-
-    @property
-    def disc(self) -> Fraction:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     @property
     def j(self) -> Fraction:
@@ -104,14 +113,8 @@ class CurveQ:
         u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
         if u == 0:
             raise InvalidParameterError("transform scale u must be nonzero")
-        a1, a2, a3, a4, a6 = self.ainvs
-        return CurveQ(
-            (a1 + 2 * s) / u,
-            (a2 - s * a1 + 3 * r - s * s) / u**2,
-            (a3 + r * a1 + 2 * t) / u**3,
-            (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
-            (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
-        )
+        a1, a2, a3, a4, a6 = translated(self.ainvs, r, s, t)
+        return CurveQ(a1 / u, a2 / u**2, a3 / u**3, a4 / u**4, a6 / u**6)
 
     def transform_point(self, P: "PointQ", u, r, s, t) -> "PointQ":
         """Image of a point of this curve under the same (u, r, s, t) change of coordinates."""
@@ -238,14 +241,19 @@ def point_order(E: CurveQ, P: PointQ, bound: int) -> int | None:
 # twists
 
 
+def check_twist_parameter(d: int) -> None:
+    """Refuse a twist parameter d that is not a nonzero integer."""
+    if not isinstance(d, int) or d == 0:
+        raise InvalidParameterError("twist parameter must be a nonzero integer")
+
+
 def quadratic_twist(E: CurveQ, d: int) -> CurveQ:
     """Twist by the squarefree integer d: short model (a, b) -> (a d^2, b d^3).
 
     General models are first put in short form with a = -c4/48, b = -c6/864,
     which leaves a model that is already short untouched.
     """
-    if not isinstance(d, int) or d == 0:
-        raise InvalidParameterError("twist parameter must be a nonzero integer")
+    check_twist_parameter(d)
     if not is_squarefree(d):
         raise InvalidParameterError(f"twist parameter must be squarefree: {d}")
     a = -E.c4 / 48

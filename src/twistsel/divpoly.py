@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .curves import CurveQ, PointQ, _denominator_scale, point_order, rational_sqrt, short_model_data
 from .errors import InvalidParameterError, UnsupportedError
@@ -33,48 +32,38 @@ from .polyzq import (
 MAX_DIVPOLY_INDEX = 40
 
 
-def _tuple_mul(f: tuple, g: tuple) -> tuple:
-    return tuple(zx_mul(list(f), list(g)))
+def _t_poly(b: tuple[int, int, int, int], n: int) -> ZX:
+    """x-part of the n-th division polynomial on a model with integral b-invariants.
 
-
-def _tuple_sub(f: tuple, g: tuple) -> tuple:
-    return tuple(zx_sub(list(f), list(g)))
-
-
-@lru_cache(maxsize=None)
-def _t_poly(b: tuple[int, int, int, int], n: int) -> tuple[int, ...]:
-    """x-part of the n-th division polynomial on a model with integral b-invariants."""
+    The recursion reads each lower index several times, so the table of
+    t_k for this b lives for the call.
+    """
     b2, b4, b6, b8 = b
-    if n == 0:
-        return ()
-    if n in (1, 2):
-        return (1,)
-    if n == 3:
-        return (b8, 3 * b6, 3 * b4, b2, 3)
-    if n == 4:
-        return (
-            b4 * b8 - b6 * b6,
-            b2 * b8 - b4 * b6,
-            10 * b8,
-            10 * b6,
-            5 * b4,
-            b2,
-            2,
-        )
-    F = (b6, 2 * b4, b2, 4)  # (2y + a1 x + a3)^2 as a polynomial in x
-    m = n // 2
-    if n % 2 == 1:
-        F2 = _tuple_mul(F, F)
-        a = _tuple_mul(_t_poly(b, m + 2), _tuple_mul(_t_poly(b, m), _tuple_mul(_t_poly(b, m), _t_poly(b, m))))
-        c = _tuple_mul(_t_poly(b, m - 1), _tuple_mul(_t_poly(b, m + 1), _tuple_mul(_t_poly(b, m + 1), _t_poly(b, m + 1))))
-        if m % 2 == 0:
-            return _tuple_sub(_tuple_mul(F2, a), c)
-        return _tuple_sub(a, _tuple_mul(F2, c))
-    inner = _tuple_sub(
-        _tuple_mul(_t_poly(b, m + 2), _tuple_mul(_t_poly(b, m - 1), _t_poly(b, m - 1))),
-        _tuple_mul(_t_poly(b, m - 2), _tuple_mul(_t_poly(b, m + 1), _t_poly(b, m + 1))),
-    )
-    return _tuple_mul(_t_poly(b, m), inner)
+    table: dict[int, ZX] = {
+        1: [1],
+        2: [1],
+        3: [b8, 3 * b6, 3 * b4, b2, 3],
+        4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2],
+    }
+    F = [b6, 2 * b4, b2, 4]  # (2y + a1 x + a3)^2 as a polynomial in x
+    F2 = zx_mul(F, F)
+
+    def t(k: int) -> ZX:
+        if k not in table:
+            m = k // 2
+            if k % 2 == 1:
+                a = zx_mul(t(m + 2), zx_mul(t(m), zx_mul(t(m), t(m))))
+                c = zx_mul(t(m - 1), zx_mul(t(m + 1), zx_mul(t(m + 1), t(m + 1))))
+                table[k] = zx_sub(zx_mul(F2, a), c) if m % 2 == 0 else zx_sub(a, zx_mul(F2, c))
+            else:
+                inner = zx_sub(
+                    zx_mul(t(m + 2), zx_mul(t(m - 1), t(m - 1))),
+                    zx_mul(t(m - 2), zx_mul(t(m + 1), t(m + 1))),
+                )
+                table[k] = zx_mul(t(m), inner)
+        return table[k]
+
+    return t(n)
 
 
 @dataclass(frozen=True)
@@ -90,7 +79,7 @@ class DivisionPoly:
         return len(self.coeffs) - 1
 
 
-def _scaled_t_poly(E: CurveQ, n: int) -> tuple[int, tuple[int, ...]]:
+def _scaled_t_poly(E: CurveQ, n: int) -> tuple[int, ZX]:
     """(m, t): the least m > 0 with m^(2i) b_(2i) integral for every i, and the
     x-part t of psi_n on the model with those b-invariants, x scaled by m^2."""
     if not 1 <= n <= MAX_DIVPOLY_INDEX:

@@ -265,14 +265,15 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-def squarefree_sieve(lo: int, hi: int) -> list[bool]:
-    """Flags for squarefreeness of lo..hi inclusive (indexed by n - lo)."""
+def squarefree_sieve(lo: int, hi: int) -> bytearray:
+    """Flags for squarefreeness of lo..hi inclusive (indexed by n - lo): 1 for
+    squarefree, 0 for a square factor. One byte per n, not one list slot."""
     size = hi - lo + 1
-    flags = [True] * size
+    flags = bytearray(b"\x01") * size
     for q in primes_up_to(math.isqrt(max(abs(lo), abs(hi)))):
         q2 = q * q
         for n in range(lo + (-lo) % q2, hi + 1, q2):
-            flags[n - lo] = False
+            flags[n - lo] = 0
     if 0 >= lo and 0 <= hi:
-        flags[-lo] = False
+        flags[-lo] = 0
     return flags

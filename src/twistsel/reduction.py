@@ -14,7 +14,14 @@ from enum import Enum
 from functools import lru_cache
 
 from ._kernels import count_points
-from .curves import CurveQ, PointQ, minimal_model, quadratic_twist
+from .curves import (
+    CurveQ,
+    PointQ,
+    minimal_model,
+    quadratic_twist,
+    translated,
+    weierstrass_invariants,
+)
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
 from .intmath import factorint, is_prime, is_squarefree, legendre, valuation
 from .polyzq import fp_gcd
@@ -60,12 +67,9 @@ class _Model:
         self.a1, self.a2, self.a3, self.a4, self.a6 = int(a1), int(a2), int(a3), int(a4), int(a6)
 
     def translate(self, r: int = 0, s: int = 0, t: int = 0) -> None:
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        self.a1 = a1 + 2 * s
-        self.a2 = a2 - s * a1 + 3 * r - s * s
-        self.a3 = a3 + r * a1 + 2 * t
-        self.a4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-        self.a6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
+        self.a1, self.a2, self.a3, self.a4, self.a6 = translated(
+            (self.a1, self.a2, self.a3, self.a4, self.a6), r, s, t
+        )
 
     def rescale_down(self, p: int) -> None:
         self.a1 //= p
@@ -74,36 +78,13 @@ class _Model:
         self.a4 //= p**4
         self.a6 //= p**6
 
-    @property
-    def b2(self):
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self):
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self):
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self):
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
-
-    @property
-    def disc(self):
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    def invariants(self) -> tuple[int, int, int, int, int, int, int]:
+        """(b2, b4, b6, b8, c4, c6, disc) of the current model."""
+        return weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
 
 
-def _singular_point(m: _Model, p: int) -> tuple[int, int]:
-    """A singular point of the reduction mod p, as integers in [0, p)."""
+def _singular_point(m: _Model, p: int, b2: int, b4: int, b6: int) -> tuple[int, int]:
+    """A singular point of the reduction mod p, as integers in [0, p); b2, b4, b6 are m's."""
     if p <= 3:
         for x0 in range(p):
             for y0 in range(p):
@@ -117,7 +98,7 @@ def _singular_point(m: _Model, p: int) -> tuple[int, int]:
         raise PreconditionError("no singular point found; reduction is good")
     # odd p >= 5: complete the square, then x0 is the multiple root of
     # g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 mod p.
-    g = [m.b6 % p, (2 * m.b4) % p, m.b2 % p, 4 % p]
+    g = [b6 % p, (2 * b4) % p, b2 % p, 4 % p]
     gp = [g[1], (2 * g[2]) % p, (3 * g[3]) % p]
     h = fp_gcd(g, gp, p)
     if len(h) == 2:
@@ -171,20 +152,21 @@ def tate_algorithm(E_int: CurveQ, p: int) -> TateResult:
     m = _Model(*(int(a) for a in E_int.ainvs))
     scale = 1
     while True:
-        disc = m.disc
+        b2, b4, b6, _, _, _, disc = m.invariants()
         n = _vp(disc, p)
         if n == 0:
             return TateResult("I0", 0, 0, scale)
-        x0, y0 = _singular_point(m, p)
+        x0, y0 = _singular_point(m, p, b2, b4, b6)
         m.translate(r=x0, t=y0)
-        if m.b2 % p != 0:
+        b2, _, b6, b8, _, _, _ = m.invariants()
+        if b2 % p != 0:
             return TateResult(f"I{n}", 1, n, scale)
         # additive reduction from here on
         if _vp(m.a6, p) < 2:
             return TateResult("II", n, n, scale)
-        if _vp(m.b8, p) < 3:
+        if _vp(b8, p) < 3:
             return TateResult("III", n - 1, n, scale)
-        if _vp(m.b6, p) < 3:
+        if _vp(b6, p) < 3:
             return TateResult("IV", n - 2, n, scale)
         # normalize to v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
         if p == 2:

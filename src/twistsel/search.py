@@ -46,11 +46,21 @@ PROBE_S = 0.005
 POOL_BREAK_EVEN_S = 0.060
 
 # A scan takes at most MAX_SCAN_WIDTH values of d, none below -MAX_SCAN_ABS_D,
-# because its sieve holds one flag per d (a range of 10^8 reached 800 MiB before
-# the first row) and lists the primes up to sqrt|d|. 10^7 keeps the full scan of
-# |d| <= 2*10^6, and 10^12 is where the class groups stop (|D| = 4*10^12).
+# because its sieve holds one byte per d (with one list slot per d, a range of
+# 10^8 reached 800 MiB before the first row) and lists the primes up to
+# sqrt|d|. 10^7 keeps the full scan of |d| <= 2*10^6, and 10^12 is where the
+# class groups stop (|D| = 4*10^12).
 MAX_SCAN_WIDTH = 10**7
 MAX_SCAN_ABS_D = 10**12
+
+
+def _check_scan_range(lo: int, hi: int) -> None:
+    if lo > hi or hi >= 0:
+        raise InvalidParameterError("need lo <= hi < 0")
+    if hi - lo + 1 > MAX_SCAN_WIDTH:
+        raise ResourceError(f"a scan takes at most {MAX_SCAN_WIDTH} values of d")
+    if -lo > MAX_SCAN_ABS_D:
+        raise ResourceError(f"a scan takes no d below -{MAX_SCAN_ABS_D}")
 
 
 def enumerate_d(lo: int, hi: int, ell: int, N: int):
@@ -58,12 +68,7 @@ def enumerate_d(lo: int, hi: int, ell: int, N: int):
 
     Each is negative, squarefree, d = 3 (mod 4) and coprime to ell N.
     """
-    if lo > hi or hi >= 0:
-        raise InvalidParameterError("need lo <= hi < 0")
-    if hi - lo + 1 > MAX_SCAN_WIDTH:
-        raise ResourceError(f"a scan takes at most {MAX_SCAN_WIDTH} values of d")
-    if -lo > MAX_SCAN_ABS_D:
-        raise ResourceError(f"a scan takes no d below -{MAX_SCAN_ABS_D}")
+    _check_scan_range(lo, hi)
     flags = squarefree_sieve(lo, hi)
     for d in range(hi, lo - 1, -1):
         if d % 4 != 3:
@@ -132,6 +137,7 @@ def search_twists(
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
+    _check_scan_range(lo, hi)  # before the curve-level work, so a bad range gets one answer
     hyp = hypothesis_check(E, ell)
     if not hyp.ok:
         unmet = (c for c in hyp.checks if c.verdict is not Verdict.PASS)

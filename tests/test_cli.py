@@ -261,6 +261,28 @@ def test_search_refuses_an_over_wide_range(capsys):
     assert err == f"error: a scan takes at most {search.MAX_SCAN_WIDTH} values of d\n"
 
 
+@pytest.mark.parametrize("curve", ["[0,-1,1,0,0]", "[0,0,0,0,1]"])
+def test_bad_d_and_range_get_one_answer_whatever_the_curve(capsys, curve):
+    # [0,0,0,0,1] fails the curve-level hypotheses at ell = 5; the twist
+    # parameter and the range are refused before those are looked at
+    width, deepest = search.MAX_SCAN_WIDTH, search.MAX_SCAN_ABS_D
+    for argv, err in (
+        (["check", "--d=0"], "error: twist parameter must be a nonzero integer\n"),
+        (["search", "--range=1:5"], "error: need lo <= hi < 0\n"),
+        (["search", "--range=-3:-20"], "error: need lo <= hi < 0\n"),
+        (
+            ["search", f"--range={-3 - width}:-3"],
+            f"error: a scan takes at most {width} values of d\n",
+        ),
+        (
+            ["search", f"--range={-1 - deepest}:{-deepest + 399}"],
+            f"error: a scan takes no d below -{deepest}\n",
+        ),
+    ):
+        argv = [argv[0], "--curve", curve, "--ell", "5", *argv[1:]]
+        assert run_cli(capsys, *argv) == (1, "", err), argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [

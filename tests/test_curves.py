@@ -1,3 +1,5 @@
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,10 @@ from twistsel.curves import (
     point_from_string,
     point_order,
     quadratic_twist,
+    translated,
 )
 from twistsel.errors import InvalidParameterError
+from twistsel.reduction import _Model
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
 
@@ -47,6 +51,30 @@ small_rationals = st.fractions(
 )
 
 
+def _cubic_disc(a, b, c, d):
+    return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+
+
+def _assert_invariant_identities(ainvs, invariants):
+    """Identities that (b2, b4, b6, b8, c4, c6, disc) satisfy, none restating a formula."""
+    a1, a2, a3, a4, a6 = ainvs
+    b2, b4, b6, b8, c4, c6, disc = invariants
+    # completing the square: (a1 x + a3)^2 + 4 (x^3 + a2 x^2 + a4 x + a6) is the
+    # cubic 4 x^3 + b2 x^2 + 2 b4 x + b6; four values of x fix a cubic
+    for x in (-2, 0, 1, 3):
+        assert (a1 * x + a3) ** 2 + 4 * (x**3 + a2 * x * x + a4 * x + a6) == (
+            4 * x**3 + b2 * x * x + 2 * b4 * x + b6
+        )
+    assert 4 * b8 == b2 * b6 - b4 * b4
+    assert c4**3 - c6**2 == 1728 * disc
+    # disc is the discriminant of that cubic over 16
+    assert 16 * disc == _cubic_disc(4, b2, 2 * b4, b6)
+
+
+def _stored_invariants(E):
+    return (E.b2, E.b4, E.b6, E.b8, E.c4, E.c6, E.disc)
+
+
 @settings(max_examples=60)
 @given(small_rationals, small_rationals, small_rationals, small_rationals, small_rationals)
 def test_c4_c6_disc_identity(a1, a2, a3, a4, a6):
@@ -54,8 +82,60 @@ def test_c4_c6_disc_identity(a1, a2, a3, a4, a6):
         E = CurveQ(a1, a2, a3, a4, a6)
     except InvalidParameterError:
         return
-    assert E.c4**3 - E.c6**2 == 1728 * E.disc
+    _assert_invariant_identities(E.ainvs, _stored_invariants(E))
     assert E.j == E.c4**3 / E.disc
+
+
+def test_integral_invariants_are_kept_by_translation():
+    # the integral models Tate's algorithm runs on
+    rng = random.Random(24)
+    for _ in range(200):
+        ainvs = tuple(rng.randint(-60, 60) for _ in range(5))
+        m = _Model(*ainvs)
+        before = m.invariants()
+        _assert_invariant_identities(ainvs, before)
+        r, s, t = (rng.randint(-9, 9) for _ in range(3))
+        m.translate(r, s, t)
+        after = m.invariants()
+        assert (m.a1, m.a2, m.a3, m.a4, m.a6) == translated(ainvs, r, s, t)
+        _assert_invariant_identities(translated(ainvs, r, s, t), after)
+        assert after[4:] == before[4:]  # c4, c6, disc
+
+
+def test_rational_invariants_scale_by_powers_of_u():
+    rng = random.Random(25)
+
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+
+    checked = 0
+    while checked < 60:
+        try:
+            E = CurveQ(*(rational() for _ in range(5)))
+        except InvalidParameterError:
+            continue
+        u = rational() or Fraction(1, 2)
+        r, s, t = rational(), rational(), rational()
+        moved = CurveQ(*translated(E.ainvs, r, s, t))
+        assert (moved.c4, moved.c6, moved.disc) == (E.c4, E.c6, E.disc)
+        F = E.transform(u, r, s, t)
+        _assert_invariant_identities(F.ainvs, _stored_invariants(F))
+        assert (F.c4, F.c6, F.disc) == (E.c4 / u**4, E.c6 / u**6, E.disc / u**12)
+        checked += 1
+
+
+def test_equality_hash_repr_and_pickle_see_only_the_a_invariants():
+    E = CurveQ(Fraction(1, 2), 0, Fraction(-3, 4), 0, 1)
+    back = pickle.loads(pickle.dumps(E))
+    assert back == E and _stored_invariants(back) == _stored_invariants(E)
+    assert b"disc" not in pickle.dumps(E)
+    assert repr(E) == f"CurveQ(a1={E.a1!r}, a2={E.a2!r}, a3={E.a3!r}, a4={E.a4!r}, a6={E.a6!r})"
+    # a copy whose stored invariants disagree still equals and hashes as E
+    twin = CurveQ(*E.ainvs)
+    for name in ("b2", "b4", "b6", "b8", "c4", "c6", "disc"):
+        object.__setattr__(twin, name, Fraction(0))
+    assert twin == E and hash(twin) == hash(E)
+    assert E != CurveQ(Fraction(1, 2), 0, Fraction(-3, 4), 0, 2)
 
 
 def test_parse_and_format():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +141,18 @@ def test_squarefree_sieve_agrees():
         for n in range(lo, hi + 1):
             assert flags[n - lo] == is_squarefree(n), n
     assert not flags[-q2 - lo]
+
+
+def test_squarefree_sieve_holds_one_byte_per_n():
+    # a list of bools peaked at 7.6 MiB over this width; a bytearray needs 1 MB
+    tracemalloc.start()
+    try:
+        flags = squarefree_sieve(-10**6, -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(flags) == 10**6
+    assert peak < 2 * 2**20, peak
 
 
 @given(st.integers(min_value=-200, max_value=200))
