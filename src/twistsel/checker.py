@@ -28,12 +28,12 @@ ell^r, ell^(2r) when S~_E is empty. A reason is derived when printed, from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .curves import CurveQ, PointQ, check_twist_parameter
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
-from .divpoly import rational_ell_torsion_point
+from .divpoly import MAX_DIVPOLY_INDEX, rational_ell_torsion_point
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
 from .intmath import is_prime, is_squarefree, kronecker
 from .quadforms import class_number
@@ -55,8 +55,7 @@ class ArtinClass(Enum):
     RAMIFIED = "Ramified"
 
 
-@dataclass(frozen=True)
-class SSets:
+class SSets(NamedTuple):
     """The exceptional bad-prime sets of the twist theorems.
 
     s_tilde: odd p | N with the ramification predicate and ell not dividing
@@ -104,8 +103,7 @@ _PASS_VALUE = {Verdict.PASS: True, Verdict.FAIL: False, Verdict.UNDETERMINED: No
 _VERDICT = {ok: verdict for verdict, ok in _PASS_VALUE.items()}
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     clause_id: str
     cite: str
     verdict: Verdict
@@ -131,8 +129,7 @@ class Overall(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     curve: CurveQ
     ell: int
     d: int
@@ -152,8 +149,7 @@ class ConditionReport:
         }
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     curve: CurveQ
     ell: int
     torsion_point: PointQ | None
@@ -196,7 +192,10 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     P = rational_ell_torsion_point(E, ell)
     cite = f"rational point of odd prime order {ell}"
     if P is None:
-        detail = f"no rational root of the {ell}-division polynomial lifts to a rational point"
+        if ell > MAX_DIVPOLY_INDEX:
+            detail = f"no rational point has prime order {ell} > 7 (Mazur); psi_{ell} is not built"
+        else:
+            detail = f"no rational root of the {ell}-division polynomial lifts to a rational point"
         return HypothesisReport(E, ell, None, (_clause("hypothesis.torsion", cite, False, detail),))
     checks = [_clause("hypothesis.torsion", cite, True, f"P = {P} has exact order {ell}")]
     red = local_reduction(E, ell)
@@ -218,8 +217,7 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     return HypothesisReport(E, ell, P, tuple(checks))
 
 
-@dataclass(frozen=True)
-class SymbolRule:
+class SymbolRule(NamedTuple):
     """The symbol clause at one bad prime p other than 2 and ell.
 
     want is the Artin class that d must have at p, with why as its reason;
@@ -231,8 +229,7 @@ class SymbolRule:
     why: str
 
 
-@dataclass(frozen=True)
-class TwistRules:
+class TwistRules(NamedTuple):
     """The curve-level part of the admissibility clauses for (E, ell, predicate).
 
     Everything here is fixed by the curve: the conductor, the exceptional
@@ -356,8 +353,7 @@ def admissibility_check(
     return evaluate_admissibility(twist_rules(E, ell, predicate), d)[0]
 
 
-@dataclass(frozen=True)
-class SelmerBound:
+class SelmerBound(NamedTuple):
     rank: int | None
     bound: int | None
     s_used: tuple[int, ...]
@@ -370,8 +366,7 @@ class SelmerVerdict(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class SandwichResult:
+class SandwichResult(NamedTuple):
     verdict: SelmerVerdict
     ell_rank: int | None = None
     lower: int | None = None
@@ -382,8 +377,7 @@ class SandwichResult:
 SCAN_COLUMNS = ("d", "D", "h", "ell_rank", "selmer_lb", "verdict", "failed_clauses")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Every per-d conclusion; h, bound and sandwich are None unless d is
     admissible, and D is None unless d passes the domain clauses.
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .intmath import factorint, is_square, is_squarefree, valuation
@@ -57,38 +57,44 @@ def translated(ainvs: tuple, r, s, t) -> tuple:
     )
 
 
-@dataclass(frozen=True)
 class CurveQ:
     """Nonsingular long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
     The b-, c-invariants and disc are computed once, when the model is made;
-    equality, hashing, repr and pickling see only the a-invariants.
+    equality, hashing, repr and pickling see only the a-invariants. A model
+    is frozen: its slots are filled once, here, and never assigned again.
     """
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-    b2: Fraction = field(init=False, repr=False, compare=False)
-    b4: Fraction = field(init=False, repr=False, compare=False)
-    b6: Fraction = field(init=False, repr=False, compare=False)
-    b8: Fraction = field(init=False, repr=False, compare=False)
-    c4: Fraction = field(init=False, repr=False, compare=False)
-    c6: Fraction = field(init=False, repr=False, compare=False)
-    disc: Fraction = field(init=False, repr=False, compare=False)
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8", "c4", "c6", "disc")
 
-    def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a1, a2, a3, a4, a6) -> None:
+        for name, a in zip(self.__slots__, (a1, a2, a3, a4, a6)):
+            object.__setattr__(self, name, Fraction(a))
         if self.is_integral():  # the same values, 100x faster than in Fractions
             invariants = map(Fraction, weierstrass_invariants(*(a.numerator for a in self.ainvs)))
         else:
             invariants = weierstrass_invariants(*self.ainvs)
-        for name, value in zip(("b2", "b4", "b6", "b8", "c4", "c6", "disc"), invariants):
+        for name, value in zip(self.__slots__[5:], invariants):
             object.__setattr__(self, name, value)
         if self.disc == 0:
             raise InvalidParameterError("singular model: discriminant is zero")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ainvs == other.ainvs
+
+    def __hash__(self) -> int:
+        return hash(self.ainvs)
+
+    def __repr__(self) -> str:
+        return "CurveQ(" + ", ".join(f"{n}={a!r}" for n, a in zip(self.__slots__, self.ainvs)) + ")"
 
     def __reduce__(self):
         return CurveQ, self.ainvs
@@ -129,19 +135,24 @@ class CurveQ:
         return "[" + ",".join(format_rational(a) for a in self.ainvs) + "]"
 
 
-@dataclass(frozen=True)
-class PointQ:
+class _PointQTuple(NamedTuple):
+    x: Fraction | None
+    y: Fraction | None
+
+
+class PointQ(_PointQTuple):
     """Affine rational point (x, y) or the point at infinity."""
 
-    x: Fraction | None = None
-    y: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.x is None) != (self.y is None):
+    def __new__(cls, x=None, y=None):
+        if (x is None) != (y is None):
             raise InvalidParameterError("point needs both coordinates or neither")
-        if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+        if x is not None:
+            x, y = Fraction(x), Fraction(y)
+        return super().__new__(cls, x, y)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     @staticmethod
     def infinity() -> "PointQ":

@@ -11,7 +11,7 @@ costs one factorization of f and builds no group element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .intmath import factorint, is_prime
@@ -37,8 +37,13 @@ def unit_group_orders(modulus: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class DirichletPredicate:
+class _DirichletPredicateTuple(NamedTuple):
+    modulus: int
+    ell: int
+    exponents: tuple[int, ...]
+
+
+class DirichletPredicate(_DirichletPredicateTuple):
     """Order-ell character chi mod f, given by exponents on the generators of (Z/f)*.
 
     chi(g_i) = zeta_ell ** exponents[i], one exponent per factor of
@@ -48,22 +53,20 @@ class DirichletPredicate:
     used by the checker is chi(p) != 0, i.e. p does not divide the conductor.
     """
 
-    modulus: int
-    ell: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.ell) or self.ell == 2:
+    def __new__(cls, modulus: int, ell: int, exponents: tuple[int, ...]):
+        if not is_prime(ell) or ell == 2:
             raise InvalidParameterError("character order must be an odd prime")
-        factors = unit_group_orders(self.modulus)
-        if len(self.exponents) != len(factors):
+        factors = unit_group_orders(modulus)
+        if len(exponents) != len(factors):
             raise InvalidParameterError(
-                f"need {len(factors)} exponent(s) for the generators of (Z/{self.modulus})*"
+                f"need {len(factors)} exponent(s) for the generators of (Z/{modulus})*"
             )
-        object.__setattr__(self, "exponents", tuple(e % self.ell for e in self.exponents))
+        self = super().__new__(cls, modulus, ell, tuple(e % ell for e in exponents))
         for e, (_p, order) in zip(self.exponents, factors):
             # chi(g)^order(g) must be 1: ell | e * order
-            if (e * order) % self.ell:
+            if (e * order) % ell:
                 raise InvalidParameterError("exponents do not define a character on the group")
         if all(e == 0 for e in self.exponents):
             raise InvalidParameterError("character is trivial; order must be exactly ell")
@@ -72,11 +75,14 @@ class DirichletPredicate:
         # so an odd-order chi is trivial there. At odd p it is the whole factor
         # when p || f, and when p^2 | f (exactly when p | order) the subgroup
         # of order p, generated by g^(order/p) for any generator g.
-        if self.modulus % 2 == 0 or any(
-            e * (order // p if order % p == 0 else 1) % self.ell == 0
+        if modulus % 2 == 0 or any(
+            e * (order // p if order % p == 0 else 1) % ell == 0
             for e, (p, order) in zip(self.exponents, factors)
         ):
             raise InvalidParameterError("character is induced from a smaller conductor")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     def is_nonzero_at(self, p: int) -> bool:
         """chi(p) != 0, i.e. p is unramified in the attached cyclic field."""

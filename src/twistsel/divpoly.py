@@ -10,8 +10,8 @@ x-polynomial carries the cofactor 2y + a1 x + a3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import CurveQ, PointQ, _denominator_scale, point_order, rational_sqrt, short_model_data
 from .errors import InvalidParameterError, UnsupportedError
@@ -66,8 +66,7 @@ def _t_poly(b: tuple[int, int, int, int], n: int) -> ZX:
     return t(n)
 
 
-@dataclass(frozen=True)
-class DivisionPoly:
+class DivisionPoly(NamedTuple):
     """psi_n of a curve: x-polynomial (lowest degree first) plus an even-index flag."""
 
     n: int
@@ -115,11 +114,15 @@ def division_poly_primitive(E: CurveQ, n: int) -> ZX:
 def rational_ell_torsion_point(E: CurveQ, ell: int) -> PointQ | None:
     """A rational point of exact order ell, or None.
 
-    Complete for ell in {3, 5, 7} (the only odd prime orders possible over Q);
-    for larger ell it reports None when no rational root of psi_ell yields one.
+    Complete for ell in {3, 5, 7}, the only odd prime orders possible over Q
+    (Mazur). For larger ell up to MAX_DIVPOLY_INDEX it reports None when no
+    rational root of psi_ell yields one; past that, by Mazur's theorem alone,
+    without building psi_ell.
     """
     if ell < 3 or not is_prime(ell):
         raise InvalidParameterError("ell must be an odd prime")
+    if ell > MAX_DIVPOLY_INDEX:
+        return None
     psi = division_poly_primitive(E, ell)
     linear, _ = zx_factor_bounded(psi, 1)
     roots = sorted(Fraction(-g[0], g[1]) for g in linear)
@@ -136,8 +139,7 @@ def rational_ell_torsion_point(E: CurveQ, ell: int) -> PointQ | None:
     return None
 
 
-@dataclass(frozen=True)
-class FactorShape:
+class FactorShape(NamedTuple):
     """Irreducible factors of psi_ell up to a degree bound, plus the unfactored cofactor."""
 
     ell: int

@@ -10,8 +10,8 @@ class-group verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .checker import Overall, SelmerVerdict, certify, hypothesis_check, twist_rules
 from .curves import CurveQ, PointQ, point_order
@@ -30,8 +30,7 @@ CURVE_11A3 = CurveQ(0, -1, 1, 0, 0)
 CURVE_13TORS = CurveQ(0, 0, 0, 13674069, 324405221670)
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     name: str
     ok: bool
     detail: str

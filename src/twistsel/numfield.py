@@ -7,7 +7,7 @@ monogenic order Z[x]/(f). Undetermined is a value, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateTowerError, InvalidParameterError
 from .intmath import valuation
@@ -31,19 +31,24 @@ from .polyzq import (
 )
 
 
-@dataclass(frozen=True)
-class NumberFieldDef:
-    """A number field presented by a monic irreducible integer polynomial."""
-
+class _NumberFieldDefTuple(NamedTuple):
     minpoly: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        f = list(self.minpoly)
+
+class NumberFieldDef(_NumberFieldDefTuple):
+    """A number field presented by a monic irreducible integer polynomial."""
+
+    __slots__ = ()
+
+    def __new__(cls, minpoly):
+        f = list(minpoly)
         if zx_deg(f) < 1:
             raise InvalidParameterError("defining polynomial must be nonconstant")
         if f[-1] != 1:
             raise InvalidParameterError("defining polynomial must be monic")
-        object.__setattr__(self, "minpoly", tuple(f))
+        return super().__new__(cls, tuple(f))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     @property
     def degree(self) -> int:
@@ -70,8 +75,7 @@ def number_field(f: ZX, check_irreducible: bool = True) -> NumberFieldDef:
     return NumberFieldDef(tuple(g))
 
 
-@dataclass(frozen=True)
-class SplittingShape:
+class SplittingShape(NamedTuple):
     """Shape [(e_i, f_i)] of p O_K = prod P_i^{e_i} with residue degrees f_i.
 
     `via` records how the shape was certified: "dedekind" when p does not

@@ -18,7 +18,7 @@ positive D would drag in infinite unit groups on purpose left out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._kernels import _check_disc
 from ._kernels import class_number as _kernel_class_number
@@ -173,8 +173,7 @@ def sylow_subgroup(D: int, h: int, p: int) -> list[Form]:
     return group
 
 
-@dataclass(frozen=True)
-class EllPart:
+class EllPart(NamedTuple):
     """cl(D) read once: its class number and its ell-torsion subgroup."""
 
     D: int
@@ -206,8 +205,7 @@ def ell_part(D: int, ell: int) -> EllPart:
     return EllPart(D, ell, h, tuple(torsion))
 
 
-@dataclass(frozen=True)
-class ClassGroupData:
+class ClassGroupData(NamedTuple):
     D: int
     h: int
     structure: tuple[int, ...]  # elementary divisors d_1 | d_2 | ... | d_k

@@ -33,7 +33,7 @@ again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
 from .intmath import is_prime, kronecker, sqrt_mod
@@ -108,8 +108,7 @@ def form_with_coprime_a(f: Form, M: int) -> Form:
 # the multiplicative group (O/m)*
 
 
-@dataclass(frozen=True)
-class _Component:
+class _Component(NamedTuple):
     """One cyclic factor of (O/m)*: O/p for an inert p, O/P = F_p for a prime P above a split p."""
 
     p: int
@@ -226,8 +225,7 @@ def _matrix_rank_mod(rows: list[list[int]], ell: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class RayClassData:
+class RayClassData(NamedTuple):
     D: int
     S: tuple[int, ...]
     h: int

@@ -9,9 +9,9 @@ the -c6 square criterion on the minimal model (Legendre symbol at odd p, a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._kernels import count_points
 from .curves import (
@@ -36,8 +36,7 @@ class ReductionKind(Enum):
     ADDITIVE = "Additive"
 
 
-@dataclass(frozen=True)
-class LocalReduction:
+class LocalReduction(NamedTuple):
     p: int
     ord_delta_min: int
     ord_j: int | None  # None encodes +infinity (j = 0)
@@ -135,8 +134,7 @@ def _cubic_root_structure(m: _Model, p: int) -> tuple[str, int]:
     raise PreconditionError("internal: unexpected multiplicity pattern in step-6 cubic")
 
 
-@dataclass(frozen=True)
-class TateResult:
+class TateResult(NamedTuple):
     kodaira: str
     conductor_exponent: int
     ord_disc_min: int
@@ -309,8 +307,7 @@ class SupersingularVerdict(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class SupersingularResult:
+class SupersingularResult(NamedTuple):
     verdict: SupersingularVerdict
     reason: str
 

@@ -3,20 +3,39 @@
 A top-level function or class, public or private, counts as used through a
 name load, an import alias or a `module.name` attribute anywhere in src/, or
 through an entry of the TARGETS tuple in perfbench/tracer.py (read from that
-file). A public method or property, and a public field of a dataclass,
-counts as used only through an attribute access `.name` in src/. Tests do
-not count: a helper that only tests call belongs in a test oracle, and a
-field that only tests read is work done for nothing on every call.
+file). A public method or property, and a public field of a record (a
+NamedTuple, a subclass of one, or a class with __slots__), counts as used
+only through an attribute access `.name` in src/. Tests do not count: a
+helper that only tests call belongs in a test oracle, and a field that only
+tests read is work done for nothing on every call.
 """
 
 import ast
+import pickle
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from twistsel import (
+    checker,
+    curves,
+    dirichlet,
+    divpoly,
+    golden,
+    numfield,
+    quadforms,
+    rayclass,
+    reduction,
+)
+from twistsel.errors import InvalidParameterError
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twistsel"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-# dataclass fields kept without a reader in src/, each with its reason
+# record fields kept without a reader in src/, each with its reason
 UNREAD_FIELDS_ALLOWED = frozenset({
     # provenance: which ramification predicate built the S-sets, for output rows to report
     "checker.SSets.predicate_used",
@@ -47,17 +66,54 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _is_named_tuple(node: ast.ClassDef) -> bool:
     return any(
-        isinstance(dec, ast.Name) and dec.id == "dataclass"
-        or isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name) and dec.func.id == "dataclass"
-        for dec in node.decorator_list
+        isinstance(base, ast.Name) and base.id == "NamedTuple"
+        or isinstance(base, ast.Attribute) and base.attr == "NamedTuple"
+        for base in node.bases
     )
 
 
+def _annotated_fields(node: ast.ClassDef) -> list[str]:
+    return [
+        item.target.id
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def _slot_fields(node: ast.ClassDef) -> list[str]:
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+        ):
+            return list(ast.literal_eval(item.value))
+    return []
+
+
+def _named_tuples(tree: ast.Module) -> dict[str, list[str]]:
+    """The annotated fields of each top-level NamedTuple class of a module."""
+    return {
+        node.name: _annotated_fields(node)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_named_tuple(node)
+    }
+
+
+def _record_fields(node: ast.ClassDef, named_tuples: dict[str, list[str]]) -> list[str]:
+    """The fields of a record class: the annotated fields of a NamedTuple,
+    those of a NamedTuple base in the same module, and the names in __slots__."""
+    fields = _annotated_fields(node) if _is_named_tuple(node) else []
+    for base in node.bases:
+        if isinstance(base, ast.Name):
+            fields += named_tuples.get(base.id, [])
+    return fields + _slot_fields(node)
+
+
 def _definitions(trees: dict[str, ast.Module]):
-    """(module, kind, name) for top-level defs, and public methods and dataclass fields."""
+    """(module, kind, name) for top-level defs, and public methods and record fields."""
     for mod, tree in trees.items():
+        named_tuples = _named_tuples(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield mod, "top", node.name
@@ -65,13 +121,9 @@ def _definitions(trees: dict[str, ast.Module]):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and _public(item.name):
                         yield mod, "method", f"{node.name}.{item.name}"
-                    elif (
-                        isinstance(item, ast.AnnAssign)
-                        and isinstance(item.target, ast.Name)
-                        and _public(item.target.id)
-                        and _is_dataclass(node)
-                    ):
-                        yield mod, "field", f"{node.name}.{item.target.id}"
+                for field in _record_fields(node, named_tuples):
+                    if _public(field):
+                        yield mod, "field", f"{node.name}.{field}"
 
 
 def _uses(trees: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
@@ -192,3 +244,116 @@ def test_guard_sees_an_uncalled_function(tmp_path):
         "quadforms.EllPart.orphan_method",
         "reduction.SupersingularResult.orphan_field",
     ]
+
+
+def test_guard_sees_an_unread_record_field(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # one unread field planted in a NamedTuple, one in the __slots__ of a
+    # class and one in the NamedTuple base of a validating type
+    plants = [
+        ("checker.py", "    undetermined_reason: str | None = None\n", "    orphan_bound: int = 0\n"),
+        ("curves.py", '"c6", "disc"', ', "orphan_slot"'),
+        ("curves.py", "    y: Fraction | None\n", "    orphan_coordinate: int\n"),
+    ]
+    for name, anchor, added in plants:
+        text = (tmp_path / name).read_text()
+        assert text.count(anchor) == 1
+        (tmp_path / name).write_text(text.replace(anchor, anchor + added))
+    assert uncalled_api(tmp_path) == [
+        "checker.SelmerBound.orphan_bound",
+        "curves.CurveQ.orphan_slot",
+        "curves.PointQ.orphan_coordinate",
+    ]
+
+
+E11A3 = curves.CurveQ(0, -1, 1, 0, 0)
+RULES = checker.twist_rules(E11A3, 5)
+
+# every record type of src/twistsel, each built by the call that makes it in use
+RECORDS = {
+    "SSets": lambda: RULES.ssets,
+    "Clause": lambda: checker.evaluate_admissibility(RULES, -37)[0].clauses[0],
+    "ConditionReport": lambda: checker.evaluate_admissibility(RULES, -13)[0],
+    "HypothesisReport": lambda: checker.hypothesis_check(E11A3, 5),
+    "SymbolRule": lambda: RULES.symbols[0],
+    "TwistRules": lambda: RULES,
+    "SelmerBound": lambda: checker.certify(RULES, -181).bound,
+    "SandwichResult": lambda: checker.certify(RULES, -181).sandwich,
+    "Certificate": lambda: checker.certify(RULES, -181),
+    "CurveQ": lambda: curves.curve_from_string("[1/2,0,-3/4,0,1]"),
+    "PointQ": lambda: divpoly.rational_ell_torsion_point(E11A3, 5),
+    "DirichletPredicate": lambda: dirichlet.DirichletPredicate(11, 5, (1,)),
+    "LocalReduction": lambda: reduction.local_reduction(E11A3, 11),
+    "TateResult": lambda: reduction.tate_algorithm(E11A3, 11),
+    "SupersingularResult": lambda: reduction.is_supersingular(E11A3, 5),
+    "EllPart": lambda: quadforms.ell_part(-724, 5),
+    "ClassGroupData": lambda: quadforms.class_group_structure(-724),
+    "_Component": lambda: rayclass._components(quadforms.principal_form(-724), (13,))[0],
+    "RayClassData": lambda: rayclass.ray_class_data(-724, (13,), 5),
+    "DivisionPoly": lambda: divpoly.division_polynomial(E11A3, 5),
+    "FactorShape": lambda: divpoly.psi_factor_shape(E11A3, 5, 2),
+    "NumberFieldDef": lambda: numfield.number_field([-2, 0, 0, 1]),
+    "SplittingShape": lambda: numfield.dedekind_split(numfield.number_field([-2, 0, 0, 1]), 5),
+    "CaseResult": lambda: golden._case_psi3_shape(),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen_picklable_and_named_in_repr(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    first = repr(record).split("(", 1)[1].split("=", 1)[0]
+    assert repr(record).startswith(f"{name}({first}=") and first.isidentifier()
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):  # no __dict__ either
+        record.orphan = None
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record and hash(back) == hash(record)
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("PointQ", {"y": None}),
+        ("DirichletPredicate", {"exponents": (0,)}),
+        ("NumberFieldDef", {"minpoly": (1, 2)}),
+    ],
+)
+def test_validating_records_refuse_a_bad_replace(name, change):
+    record = RECORDS[name]()
+    with pytest.raises(InvalidParameterError):
+        record._replace(**change)
+    assert record._replace() == record
+
+
+def test_record_table_names_every_record_class():
+    records = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named_tuples = _named_tuples(tree)
+        records |= {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and _record_fields(node, named_tuples)
+        }
+    # a validating type is named, not the NamedTuple base that holds its fields;
+    # reduction._Model is Tate's mutable working model, not a record
+    bases = {"_PointQTuple", "_DirichletPredicateTuple", "_NumberFieldDefTuple"}
+    assert records - bases - {"_Model"} == set(RECORDS)
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    assert not [p.name for p in SRC.glob("*.py") if "dataclass" in p.read_text()]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import twistsel.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    # -S: no site hooks, so only what twistsel.cli loads is seen; -B: no
+    # bytecode written into src/, which -I would allow whatever the environment
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -28,7 +28,7 @@ from pinned_outputs import (
     TORSION_FIELD_FACTOR,
     TORSION_FIELD_SHA256,
 )
-from twistsel import cli, search
+from twistsel import cli, divpoly, search
 from twistsel.cli import main
 
 
@@ -212,6 +212,30 @@ def test_check_admissible(capsys):
 def test_check_no_torsion_exit_2(capsys):
     code, out, _ = run_cli(capsys, "check", "--curve", "[0,0,0,0,1]", "--ell", "5", "--d", "-37")
     assert code == 2
+
+
+def test_ell_past_the_division_polynomial_limit_gets_the_torsion_verdict(capsys, monkeypatch):
+    # Mazur: no rational point of prime order 41, so psi_41 is never built
+    def refuse(E, n):
+        raise AssertionError(f"psi_{n} built")
+
+    monkeypatch.setattr(divpoly, "division_poly_primitive", refuse)
+    curve = ("--curve", "[0,-1,1,0,0]", "--ell", "41")
+    code, out, err = run_cli(capsys, "check", *curve, "--d", "-7")
+    assert (code, err) == (2, "")
+    assert out == (
+        '{"checks":[{"cite":"rational point of odd prime order 41","detail":'
+        '"no rational point has prime order 41 > 7 (Mazur); psi_41 is not built",'
+        '"id":"hypothesis.torsion","pass":false}],"curve":"[0,-1,1,0,0]","ell":41,'
+        '"ok":false,"torsion_point":null}\n'
+    )
+    assert run_cli(capsys, "search", *curve, "--range=-100:-3") == (
+        2, "", "error: curve-level hypotheses fail: hypothesis.torsion (fail)\n"
+    )
+    assert run_cli(capsys, "torsion", *curve) == (2, '{"ell":41,"point":null}\n', "")
+    assert run_cli(capsys, "divpoly", "--curve", "[0,-1,1,0,0]", "--n", "41") == (
+        2, "", "error: division polynomial index must lie in [1, 40]\n"
+    )
 
 
 def test_check_inadmissible(capsys):
