@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+
+# argparse imports these two on every parse (gettext needs locale, HelpFormatter
+# shutil); importing them here keeps that cost in start-up, out of each call
+import locale  # noqa: F401
+import shutil  # noqa: F401
 import sys
 
 from . import checker, divpoly, golden, quadforms, rayclass, reduction, search

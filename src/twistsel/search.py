@@ -15,14 +15,15 @@ times the number of candidates left. When the estimate exceeds
 `POOL_BREAK_EVEN_S`, the remaining d go to a pool of
 min(jobs, usable CPUs) workers, which get the same rules and return finished
 rows; otherwise the scan finishes in-process. Rows are merged in order either
-way, so the output does not depend on `jobs`.
+way, so the output does not depend on `jobs`. The pool's modules
+(`concurrent.futures` and the `multiprocessing` stack under it) are imported
+only when a scan starts a pool, so importing this module loads none of them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 from functools import partial
 from time import perf_counter
@@ -39,11 +40,17 @@ from .intmath import squarefree_sieve
 PROBE_S = 0.005
 
 # Estimated remaining row work above which a pool of two workers pays for
-# itself. Measured on a 2-CPU host, one process per call, curve 26 with
-# ell = 7 from |d| = 2050 (the pool's start and shutdown cost about 15 ms):
-# width 400 took 0.031 s in-process and 0.045 s pooled, 800 took 0.057 s and
-# 0.061 s, 1600 took 0.109 s and 0.098 s, 6400 took 0.444 s and 0.312 s.
-POOL_BREAK_EVEN_S = 0.060
+# itself. A pool costs 30-45 ms before it saves any: importing its modules
+# takes 20-30 ms and starting and stopping two workers 10-15 ms. Measured on a
+# 2-CPU host, one fresh process per call, the pool forced after the probe;
+# medians of 7 or 11 runs (two sets where they differ), in-process / pooled s:
+#   curve 26, ell = 7, from |d| = 2050: width 1600 0.044 / 0.089,
+#     3200 0.098 / 0.108, 4800 0.160 / 0.160, 6400 0.136-0.182 / 0.148-0.176,
+#     9600 0.292 / 0.279, 12800 0.468 / 0.332;
+#   11a3, ell = 5, from |d| = 3000: width 3200 0.051 / 0.076,
+#     6400 0.104 / 0.136, 12800 0.217-0.228 / 0.223-0.247,
+#     25600 0.42-0.47 / 0.37-0.41, 51200 1.14 / 0.82.
+POOL_BREAK_EVEN_S = 0.200
 
 # A scan takes at most MAX_SCAN_WIDTH values of d, none below -MAX_SCAN_ABS_D,
 # because its sieve holds one byte per d (with one list slot per d, a range of
@@ -157,6 +164,8 @@ def search_twists(
         if workers > 1 and left:
             spent = perf_counter() - start
             if spent >= PROBE_S and spent / done * left > POOL_BREAK_EVEN_S:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     found.extend(pool.map(row, ds[done:], chunksize=16))
                 break

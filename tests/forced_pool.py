@@ -29,5 +29,6 @@ def force_pool(mp, probe_s: float = 0.0, break_even_s: float = 0.0) -> list[list
     mp.setattr(search, "PROBE_S", probe_s)
     mp.setattr(search, "POOL_BREAK_EVEN_S", break_even_s)
     mp.setattr(search, "_usable_cpus", lambda: 2)
-    mp.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    # search imports the pool class from here only when it starts a pool
+    mp.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return handed

@@ -11,6 +11,7 @@ tests read is work done for nothing on every call.
 """
 
 import ast
+import json
 import pickle
 import subprocess
 import sys
@@ -344,16 +345,54 @@ def test_record_table_names_every_record_class():
     assert records - bases - {"_Model"} == set(RECORDS)
 
 
-def test_cli_import_loads_no_dataclass_machinery():
-    assert not [p.name for p in SRC.glob("*.py") if "dataclass" in p.read_text()]
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import twistsel.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+def _fresh_python(code: str, *args: str) -> str:
+    """The stdout of `code` run in a fresh interpreter, with src/ as its argv[1]."""
     # -S: no site hooks, so only what twistsel.cli loads is seen; -B: no
     # bytecode written into src/, which -I would allow whatever the environment
-    out = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", code, str(SRC.parent)],
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(SRC.parent), *args],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out == "[]\n"
+
+
+def _modules_after_cli_import() -> set[str]:
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import twistsel.cli, json; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    return set(json.loads(_fresh_python(code)))
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    assert not [p.name for p in SRC.glob("*.py") if "dataclass" in p.read_text()]
+    assert not {"dataclasses", "inspect"} & _modules_after_cli_import()
+
+
+def test_cli_import_loads_no_process_pool():
+    # search imports the pool only when a scan starts one
+    pool_stack = {
+        "concurrent.futures", "logging", "multiprocessing", "pickle", "socket", "subprocess"
+    }
+    assert not pool_stack & _modules_after_cli_import()
+
+
+def test_cli_calls_import_no_module():
+    # whatever a call needs is loaded at start-up, so no call pays for an import
+    # (argparse's own locale and shutil included) inside its timed work
+    code = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import twistsel.cli
+before = set(sys.modules)
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(twistsel.cli.main(argv))
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+    calls = [
+        ["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d=-7"],
+        ["search", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--range=-200:-3", "--format", "csv"],
+        ["factor-shape", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--degree-bound", "1"],
+    ]
+    assert json.loads(_fresh_python(code, json.dumps(calls))) == [[0, 0, 0], []]

@@ -184,7 +184,7 @@ def test_search_short_scan_starts_no_pool(monkeypatch):
     ticks = itertools.count()
     monkeypatch.setattr(search, "perf_counter", lambda: 0.0004 * next(ticks))
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     rows = search_twists(E26, 7, -2449, -2050, jobs=2)
     assert next(ticks) == 64  # read at the start and after each d but the last
     assert rows == search_twists(E26, 7, -2449, -2050, jobs=1)
@@ -224,7 +224,7 @@ def test_search_starts_no_more_workers_than_usable_cpus(
 
     monkeypatch.setattr(search, "PROBE_S", 0.0)
     monkeypatch.setattr(search, "POOL_BREAK_EVEN_S", 0.0)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
