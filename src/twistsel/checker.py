@@ -253,10 +253,10 @@ def twist_rules(
     """The admissibility rules of (E, ell, predicate), built once per curve."""
     if ell < 5 or not is_prime(ell):
         raise UnsupportedError("the twist theorems need an odd prime ell >= 5")
-    N, _ = conductor(E)
+    N, exps = conductor(E)
     ssets = compute_s_sets(E, ell, predicate)
     symbols = []
-    for p in bad_primes(E):
+    for p in sorted(exps):
         if p == 2 or p == ell:
             continue
         if p in ssets.s:

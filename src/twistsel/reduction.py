@@ -1,16 +1,18 @@
 """Local reduction data: Tate's algorithm, conductors, point counts, supersingularity.
 
-Tate's algorithm is implemented in full for every prime, including 2 and 3;
-conductor exponents come from the algorithm's exit points, never from a
-global formula. The split / nonsplit test for multiplicative reduction uses
-the -c6 square criterion on the minimal model (Legendre symbol at odd p, a
-2-adic unit-square check at p = 2).
+Tate's algorithm is implemented in full for every prime, including 2 and 3,
+and runs on the global minimal model only: it refuses a model that is not
+minimal at p instead of rescaling it. Conductor exponents come from the
+algorithm's exit points, never from a global formula. The split / nonsplit
+test for multiplicative reduction uses the -c6 square criterion (Legendre
+symbol at odd p, a 2-adic unit-square check at p = 2). Nothing here is
+cached; only `curves.minimal_model` is.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from ._kernels import count_points
@@ -23,7 +25,7 @@ from .curves import (
     weierstrass_invariants,
 )
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
-from .intmath import factorint, is_prime, is_squarefree, legendre, valuation
+from .intmath import factorint, is_prime, legendre, valuation
 from .polyzq import fp_gcd
 
 AP_PRIME_LIMIT = 10**6  # exhaustive point counting only; no Schoof
@@ -69,13 +71,6 @@ class _Model:
         self.a1, self.a2, self.a3, self.a4, self.a6 = translated(
             (self.a1, self.a2, self.a3, self.a4, self.a6), r, s, t
         )
-
-    def rescale_down(self, p: int) -> None:
-        self.a1 //= p
-        self.a2 //= p**2
-        self.a3 //= p**3
-        self.a4 //= p**4
-        self.a6 //= p**6
 
     def invariants(self) -> tuple[int, int, int, int, int, int, int]:
         """(b2, b4, b6, b8, c4, c6, disc) of the current model."""
@@ -134,72 +129,80 @@ def _cubic_root_structure(m: _Model, p: int) -> tuple[str, int]:
     raise PreconditionError("internal: unexpected multiplicity pattern in step-6 cubic")
 
 
-class TateResult(NamedTuple):
-    kodaira: str
-    conductor_exponent: int
-    ord_disc_min: int
-    minimality_scale: int  # p^k scaled out of the input model
+def tate_algorithm(E: CurveQ, p: int) -> LocalReduction:
+    """Reduction data at the prime p, by Tate's algorithm on a model minimal at p.
 
-
-def tate_algorithm(E_int: CurveQ, p: int) -> TateResult:
-    """Run Tate's algorithm at the prime p on an integral model."""
+    E must be integral and minimal at p, as the global minimal model is; a
+    model that the algorithm finds non-minimal at p is refused with
+    PreconditionError rather than rescaled.
+    """
     if not is_prime(p):
         raise InvalidParameterError(f"p must be a prime, got {p}")
-    if not E_int.is_integral():
+    if not E.is_integral():
         raise PreconditionError("Tate's algorithm needs an integral model")
-    m = _Model(*(int(a) for a in E_int.ainvs))
-    scale = 1
-    while True:
-        b2, b4, b6, _, _, _, disc = m.invariants()
-        n = _vp(disc, p)
-        if n == 0:
-            return TateResult("I0", 0, 0, scale)
-        x0, y0 = _singular_point(m, p, b2, b4, b6)
-        m.translate(r=x0, t=y0)
-        b2, _, b6, b8, _, _, _ = m.invariants()
-        if b2 % p != 0:
-            return TateResult(f"I{n}", 1, n, scale)
-        # additive reduction from here on
-        if _vp(m.a6, p) < 2:
-            return TateResult("II", n, n, scale)
-        if _vp(b8, p) < 3:
-            return TateResult("III", n - 1, n, scale)
-        if _vp(b6, p) < 3:
-            return TateResult("IV", n - 2, n, scale)
-        # normalize to v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
-        if p == 2:
-            s = m.a2 % 2
-            m.translate(s=s)
-            t = 2 * ((m.a6 // 4) % 2)
-        else:
-            s = (-m.a1 * pow(2, -1, p)) % p
-            m.translate(s=s)
-            t = p * ((-(m.a3 // p) * pow(2, -1, p)) % p)
-        m.translate(t=t)
-        assert m.a1 % p == 0 and m.a2 % p == 0
-        assert m.a3 % p**2 == 0 and m.a4 % p**2 == 0 and m.a6 % p**3 == 0
-        shape, root = _cubic_root_structure(m, p)
-        if shape == "distinct":
-            return TateResult("I0*", n - 4, n, scale)
-        if shape == "double":
-            m.translate(r=p * root)
-            return _type_in_star(m, p, n, scale)
-        # triple root
+    n = _vp(int(E.disc), p)
+    if n == 0:
+        kodaira, f = "I0", 0
+    else:
+        m = _Model(*E.ainvs)
+        kodaira, f = _kodaira_symbol(m, p, n, int(E.b2), int(E.b4), int(E.b6))
+    c4 = int(E.c4)
+    ord_j = 3 * _vp(c4, p) - n if c4 else None
+    if f == 1:  # split iff -c6 is a square in Q_p; an odd 2-adic unit is one iff 1 mod 8
+        minus_c6 = -int(E.c6)
+        split = minus_c6 % 8 == 1 if p == 2 else legendre(minus_c6, p) == 1
+        kind = ReductionKind.MULTIPLICATIVE_SPLIT if split else ReductionKind.MULTIPLICATIVE_NONSPLIT
+    else:
+        kind = ReductionKind.GOOD if f == 0 else ReductionKind.ADDITIVE
+    return LocalReduction(p, n, ord_j, kind, kodaira, f)
+
+
+def _kodaira_symbol(m: _Model, p: int, n: int, b2: int, b4: int, b6: int) -> tuple[str, int]:
+    """(Kodaira symbol, conductor exponent) of m at p, where n = ord_p(disc) > 0."""
+    x0, y0 = _singular_point(m, p, b2, b4, b6)
+    m.translate(r=x0, t=y0)
+    b2, _, b6, b8, _, _, _ = m.invariants()
+    if b2 % p != 0:
+        return f"I{n}", 1
+    # additive reduction from here on
+    if _vp(m.a6, p) < 2:
+        return "II", n
+    if _vp(b8, p) < 3:
+        return "III", n - 1
+    if _vp(b6, p) < 3:
+        return "IV", n - 2
+    # normalize to v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
+    if p == 2:
+        s = m.a2 % 2
+        m.translate(s=s)
+        t = 2 * ((m.a6 // 4) % 2)
+    else:
+        s = (-m.a1 * pow(2, -1, p)) % p
+        m.translate(s=s)
+        t = p * ((-(m.a3 // p) * pow(2, -1, p)) % p)
+    m.translate(t=t)
+    assert m.a1 % p == 0 and m.a2 % p == 0
+    assert m.a3 % p**2 == 0 and m.a4 % p**2 == 0 and m.a6 % p**3 == 0
+    shape, root = _cubic_root_structure(m, p)
+    if shape == "distinct":
+        return "I0*", n - 4
+    if shape == "double":
         m.translate(r=p * root)
-        # quadratic Y^2 + (a3/p^2) Y - a6/p^4
-        beta = m.a3 // p**2
-        gamma = (-(m.a6 // p**4)) % p
-        if _quadratic_separable(1, beta, gamma, p):
-            return TateResult("IV*", n - 6, n, scale)
-        y1 = _quadratic_double_root(1, beta, gamma, p)
-        m.translate(t=p**2 * y1)
-        if _vp(m.a4, p) < 4:
-            return TateResult("III*", n - 7, n, scale)
-        if _vp(m.a6, p) < 6:
-            return TateResult("II*", n - 8, n, scale)
-        # non-minimal at p: scale down and run again
-        m.rescale_down(p)
-        scale *= p
+        return _type_in_star(m, p, n)
+    # triple root
+    m.translate(r=p * root)
+    # quadratic Y^2 + (a3/p^2) Y - a6/p^4
+    beta = m.a3 // p**2
+    gamma = (-(m.a6 // p**4)) % p
+    if _quadratic_separable(1, beta, gamma, p):
+        return "IV*", n - 6
+    y1 = _quadratic_double_root(1, beta, gamma, p)
+    m.translate(t=p**2 * y1)
+    if _vp(m.a4, p) < 4:
+        return "III*", n - 7
+    if _vp(m.a6, p) < 6:
+        return "II*", n - 8
+    raise PreconditionError(f"model not minimal at {p}; Tate's algorithm needs a p-minimal model")
 
 
 def _quadratic_separable(alpha: int, beta: int, gamma: int, p: int) -> bool:
@@ -215,7 +218,7 @@ def _quadratic_double_root(alpha: int, beta: int, gamma: int, p: int) -> int:
     return (-beta * pow(2 * alpha, -1, p)) % p
 
 
-def _type_in_star(m: _Model, p: int, n: int, scale: int) -> TateResult:
+def _type_in_star(m: _Model, p: int, n: int) -> tuple[str, int]:
     # entered with v(a1) >= 1, v(a2) = 1, v(a3) >= 2, v(a4) >= 3, v(a6) >= 4
     a21 = m.a2 // p % p
     mm = 1
@@ -225,14 +228,14 @@ def _type_in_star(m: _Model, p: int, n: int, scale: int) -> TateResult:
             beta = m.a3 // p ** (j + 1)
             gamma = (-(m.a6 // p ** (2 * j + 2))) % p
             if _quadratic_separable(1, beta, gamma, p):
-                return TateResult(f"I{mm}*", n - 4 - mm, n, scale)
+                return f"I{mm}*", n - 4 - mm
             y1 = _quadratic_double_root(1, beta, gamma, p)
             m.translate(t=p ** (j + 1) * y1)
         else:  # quadratic in X: (a2/p) X^2 + (a4/p^(j+2)) X + a6/p^(2j+3)
             beta = m.a4 // p ** (j + 2)
             gamma = m.a6 // p ** (2 * j + 3)
             if _quadratic_separable(a21, beta, gamma, p):
-                return TateResult(f"I{mm}*", n - 4 - mm, n, scale)
+                return f"I{mm}*", n - 4 - mm
             x1 = _quadratic_double_root(a21, beta, gamma, p)
             m.translate(r=p ** (j + 1) * x1)
             j += 1
@@ -241,48 +244,19 @@ def _type_in_star(m: _Model, p: int, n: int, scale: int) -> TateResult:
             raise PreconditionError("internal: I_n* loop failed to terminate")
 
 
-def _is_split_multiplicative(E_min: CurveQ, p: int) -> bool:
-    """-c6 square test on the minimal model; valid whenever reduction is multiplicative."""
-    c6 = int(E_min.c6)
-    if p == 2:
-        # odd unit u is a 2-adic square iff u = 1 (mod 8)
-        return (-c6) % 8 == 1
-    return legendre(-c6, p) == 1
-
-
-@lru_cache(maxsize=None)
 def local_reduction(E: CurveQ, p: int) -> LocalReduction:
     """Reduction data of E at p, computed on the global minimal model."""
-    E_min, _ = minimal_model(E)
-    res = tate_algorithm(E_min, p)
-    if res.minimality_scale != 1:
-        raise PreconditionError("internal: global minimal model was not p-minimal")
-    c4 = int(E_min.c4)
-    ord_j = 3 * _vp(c4, p) - res.ord_disc_min if c4 else None
-    if res.conductor_exponent == 0:
-        kind = ReductionKind.GOOD
-    elif res.conductor_exponent == 1:
-        split = _is_split_multiplicative(E_min, p)
-        kind = ReductionKind.MULTIPLICATIVE_SPLIT if split else ReductionKind.MULTIPLICATIVE_NONSPLIT
-    else:
-        kind = ReductionKind.ADDITIVE
-    return LocalReduction(p, res.ord_disc_min, ord_j, kind, res.kodaira, res.conductor_exponent)
+    return tate_algorithm(minimal_model(E)[0], p)
 
 
-@lru_cache(maxsize=None)
 def conductor(E: CurveQ) -> tuple[int, dict[int, int]]:
     """Conductor N and its factorization {p: f_p}, from Tate's algorithm at each bad prime."""
-    E_min, _ = minimal_model(E)
-    disc = int(E_min.disc)
     exps: dict[int, int] = {}
-    for p in factorint(disc):
+    for p in factorint(int(minimal_model(E)[0].disc)):
         f = local_reduction(E, p).conductor_exponent
         if f:
             exps[p] = f
-    N = 1
-    for p, f in exps.items():
-        N *= p**f
-    return N, exps
+    return math.prod(p**f for p, f in exps.items()), exps
 
 
 def bad_primes(E: CurveQ) -> list[int]:
@@ -315,10 +289,13 @@ class SupersingularResult(NamedTuple):
 def is_supersingular(E: CurveQ, ell: int) -> SupersingularResult:
     """Supersingularity of the reduction of E mod ell, for ell >= 5.
 
-    Decides via a_ell = 0 at good primes. With additive but potentially good
-    reduction, tries to reach good reduction by a quadratic twist; when no
-    twist in the standard candidate set works, reports NotApplicable. The
-    ord_ell(j) < 0 branch is outside the hypothesis and is NotApplicable.
+    Decides via a_ell = 0 at good primes. The ord_ell(j) < 0 branch is
+    outside the hypothesis and is NotApplicable. Additive, potentially good
+    reduction is resolved by one quadratic twist or not at all: a twist by a
+    unit at ell keeps the Kodaira type, and one ramified at ell moves
+    ord_ell of the minimal discriminant by 6 mod 12, so only I0* (ord 6)
+    reaches good reduction, as the twist by ell does. Every other type is
+    NotApplicable.
     """
     if ell < 5:
         raise UnsupportedError("supersingularity test requires a prime ell >= 5")
@@ -328,22 +305,17 @@ def is_supersingular(E: CurveQ, ell: int) -> SupersingularResult:
             SupersingularVerdict.NOT_APPLICABLE, f"ord_{ell}(j) < 0; outside the hypothesis branch"
         )
     if red.is_good:
-        a = ap(E, ell)
-        verdict = SupersingularVerdict.YES if a == 0 else SupersingularVerdict.NO
-        return SupersingularResult(verdict, f"good reduction, a_{ell} = {a}")
-    # additive, potentially good: try the standard quadratic twists
-    for d in (-1, ell, -ell, 2, -2, 2 * ell, -2 * ell, 3, -3, 3 * ell, -3 * ell):
-        if d == 1 or not is_squarefree(d):
-            continue
-        Ed = quadratic_twist(E, d)
-        if local_reduction(Ed, ell).is_good:
-            a = ap(Ed, ell)
-            verdict = SupersingularVerdict.YES if a == 0 else SupersingularVerdict.NO
-            return SupersingularResult(verdict, f"good reduction after twist by {d}, a_{ell} = {a}")
-    return SupersingularResult(
-        SupersingularVerdict.NOT_APPLICABLE,
-        f"additive reduction at {ell} not resolved by a quadratic twist",
-    )
+        model, how = E, "good reduction"
+    elif red.kodaira == "I0*":
+        model, how = quadratic_twist(E, ell), f"good reduction after twist by {ell}"
+    else:
+        return SupersingularResult(
+            SupersingularVerdict.NOT_APPLICABLE,
+            f"additive reduction at {ell} not resolved by a quadratic twist",
+        )
+    a = ap(model, ell)  # ap refuses a model with bad reduction at ell
+    verdict = SupersingularVerdict.YES if a == 0 else SupersingularVerdict.NO
+    return SupersingularResult(verdict, f"{how}, a_{ell} = {a}")
 
 
 def in_kernel_of_reduction(E: CurveQ, P: PointQ, ell: int) -> bool:

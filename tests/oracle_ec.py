@@ -6,11 +6,13 @@ law mod p. Slow on purpose; only correctness matters here.
 `negate_point` and `multiply_point` are the exception: scalar multiples of
 rational points, built on the library's chord-tangent `add_points`, for
 tests that need a point such as nP but whose subject is something else.
+`supersingular_by_twist_search` builds twists and minimal models with the
+library too, but never runs Tate's algorithm.
 """
 
 from __future__ import annotations
 
-from twistsel.curves import CurveQ, PointQ, add_points
+from twistsel.curves import CurveQ, PointQ, add_points, minimal_model, quadratic_twist
 
 INF = None
 
@@ -118,3 +120,23 @@ def multiply_point(E: CurveQ, n: int, P: PointQ) -> PointQ:
         Q = add_points(E, Q, Q)
         n >>= 1
     return R
+
+
+def supersingular_by_twist_search(E: CurveQ, ell: int) -> tuple[str, str]:
+    """(verdict, reason) of `reduction.is_supersingular`, by the search it once ran.
+
+    ord_ell(j) < 0 is read from the denominator of j, good reduction from ell
+    not dividing the minimal discriminant, and a_ell from a count of points.
+    Other bad reduction tries eleven quadratic twists in order and takes the
+    first with good reduction at ell.
+    """
+    if E.j.denominator % ell == 0:
+        return "NotApplicable", f"ord_{ell}(j) < 0; outside the hypothesis branch"
+    twists = (-1, ell, -ell, 2, -2, 2 * ell, -2 * ell, 3, -3, 3 * ell, -3 * ell)
+    for d in (1, *twists):
+        E_min, _ = minimal_model(E if d == 1 else quadratic_twist(E, d))
+        if int(E_min.disc) % ell:
+            a = ell + 1 - count_points_naive(E_min.ainvs, ell)
+            how = "good reduction" if d == 1 else f"good reduction after twist by {d}"
+            return ("Yes" if a == 0 else "No"), f"{how}, a_{ell} = {a}"
+    return "NotApplicable", f"additive reduction at {ell} not resolved by a quadratic twist"

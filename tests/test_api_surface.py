@@ -48,9 +48,7 @@ UNREAD_FIELDS_ALLOWED = frozenset({
 # to earn: hits per hypothesis_check + twist_rules on 11a3 at ell 5 and curve 26
 # at ell 7, and the cost of one uncached call
 CACHES_ALLOWED = {
-    "curves.minimal_model": "4-5 hits; an uncached call takes 0.2-0.4 ms",
-    "reduction.local_reduction": "4-5 hits; 0.02-0.04 ms uncached, minimal_model cached",
-    "reduction.conductor": "2 hits; 0.01 ms uncached, local_reduction cached",
+    "curves.minimal_model": "11 and 12 hits, local_reduction being uncached; an uncached call takes 0.2 ms",
 }
 
 
@@ -286,7 +284,6 @@ RECORDS = {
     "PointQ": lambda: divpoly.rational_ell_torsion_point(E11A3, 5),
     "DirichletPredicate": lambda: dirichlet.DirichletPredicate(11, 5, (1,)),
     "LocalReduction": lambda: reduction.local_reduction(E11A3, 11),
-    "TateResult": lambda: reduction.tate_algorithm(E11A3, 11),
     "SupersingularResult": lambda: reduction.is_supersingular(E11A3, 5),
     "EllPart": lambda: quadforms.ell_part(-724, 5),
     "ClassGroupData": lambda: quadforms.class_group_structure(-724),

@@ -104,6 +104,29 @@ def test_hypothesis_reports_are_pinned():
         assert json.dumps(rep.to_dict(), sort_keys=True, separators=(",", ":")) == want, curve
 
 
+@pytest.mark.parametrize(
+    "curve, ell, most",
+    [
+        ("[0,-1,1,0,0]", 5, 8),  # 11a3
+        ("[1,-1,1,-3,3]", 7, 9),  # curve 26
+        ("[0,0,0,13674069,324405221670]", 13, 11),  # the golden suite's 13-torsion curve
+        ("[1,1,1,-3,1]", 5, 8),  # 50b1: additive at 5, no twist built
+    ],
+)
+def test_curve_level_work_runs_tate_a_bounded_number_of_times(monkeypatch, curve, ell, most):
+    # no reduction fact is cached, so this count is the work done: a change that
+    # repeats curve-level work raises it and fails here
+    from twistsel import reduction
+
+    calls = []
+    tate = reduction.tate_algorithm
+    monkeypatch.setattr(reduction, "tate_algorithm", lambda E, p: calls.append(p) or tate(E, p))
+    E = curve_from_string(curve)
+    hypothesis_check(E, ell)
+    twist_rules(E, ell)
+    assert 0 < len(calls) <= most, calls
+
+
 def test_admissibility_11a3():
     rep = admissibility_check(E11A3, 5, -37)
     assert rep.overall is Overall.ADMISSIBLE

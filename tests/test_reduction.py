@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from oracle_ec import multiply_point, nonsingular_reduction_count
+from oracle_ec import multiply_point, nonsingular_reduction_count, supersingular_by_twist_search
 from twistsel.curves import CurveQ, PointQ, curve_from_string, minimal_model, quadratic_twist
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import legendre, primes_up_to
@@ -122,16 +124,17 @@ def test_conductor_exponent_bounds():
 
 
 def test_tate_on_nonminimal_model():
-    # u = 6 scaling of 11a3: Tate at 11 must agree after scaling out nothing at 11,
-    # and at 2, 3 the algorithm detects non-minimality
+    # u = 6 scaling of 11a3: minimal at 11, where Tate agrees with 11a3, and not
+    # minimal at 2 and 3, where Tate refuses it; local_reduction reads the
+    # minimal model, so it finds good reduction there
     E = CurveQ(0, 0, 0, -432, 8208)
     res11 = tate_algorithm(E, 11)
     assert res11.kodaira == "I1" and res11.conductor_exponent == 1
-    res2 = tate_algorithm(E, 2)
-    assert res2.minimality_scale == 2
-    assert res2.kodaira == "I0" and res2.conductor_exponent == 0
-    res3 = tate_algorithm(E, 3)
-    assert res3.minimality_scale == 3
+    for p in (2, 3):
+        with pytest.raises(PreconditionError, match=f"not minimal at {p}"):
+            tate_algorithm(E, p)
+        red = local_reduction(E, p)
+        assert red.kodaira == "I0" and red.conductor_exponent == 0
 
 
 def test_ap_examples():
@@ -181,6 +184,72 @@ def test_supersingular_after_twist_resolution():
     assert red.kind is ReductionKind.ADDITIVE and not red.ord_j_negative
     res = is_supersingular(E, 5)
     assert res.verdict is SupersingularVerdict.YES  # same geometric fiber as y^2 = x^3 + 1
+
+
+# (ord_ell(A), ord_ell(B)) of y^2 = x^3 + A x + B giving, for ell >= 5 and
+# units drawn at random, I0 and then II, III, IV, I0*, IV*, III*, II*
+TYPE_VALUATIONS = [(0, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
+
+
+def _seeded_short_curves(ell: int, rng: random.Random, count: int) -> list[CurveQ]:
+    """Short models at ell: half from TYPE_VALUATIONS, a third from any valuations
+    up to (4, 5), the rest multiplicative (A = -3t^2, B = 2t^3 + ell^k w) or
+    that twisted by ell, which is additive with ord_ell(j) < 0."""
+
+    def unit():
+        while True:
+            u = rng.randint(-40, 40)
+            if u % ell:
+                return u
+
+    curves = []
+    while len(curves) < count:
+        shape = rng.randrange(6)
+        if shape < 5:
+            a, b = rng.choice(TYPE_VALUATIONS) if shape < 3 else (rng.randint(0, 4), rng.randint(0, 5))
+            A, B = ell**a * unit(), ell**b * unit()
+        else:
+            t, eps = unit(), ell ** rng.randint(1, 3) * unit()
+            A, B = -3 * t * t, 2 * t**3 + eps
+            if rng.randrange(2):
+                A, B = A * ell**2, B * ell**3
+        if 4 * A**3 + 27 * B * B:
+            curves.append(CurveQ(0, 0, 0, A, B))
+    return curves
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_supersingular_matches_the_twist_search(ell):
+    # one twist by ell decides what the eleven-twist search decides, verdict and reason
+    seen = set()
+    for E in _seeded_short_curves(ell, random.Random(ell), 120):
+        res = is_supersingular(E, ell)
+        assert (res.verdict.value, res.reason) == supersingular_by_twist_search(E, ell), str(E)
+        red = local_reduction(E, ell)
+        if red.ord_j_negative:
+            seen.add("multiplicative" if red.conductor_exponent == 1 else "ord_j < 0, additive")
+        else:
+            seen.add(red.kodaira)
+    assert seen == {"I0", "II", "III", "IV", "I0*", "IV*", "III*", "II*",
+                    "multiplicative", "ord_j < 0, additive"}
+
+
+@pytest.mark.parametrize("curve,twists", [
+    (CurveQ(1, 1, 1, -3, 1), 0),  # 50b1: additive at 5, not I0*
+    (quadratic_twist(CurveQ(0, 0, 0, 0, 1), 5), 1),  # I0* at 5
+])
+def test_supersingular_builds_at_most_one_twist(monkeypatch, curve, twists):
+    from twistsel import reduction
+
+    built = []
+
+    def counting(E, d):
+        built.append(d)
+        return quadratic_twist(E, d)
+
+    monkeypatch.setattr(reduction, "quadratic_twist", counting)
+    is_supersingular(curve, 5)
+    assert built == [5] * twists
 
 
 def test_kernel_of_reduction():
