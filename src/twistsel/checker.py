@@ -39,10 +39,11 @@ from .intmath import is_prime, is_squarefree, kronecker
 from .quadforms import class_number
 from .rayclass import ray_class_data
 from .reduction import (
+    LocalReduction,
     ReductionKind,
     SupersingularVerdict,
-    bad_primes,
-    conductor,
+    bad_reductions,
+    conductor_of,
     is_supersingular,
     local_reduction,
     _x_has_pole_at,
@@ -67,7 +68,17 @@ class SSets(NamedTuple):
     predicate_used: str
 
 
-def compute_s_sets(E: CurveQ, ell: int, predicate: DirichletPredicate | None = None) -> SSets:
+def compute_s_sets(
+    E: CurveQ,
+    ell: int,
+    predicate: DirichletPredicate | None = None,
+    reductions: dict[int, LocalReduction] | None = None,
+) -> SSets:
+    """The exceptional sets of (E, ell, predicate); reductions is
+    `bad_reductions(E)` when the caller holds it already, and is computed
+    here when None."""
+    if reductions is None:
+        reductions = bad_reductions(E)
     if predicate is None:
         pred = minus_one_congruence_predicate(ell)
         desc = pred.description
@@ -78,13 +89,8 @@ def compute_s_sets(E: CurveQ, ell: int, predicate: DirichletPredicate | None = N
         desc = predicate.describe()
     s_tilde = []
     s = []
-    for p in bad_primes(E):
-        if p == 2:
-            continue
-        red = local_reduction(E, p)
-        if not pred(p):
-            continue
-        if red.ord_delta_min % ell == 0:
+    for p, red in reductions.items():
+        if p == 2 or not pred(p) or red.ord_delta_min % ell == 0:
             continue
         s_tilde.append(p)
         if red.ord_j_negative:
@@ -198,7 +204,7 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
             detail = f"no rational root of the {ell}-division polynomial lifts to a rational point"
         return HypothesisReport(E, ell, None, (_clause("hypothesis.torsion", cite, False, detail),))
     checks = [_clause("hypothesis.torsion", cite, True, f"P = {P} has exact order {ell}")]
-    red = local_reduction(E, ell)
+    red = local_reduction(E, ell)  # the one reduction fact at ell that every check reads
     # the formal-group test on the minimal model detects the kernel of
     # reduction with bad reduction too
     if red.is_good:
@@ -210,7 +216,7 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     if red.ord_j_negative:
         ordinary, why = True, f"vacuous: ord_{ell}(j) < 0"
     else:
-        ss = is_supersingular(E, ell)
+        ss = is_supersingular(E, ell, red)
         ordinary, why = _ORDINARY[ss.verdict], ss.reason
     cite = f"E not supersingular mod {ell} when ord_{ell}(j) >= 0"
     checks.append(_clause("hypothesis.ordinary", cite, ordinary, why))
@@ -253,16 +259,16 @@ def twist_rules(
     """The admissibility rules of (E, ell, predicate), built once per curve."""
     if ell < 5 or not is_prime(ell):
         raise UnsupportedError("the twist theorems need an odd prime ell >= 5")
-    N, exps = conductor(E)
-    ssets = compute_s_sets(E, ell, predicate)
+    reductions = bad_reductions(E)  # every fact below about a bad prime is read from here
+    N = conductor_of(reductions)[0]
+    ssets = compute_s_sets(E, ell, predicate, reductions)
     symbols = []
-    for p in sorted(exps):
+    for p, red in reductions.items():
         if p == 2 or p == ell:
             continue
         if p in ssets.s:
             symbols.append(SymbolRule(p, None, "exempt: ramification is permitted here"))
             continue
-        red = local_reduction(E, p)
         if not red.ord_j_negative:
             want, why = ArtinClass.INERT, f"ord_{p}(j) >= 0"
         elif red.kind is ReductionKind.MULTIPLICATIVE_SPLIT:
@@ -270,7 +276,7 @@ def twist_rules(
         else:
             want, why = ArtinClass.SPLIT, f"ord_{p}(j) < 0, not split multiplicative at {p}"
         symbols.append(SymbolRule(p, want, why))
-    ell_inert = local_reduction(E, ell).ord_j_negative
+    ell_inert = ell in reductions and reductions[ell].ord_j_negative  # good at ell: ord_ell(j) >= 0
     return TwistRules(E, ell, N, ssets, N % 2 == 0, ell_inert, tuple(symbols))
 
 

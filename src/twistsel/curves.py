@@ -1,15 +1,14 @@
 """Exact Weierstrass curve arithmetic over Q.
 
 Long models [a1,a2,a3,a4,a6] with rational coefficients, their standard
-invariants, coordinate transformations, the group law, quadratic twists, and
-global minimal models (Laska-Kraus-Connell). All arithmetic is exact; no
-floating point anywhere.
+invariants, coordinate transformations, the order of a point by the
+chord-tangent law, quadratic twists, and global minimal models
+(Laska-Kraus-Connell). All arithmetic is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -27,10 +26,15 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
+    """An optional "-" and decimal digits, then optionally "/" and a denominator
+    whose first digit after any "0"s is 1-9; surrounding whitespace is ignored.
+    A decimal digit is any Unicode one (str.isdecimal); 0 and 1-9 are ASCII."""
     s = s.strip()
-    if not re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", s):
+    num, slash, den = s.removeprefix("-").partition("/")
+    den = den.lstrip("0")
+    if not num.isdecimal() or slash and not (den.isdecimal() and den[0] in "123456789"):
         raise InvalidParameterError(f"not a rational: {s!r}")
-    return Fraction(s)
+    return Fraction(-int(num) if s[0] == "-" else int(num), int(den) if slash else 1)
 
 
 def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
@@ -215,10 +219,8 @@ def curve_invariants(E: CurveQ) -> dict[str, Fraction]:
 # group law
 
 
-def add_points(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
-    """Chord-tangent addition on the long model."""
-    if not P.on_curve(E) or not Q.on_curve(E):
-        raise InvalidParameterError("point not on curve")
+def _chord_tangent(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
+    """P + Q by the chord-tangent formula on the long model, for P and Q on E."""
     if P.is_infinity():
         return Q
     if Q.is_infinity():
@@ -237,14 +239,18 @@ def add_points(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
 
 
 def point_order(E: CurveQ, P: PointQ, bound: int) -> int | None:
-    """Smallest n <= bound with nP = infinity, or None if no such n exists."""
+    """Smallest n <= bound with nP = infinity, or None if no such n exists.
+
+    P is checked on E once; each multiple (n + 1)P = nP + P is then one
+    chord-tangent step, with no further check.
+    """
     if not P.on_curve(E):
         raise InvalidParameterError("point not on curve")
     Q = P
     for n in range(1, bound + 1):
         if Q.is_infinity():
             return n
-        Q = add_points(E, Q, P)
+        Q = _chord_tangent(E, Q, P)
     return None
 
 

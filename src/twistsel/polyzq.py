@@ -21,10 +21,11 @@ does only the work its degree bound can use:
   equal-degree factorization; the product of the factors of higher degree
   stays one unsplit modular factor;
 - each modular factor of degree <= bound is Hensel-lifted on its own, by
-  Newton steps against its cofactor, to the least power of p past a
-  coefficient bound for the factors of degree <= bound: the lesser of
-  Mignotte's and the one that follows from Fujiwara's root bound; the
-  unsplit factor and the cofactors are never lifted;
+  Newton steps against its cofactor (a linear factor as a root, by scalar
+  Newton steps on f), to the least power of p past a coefficient bound for
+  the factors of degree <= bound: the lesser of Mignotte's and the one that
+  follows from Fujiwara's root bound; the unsplit factor and the cofactors
+  are never lifted;
 - subsets whose total degree lies in the intersection are recombined.
 
 Irreducible factors up to the bound are extracted, and the cofactor is
@@ -531,7 +532,10 @@ def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX
     steps G += T (f mod G) mod G along the moduli p^ceil(target / 2^j), with
     T = (f div G)^-1 mod G, started by gcdex mod p and refreshed by
     T (2 - (f div G) T) mod G. Every product and division is by G, so a step
-    costs O(deg f deg g) and the cofactor f / g is never formed.
+    costs O(deg f deg g) and the cofactor f / g is never formed. A linear g
+    is x - r for a simple root r of f mod p, and its lift is x - R for the
+    root R = r + O(p) of f mod p^target: each step is x <- x - f(x) / f'(x)
+    mod the modulus, from one Horner pass that gives f(x) and f'(x).
 
     Raises InvalidParameterError when p divides lc(f), or a factor is not
     monic mod p, does not divide f mod p, or is not prime to f / g mod p.
@@ -545,6 +549,19 @@ def hensel_lift(p: int, f: ZX, factors: list[list[int]], target: int) -> list[ZX
         g = fp_norm(g, p)
         if not g or g[-1] != 1:
             raise InvalidParameterError(f"factor is not monic mod {p}")
+        if len(g) == 2:  # f'(r) = (f div g)(r) mod p, so r is simple iff g is prime to f div g
+            x = -g[0]
+            for M, fM in zip(moduli or [p], f_mod or [f]):
+                v = d = 0
+                for c in reversed(fM):
+                    v, d = (v * x + c) % M, (d * x + v) % M
+                if v % p:
+                    raise InvalidParameterError(f"factor does not divide f mod {p}")
+                if d % p == 0:
+                    raise InvalidParameterError(f"factor and f / factor are non-coprime mod {p}")
+                x = (x - v * pow(d, -1, M)) % M
+            lifted.append(_zx_trunc([-x, 1], p**target))
+            continue
         q, r = fp_divmod(f, g, p)
         if r:
             raise InvalidParameterError(f"factor does not divide f mod {p}")

@@ -5,8 +5,9 @@ and runs on the global minimal model only: it refuses a model that is not
 minimal at p instead of rescaling it. Conductor exponents come from the
 algorithm's exit points, never from a global formula. The split / nonsplit
 test for multiplicative reduction uses the -c6 square criterion (Legendre
-symbol at odd p, a 2-adic unit-square check at p = 2). Nothing here is
-cached; only `curves.minimal_model` is.
+symbol at odd p, a 2-adic unit-square check at p = 2). `bad_reductions`
+is the one walk over the bad primes that the conductor and the checker's
+per-prime rules read. Nothing here is cached; only `curves.minimal_model` is.
 """
 
 from __future__ import annotations
@@ -249,28 +250,36 @@ def local_reduction(E: CurveQ, p: int) -> LocalReduction:
     return tate_algorithm(minimal_model(E)[0], p)
 
 
-def conductor(E: CurveQ) -> tuple[int, dict[int, int]]:
-    """Conductor N and its factorization {p: f_p}, from Tate's algorithm at each bad prime."""
-    exps: dict[int, int] = {}
-    for p in factorint(int(minimal_model(E)[0].disc)):
-        f = local_reduction(E, p).conductor_exponent
-        if f:
-            exps[p] = f
+def bad_reductions(E: CurveQ) -> dict[int, LocalReduction]:
+    """Reduction data at each prime of bad reduction (each p dividing the
+    minimal discriminant), least p first: one run of Tate's algorithm each."""
+    return {p: local_reduction(E, p) for p in sorted(factorint(int(minimal_model(E)[0].disc)))}
+
+
+def conductor_of(reductions: dict[int, LocalReduction]) -> tuple[int, dict[int, int]]:
+    """Conductor N and its factorization {p: f_p}, read from `bad_reductions`."""
+    exps = {p: red.conductor_exponent for p, red in reductions.items()}
     return math.prod(p**f for p, f in exps.items()), exps
 
 
-def bad_primes(E: CurveQ) -> list[int]:
-    return sorted(conductor(E)[1])
+def conductor(E: CurveQ) -> tuple[int, dict[int, int]]:
+    """Conductor N and its factorization {p: f_p}, from Tate's algorithm at each bad prime."""
+    return conductor_of(bad_reductions(E))
 
 
 def ap(E: CurveQ, p: int) -> int:
-    """Trace of Frobenius a_p = p + 1 - #E(F_p) at a prime of good reduction."""
+    """Trace of Frobenius a_p = p + 1 - #E(F_p) at a prime of good reduction.
+
+    Good reduction at p is p not dividing the minimal discriminant, so no
+    Tate's algorithm runs here.
+    """
     if p > AP_PRIME_LIMIT:
         raise UnsupportedError(f"point counting is exhaustive and capped at p <= {AP_PRIME_LIMIT}")
-    red = local_reduction(E, p)
-    if not red.is_good:
-        raise PreconditionError(f"bad reduction at {p}; a_p needs good reduction")
+    if not is_prime(p):
+        raise InvalidParameterError(f"p must be a prime, got {p}")
     E_min, _ = minimal_model(E)
+    if int(E_min.disc) % p == 0:
+        raise PreconditionError(f"bad reduction at {p}; a_p needs good reduction")
     coeffs = tuple(int(a) % p for a in E_min.ainvs)
     return p + 1 - count_points(*coeffs, p)
 
@@ -286,8 +295,13 @@ class SupersingularResult(NamedTuple):
     reason: str
 
 
-def is_supersingular(E: CurveQ, ell: int) -> SupersingularResult:
+def is_supersingular(
+    E: CurveQ, ell: int, red: LocalReduction | None = None
+) -> SupersingularResult:
     """Supersingularity of the reduction of E mod ell, for ell >= 5.
+
+    red is `local_reduction(E, ell)` when the caller holds it already; it is
+    computed here when None.
 
     Decides via a_ell = 0 at good primes. The ord_ell(j) < 0 branch is
     outside the hypothesis and is NotApplicable. Additive, potentially good
@@ -299,7 +313,8 @@ def is_supersingular(E: CurveQ, ell: int) -> SupersingularResult:
     """
     if ell < 5:
         raise UnsupportedError("supersingularity test requires a prime ell >= 5")
-    red = local_reduction(E, ell)
+    if red is None:
+        red = local_reduction(E, ell)
     if red.ord_j_negative:
         return SupersingularResult(
             SupersingularVerdict.NOT_APPLICABLE, f"ord_{ell}(j) < 0; outside the hypothesis branch"

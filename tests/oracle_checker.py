@@ -25,7 +25,7 @@ from twistsel.dirichlet import DirichletPredicate
 from twistsel.errors import InvalidParameterError, UnsupportedError
 from twistsel.intmath import is_prime, is_squarefree, kronecker
 from twistsel.quadforms import field_discriminant
-from twistsel.reduction import ReductionKind, bad_primes, conductor, local_reduction
+from twistsel.reduction import ReductionKind, conductor, local_reduction
 
 
 def artin_symbol_quadratic(d: int, p: int) -> ArtinClass:
@@ -85,7 +85,7 @@ def admissibility_check_per_d(
             f"symbol at {ell}: {sym.value if sym else 'skipped'}",
         )
     exempt = set(ssets.s)
-    for p in bad_primes(E):
+    for p in sorted(conductor(E)[1]):
         if p == 2 or p == ell:
             continue
         if p in exempt:

@@ -3,16 +3,17 @@
 Independent of the library: plain affine enumeration and a textbook group
 law mod p. Slow on purpose; only correctness matters here.
 
-`negate_point` and `multiply_point` are the exception: scalar multiples of
-rational points, built on the library's chord-tangent `add_points`, for
-tests that need a point such as nP but whose subject is something else.
-`supersingular_by_twist_search` builds twists and minimal models with the
-library too, but never runs Tate's algorithm.
+`add_points`, `negate_point` and `multiply_point` are the oracle's own group
+law on rational points: the textbook chord-tangent formulas in Fractions,
+each point checked on the curve at every addition, on the library's `CurveQ`
+and `PointQ` records. `supersingular_by_twist_search` builds twists and
+minimal models with the library, but never runs Tate's algorithm.
 """
 
 from __future__ import annotations
 
-from twistsel.curves import CurveQ, PointQ, add_points, minimal_model, quadratic_twist
+from twistsel.curves import CurveQ, PointQ, minimal_model, quadratic_twist
+from twistsel.errors import InvalidParameterError
 
 INF = None
 
@@ -100,6 +101,25 @@ def nonsingular_reduction_count(ainvs, p):
                 continue
             count += 1
     return count
+
+
+def add_points(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
+    """P + Q by the chord-tangent law on the long model; refuses a point off E."""
+    if not P.on_curve(E) or not Q.on_curve(E):
+        raise InvalidParameterError("point not on curve")
+    if P.is_infinity():
+        return Q
+    if Q.is_infinity():
+        return P
+    if P == negate_point(E, Q):
+        return PointQ.infinity()
+    if P.x == Q.x:  # tangent at P: slope (3x^2 + 2 a2 x + a4 - a1 y) / (2y + a1 x + a3)
+        num = 3 * P.x**2 + 2 * E.a2 * P.x + E.a4 - E.a1 * P.y
+        slope = num / (2 * P.y + E.a1 * P.x + E.a3)
+    else:
+        slope = (Q.y - P.y) / (Q.x - P.x)
+    x = slope**2 + E.a1 * slope - E.a2 - P.x - Q.x
+    return negate_point(E, PointQ(x, P.y + slope * (x - P.x)))
 
 
 def negate_point(E: CurveQ, P: PointQ) -> PointQ:

@@ -41,7 +41,7 @@ from twistsel.reduction import (
     ReductionKind,
     SupersingularVerdict,
     ap,
-    bad_primes,
+    bad_reductions,
     conductor,
     in_kernel_of_reduction,
     is_supersingular,
@@ -290,7 +290,7 @@ def test_criterion_9_twist_properties():
     flips = 0
     for s in curves + ["[1,1,1,0,1]"]:
         E = curve_from_string(s)
-        for p in bad_primes(E):
+        for p in bad_reductions(E):
             if p == 2 or local_reduction(E, p).conductor_exponent != 1:
                 continue
             for d in (-7, -11, -19):

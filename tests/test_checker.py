@@ -107,15 +107,16 @@ def test_hypothesis_reports_are_pinned():
 @pytest.mark.parametrize(
     "curve, ell, most",
     [
-        ("[0,-1,1,0,0]", 5, 8),  # 11a3
-        ("[1,-1,1,-3,3]", 7, 9),  # curve 26
-        ("[0,0,0,13674069,324405221670]", 13, 11),  # the golden suite's 13-torsion curve
-        ("[1,1,1,-3,1]", 5, 8),  # 50b1: additive at 5, no twist built
+        ("[0,-1,1,0,0]", 5, 2),  # 11a3: once at 5, once at 11
+        ("[1,-1,1,-3,3]", 7, 3),  # curve 26: once at 7, 2 and 13
+        ("[0,0,0,13674069,324405221670]", 13, 3),  # the golden suite's 13-torsion curve
+        ("[1,1,1,-3,1]", 5, 3),  # 50b1: additive at 5, no twist built
     ],
 )
 def test_curve_level_work_runs_tate_a_bounded_number_of_times(monkeypatch, curve, ell, most):
-    # no reduction fact is cached, so this count is the work done: a change that
-    # repeats curve-level work raises it and fails here
+    # no reduction fact is cached, so this count is the work done: hypothesis_check
+    # runs Tate's algorithm once at ell and twist_rules once at each bad prime;
+    # a change that repeats curve-level work raises it and fails here
     from twistsel import reduction
 
     calls = []
@@ -147,7 +148,7 @@ def test_admissibility_11a3():
 def test_admissibility_clause_soundness():
     # every Admissible report is re-derivable clause by clause
     from twistsel.intmath import is_squarefree
-    from twistsel.reduction import ReductionKind, bad_primes, conductor, local_reduction
+    from twistsel.reduction import ReductionKind, bad_reductions, conductor, local_reduction
     import math
 
     for d in (-37, -181, -53, -89):
@@ -156,7 +157,7 @@ def test_admissibility_clause_soundness():
         N, _ = conductor(E11A3)
         assert d < 0 and d % 4 == 3 and is_squarefree(d)
         assert math.gcd(d, 5 * N) == 1
-        for p in bad_primes(E11A3):
+        for p in bad_reductions(E11A3):
             if p == 2 or p == 5:
                 continue
             red = local_reduction(E11A3, p)
@@ -298,6 +299,23 @@ def test_scan_row_and_check_payload_read_one_certificate():
 
 
 E26 = CurveQ(1, -1, 1, -3, 3)
+
+
+@pytest.mark.parametrize("E, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
+def test_torsion_proof_lifts_roots_and_checks_the_point_once(monkeypatch, E, ell):
+    """The roots of psi_ell are lifted with no polynomial gcdex, and point_order
+    checks the candidate point on the curve once, not at every addition."""
+    from twistsel import polyzq
+    from twistsel.curves import PointQ
+
+    gcdex, checked = [], []
+    fp_gcdex, on_curve = polyzq._fp_gcdex, PointQ.on_curve
+    monkeypatch.setattr(polyzq, "_fp_gcdex", lambda *a: gcdex.append(a) or fp_gcdex(*a))
+    monkeypatch.setattr(PointQ, "on_curve", lambda P, C: checked.append(P) or on_curve(P, C))
+    rep = hypothesis_check(E, ell)
+    assert rep.ok and rep.torsion_point is not None
+    assert gcdex == []
+    assert checked == [rep.torsion_point]
 
 
 def _same_as_oracle(E, ell, ds, predicate=None):

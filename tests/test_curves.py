@@ -1,15 +1,15 @@
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_ec import multiply_point, negate_point
+from oracle_ec import add_points, multiply_point, negate_point
 from twistsel.curves import (
     CurveQ,
     PointQ,
-    add_points,
     curve_from_string,
     curve_invariants,
     format_rational,
@@ -160,6 +160,31 @@ def test_parse_and_format():
         curve_from_string("[0,0,0,1/0,1]")
 
 
+def test_parse_rational_matches_the_pattern_it_replaced():
+    """Acceptance and value against the regular expression parse_rational used
+    to match, over a seeded grammar of signs, digits and denominators."""
+    pattern = re.compile(r"-?\d+(/0*[1-9]\d*)?")  # \d: Unicode Nd digits, as str.isdecimal
+    signs = ["", "-", "+", "--", "-+"]
+    numerators = ["", "0", "00", "7", "042", "1_000", "1.5", "\u0661\u0662", "1e3", " 1"]
+    tails = ["", "/", "/0", "/00", "/2", "/007", "/\u0663", "/3\u0663", "/0\u0660", "/1_0"]
+    tails += ["/1.5", "/-2", "/2/3", "1/"]
+    spaces = ["", " ", "\t", "\n ", "\u3000"]
+    rng = random.Random(28)
+    accepted = rejected = 0
+    for _ in range(3000):
+        text = rng.choice(spaces) + rng.choice(signs) + rng.choice(numerators)
+        text += rng.choice(tails) + rng.choice(spaces)
+        if pattern.fullmatch(text.strip()):
+            assert parse_rational(text) == Fraction(text.strip()), repr(text)
+            accepted += 1
+        else:
+            with pytest.raises(InvalidParameterError, match="not a rational"):
+                parse_rational(text)
+            rejected += 1
+    assert accepted > 150 and rejected > 1500
+    assert parse_rational(" -\u0661\u0662/03\u0663 ") == Fraction(-12, 33)
+
+
 def test_group_law_torsion_cycle():
     P = PointQ(0, 0)
     assert P.on_curve(E11A3)
@@ -190,6 +215,8 @@ def test_group_law_commutes_and_associates():
 
 
 def test_off_curve_rejected():
+    with pytest.raises(InvalidParameterError, match="not on curve"):
+        point_order(E11A3, PointQ(2, 2), 5)
     with pytest.raises(InvalidParameterError):
         add_points(E11A3, PointQ(2, 2), PointQ(0, 0))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracle_ec import torsion_x_coords
+from oracle_ec import multiply_point, torsion_x_coords
 from oracle_poly import zx_eval
 from twistsel.curves import CurveQ, PointQ, curve_from_string, point_order, quadratic_twist
 from twistsel.divpoly import (
@@ -126,6 +126,44 @@ def test_rational_torsion_examples():
     assert rational_ell_torsion_point(E_J0, 3) == PointQ(0, 1)
     P = rational_ell_torsion_point(CurveQ(1, 1, 1, 0, 1), 5)
     assert P is not None and point_order(CurveQ(1, 1, 1, 0, 1), P, 5) == 5
+
+
+def _kubert_curves(ell: int, ts):
+    """Curves with the point (0, 0) of order ell: y^2 + a1 xy + a3 y = x^3 for
+    ell = 3, and Tate's normal form E(b, c) with b = c = t for 5 and
+    b = t^3 - t^2, c = t^2 - t for 7 (Kubert's table)."""
+    for t in ts:
+        if ell == 3:
+            a1, a3 = t.numerator, t.denominator
+            args = (a1, 0, a3, 0, 0)
+        else:
+            b, c = (t, t) if ell == 5 else (t**3 - t**2, t**2 - t)
+            args = (1 - c, -b, -b, 0, 0)
+        try:
+            yield CurveQ(*args)
+        except InvalidParameterError:  # a singular member of the family
+            continue
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_rational_torsion_on_kubert_families_and_their_twists(ell):
+    """The point found lies in <(0, 0)>, the whole rational ell-torsion, by the
+    oracle's own group law; a twist by a non-square d has no rational point
+    of order ell, since E(Q(sqrt d)) would hold all of E[ell] and so mu_ell
+    (d = -3 is left out at ell = 3)."""
+    rng = random.Random(28 + ell)
+    ts = {Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)) for _ in range(12)}
+    found = 0
+    for E in _kubert_curves(ell, sorted(ts - {0, 1})):
+        P0 = PointQ(0, 0)
+        assert multiply_point(E, ell, P0).is_infinity()
+        multiples = {multiply_point(E, k, P0) for k in range(1, ell)}
+        assert PointQ.infinity() not in multiples
+        assert rational_ell_torsion_point(E, ell) in multiples, E
+        for d in (-1, 2, -7):
+            assert rational_ell_torsion_point(quadratic_twist(E, d), ell) is None, (E, d)
+        found += 1
+    assert found >= 6
 
 
 def test_rational_torsion_excluded_by_counting():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,12 +32,14 @@ from twistsel.polyzq import (
     zx_add,
     zx_compose_x_square,
     zx_deg,
+    zx_derivative,
     zx_div_exact,
     zx_factor,
     zx_factor_bounded,
     zx_gcd,
     zx_is_irreducible,
     zx_mul,
+    zx_primitive,
     zx_squarefree_decomposition,
     zx_sub,
     zx_trim,
@@ -500,8 +503,45 @@ def test_hensel_lift_rejects_bad_factors():
     with pytest.raises(InvalidParameterError, match="leading coefficient"):
         hensel_lift(3, f, [[2, 1]], 3)
     square = zx_mul(f, [-1, 1])  # (x - 1)^2 (x + 1)(3x^2 + 1)
-    with pytest.raises(InvalidParameterError, match="non-coprime"):
-        hensel_lift(p, square, [[4, 1]], 3)
+    for target in (1, 3):  # a double root: f'(1) = 0 mod 5, refused before any inverse
+        with pytest.raises(InvalidParameterError, match="non-coprime"):
+            hensel_lift(p, square, [[4, 1]], target)
+    with pytest.raises(InvalidParameterError, match="non-coprime"):  # (x^2 + 2)^2 | f (3x^2 + 1)
+        hensel_lift(p, zx_mul(f, [1, 0, 3]), [[2, 0, 1]], 3)
+
+
+def _rational_roots(f):
+    """The rational roots of f, f(0) != 0, by the rational root theorem: each is
+    +-a/b with a dividing f(0) and b dividing the leading coefficient."""
+    def divisors(n):
+        return [k for k in range(1, abs(n) + 1) if n % k == 0]
+
+    candidates = {Fraction(a, b) for a in divisors(f[0]) for b in divisors(f[-1])}
+    candidates |= {-r for r in candidates}
+    return {r for r in candidates if sum(c * r**i for i, c in enumerate(f)) == 0}
+
+
+def test_linear_factors_match_the_rational_root_search():
+    """zx_factor_bounded(f, 1), whose modular roots are lifted by Newton steps,
+    finds exactly the rational roots a brute-force search finds."""
+    rng = random.Random(28)
+    cases = with_roots = 0
+    while cases < 150:
+        f = [rng.choice([-2, -1, 1, 2])] + [rng.randint(-20, 20) for _ in range(rng.randint(0, 8))]
+        f.append(rng.choice([1, 2, 3]))
+        for _ in range(rng.randint(0, 3)):  # small roots a/b, so lc and f(0) stay small
+            f = zx_mul(f, [rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3])])
+        f = zx_primitive(f)[1]
+        if f[-1] < 0:
+            f = [-c for c in f]
+        if zx_deg(f) < 1 or zx_deg(zx_gcd(f, zx_derivative(f))) > 0:
+            continue
+        cases += 1
+        linear, residual = zx_factor_bounded(f, 1)
+        assert all(zx_deg(g) == 1 for g in linear)
+        assert sorted(Fraction(-g[0], g[1]) for g in linear) == sorted(_rational_roots(f)), f
+        with_roots += bool(linear)
+    assert with_roots > 75
 
 
 def test_bounded_factorization_lifts_only_small_factors(monkeypatch):
