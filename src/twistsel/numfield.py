@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DegenerateTowerError, InvalidParameterError
-from .intmath import valuation
+from .intmath import is_prime, valuation
 from .polyzq import (
     ZX,
     _zx_trunc,
@@ -58,6 +58,8 @@ class NumberFieldDef(_NumberFieldDefTuple):
 def make_monic(f: ZX) -> ZX:
     """Monic integer polynomial with the same root field: c^(n-1) f(x/c) for c = lc(f)."""
     _, f = zx_primitive(zx_trim(f[:]))
+    if not f:
+        raise InvalidParameterError("the zero polynomial has no roots to define a field")
     n = zx_deg(f)
     c = f[-1]
     if c == 1:
@@ -147,6 +149,8 @@ def dedekind_split(K: NumberFieldDef, p: int) -> SplittingShape | str:
     index of every generator, so no mod-p read-off exists); anything else is
     "Undetermined".
     """
+    if not is_prime(p):
+        raise InvalidParameterError(f"p must be a prime, got {p}")
     f = list(K.minpoly)
     _, parts = fp_factor(f, p)
     # Dedekind test: with fbar = prod gbar_i^{e_i}, g = prod g_i, h = fbar/g lifted,
@@ -183,7 +187,7 @@ def zeta_in_field(K: NumberFieldDef, ell: int) -> str:
     ell - 1 (the cyclotomic field is totally ramified above ell with
     e = ell - 1, so containment forces such an index).
     """
-    if ell < 3 or ell % 2 == 0:
+    if ell < 3 or not is_prime(ell):
         raise InvalidParameterError("ell must be an odd prime")
     if K.degree % (ell - 1) != 0:
         return NO

@@ -2,12 +2,16 @@
 
 Tate's algorithm is implemented in full for every prime, including 2 and 3,
 and runs on the global minimal model only: it refuses a model that is not
-minimal at p instead of rescaling it. Conductor exponents come from the
-algorithm's exit points, never from a global formula. The split / nonsplit
-test for multiplicative reduction uses the -c6 square criterion (Legendre
-symbol at odd p, a 2-adic unit-square check at p = 2). `bad_reductions`
-is the one walk over the bad primes that the conductor and the checker's
-per-prime rules read. Nothing here is cached; only `curves.minimal_model` is.
+minimal at p instead of rescaling it. It works on a-invariant tuples, and
+each point it moves to the origin (the singular point mod p, the multiple
+root of the step-6 cubic) is a closed form in the invariants, as in Cremona,
+Algorithms for Modular Elliptic Curves, 3.2, and Silverman, Advanced Topics,
+IV.9.4. Conductor exponents come from the algorithm's exit points, never
+from a global formula. The split / nonsplit test for multiplicative
+reduction uses the -c6 square criterion (Legendre symbol at odd p, a 2-adic
+unit-square check at p = 2). `bad_reductions` is the one walk over the bad
+primes that the conductor and the checker's per-prime rules read. Nothing
+here is cached; only `curves.minimal_model` is.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .curves import (
 )
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
 from .intmath import factorint, is_prime, legendre, valuation
-from .polyzq import fp_gcd
 
 AP_PRIME_LIMIT = 10**6  # exhaustive point counting only; no Schoof
 
@@ -60,76 +63,6 @@ def _vp(n: int, p: int) -> int:
     return valuation(n, p) if n else 10**9
 
 
-class _Model:
-    """Mutable integral model used while running Tate's algorithm at one prime."""
-
-    __slots__ = ("a1", "a2", "a3", "a4", "a6")
-
-    def __init__(self, a1, a2, a3, a4, a6):
-        self.a1, self.a2, self.a3, self.a4, self.a6 = int(a1), int(a2), int(a3), int(a4), int(a6)
-
-    def translate(self, r: int = 0, s: int = 0, t: int = 0) -> None:
-        self.a1, self.a2, self.a3, self.a4, self.a6 = translated(
-            (self.a1, self.a2, self.a3, self.a4, self.a6), r, s, t
-        )
-
-    def invariants(self) -> tuple[int, int, int, int, int, int, int]:
-        """(b2, b4, b6, b8, c4, c6, disc) of the current model."""
-        return weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
-
-
-def _singular_point(m: _Model, p: int, b2: int, b4: int, b6: int) -> tuple[int, int]:
-    """A singular point of the reduction mod p, as integers in [0, p); b2, b4, b6 are m's."""
-    if p <= 3:
-        for x0 in range(p):
-            for y0 in range(p):
-                on = (
-                    y0 * y0 + m.a1 * x0 * y0 + m.a3 * y0 - x0**3 - m.a2 * x0 * x0 - m.a4 * x0 - m.a6
-                ) % p == 0
-                dx = (m.a1 * y0 - 3 * x0 * x0 - 2 * m.a2 * x0 - m.a4) % p == 0
-                dy = (2 * y0 + m.a1 * x0 + m.a3) % p == 0
-                if on and dx and dy:
-                    return x0, y0
-        raise PreconditionError("no singular point found; reduction is good")
-    # odd p >= 5: complete the square, then x0 is the multiple root of
-    # g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 mod p.
-    g = [b6 % p, (2 * b4) % p, b2 % p, 4 % p]
-    gp = [g[1], (2 * g[2]) % p, (3 * g[3]) % p]
-    h = fp_gcd(g, gp, p)
-    if len(h) == 2:
-        x0 = (-h[0] * pow(h[1], -1, p)) % p
-    elif len(h) == 3:
-        x0 = (-h[1] * pow(2 * h[2], -1, p)) % p
-    else:
-        raise PreconditionError("no multiple root; reduction is good")
-    y0 = (-(m.a1 * x0 + m.a3) * pow(2, -1, p)) % p
-    return x0, y0
-
-
-def _cubic_root_structure(m: _Model, p: int) -> tuple[str, int]:
-    """Root structure of P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) mod p.
-
-    Returns ("distinct", 0), ("double", root) or ("triple", root). The triple
-    test is a characteristic-aware coefficient match; gcd degrees alone do not
-    separate double from triple roots when p is 2.
-    """
-    c2 = m.a2 // p % p
-    c1 = m.a4 // p**2 % p
-    c0 = m.a6 // p**3 % p
-    # triple root r: P = (T - r)^3, i.e. c2 = -3r, c1 = 3r^2, c0 = -r^3
-    r = (-c2 * pow(3, -1, p)) % p if p != 3 else (-c0) % 3
-    if c2 % p == (-3 * r) % p and c1 % p == (3 * r * r) % p and c0 % p == (-(r**3)) % p:
-        return "triple", r
-    g = fp_gcd([c0, c1, c2, 1], [c1, 2 * c2, 3], p)
-    if len(g) == 1:
-        return "distinct", 0
-    if len(g) == 2:
-        return "double", (-g[0]) % p
-    if p == 2:  # gcd (T - r)^2 = T^2 + r^2; the double root is its constant term
-        return "double", g[0] % 2
-    raise PreconditionError("internal: unexpected multiplicity pattern in step-6 cubic")
-
-
 def tate_algorithm(E: CurveQ, p: int) -> LocalReduction:
     """Reduction data at the prime p, by Tate's algorithm on a model minimal at p.
 
@@ -145,8 +78,7 @@ def tate_algorithm(E: CurveQ, p: int) -> LocalReduction:
     if n == 0:
         kodaira, f = "I0", 0
     else:
-        m = _Model(*E.ainvs)
-        kodaira, f = _kodaira_symbol(m, p, n, int(E.b2), int(E.b4), int(E.b6))
+        kodaira, f = _kodaira_symbol(tuple(int(a) for a in E.ainvs), p, n)
     c4 = int(E.c4)
     ord_j = 3 * _vp(c4, p) - n if c4 else None
     if f == 1:  # split iff -c6 is a square in Q_p; an odd 2-adic unit is one iff 1 mod 8
@@ -158,15 +90,25 @@ def tate_algorithm(E: CurveQ, p: int) -> LocalReduction:
     return LocalReduction(p, n, ord_j, kind, kodaira, f)
 
 
-def _kodaira_symbol(m: _Model, p: int, n: int, b2: int, b4: int, b6: int) -> tuple[str, int]:
-    """(Kodaira symbol, conductor exponent) of m at p, where n = ord_p(disc) > 0."""
-    x0, y0 = _singular_point(m, p, b2, b4, b6)
-    m.translate(r=x0, t=y0)
-    b2, _, b6, b8, _, _, _ = m.invariants()
+def _kodaira_symbol(a: tuple, p: int, n: int) -> tuple[str, int]:
+    """(Kodaira symbol, conductor exponent) of the model a at p, where n = ord_p(disc) > 0."""
+    a1, a2, a3, a4, a6 = a
+    b2, b4, b6, _, c4, c6, _ = weierstrass_invariants(*a)
+    # x -> x + r, y -> y + t moves the one singular point of the reduction to (0, 0)
+    if p == 2:
+        r, t = (a4, a4 * (1 + a2 + a4) + a6) if b2 % 2 == 0 else (a3, a3 + a4)
+    elif p == 3:
+        r = -b6 if b2 % 3 == 0 else -b2 * b4
+        t = a1 * r + a3
+    else:  # the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6: triple iff p | c4
+        r = -b2 * pow(12, -1, p) if c4 % p == 0 else -(c6 + b2 * c4) * pow(12 * c4, -1, p)
+        t = -(a1 * r + a3) * pow(2, -1, p)
+    a = translated(a, r % p, 0, t % p)
+    b2, _, b6, b8, _, _, _ = weierstrass_invariants(*a)
     if b2 % p != 0:
         return f"I{n}", 1
     # additive reduction from here on
-    if _vp(m.a6, p) < 2:
+    if _vp(a[4], p) < 2:
         return "II", n
     if _vp(b8, p) < 3:
         return "III", n - 1
@@ -174,34 +116,36 @@ def _kodaira_symbol(m: _Model, p: int, n: int, b2: int, b4: int, b6: int) -> tup
         return "IV", n - 2
     # normalize to v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
     if p == 2:
-        s = m.a2 % 2
-        m.translate(s=s)
-        t = 2 * ((m.a6 // 4) % 2)
+        a = translated(a, 0, a[1] % 2, 0)
+        t = 2 * ((a[4] // 4) % 2)
     else:
-        s = (-m.a1 * pow(2, -1, p)) % p
-        m.translate(s=s)
-        t = p * ((-(m.a3 // p) * pow(2, -1, p)) % p)
-    m.translate(t=t)
-    assert m.a1 % p == 0 and m.a2 % p == 0
-    assert m.a3 % p**2 == 0 and m.a4 % p**2 == 0 and m.a6 % p**3 == 0
-    shape, root = _cubic_root_structure(m, p)
-    if shape == "distinct":
+        a = translated(a, 0, (-a[0] * pow(2, -1, p)) % p, 0)
+        t = p * ((-(a[2] // p) * pow(2, -1, p)) % p)
+    a1, a2, a3, a4, a6 = a = translated(a, 0, 0, t)
+    assert a1 % p == 0 and a2 % p == 0
+    assert a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0
+    # T^3 + b T^2 + c T + d mod p: w is minus its discriminant, and a multiple
+    # root is a triple one iff x = 3c - b^2 vanishes too
+    b, c, d = a2 // p, a4 // p**2, a6 // p**3
+    w = 27 * d * d - b * b * c * c + 4 * b**3 * d - 18 * b * c * d + 4 * c**3
+    x = 3 * c - b * b
+    if w % p != 0:
         return "I0*", n - 4
-    if shape == "double":
-        m.translate(r=p * root)
-        return _type_in_star(m, p, n)
-    # triple root
-    m.translate(r=p * root)
+    if x % p != 0:
+        root = c if p == 2 else b * c if p == 3 else (b * c - 9 * d) * pow(2 * x, -1, p)
+        return _type_in_star(translated(a, p * (root % p), 0, 0), p, n)
+    root = b if p == 2 else -d if p == 3 else -b * pow(3, -1, p)
+    a = translated(a, p * (root % p), 0, 0)
     # quadratic Y^2 + (a3/p^2) Y - a6/p^4
-    beta = m.a3 // p**2
-    gamma = (-(m.a6 // p**4)) % p
+    beta = a[2] // p**2
+    gamma = (-(a[4] // p**4)) % p
     if _quadratic_separable(1, beta, gamma, p):
         return "IV*", n - 6
     y1 = _quadratic_double_root(1, beta, gamma, p)
-    m.translate(t=p**2 * y1)
-    if _vp(m.a4, p) < 4:
+    a = translated(a, 0, 0, p**2 * y1)
+    if _vp(a[3], p) < 4:
         return "III*", n - 7
-    if _vp(m.a6, p) < 6:
+    if _vp(a[4], p) < 6:
         return "II*", n - 8
     raise PreconditionError(f"model not minimal at {p}; Tate's algorithm needs a p-minimal model")
 
@@ -219,26 +163,26 @@ def _quadratic_double_root(alpha: int, beta: int, gamma: int, p: int) -> int:
     return (-beta * pow(2 * alpha, -1, p)) % p
 
 
-def _type_in_star(m: _Model, p: int, n: int) -> tuple[str, int]:
+def _type_in_star(a: tuple, p: int, n: int) -> tuple[str, int]:
     # entered with v(a1) >= 1, v(a2) = 1, v(a3) >= 2, v(a4) >= 3, v(a6) >= 4
-    a21 = m.a2 // p % p
+    a21 = a[1] // p % p
     mm = 1
     j = 1
     while True:
         if mm % 2 == 1:  # quadratic in Y: Y^2 + (a3/p^(j+1)) Y - a6/p^(2j+2)
-            beta = m.a3 // p ** (j + 1)
-            gamma = (-(m.a6 // p ** (2 * j + 2))) % p
+            beta = a[2] // p ** (j + 1)
+            gamma = (-(a[4] // p ** (2 * j + 2))) % p
             if _quadratic_separable(1, beta, gamma, p):
                 return f"I{mm}*", n - 4 - mm
             y1 = _quadratic_double_root(1, beta, gamma, p)
-            m.translate(t=p ** (j + 1) * y1)
+            a = translated(a, 0, 0, p ** (j + 1) * y1)
         else:  # quadratic in X: (a2/p) X^2 + (a4/p^(j+2)) X + a6/p^(2j+3)
-            beta = m.a4 // p ** (j + 2)
-            gamma = m.a6 // p ** (2 * j + 3)
+            beta = a[3] // p ** (j + 2)
+            gamma = a[4] // p ** (2 * j + 3)
             if _quadratic_separable(a21, beta, gamma, p):
                 return f"I{mm}*", n - 4 - mm
             x1 = _quadratic_double_root(a21, beta, gamma, p)
-            m.translate(r=p ** (j + 1) * x1)
+            a = translated(a, p ** (j + 1) * x1, 0, 0)
             j += 1
         mm += 1
         if mm > n:

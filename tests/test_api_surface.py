@@ -48,7 +48,7 @@ UNREAD_FIELDS_ALLOWED = frozenset({
 # to earn: hits per hypothesis_check + twist_rules on 11a3 at ell 5 and curve 26
 # at ell 7, and the cost of one uncached call
 CACHES_ALLOWED = {
-    "curves.minimal_model": "11 and 12 hits, local_reduction being uncached; an uncached call takes 0.2 ms",
+    "curves.minimal_model": "4 and 5 hits, local_reduction being uncached; an uncached call takes 0.19 ms",
 }
 
 
@@ -336,10 +336,9 @@ def test_record_table_names_every_record_class():
             for node in tree.body
             if isinstance(node, ast.ClassDef) and _record_fields(node, named_tuples)
         }
-    # a validating type is named, not the NamedTuple base that holds its fields;
-    # reduction._Model is Tate's mutable working model, not a record
+    # a validating type is named, not the NamedTuple base that holds its fields
     bases = {"_PointQTuple", "_DirichletPredicateTuple", "_NumberFieldDefTuple"}
-    assert records - bases - {"_Model"} == set(RECORDS)
+    assert records - bases == set(RECORDS)
 
 
 def _fresh_python(code: str, *args: str) -> str:

@@ -19,9 +19,9 @@ from twistsel.curves import (
     point_order,
     quadratic_twist,
     translated,
+    weierstrass_invariants,
 )
 from twistsel.errors import InvalidParameterError
-from twistsel.reduction import _Model
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
 
@@ -91,14 +91,13 @@ def test_integral_invariants_are_kept_by_translation():
     rng = random.Random(24)
     for _ in range(200):
         ainvs = tuple(rng.randint(-60, 60) for _ in range(5))
-        m = _Model(*ainvs)
-        before = m.invariants()
+        before = weierstrass_invariants(*ainvs)
         _assert_invariant_identities(ainvs, before)
         r, s, t = (rng.randint(-9, 9) for _ in range(3))
-        m.translate(r, s, t)
-        after = m.invariants()
-        assert (m.a1, m.a2, m.a3, m.a4, m.a6) == translated(ainvs, r, s, t)
-        _assert_invariant_identities(translated(ainvs, r, s, t), after)
+        moved = translated(ainvs, r, s, t)
+        assert all(type(a) is int for a in moved)
+        after = weierstrass_invariants(*moved)
+        _assert_invariant_identities(moved, after)
         assert after[4:] == before[4:]  # c4, c6, disc
 
 

@@ -121,3 +121,25 @@ def test_adjoin_sqrt_errors():
     with pytest.raises(DegenerateTowerError):
         adjoin_sqrt([4, 2], [2, 1])  # g = 2t + 4 is not primitive; f = t + 2 vanishes mod g
     assert adjoin_sqrt([4, 2], [3, 1]).degree == 1  # f = t + 3 is 1 at t = -2
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])
+def test_dedekind_split_refuses_a_non_prime(p):
+    # 4, 9 and 15 once failed inside an inverse mod p, and 0 divided by zero
+    with pytest.raises(InvalidParameterError, match="must be a prime"):
+        dedekind_split(NumberFieldDef((7, 0, 1)), p)
+
+
+@pytest.mark.parametrize("ell", [2, 9, 15, 25])
+def test_zeta_in_field_refuses_an_ell_that_is_not_an_odd_prime(ell):
+    # the degree-8 field Q(zeta_15) passes the (ell - 1) | degree test at 9
+    K = NumberFieldDef((1, -1, 0, 1, -1, 1, 0, -1, 1))
+    with pytest.raises(InvalidParameterError, match="odd prime"):
+        zeta_in_field(K, ell)
+
+
+@pytest.mark.parametrize("make", [make_monic, number_field])
+@pytest.mark.parametrize("f", [[], [0], [0, 0]])
+def test_the_zero_polynomial_is_refused(make, f):
+    with pytest.raises(InvalidParameterError, match="zero polynomial"):
+        make(f)

@@ -1,12 +1,16 @@
+import ast
+import inspect
 import random
 
 import pytest
 
+import oracle_tate
 from oracle_ec import multiply_point, nonsingular_reduction_count, supersingular_by_twist_search
 from twistsel.curves import CurveQ, PointQ, curve_from_string, minimal_model, quadratic_twist
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
-from twistsel.intmath import legendre, primes_up_to
+from twistsel.intmath import legendre, primes_up_to, valuation
 from twistsel.reduction import (
+    LocalReduction,
     ReductionKind,
     SupersingularVerdict,
     ap,
@@ -135,6 +139,116 @@ def test_tate_on_nonminimal_model():
             tate_algorithm(E, p)
         red = local_reduction(E, p)
         assert red.kodaira == "I0" and red.conductor_exponent == 0
+
+
+def _kodaira_class(symbol: str) -> str:
+    """I_n (n >= 1), I_n* (n >= 1), or the symbol itself."""
+    if symbol not in ("I0", "I0*") and symbol[1:].isdigit():
+        return "I_n"
+    if symbol != "I0*" and symbol[1:-1].isdigit():
+        return "I_n*"
+    return symbol
+
+
+def _components(symbol: str) -> int:
+    """m_p, the number of components of the special fibre, read from the Kodaira symbol."""
+    if symbol.endswith("*") and symbol[1:-1].isdigit():
+        return int(symbol[1:-1]) + 5
+    if symbol[1:].isdigit():
+        return max(int(symbol[1:]), 1)
+    return {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[symbol]
+
+
+ADDITIVE_CLASSES = {"II", "III", "IV", "I0*", "I_n*", "IV*", "III*", "II*"}
+
+
+def _seeded_integral_curves(p: int, rng: random.Random, count: int) -> list[CurveQ]:
+    """Integral models with a_i = u p^e, e at most the weight of a_i and u small,
+    so that every Kodaira type at p occurs; most are not minimal at p."""
+    curves = []
+    while len(curves) < count:
+        ainvs = [rng.randint(-12, 12) * p ** rng.randint(0, w) for w in (1, 2, 3, 4, 6)]
+        try:
+            curves.append(CurveQ(*ainvs))
+        except InvalidParameterError:
+            continue
+    return curves
+
+
+def _outcome(tate, E: CurveQ, p: int):
+    try:
+        return tate(E, p)
+    except (InvalidParameterError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_tate_matches_the_search_and_gcd_oracle():
+    # the closed-form coordinate changes against singular-point search and
+    # F_p[x] gcds, on each seeded model and its minimal model, at 2, 3, 5 and 7
+    rng = random.Random(29)
+    minimal_cases = 0
+    seen = {p: set() for p in (2, 3, 5, 7)}
+    for p in (2, 3, 5, 7):
+        for E in _seeded_integral_curves(p, rng, 700):
+            E_min = minimal_model(E)[0]
+            for q in (2, 3, 5, 7):
+                for model in (E, E_min):
+                    got = _outcome(tate_algorithm, model, q)
+                    assert got == _outcome(oracle_tate.tate_algorithm, model, q), (str(model), q)
+                    if isinstance(got, LocalReduction):
+                        seen[q].add(_kodaira_class(got.kodaira))
+                    else:
+                        seen[q].add(got[1].partition(";")[0])
+                minimal_cases += 1
+    assert minimal_cases >= 10**4
+    for p, outcomes in seen.items():
+        assert outcomes == ADDITIVE_CLASSES | {"I0", "I_n", f"model not minimal at {p}"}, p
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ogg_saito_formula_at_2_and_3(p):
+    # ord_p(disc_min) = f_p + m_p - 1, with m_p the number of components of the fibre
+    seen = set()
+    for E in _seeded_integral_curves(p, random.Random(p), 1500):
+        red = local_reduction(E, p)
+        n = valuation(int(minimal_model(E)[0].disc), p)
+        assert n == red.ord_delta_min == red.conductor_exponent + _components(red.kodaira) - 1
+        seen.add(_kodaira_class(red.kodaira))
+    assert seen == ADDITIVE_CLASSES | {"I0", "I_n"}
+
+
+# a minimal curve of each Kodaira class at 2, 3 and 5
+KODAIRA_EXAMPLES = [
+    (2, "[1,0,1,0,0]", "I1"), (2, "[0,0,0,1,0]", "II"), (2, "[0,0,0,-1,0]", "III"),
+    (2, "[0,0,0,0,1]", "IV"), (2, "[0,0,0,1,-2]", "I0*"), (2, "[0,0,0,1,2]", "I1*"),
+    (2, "[0,0,0,0,4]", "IV*"), (2, "[0,-1,0,0,-4]", "III*"), (2, "[0,0,0,5,-10]", "II*"),
+    (3, "[0,-1,0,1,0]", "I1"), (3, "[0,0,1,0,0]", "II"), (3, "[0,0,0,0,-1]", "III"),
+    (3, "[0,0,1,0,2]", "IV"), (3, "[0,0,1,6,0]", "I0*"), (3, "[1,-1,0,9,0]", "I2*"),
+    (3, "[0,0,1,0,-7]", "IV*"), (3, "[0,0,0,-27,0]", "III*"), (3, "[0,0,1,-27,-7]", "II*"),
+    (5, "[0,-1,0,-1,0]", "I1"), (5, "[0,0,1,0,1]", "II"), (5, "[0,0,0,5,0]", "III"),
+    (5, "[1,0,1,-1,-2]", "IV"), (5, "[0,0,0,25,0]", "I0*"), (5, "[1,1,0,-25,0]", "I1*"),
+    (5, "[0,0,1,0,156]", "IV*"), (5, "[0,0,0,-125,0]", "III*"), (5, "[1,1,1,-13,-219]", "II*"),
+]
+
+
+def test_tate_runs_no_polynomial_arithmetic(monkeypatch):
+    # every root Tate's algorithm needs has a closed form; none is found in F_p[x]
+    from twistsel import polyzq, reduction
+
+    imports = [
+        node.module or "" for node in ast.walk(ast.parse(inspect.getsource(reduction)))
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert not [m for m in imports if m.rpartition(".")[2] == "polyzq"]
+
+    def refuse(*args):
+        raise AssertionError("Tate's algorithm called polyzq")
+
+    for name in ("fp_gcd", "fp_divmod"):
+        monkeypatch.setattr(polyzq, name, refuse)
+    for p, curve, symbol in KODAIRA_EXAMPLES:
+        assert tate_algorithm(curve_from_string(curve), p).kodaira == symbol
+    assert {_kodaira_class(s) for _, _, s in KODAIRA_EXAMPLES} == ADDITIVE_CLASSES | {"I_n"}
 
 
 def test_ap_examples():
