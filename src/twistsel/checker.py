@@ -39,7 +39,6 @@ from .intmath import is_prime, is_squarefree, kronecker
 from .quadforms import class_number
 from .rayclass import ray_class_data
 from .reduction import (
-    LocalReduction,
     ReductionKind,
     SupersingularVerdict,
     bad_reductions,
@@ -66,36 +65,6 @@ class SSets(NamedTuple):
     s_tilde: tuple[int, ...]
     s: tuple[int, ...]
     predicate_used: str
-
-
-def compute_s_sets(
-    E: CurveQ,
-    ell: int,
-    predicate: DirichletPredicate | None = None,
-    reductions: dict[int, LocalReduction] | None = None,
-) -> SSets:
-    """The exceptional sets of (E, ell, predicate); reductions is
-    `bad_reductions(E)` when the caller holds it already, and is computed
-    here when None."""
-    if reductions is None:
-        reductions = bad_reductions(E)
-    if predicate is None:
-        pred = minus_one_congruence_predicate(ell)
-        desc = pred.description
-    else:
-        if predicate.ell != ell:
-            raise InvalidParameterError("character order must equal ell")
-        pred = predicate.is_nonzero_at
-        desc = predicate.describe()
-    s_tilde = []
-    s = []
-    for p, red in reductions.items():
-        if p == 2 or not pred(p) or red.ord_delta_min % ell == 0:
-            continue
-        s_tilde.append(p)
-        if red.ord_j_negative:
-            s.append(p)
-    return SSets(tuple(s_tilde), tuple(s), desc)
 
 
 class Verdict(Enum):
@@ -216,7 +185,7 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     if red.ord_j_negative:
         ordinary, why = True, f"vacuous: ord_{ell}(j) < 0"
     else:
-        ss = is_supersingular(E, ell, red)
+        ss = is_supersingular(E, red)
         ordinary, why = _ORDINARY[ss.verdict], ss.reason
     cite = f"E not supersingular mod {ell} when ord_{ell}(j) >= 0"
     checks.append(_clause("hypothesis.ordinary", cite, ordinary, why))
@@ -261,12 +230,23 @@ def twist_rules(
         raise UnsupportedError("the twist theorems need an odd prime ell >= 5")
     reductions = bad_reductions(E)  # every fact below about a bad prime is read from here
     N = conductor_of(reductions)[0]
-    ssets = compute_s_sets(E, ell, predicate, reductions)
+    if predicate is None:
+        pred = minus_one_congruence_predicate(ell)
+        desc = pred.description
+    else:
+        if predicate.ell != ell:
+            raise InvalidParameterError("character order must equal ell")
+        pred = predicate.is_nonzero_at
+        desc = predicate.describe()
+    s_tilde = tuple(
+        p for p, red in reductions.items() if p != 2 and pred(p) and red.ord_delta_min % ell
+    )
+    s = tuple(p for p in s_tilde if reductions[p].ord_j_negative)
     symbols = []
     for p, red in reductions.items():
         if p == 2 or p == ell:
             continue
-        if p in ssets.s:
+        if p in s:
             symbols.append(SymbolRule(p, None, "exempt: ramification is permitted here"))
             continue
         if not red.ord_j_negative:
@@ -277,7 +257,7 @@ def twist_rules(
             want, why = ArtinClass.SPLIT, f"ord_{p}(j) < 0, not split multiplicative at {p}"
         symbols.append(SymbolRule(p, want, why))
     ell_inert = ell in reductions and reductions[ell].ord_j_negative  # good at ell: ord_ell(j) >= 0
-    return TwistRules(E, ell, N, ssets, N % 2 == 0, ell_inert, tuple(symbols))
+    return TwistRules(E, ell, N, SSets(s_tilde, s, desc), N % 2 == 0, ell_inert, tuple(symbols))
 
 
 # the Artin class of a prime p in Q(sqrt(d)) from the Kronecker symbol (D/p)

@@ -326,7 +326,7 @@ def integral_model(E: CurveQ) -> tuple[CurveQ, Fraction]:
     return E.transform(u, 0, 0, 0), u
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # the curve, and the one twist that `is_supersingular` may build
 def minimal_model(E: CurveQ) -> tuple[CurveQ, tuple[Fraction, Fraction, Fraction, Fraction]]:
     """Global minimal model and the (u, r, s, t) with E.transform(u, r, s, t) = E_min.
 

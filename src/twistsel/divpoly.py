@@ -19,6 +19,7 @@ from .intmath import is_prime
 from .numfield import NumberFieldDef, adjoin_sqrt
 from .polyzq import (
     ZX,
+    zx_compose,
     zx_deg,
     zx_div_exact,
     zx_factor_bounded,
@@ -183,17 +184,9 @@ def torsion_field_polynomial(E: CurveQ, ell: int, g: ZX) -> NumberFieldDef:
     if zx_div_exact(psi, g) is None:
         raise InvalidParameterError("factor does not divide psi_ell")
     A, B, (mu, nu) = short_model_data(E)
-    # move g to the short model's x-coordinate: roots map by x -> mu x + nu
-    gq = [Fraction(c) for c in g]
-    # g_short(t) = g((t - nu)/mu) cleared of denominators
-    shifted: list[Fraction] = []
-    inv_mu = 1 / mu
-    for c in reversed(gq):
-        shifted = zx_trim(zx_mul(shifted, [-nu * inv_mu, inv_mu]))
-        if not shifted:
-            shifted = [Fraction(c)]
-        else:
-            shifted[0] += c
+    # move g to the short model's x-coordinate: roots map by x -> mu x + nu,
+    # so g_short(t) = g((t - nu)/mu), cleared of denominators
+    shifted = zx_compose([Fraction(c) for c in g], [-nu / mu, 1 / mu])
     lcm = math.lcm(*(c.denominator for c in shifted))
     g_short = zx_trim([int(c * lcm) for c in shifted])
     _, g_short = zx_primitive(g_short)

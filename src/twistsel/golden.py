@@ -14,14 +14,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .checker import Overall, SelmerVerdict, certify, hypothesis_check, twist_rules
-from .curves import CurveQ, PointQ, point_order
-from .divpoly import division_polynomial, psi_factor_shape, rational_ell_torsion_point
+from .curves import CurveQ, PointQ
+from .divpoly import division_polynomial, psi_factor_shape
 from .numfield import NO, dedekind_split, number_field, zeta_in_field
 from .reduction import (
     ReductionKind,
     SupersingularVerdict,
     conductor,
-    in_kernel_of_reduction,
     is_supersingular,
     local_reduction,
 )
@@ -55,10 +54,9 @@ def _case_conductor11() -> CaseResult:
     red = local_reduction(E, 11)
     checks.append(red.kodaira == "I1")
     checks.append(red.kind is ReductionKind.MULTIPLICATIVE_SPLIT)
-    P = rational_ell_torsion_point(E, 5)
-    checks.append(P == PointQ(0, 0) and point_order(E, P, 12) == 5)
-    checks.append(is_supersingular(E, 5).verdict is SupersingularVerdict.NO)
-    checks.append(not in_kernel_of_reduction(E, P, 5))
+    # the torsion point (0, 0) of order 5, outside the kernel of reduction, ordinary at 5
+    hyp = hypothesis_check(E, 5)
+    checks.append(hyp.ok and hyp.torsion_point == PointQ(0, 0))
     return CaseResult(
         "conductor-11-curve",
         all(checks),
@@ -76,7 +74,7 @@ def _case_degree84_pipeline() -> CaseResult:
     split2 = dedekind_split(K, 2)
     ok_split = split2 != "Undetermined" and split2.shape == ((1, 1), (1, 1), (1, 1))
     ok_zeta = zeta_in_field(K, 13) == NO
-    ss = is_supersingular(E, 13)
+    ss = is_supersingular(E, local_reduction(E, 13))
     ok_ss = ss.verdict is SupersingularVerdict.NO
     ok = ok_split and ok_zeta and ok_ss
     return CaseResult(

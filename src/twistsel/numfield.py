@@ -19,7 +19,7 @@ from .polyzq import (
     fp_mul,
     fp_norm,
     resultant_eliminate,
-    zx_compose_x_square,
+    zx_compose,
     zx_deg,
     zx_div_exact,
     zx_factor,
@@ -100,17 +100,6 @@ def _padic_root_count(f: ZX, p: int, cap: int = 64) -> int | None:
     on f(r + p t) with the p-power content removed. Squarefreeness bounds the
     recursion depth.
     """
-    def subst(g: ZX, r: int) -> ZX:
-        out = [0]
-        for c in reversed(g):
-            new = [0] * (len(out) + 1)
-            for i, o in enumerate(out):
-                new[i] += o * r
-                new[i + 1] += o * p
-            new[0] += c
-            out = zx_trim(new)
-        return out
-
     def count(g: ZX, depth: int) -> int | None:
         if depth > cap:
             return None
@@ -128,7 +117,7 @@ def _padic_root_count(f: ZX, p: int, cap: int = 64) -> int | None:
             if dval:
                 total += 1
                 continue
-            h = subst(g, r)
+            h = zx_compose(g, [r, p])
             shift = min(valuation(c, p) for c in h if c)
             h = [c // p**shift for c in h]
             sub = count(h, depth + 1)
@@ -217,7 +206,7 @@ def adjoin_sqrt(g: ZX, f: ZX) -> NumberFieldDef:
     if zx_div_exact(f, zx_primitive(g)[1]) is not None:
         raise DegenerateTowerError("f vanishes identically modulo g")
     h = resultant_eliminate(g, f)
-    cand = zx_compose_x_square(h)
+    cand = zx_compose(h, [0, 0, 1])
     _, parts = zx_factor(cand)
     best = max(parts, key=lambda t: zx_deg(t[0]))
     best_deg = zx_deg(best[0])

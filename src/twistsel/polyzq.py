@@ -106,6 +106,14 @@ def zx_pow(f: ZX, e: int) -> ZX:
     return out
 
 
+def zx_compose(f: ZX, g: ZX) -> ZX:
+    """f(g(x)), by Horner's rule; exact on int and Fraction coefficients."""
+    out: ZX = []
+    for c in reversed(f):
+        out = zx_add(zx_mul(out, g), [c])
+    return out
+
+
 def zx_derivative(f: ZX) -> ZX:
     return zx_trim([i * c for i, c in enumerate(f)][1:])
 
@@ -438,16 +446,14 @@ def fp_edf(f, d, p, rng: random.Random):
         return fp_edf(g, d, p, rng) + fp_edf(fp_divmod(f, g, p)[0], d, p, rng)
 
 
-def fp_factor_squarefree(f, p, bound: int | None = None) -> list[list[int]]:
+def fp_factor_squarefree(f, p) -> list[list[int]]:
     """Monic irreducible factors of a monic squarefree f over F_p, sorted.
 
-    With a bound, only the factors of degree <= bound are split out; the
-    product of all the others is one monic entry, last in the sorted list.
     Raises InvalidParameterError when f is not squarefree mod p.
     """
     if not fp_is_squarefree(f, p):
         raise InvalidParameterError(f"polynomial is not squarefree mod {p}")
-    return _fp_split(fp_ddf(f, p, bound), p)
+    return _fp_split(fp_ddf(f, p), p)
 
 
 def _fp_split(ddf, p) -> list[list[int]]:
@@ -843,14 +849,6 @@ def resultant_eliminate(g: ZX, f: ZX) -> ZX:
     for i in range(n):
         rows.append([[]] * i + hh + [[]] * (size - m - 1 - i))
     return _bareiss_det(rows)
-
-
-def zx_compose_x_square(h: ZX) -> ZX:
-    """h(z) -> h(x^2)."""
-    out = [0] * (2 * len(h) - 1) if h else []
-    for i, c in enumerate(h):
-        out[2 * i] = c
-    return zx_trim(out)
 
 
 # ---------------------------------------------------------------------------

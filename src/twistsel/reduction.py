@@ -10,8 +10,10 @@ IV.9.4. Conductor exponents come from the algorithm's exit points, never
 from a global formula. The split / nonsplit test for multiplicative
 reduction uses the -c6 square criterion (Legendre symbol at odd p, a 2-adic
 unit-square check at p = 2). `bad_reductions` is the one walk over the bad
-primes that the conductor and the checker's per-prime rules read. Nothing
-here is cached; only `curves.minimal_model` is.
+primes, on one minimal model, that the conductor and the checker's per-prime
+rules read. `is_supersingular` takes the reduction at ell from its caller,
+and `_x_has_pole_at` is the one kernel-of-reduction test. Nothing here is
+cached; only `curves.minimal_model` is.
 """
 
 from __future__ import annotations
@@ -93,12 +95,14 @@ def tate_algorithm(E: CurveQ, p: int) -> LocalReduction:
 def _kodaira_symbol(a: tuple, p: int, n: int) -> tuple[str, int]:
     """(Kodaira symbol, conductor exponent) of the model a at p, where n = ord_p(disc) > 0."""
     a1, a2, a3, a4, a6 = a
-    b2, b4, b6, _, c4, c6, _ = weierstrass_invariants(*a)
+    b2, _, b6, _, c4, c6, _ = weierstrass_invariants(*a)
+    if p < 5 and b2 % p != 0:  # x -> x + r moves b2 by 12 r, which is 0 mod 2 and mod 3
+        return f"I{n}", 1
     # x -> x + r, y -> y + t moves the one singular point of the reduction to (0, 0)
     if p == 2:
-        r, t = (a4, a4 * (1 + a2 + a4) + a6) if b2 % 2 == 0 else (a3, a3 + a4)
+        r, t = a4, a4 * (1 + a2 + a4) + a6
     elif p == 3:
-        r = -b6 if b2 % 3 == 0 else -b2 * b4
+        r = -b6
         t = a1 * r + a3
     else:  # the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6: triple iff p | c4
         r = -b2 * pow(12, -1, p) if c4 % p == 0 else -(c6 + b2 * c4) * pow(12 * c4, -1, p)
@@ -196,8 +200,10 @@ def local_reduction(E: CurveQ, p: int) -> LocalReduction:
 
 def bad_reductions(E: CurveQ) -> dict[int, LocalReduction]:
     """Reduction data at each prime of bad reduction (each p dividing the
-    minimal discriminant), least p first: one run of Tate's algorithm each."""
-    return {p: local_reduction(E, p) for p in sorted(factorint(int(minimal_model(E)[0].disc)))}
+    minimal discriminant), least p first: one run of Tate's algorithm each,
+    all on the one minimal model."""
+    E_min = minimal_model(E)[0]
+    return {p: tate_algorithm(E_min, p) for p in sorted(factorint(int(E_min.disc)))}
 
 
 def conductor_of(reductions: dict[int, LocalReduction]) -> tuple[int, dict[int, int]]:
@@ -239,26 +245,21 @@ class SupersingularResult(NamedTuple):
     reason: str
 
 
-def is_supersingular(
-    E: CurveQ, ell: int, red: LocalReduction | None = None
-) -> SupersingularResult:
-    """Supersingularity of the reduction of E mod ell, for ell >= 5.
+def is_supersingular(E: CurveQ, red: LocalReduction) -> SupersingularResult:
+    """Supersingularity of the reduction of E mod ell, for ell = red.p >= 5.
 
-    red is `local_reduction(E, ell)` when the caller holds it already; it is
-    computed here when None.
-
-    Decides via a_ell = 0 at good primes. The ord_ell(j) < 0 branch is
-    outside the hypothesis and is NotApplicable. Additive, potentially good
+    red is `local_reduction(E, ell)`, which the caller holds. Decides via
+    a_ell = 0 at good primes. The ord_ell(j) < 0 branch is outside the
+    hypothesis and is NotApplicable. Additive, potentially good
     reduction is resolved by one quadratic twist or not at all: a twist by a
     unit at ell keeps the Kodaira type, and one ramified at ell moves
     ord_ell of the minimal discriminant by 6 mod 12, so only I0* (ord 6)
     reaches good reduction, as the twist by ell does. Every other type is
     NotApplicable.
     """
+    ell = red.p
     if ell < 5:
         raise UnsupportedError("supersingularity test requires a prime ell >= 5")
-    if red is None:
-        red = local_reduction(E, ell)
     if red.ord_j_negative:
         return SupersingularResult(
             SupersingularVerdict.NOT_APPLICABLE, f"ord_{ell}(j) < 0; outside the hypothesis branch"
@@ -275,18 +276,6 @@ def is_supersingular(
     a = ap(model, ell)  # ap refuses a model with bad reduction at ell
     verdict = SupersingularVerdict.YES if a == 0 else SupersingularVerdict.NO
     return SupersingularResult(verdict, f"{how}, a_{ell} = {a}")
-
-
-def in_kernel_of_reduction(E: CurveQ, P: PointQ, ell: int) -> bool:
-    """Whether P lies in the kernel of reduction mod ell: ord_ell(x) < 0 on the minimal model."""
-    if P.is_infinity():
-        raise PreconditionError("kernel-of-reduction test needs an affine point")
-    if not P.on_curve(E):
-        raise InvalidParameterError("point not on curve")
-    red = local_reduction(E, ell)
-    if not red.is_good:
-        raise PreconditionError(f"bad reduction at {ell}; consult local_reduction first")
-    return _x_has_pole_at(E, P, ell)
 
 
 def _x_has_pole_at(E: CurveQ, P: PointQ, ell: int) -> bool:

@@ -18,7 +18,7 @@ from twistsel.checker import (
     ConditionReport,
     Overall,
     Verdict,
-    compute_s_sets,
+    twist_rules,
 )
 from twistsel.curves import CurveQ
 from twistsel.dirichlet import DirichletPredicate
@@ -52,7 +52,7 @@ def admissibility_check_per_d(
     if not isinstance(d, int) or d == 0:
         raise InvalidParameterError("twist parameter must be a nonzero integer")
     N, _ = conductor(E)
-    ssets = compute_s_sets(E, ell, predicate)
+    ssets = twist_rules(E, ell, predicate).ssets
     clauses: list[Clause] = []
 
     def add(cid: str, cite: str, ok: bool | None, detail: str) -> None:

@@ -16,8 +16,8 @@ from twistsel.checker import (
     Overall,
     SelmerVerdict,
     admissibility_check,
-    compute_s_sets,
     corollary_sandwich,
+    twist_rules,
 )
 from twistsel.curves import CurveQ, PointQ, curve_from_string, minimal_model, point_order, quadratic_twist
 from twistsel.divpoly import (
@@ -40,10 +40,10 @@ from twistsel.rayclass import ray_class_data
 from twistsel.reduction import (
     ReductionKind,
     SupersingularVerdict,
+    _x_has_pole_at,
     ap,
     bad_reductions,
     conductor,
-    in_kernel_of_reduction,
     is_supersingular,
     local_reduction,
 )
@@ -167,8 +167,8 @@ def test_criterion_4_curve_golden():
     P = rational_ell_torsion_point(E11A3, 5)
     assert P == PointQ(0, 0)
     assert point_order(E11A3, P, 12) == 5
-    assert is_supersingular(E11A3, 5).verdict is SupersingularVerdict.NO
-    assert not in_kernel_of_reduction(E11A3, P, 5)
+    assert is_supersingular(E11A3, local_reduction(E11A3, 5)).verdict is SupersingularVerdict.NO
+    assert not _x_has_pole_at(E11A3, P, 5)  # P is outside the kernel of reduction mod 5
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(4, "conductor-11 curve golden data", elapsed, 1)
@@ -177,7 +177,7 @@ def test_criterion_4_curve_golden():
 def test_criterion_5_end_to_end_scan():
     t0 = time.perf_counter()
     # (a) the exceptional set is empty
-    assert compute_s_sets(E11A3, 5).s_tilde == ()
+    assert twist_rules(E11A3, 5).ssets.s_tilde == ()
     # full scan over [-3000, -3]
     rows = search_twists(E11A3, 5, -3000, -3, mode=SearchMode.COROLLARY_E)
     by_d = {row["d"]: row for row in rows}
@@ -220,7 +220,7 @@ def test_criterion_6_degree84_reproduction():
     # (c) no 13th root of unity in the cubic field
     assert zeta_in_field(K, 13) == NO
     # (d) not supersingular at 13 (determinable branch: good reduction)
-    ss = is_supersingular(E636, 13)
+    ss = is_supersingular(E636, local_reduction(E636, 13))
     assert ss.verdict is SupersingularVerdict.NO
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0

@@ -11,6 +11,7 @@ tests read is work done for nothing on every call.
 """
 
 import ast
+import importlib
 import json
 import pickle
 import subprocess
@@ -48,7 +49,8 @@ UNREAD_FIELDS_ALLOWED = frozenset({
 # to earn: hits per hypothesis_check + twist_rules on 11a3 at ell 5 and curve 26
 # at ell 7, and the cost of one uncached call
 CACHES_ALLOWED = {
-    "curves.minimal_model": "4 and 5 hits, local_reduction being uncached; an uncached call takes 0.19 ms",
+    # maxsize 2: the curve, and the one twist that is_supersingular may build
+    "curves.minimal_model": "3 and 3 hits, local_reduction being uncached; an uncached call takes 0.16 ms",
 }
 
 
@@ -187,6 +189,10 @@ def cached_functions(src: Path = SRC) -> set[str]:
 
 def test_every_cache_is_allowed():
     assert cached_functions() == set(CACHES_ALLOWED)
+    for name in CACHES_ALLOWED:
+        mod, fn = name.split(".")
+        cached = getattr(importlib.import_module(f"twistsel.{mod}"), fn)
+        assert cached.cache_parameters()["maxsize"] is not None, name
 
 
 def test_cache_guard_sees_a_new_cache(tmp_path):
@@ -284,7 +290,9 @@ RECORDS = {
     "PointQ": lambda: divpoly.rational_ell_torsion_point(E11A3, 5),
     "DirichletPredicate": lambda: dirichlet.DirichletPredicate(11, 5, (1,)),
     "LocalReduction": lambda: reduction.local_reduction(E11A3, 11),
-    "SupersingularResult": lambda: reduction.is_supersingular(E11A3, 5),
+    "SupersingularResult": lambda: reduction.is_supersingular(
+        E11A3, reduction.local_reduction(E11A3, 5)
+    ),
     "EllPart": lambda: quadforms.ell_part(-724, 5),
     "ClassGroupData": lambda: quadforms.class_group_structure(-724),
     "_Component": lambda: rayclass._components(quadforms.principal_form(-724), (13,))[0],

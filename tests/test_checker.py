@@ -10,7 +10,6 @@ from twistsel.checker import (
     SelmerVerdict,
     admissibility_check,
     certify,
-    compute_s_sets,
     corollary_sandwich,
     evaluate_admissibility,
     hypothesis_check,
@@ -19,7 +18,7 @@ from twistsel.checker import (
 )
 from oracle_checker import admissibility_check_per_d, artin_symbol_quadratic
 from pinned_outputs import HYPOTHESIS_PINS
-from twistsel.curves import CurveQ, curve_from_string
+from twistsel.curves import CurveQ, curve_from_string, minimal_model
 from twistsel.dirichlet import DirichletPredicate
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import kronecker
@@ -51,21 +50,21 @@ def test_artin_symbol_matches_kronecker():
 
 
 def test_s_sets_11a3():
-    ss = compute_s_sets(E11A3, 5)
+    ss = twist_rules(E11A3, 5).ssets
     assert ss.s_tilde == () and ss.s == ()  # 11 = 1 mod 5
 
 
 def test_s_sets_with_19():
     # 19 = -1 mod 5 and ord_19(j) < 0 on these curves
-    ss = compute_s_sets(E38, 5)
+    ss = twist_rules(E38, 5).ssets
     assert ss.s_tilde == (19,) and ss.s == (19,)
-    ss2 = compute_s_sets(E19, 5)
+    ss2 = twist_rules(E19, 5).ssets
     assert 19 in ss2.s_tilde
 
 
 def test_s_sets_definitional_congruence():
     for E in (E11A3, E38, E19):
-        ss = compute_s_sets(E, 7)
+        ss = twist_rules(E, 7).ssets
         for p in ss.s_tilde:
             assert p % 7 == 6
 
@@ -73,11 +72,13 @@ def test_s_sets_definitional_congruence():
 def test_s_sets_with_character():
     # chi mod 11 of order 5: chi(11) = 0 excludes 11; all other bad primes stay
     chi = DirichletPredicate(11, 5, (1,))
-    ss = compute_s_sets(E11A3, 5, chi)
+    ss = twist_rules(E11A3, 5, chi).ssets
     assert ss.s_tilde == ()
     chi19 = DirichletPredicate(11, 5, (1,))
-    ss38 = compute_s_sets(E38, 5, chi19)
+    ss38 = twist_rules(E38, 5, chi19).ssets
     assert ss38.s_tilde == (19,)
+    with pytest.raises(InvalidParameterError, match="character order must equal ell"):
+        twist_rules(E11A3, 7, chi)
 
 
 def test_hypothesis_check():
@@ -123,9 +124,12 @@ def test_curve_level_work_runs_tate_a_bounded_number_of_times(monkeypatch, curve
     tate = reduction.tate_algorithm
     monkeypatch.setattr(reduction, "tate_algorithm", lambda E, p: calls.append(p) or tate(E, p))
     E = curve_from_string(curve)
+    minimal_model.cache_clear()
     hypothesis_check(E, ell)
     twist_rules(E, ell)
     assert 0 < len(calls) <= most, calls
+    # every fact is read on the one minimal model that the bounded cache holds
+    assert minimal_model.cache_info().misses == 1
 
 
 def test_admissibility_11a3():
@@ -233,7 +237,7 @@ def test_determinism():
     a = admissibility_check(E11A3, 5, -37)
     b = admissibility_check(E11A3, 5, -37)
     assert a == b
-    assert compute_s_sets(E11A3, 5) == compute_s_sets(E11A3, 5)
+    assert twist_rules(E11A3, 5).ssets == twist_rules(E11A3, 5).ssets
 
 
 def test_tate_curve_at_ell_branch():
@@ -271,7 +275,7 @@ def test_ell_7_pipeline():
     # 7-torsion curve of conductor 26; 13 = -1 mod 7 sits in the exceptional set
     E26 = curve_from_string("[1,-1,1,-3,3]")
     assert hypothesis_check(E26, 7).ok
-    ss = compute_s_sets(E26, 7)
+    ss = twist_rules(E26, 7).ssets
     assert ss.s_tilde == (13,) and ss.s == (13,)
     rep = admissibility_check(E26, 7, -5)
     assert rep.overall is Overall.ADMISSIBLE

@@ -27,10 +27,11 @@ from twistsel.polyzq import (
     fp_mul,
     fp_norm,
     hensel_lift,
+    _fp_split,
     poly_from_string,
     resultant_eliminate,
     zx_add,
-    zx_compose_x_square,
+    zx_compose,
     zx_deg,
     zx_derivative,
     zx_div_exact,
@@ -410,7 +411,7 @@ def test_fp_factor_squarefree():
         for g in full[len(low) :]:
             high = fp_mul(high, g, 13)
         assert zx_deg(high) > bound
-        assert fp_factor_squarefree(f, 13, bound=bound) == low + [high]
+        assert _fp_split(fp_ddf(f, 13, bound), 13) == low + [high]
     # (x - 1)^4 mod 11 is not squarefree: refused, not split into wrong factors
     with pytest.raises(InvalidParameterError):
         fp_factor_squarefree([1, 7, 6, 7, 1], 11)
@@ -454,7 +455,7 @@ def test_hensel_lift_recovers_factors():
     ]
     p = 7
     for f, bound, target in cases:
-        modular = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
+        modular = _fp_split(fp_ddf(fp_monic(f, p), p, bound), p)
         lifted = hensel_lift(p, f, modular, target)
         m = p**target
         assert [fp_norm(g, p) for g in lifted] == modular
@@ -484,7 +485,7 @@ def test_hensel_lift_matches_the_tree_lift():
         non_monic += f[-1] not in (1, -1)
         target = rng.randint(1, 12)
         bound = rng.choice([None, 1, 2, 3])
-        modular = fp_factor_squarefree(fp_monic(f, p), p, bound=bound)
+        modular = _fp_split(fp_ddf(fp_monic(f, p), p, bound), p)
         tree = tree_hensel_lift(p, f, modular, target)
         assert hensel_lift(p, f, modular, target) == tree
         small = [i for i, g in enumerate(modular) if bound is None or zx_deg(g) <= bound]
@@ -576,9 +577,25 @@ def test_resultant():
             assert zx_eval(h, z0) == sylvester_resultant(g, [z0 - f[0]] + [-c for c in f[1:]])
 
 
+def test_zx_compose_evaluates_f_at_g():
+    # f(g(x)) has degree deg f * deg g, so agreeing at one more point than that is equality
+    rng = random.Random(30)
+    for _ in range(200):
+        f = zx_trim([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))])
+        g = zx_trim([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))])
+        if rng.randrange(2):
+            f = [Fraction(c, rng.randint(1, 5)) for c in f]
+            g = [Fraction(c, rng.randint(1, 5)) for c in g]
+        h = zx_compose(f, g)
+        assert not h or h[-1] != 0
+        for x in range(-1, max(zx_deg(f), 0) * max(zx_deg(g), 0) + 1):
+            assert zx_eval(h, x) == zx_eval(f, zx_eval(g, x)), (f, g)
+    assert zx_compose([], [1, 2]) == [] and zx_compose([5], []) == [5]
+
+
 def test_resultant_eliminate():
-    assert zx_compose_x_square(resultant_eliminate([-1, 1], [1, 1, 0, 1])) == [-3, 0, 1]
-    assert zx_compose_x_square(resultant_eliminate([1, 0, 1], [0, 1])) == [1, 0, 0, 0, 1]
+    assert zx_compose(resultant_eliminate([-1, 1], [1, 1, 0, 1]), [0, 0, 1]) == [-3, 0, 1]
+    assert zx_compose(resultant_eliminate([1, 0, 1], [0, 1]), [0, 0, 1]) == [1, 0, 0, 0, 1]
     # degenerate square case: g = t - 2, f = t^3 + 1: z - 9
     assert resultant_eliminate([-2, 1], [1, 0, 0, 1]) == [-9, 1]
 

@@ -6,7 +6,14 @@ import pytest
 
 import oracle_tate
 from oracle_ec import multiply_point, nonsingular_reduction_count, supersingular_by_twist_search
-from twistsel.curves import CurveQ, PointQ, curve_from_string, minimal_model, quadratic_twist
+from twistsel.curves import (
+    CurveQ,
+    PointQ,
+    curve_from_string,
+    minimal_model,
+    quadratic_twist,
+    translated,
+)
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import legendre, primes_up_to, valuation
 from twistsel.reduction import (
@@ -16,7 +23,7 @@ from twistsel.reduction import (
     ap,
     bad_reductions,
     conductor,
-    in_kernel_of_reduction,
+    _x_has_pole_at,
     is_supersingular,
     local_reduction,
     tate_algorithm,
@@ -251,6 +258,45 @@ def test_tate_runs_no_polynomial_arithmetic(monkeypatch):
     assert {_kodaira_class(s) for _, _, s in KODAIRA_EXAMPLES} == ADDITIVE_CLASSES | {"I_n"}
 
 
+# multiplicative at 2 or 3, each with its Kodaira symbol there
+MULTIPLICATIVE_AT_2_AND_3 = [
+    (2, "[1,0,1,0,0]", "I1"), (2, "[1,1,1,0,1]", "I5"), (2, "[1,0,1,1,2]", "I4"),
+    (3, "[0,-1,0,1,0]", "I1"), (3, "[0,-1,0,-4,4]", "I2"), (3, "[1,1,1,-10,-10]", "I4"),
+]
+
+
+@pytest.mark.parametrize("p,curve,symbol", MULTIPLICATIVE_AT_2_AND_3)
+def test_tate_decides_multiplicative_reduction_at_2_and_3_unmoved(monkeypatch, p, curve, symbol):
+    # x -> x + r moves b2 by 12 r, which is 0 mod 2 and mod 3, so p not dividing
+    # b2 decides I_n there before any coordinate change
+    from twistsel import reduction
+
+    moves = []
+
+    def counting(*args):
+        moves.append(args)
+        return translated(*args)
+
+    monkeypatch.setattr(reduction, "translated", counting)
+    red = tate_algorithm(curve_from_string(curve), p)
+    assert (red.kodaira, red.conductor_exponent) == (symbol, 1) and moves == []
+
+
+def test_bad_reductions_reads_the_minimal_model_once(monkeypatch):
+    from twistsel import reduction
+
+    E30 = curve_from_string("[1,0,1,1,2]")  # conductor 30: three bad primes
+    calls = []
+
+    def counting(E):
+        calls.append(E)
+        return minimal_model(E)
+
+    monkeypatch.setattr(reduction, "minimal_model", counting)
+    assert list(bad_reductions(E30)) == [2, 3, 5]
+    assert calls == [E30]
+
+
 def test_ap_examples():
     assert ap(E11A3, 2) == -2  # 5 points over F_2
     assert ap(CurveQ(0, 0, 0, 0, 1), 5) == 0
@@ -282,13 +328,17 @@ def test_torsion_injects():
             assert (p + 1 - ap(E11A3, p)) % 5 == 0
 
 
+def _supersingular(E, ell):
+    return is_supersingular(E, local_reduction(E, ell))
+
+
 def test_supersingular_examples():
-    assert is_supersingular(CurveQ(0, 0, 0, 0, 1), 5).verdict is SupersingularVerdict.YES
-    assert is_supersingular(E11A3, 5).verdict is SupersingularVerdict.NO
-    res = is_supersingular(E11A3, 11)
+    assert _supersingular(CurveQ(0, 0, 0, 0, 1), 5).verdict is SupersingularVerdict.YES
+    assert _supersingular(E11A3, 5).verdict is SupersingularVerdict.NO
+    res = _supersingular(E11A3, 11)
     assert res.verdict is SupersingularVerdict.NOT_APPLICABLE
     with pytest.raises(UnsupportedError):
-        is_supersingular(E11A3, 3)
+        _supersingular(E11A3, 3)
 
 
 def test_supersingular_after_twist_resolution():
@@ -296,7 +346,7 @@ def test_supersingular_after_twist_resolution():
     E = quadratic_twist(CurveQ(0, 0, 0, 0, 1), 5)  # additive at 5, ord_5(j) = 0
     red = local_reduction(E, 5)
     assert red.kind is ReductionKind.ADDITIVE and not red.ord_j_negative
-    res = is_supersingular(E, 5)
+    res = is_supersingular(E, red)
     assert res.verdict is SupersingularVerdict.YES  # same geometric fiber as y^2 = x^3 + 1
 
 
@@ -337,9 +387,9 @@ def test_supersingular_matches_the_twist_search(ell):
     # one twist by ell decides what the eleven-twist search decides, verdict and reason
     seen = set()
     for E in _seeded_short_curves(ell, random.Random(ell), 120):
-        res = is_supersingular(E, ell)
-        assert (res.verdict.value, res.reason) == supersingular_by_twist_search(E, ell), str(E)
         red = local_reduction(E, ell)
+        res = is_supersingular(E, red)
+        assert (res.verdict.value, res.reason) == supersingular_by_twist_search(E, ell), str(E)
         if red.ord_j_negative:
             seen.add("multiplicative" if red.conductor_exponent == 1 else "ord_j < 0, additive")
         else:
@@ -362,14 +412,14 @@ def test_supersingular_builds_at_most_one_twist(monkeypatch, curve, twists):
         return quadratic_twist(E, d)
 
     monkeypatch.setattr(reduction, "quadratic_twist", counting)
-    is_supersingular(curve, 5)
+    _supersingular(curve, 5)
     assert built == [5] * twists
 
 
 def test_kernel_of_reduction():
     P = PointQ(0, 0)
-    assert not in_kernel_of_reduction(E11A3, P, 5)
-    assert not in_kernel_of_reduction(E11A3, PointQ(1, 0), 5)
+    assert not _x_has_pole_at(E11A3, P, 5)
+    assert not _x_has_pole_at(E11A3, PointQ(1, 0), 5)
     # multiply a generator into the kernel of reduction mod 5 on 37a1
     E37 = CurveQ(0, 0, 1, -1, 0)
     count5 = 5 + 1 - ap(E37, 5)
@@ -378,8 +428,4 @@ def test_kernel_of_reduction():
     from twistsel.intmath import valuation
 
     assert valuation(Q.x.denominator, 5) > 0
-    assert in_kernel_of_reduction(E37, Q, 5)
-    with pytest.raises(PreconditionError):
-        in_kernel_of_reduction(E11A3, P, 11)
-    with pytest.raises(PreconditionError):
-        in_kernel_of_reduction(E11A3, PointQ.infinity(), 5)
+    assert _x_has_pole_at(E37, Q, 5)

@@ -282,11 +282,11 @@ def test_search_nonempty_s_curve():
 
 
 def test_search_does_curve_level_work_once(monkeypatch):
-    # the rules are built once per scan: compute_s_sets runs once and conductor
-    # a fixed number of times, however many candidates the range holds
+    # the rules are built once per scan: twist_rules runs once and Tate's
+    # algorithm a fixed number of times, however many candidates the range holds
     from twistsel import checker, reduction
 
-    calls = {"compute_s_sets": 0, "conductor": 0}
+    calls = {"twist_rules": 0, "tate_algorithm": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -295,7 +295,7 @@ def test_search_does_curve_level_work_once(monkeypatch):
 
         return wrapper
 
-    originals = {"compute_s_sets": checker.compute_s_sets, "conductor": reduction.conductor}
+    originals = {"twist_rules": checker.twist_rules, "tate_algorithm": reduction.tate_algorithm}
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("twistsel."):
             for name, fn in originals.items():
@@ -311,8 +311,8 @@ def test_search_does_curve_level_work_once(monkeypatch):
         seen.append((candidates, dict(calls)))
     (few, first), (many, second) = seen
     assert many > 5 * few
-    assert first["compute_s_sets"] == second["compute_s_sets"] == 1
-    assert first["conductor"] == second["conductor"]
+    assert first["twist_rules"] == second["twist_rules"] == 1
+    assert first["tate_algorithm"] == second["tate_algorithm"] > 0
 
 
 def test_squarefreeness_is_decided_once_per_d(monkeypatch, capsys):
