@@ -8,9 +8,11 @@ a lower bound ell^r | #Sel_ell(E^d, Q) through the tame ray class rank, and,
 when the exceptional set above is empty, the two-sided class-group sandwich
 with the nontriviality equivalence.
 
-The admissibility rules are built once per curve: `twist_rules` fixes the
-conductor, the exceptional sets and the required Artin class at each bad
-prime, and `evaluate_admissibility` applies them to one d, reading only d and
+`hypothesis_check` looks for the torsion point first, and only then makes
+the minimal model that every local fact is read on; its report carries it to
+`twist_rules`, which builds the rules once per curve: the conductor, the
+exceptional sets and the required Artin class at each bad prime.
+`evaluate_admissibility` applies them to one d, reading only d and
 the Kronecker symbols of its field discriminant. It is the one place where d
 is found squarefree (by factoring it, or from a scan's sieve verdict) and D
 derived. `certify` reads the same rules, so a scan does the curve-level work
@@ -31,7 +33,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .curves import CurveQ, PointQ, check_twist_parameter
+from .curves import CurveQ, PointQ, check_twist_parameter, minimal_model
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
 from .divpoly import MAX_DIVPOLY_INDEX, rational_ell_torsion_point
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
@@ -129,6 +131,7 @@ class HypothesisReport(NamedTuple):
     ell: int
     torsion_point: PointQ | None
     checks: tuple[Clause, ...]
+    minimal: tuple[CurveQ, tuple] | None = None  # `minimal_model(curve)`, made only if P exists
 
     @property
     def ok(self) -> bool:
@@ -173,7 +176,8 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
             detail = f"no rational root of the {ell}-division polynomial lifts to a rational point"
         return HypothesisReport(E, ell, None, (_clause("hypothesis.torsion", cite, False, detail),))
     checks = [_clause("hypothesis.torsion", cite, True, f"P = {P} has exact order {ell}")]
-    red = local_reduction(E, ell)  # the one reduction fact at ell that every check reads
+    E_min, transform = minimal = minimal_model(E)
+    red = local_reduction(E_min, ell)  # the one reduction fact at ell that every check reads
     # the formal-group test on the minimal model detects the kernel of
     # reduction with bad reduction too
     if red.is_good:
@@ -181,15 +185,15 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     else:
         how = f"bad reduction at {ell} ({red.kodaira}); x-valuation test on the minimal model"
     cite = f"P not in the kernel of reduction mod {ell}"
-    checks.append(_clause("hypothesis.kernel", cite, not _x_has_pole_at(E, P, ell), how))
+    checks.append(_clause("hypothesis.kernel", cite, not _x_has_pole_at(E, transform, P, ell), how))
     if red.ord_j_negative:
         ordinary, why = True, f"vacuous: ord_{ell}(j) < 0"
     else:
-        ss = is_supersingular(E, red)
+        ss = is_supersingular(E_min, red)
         ordinary, why = _ORDINARY[ss.verdict], ss.reason
     cite = f"E not supersingular mod {ell} when ord_{ell}(j) >= 0"
     checks.append(_clause("hypothesis.ordinary", cite, ordinary, why))
-    return HypothesisReport(E, ell, P, tuple(checks))
+    return HypothesisReport(E, ell, P, tuple(checks), minimal)
 
 
 class SymbolRule(NamedTuple):
@@ -222,22 +226,22 @@ class TwistRules(NamedTuple):
     symbols: tuple[SymbolRule, ...]
 
 
-def twist_rules(
-    E: CurveQ, ell: int, predicate: DirichletPredicate | None = None
-) -> TwistRules:
-    """The admissibility rules of (E, ell, predicate), built once per curve."""
-    if ell < 5 or not is_prime(ell):
-        raise UnsupportedError("the twist theorems need an odd prime ell >= 5")
-    reductions = bad_reductions(E)  # every fact below about a bad prime is read from here
+def twist_rules(hyp: HypothesisReport, predicate: DirichletPredicate | None = None) -> TwistRules:
+    """The admissibility rules of (E, ell, predicate), built once per curve.
+
+    hyp is `hypothesis_check(E, ell)`, passing or not; the rules are read on
+    its minimal model, or on one made here when it holds none."""
+    E, ell = hyp.curve, hyp.ell
+    E_min = (hyp.minimal or minimal_model(E))[0]
+    reductions = bad_reductions(E_min)  # every fact below about a bad prime is read from here
     N = conductor_of(reductions)[0]
     if predicate is None:
         pred = minus_one_congruence_predicate(ell)
         desc = pred.description
+    elif predicate.ell != ell:
+        raise InvalidParameterError("character order must equal ell")
     else:
-        if predicate.ell != ell:
-            raise InvalidParameterError("character order must equal ell")
-        pred = predicate.is_nonzero_at
-        desc = predicate.describe()
+        pred, desc = predicate.is_nonzero_at, predicate.describe()
     s_tilde = tuple(
         p for p, red in reductions.items() if p != 2 and pred(p) and red.ord_delta_min % ell
     )
@@ -336,7 +340,7 @@ def admissibility_check(
     E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
 ) -> ConditionReport:
     """Clause-by-clause admissibility of the twist parameter d for (E, ell)."""
-    return evaluate_admissibility(twist_rules(E, ell, predicate), d)[0]
+    return evaluate_admissibility(twist_rules(hypothesis_check(E, ell), predicate), d)[0]
 
 
 class SelmerBound(NamedTuple):
@@ -445,7 +449,7 @@ def selmer_lower_bound(
     E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
 ) -> SelmerBound:
     """Certified divisor ell^r of #Sel_ell(E^d, Q): the tame ray class rank at S_E."""
-    cert = certify(twist_rules(E, ell, predicate), d)
+    cert = certify(twist_rules(hypothesis_check(E, ell), predicate), d)
     if cert.bound is None:
         raise PreconditionError(
             f"d = {d} is not admissible for this curve and ell = {ell}: "
@@ -460,7 +464,7 @@ def corollary_sandwich(
     """Nontriviality equivalence and the two-sided bound, valid when the
     exceptional set is empty: ell^r | #Sel_ell(E^d, Q) | ell^(2r) with r the
     ell-rank of cl(Q(sqrt(d)))."""
-    cert = certify(twist_rules(E, ell, predicate), d)
+    cert = certify(twist_rules(hypothesis_check(E, ell), predicate), d)
     if cert.sandwich is None:
         raise PreconditionError(f"d = {d} is not admissible: {cert.report.failed_clauses()}")
     return cert.sandwich

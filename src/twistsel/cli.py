@@ -17,7 +17,7 @@ import locale  # noqa: F401
 import shutil  # noqa: F401
 import sys
 
-from . import checker, divpoly, golden, quadforms, rayclass, reduction, search
+from . import checker, curves, divpoly, golden, quadforms, rayclass, reduction, search
 from .curves import check_twist_parameter, curve_from_string, curve_invariants, format_rational
 from .dirichlet import DirichletPredicate
 from .errors import InvalidParameterError, PreconditionError, TwistselError, UnsupportedError
@@ -100,7 +100,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_local(args) -> int:
-    red = reduction.local_reduction(curve_from_string(args.curve), args.p)
+    red = reduction.local_reduction(curves.minimal_model(curve_from_string(args.curve))[0], args.p)
     _dump(
         {
             "p": red.p,
@@ -201,7 +201,7 @@ def cmd_check(args) -> int:
     if not hyp.ok:
         _dump(hyp.to_dict(), args.format)
         return EXIT_UNDETERMINED if hyp.undetermined else EXIT_PRECONDITION
-    cert = checker.certify(checker.twist_rules(E, args.ell, pred), args.d)
+    cert = checker.certify(checker.twist_rules(hyp, pred), args.d)
     _dump(cert.to_dict(), args.format)
     return EXIT_UNDETERMINED if cert.is_undetermined else EXIT_OK
 

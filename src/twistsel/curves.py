@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidParameterError
@@ -326,7 +325,6 @@ def integral_model(E: CurveQ) -> tuple[CurveQ, Fraction]:
     return E.transform(u, 0, 0, 0), u
 
 
-@lru_cache(maxsize=2)  # the curve, and the one twist that `is_supersingular` may build
 def minimal_model(E: CurveQ) -> tuple[CurveQ, tuple[Fraction, Fraction, Fraction, Fraction]]:
     """Global minimal model and the (u, r, s, t) with E.transform(u, r, s, t) = E_min.
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .checker import Overall, SelmerVerdict, certify, hypothesis_check, twist_rules
-from .curves import CurveQ, PointQ
+from .curves import CurveQ, PointQ, minimal_model
 from .divpoly import division_polynomial, psi_factor_shape
 from .numfield import NO, dedekind_split, number_field, zeta_in_field
 from .reduction import (
@@ -51,7 +51,7 @@ def _case_conductor11() -> CaseResult:
     checks.append(E.disc == -11)
     checks.append(E.j == Fraction(-4096, 11))
     checks.append(conductor(E)[0] == 11)
-    red = local_reduction(E, 11)
+    red = local_reduction(E, 11)  # 11a3 is its own minimal model
     checks.append(red.kodaira == "I1")
     checks.append(red.kind is ReductionKind.MULTIPLICATIVE_SPLIT)
     # the torsion point (0, 0) of order 5, outside the kernel of reduction, ordinary at 5
@@ -74,7 +74,8 @@ def _case_degree84_pipeline() -> CaseResult:
     split2 = dedekind_split(K, 2)
     ok_split = split2 != "Undetermined" and split2.shape == ((1, 1), (1, 1), (1, 1))
     ok_zeta = zeta_in_field(K, 13) == NO
-    ss = is_supersingular(E, local_reduction(E, 13))
+    E_min = minimal_model(E)[0]
+    ss = is_supersingular(E_min, local_reduction(E_min, 13))
     ok_ss = ss.verdict is SupersingularVerdict.NO
     ok = ok_split and ok_zeta and ok_ss
     return CaseResult(
@@ -87,12 +88,13 @@ def _case_degree84_pipeline() -> CaseResult:
 
 def _case_scan() -> CaseResult:
     E = CURVE_11A3
-    rules = twist_rules(E, 5)
+    hyp = hypothesis_check(E, 5)
+    rules = twist_rules(hyp)
     c37, c13, c181 = (certify(rules, d) for d in (-37, -13, -181))
     # a certificate has a sandwich only when d is admissible
     s37, s181 = c37.sandwich, c181.sandwich
     checks = [
-        hypothesis_check(E, 5).ok,
+        hyp.ok,
         rules.ssets.s_tilde == (),
         s37 is not None and (s37.verdict, s37.lower, s37.upper) == (SelmerVerdict.TRIVIAL, 1, 1),
         c13.report.overall is Overall.INADMISSIBLE and "symbol.11" in c13.report.failed_clauses(),

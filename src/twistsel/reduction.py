@@ -10,10 +10,9 @@ IV.9.4. Conductor exponents come from the algorithm's exit points, never
 from a global formula. The split / nonsplit test for multiplicative
 reduction uses the -c6 square criterion (Legendre symbol at odd p, a 2-adic
 unit-square check at p = 2). `bad_reductions` is the one walk over the bad
-primes, on one minimal model, that the conductor and the checker's per-prime
-rules read. `is_supersingular` takes the reduction at ell from its caller,
-and `_x_has_pole_at` is the one kernel-of-reduction test. Nothing here is
-cached; only `curves.minimal_model` is.
+primes, that the conductor and the checker's per-prime rules read. Only
+`conductor` makes a minimal model for its caller; every other function takes
+the model (and `_x_has_pole_at` the transform) it reads. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -65,11 +64,11 @@ def _vp(n: int, p: int) -> int:
     return valuation(n, p) if n else 10**9
 
 
-def tate_algorithm(E: CurveQ, p: int) -> LocalReduction:
-    """Reduction data at the prime p, by Tate's algorithm on a model minimal at p.
+def local_reduction(E: CurveQ, p: int) -> LocalReduction:
+    """Reduction data at the prime p, by Tate's algorithm on the model E given.
 
-    E must be integral and minimal at p, as the global minimal model is; a
-    model that the algorithm finds non-minimal at p is refused with
+    E must be integral and minimal at p, as `curves.minimal_model`'s model is;
+    a model that the algorithm finds non-minimal at p is refused with
     PreconditionError rather than rescaled.
     """
     if not is_prime(p):
@@ -193,17 +192,11 @@ def _type_in_star(a: tuple, p: int, n: int) -> tuple[str, int]:
             raise PreconditionError("internal: I_n* loop failed to terminate")
 
 
-def local_reduction(E: CurveQ, p: int) -> LocalReduction:
-    """Reduction data of E at p, computed on the global minimal model."""
-    return tate_algorithm(minimal_model(E)[0], p)
-
-
-def bad_reductions(E: CurveQ) -> dict[int, LocalReduction]:
+def bad_reductions(E_min: CurveQ) -> dict[int, LocalReduction]:
     """Reduction data at each prime of bad reduction (each p dividing the
-    minimal discriminant), least p first: one run of Tate's algorithm each,
-    all on the one minimal model."""
-    E_min = minimal_model(E)[0]
-    return {p: tate_algorithm(E_min, p) for p in sorted(factorint(int(E_min.disc)))}
+    discriminant of the global minimal model E_min), least p first: one run
+    of Tate's algorithm each."""
+    return {p: local_reduction(E_min, p) for p in sorted(factorint(int(E_min.disc)))}
 
 
 def conductor_of(reductions: dict[int, LocalReduction]) -> tuple[int, dict[int, int]]:
@@ -214,23 +207,24 @@ def conductor_of(reductions: dict[int, LocalReduction]) -> tuple[int, dict[int, 
 
 def conductor(E: CurveQ) -> tuple[int, dict[int, int]]:
     """Conductor N and its factorization {p: f_p}, from Tate's algorithm at each bad prime."""
-    return conductor_of(bad_reductions(E))
+    return conductor_of(bad_reductions(minimal_model(E)[0]))
 
 
 def ap(E: CurveQ, p: int) -> int:
-    """Trace of Frobenius a_p = p + 1 - #E(F_p) at a prime of good reduction.
+    """Trace of Frobenius a_p = p + 1 - #E(F_p), counted on the model E given.
 
-    Good reduction at p is p not dividing the minimal discriminant, so no
-    Tate's algorithm runs here.
+    E must be integral with p not dividing its disc, as the minimal model is
+    at a prime of good reduction; no Tate's algorithm runs here.
     """
     if p > AP_PRIME_LIMIT:
         raise UnsupportedError(f"point counting is exhaustive and capped at p <= {AP_PRIME_LIMIT}")
     if not is_prime(p):
         raise InvalidParameterError(f"p must be a prime, got {p}")
-    E_min, _ = minimal_model(E)
-    if int(E_min.disc) % p == 0:
+    if not E.is_integral():
+        raise PreconditionError("point counting needs an integral model")
+    if int(E.disc) % p == 0:
         raise PreconditionError(f"bad reduction at {p}; a_p needs good reduction")
-    coeffs = tuple(int(a) % p for a in E_min.ainvs)
+    coeffs = tuple(int(a) % p for a in E.ainvs)
     return p + 1 - count_points(*coeffs, p)
 
 
@@ -245,17 +239,17 @@ class SupersingularResult(NamedTuple):
     reason: str
 
 
-def is_supersingular(E: CurveQ, red: LocalReduction) -> SupersingularResult:
+def is_supersingular(E_min: CurveQ, red: LocalReduction) -> SupersingularResult:
     """Supersingularity of the reduction of E mod ell, for ell = red.p >= 5.
 
-    red is `local_reduction(E, ell)`, which the caller holds. Decides via
-    a_ell = 0 at good primes. The ord_ell(j) < 0 branch is outside the
-    hypothesis and is NotApplicable. Additive, potentially good
-    reduction is resolved by one quadratic twist or not at all: a twist by a
-    unit at ell keeps the Kodaira type, and one ramified at ell moves
-    ord_ell of the minimal discriminant by 6 mod 12, so only I0* (ord 6)
-    reaches good reduction, as the twist by ell does. Every other type is
-    NotApplicable.
+    red is `local_reduction(E_min, ell)` on the minimal model E_min, both held by
+    the caller. Decides via a_ell = 0 at good primes. The ord_ell(j) < 0
+    branch is outside the hypothesis and is NotApplicable. Additive,
+    potentially good reduction is resolved by one quadratic twist or not at
+    all: a twist by a unit at ell keeps the Kodaira type, and one ramified at
+    ell moves ord_ell of the minimal discriminant by 6 mod 12, so only I0*
+    (ord 6) reaches good reduction, as the twist by ell does, on the minimal
+    model made here. Every other type is NotApplicable.
     """
     ell = red.p
     if ell < 5:
@@ -265,9 +259,10 @@ def is_supersingular(E: CurveQ, red: LocalReduction) -> SupersingularResult:
             SupersingularVerdict.NOT_APPLICABLE, f"ord_{ell}(j) < 0; outside the hypothesis branch"
         )
     if red.is_good:
-        model, how = E, "good reduction"
+        model, how = E_min, "good reduction"
     elif red.kodaira == "I0*":
-        model, how = quadratic_twist(E, ell), f"good reduction after twist by {ell}"
+        model = minimal_model(quadratic_twist(E_min, ell))[0]
+        how = f"good reduction after twist by {ell}"
     else:
         return SupersingularResult(
             SupersingularVerdict.NOT_APPLICABLE,
@@ -278,12 +273,11 @@ def is_supersingular(E: CurveQ, red: LocalReduction) -> SupersingularResult:
     return SupersingularResult(verdict, f"{how}, a_{ell} = {a}")
 
 
-def _x_has_pole_at(E: CurveQ, P: PointQ, ell: int) -> bool:
+def _x_has_pole_at(E: CurveQ, transform: tuple, P: PointQ, ell: int) -> bool:
     """Whether ord_ell(x(P)) < 0 on the minimal model, for an affine point P of E.
 
-    With good or bad reduction at ell, this is P reducing to the point at
-    infinity. x is in lowest terms, so its valuation is negative iff ell
-    divides its denominator.
+    transform is the (u, r, s, t) to it from `curves.minimal_model`. With good or
+    bad reduction at ell, this is P reducing to the point at infinity. x is in
+    lowest terms, so its valuation is negative iff ell divides its denominator.
     """
-    _, (u, r, s, t) = minimal_model(E)
-    return E.transform_point(P, u, r, s, t).x.denominator % ell == 0
+    return E.transform_point(P, *transform).x.denominator % ell == 0

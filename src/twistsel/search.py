@@ -152,7 +152,7 @@ def search_twists(
             "curve-level hypotheses fail: "
             + ", ".join(f"{c.clause_id} ({c.verdict.value})" for c in unmet)
         )
-    rules = twist_rules(E, ell, predicate)
+    rules = twist_rules(hyp, predicate)
     ds = list(enumerate_d(lo, hi, ell, rules.N))
     row = partial(_row, rules, mode, include_inadmissible)
     workers = min(jobs, _usable_cpus())

@@ -1,16 +1,21 @@
 """Per-d admissibility oracle used by the tests.
 
 `admissibility_check_per_d` is the clause checker as it was before the
-library built each curve's rules once: for every d it recomputes the
-conductor, the exceptional sets and the reduction data at each bad prime, and
-it takes every quadratic symbol from `artin_symbol_quadratic`, which factors d
-again for the field discriminant. The library's rules-then-evaluate path must
-give the same report on every d.
+library built each curve's rules once: for every d it derives the exceptional
+sets and the clause at each bad prime again, from the conductor and the
+reduction data that `_curve_facts` keeps for the last few curves, and it takes
+every quadratic symbol from `artin_symbol_quadratic`, which factors d again
+for the field discriminant. The exceptional sets come from
+`s_sets_by_definition`, which applies the ramification predicate and the two
+valuation conditions to the conductor's primes, never from `twist_rules`. The
+library's rules-then-evaluate path must give the same sets, and the same
+report on every d.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from twistsel.checker import (
     ArtinClass,
@@ -18,14 +23,13 @@ from twistsel.checker import (
     ConditionReport,
     Overall,
     Verdict,
-    twist_rules,
 )
-from twistsel.curves import CurveQ
+from twistsel.curves import CurveQ, minimal_model
 from twistsel.dirichlet import DirichletPredicate
 from twistsel.errors import InvalidParameterError, UnsupportedError
 from twistsel.intmath import is_prime, is_squarefree, kronecker
 from twistsel.quadforms import field_discriminant
-from twistsel.reduction import ReductionKind, conductor, local_reduction
+from twistsel.reduction import LocalReduction, ReductionKind, conductor, local_reduction
 
 
 def artin_symbol_quadratic(d: int, p: int) -> ArtinClass:
@@ -43,6 +47,39 @@ def artin_symbol_quadratic(d: int, p: int) -> ArtinClass:
     return ArtinClass.SPLIT if kronecker(D, p) == 1 else ArtinClass.INERT
 
 
+@lru_cache(maxsize=4)
+def _curve_facts(E: CurveQ) -> tuple[int, CurveQ, dict[int, LocalReduction]]:
+    """N, the minimal model, and the reduction at each p | N on it, kept so that
+    a sweep over d does not remake them."""
+    E_min = minimal_model(E)[0]
+    N, exps = conductor(E)
+    return N, E_min, {p: local_reduction(E_min, p) for p in sorted(exps)}
+
+
+def s_sets_by_definition(
+    E: CurveQ, ell: int, predicate: DirichletPredicate | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(S~, S) of (E, ell, predicate), read from the definition.
+
+    S~ holds the odd p | N at which the predicate holds (p = -1 mod ell, or
+    chi(p) != 0 for a character chi of order ell) and ell does not divide
+    ord_p of the minimal discriminant; S holds those p of S~ with ord_p(j) < 0.
+    """
+    if predicate is None:
+        holds = lambda p: p % ell == ell - 1  # noqa: E731
+    elif predicate.ell != ell:
+        raise InvalidParameterError("character order must equal ell")
+    else:
+        holds = lambda p: math.gcd(p, predicate.modulus) == 1  # noqa: E731
+    s_tilde, s = [], []
+    for p, red in _curve_facts(E)[2].items():
+        if p % 2 and holds(p) and red.ord_delta_min % ell != 0:
+            s_tilde.append(p)
+            if red.ord_j is not None and red.ord_j < 0:
+                s.append(p)
+    return tuple(s_tilde), tuple(s)
+
+
 def admissibility_check_per_d(
     E: CurveQ, ell: int, d: int, predicate: DirichletPredicate | None = None
 ) -> ConditionReport:
@@ -51,8 +88,8 @@ def admissibility_check_per_d(
         raise UnsupportedError("the twist theorems need an odd prime ell >= 5")
     if not isinstance(d, int) or d == 0:
         raise InvalidParameterError("twist parameter must be a nonzero integer")
-    N, _ = conductor(E)
-    ssets = twist_rules(E, ell, predicate).ssets
+    N, E_min, reductions = _curve_facts(E)
+    exempt = set(s_sets_by_definition(E, ell, predicate)[1])
     clauses: list[Clause] = []
 
     def add(cid: str, cite: str, ok: bool | None, detail: str) -> None:
@@ -75,7 +112,7 @@ def admissibility_check_per_d(
             "automatic for d = 3 (mod 4): the field discriminant is 4d",
         )
 
-    red_ell = local_reduction(E, ell)
+    red_ell = local_reduction(E_min, ell)
     if red_ell.ord_j_negative:
         sym = artin_symbol_quadratic(d, ell) if viable else None
         add(
@@ -84,8 +121,7 @@ def admissibility_check_per_d(
             None if sym is None else sym is ArtinClass.INERT,
             f"symbol at {ell}: {sym.value if sym else 'skipped'}",
         )
-    exempt = set(ssets.s)
-    for p in sorted(conductor(E)[1]):
+    for p, red in reductions.items():
         if p == 2 or p == ell:
             continue
         if p in exempt:
@@ -98,7 +134,6 @@ def admissibility_check_per_d(
                 )
             )
             continue
-        red = local_reduction(E, p)
         if not red.ord_j_negative:
             want, why = ArtinClass.INERT, f"ord_{p}(j) >= 0"
         elif red.kind is ReductionKind.MULTIPLICATIVE_SPLIT:

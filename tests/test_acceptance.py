@@ -17,6 +17,7 @@ from twistsel.checker import (
     SelmerVerdict,
     admissibility_check,
     corollary_sandwich,
+    hypothesis_check,
     twist_rules,
 )
 from twistsel.curves import CurveQ, PointQ, curve_from_string, minimal_model, point_order, quadratic_twist
@@ -157,7 +158,7 @@ def test_criterion_3_derived_class_numbers():
 
 def test_criterion_4_curve_golden():
     t0 = time.perf_counter()
-    Emin, _ = minimal_model(E11A3)
+    Emin, transform = minimal_model(E11A3)
     assert Emin == E11A3 and int(Emin.disc) == -11
     assert E11A3.j == Fraction(-4096, 11)
     assert conductor(E11A3)[0] == 11
@@ -168,7 +169,7 @@ def test_criterion_4_curve_golden():
     assert P == PointQ(0, 0)
     assert point_order(E11A3, P, 12) == 5
     assert is_supersingular(E11A3, local_reduction(E11A3, 5)).verdict is SupersingularVerdict.NO
-    assert not _x_has_pole_at(E11A3, P, 5)  # P is outside the kernel of reduction mod 5
+    assert not _x_has_pole_at(E11A3, transform, P, 5)  # P is outside the kernel of reduction mod 5
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(4, "conductor-11 curve golden data", elapsed, 1)
@@ -177,7 +178,7 @@ def test_criterion_4_curve_golden():
 def test_criterion_5_end_to_end_scan():
     t0 = time.perf_counter()
     # (a) the exceptional set is empty
-    assert twist_rules(E11A3, 5).ssets.s_tilde == ()
+    assert twist_rules(hypothesis_check(E11A3, 5)).ssets.s_tilde == ()
     # full scan over [-3000, -3]
     rows = search_twists(E11A3, 5, -3000, -3, mode=SearchMode.COROLLARY_E)
     by_d = {row["d"]: row for row in rows}
@@ -220,7 +221,8 @@ def test_criterion_6_degree84_reproduction():
     # (c) no 13th root of unity in the cubic field
     assert zeta_in_field(K, 13) == NO
     # (d) not supersingular at 13 (determinable branch: good reduction)
-    ss = is_supersingular(E636, local_reduction(E636, 13))
+    E636_min = minimal_model(E636)[0]
+    ss = is_supersingular(E636_min, local_reduction(E636_min, 13))
     assert ss.verdict is SupersingularVerdict.NO
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
@@ -243,7 +245,7 @@ def test_criterion_7_finite_field_torsion_oracle():
         for ell in (3, 5, 7):
             prim = division_poly_primitive(E_min, ell)
             for p in primes_up_to(50):
-                if not local_reduction(E, p).is_good:
+                if not local_reduction(E_min, p).is_good:
                     continue
                 xs = torsion_x_coords(tuple(int(a) for a in E_min.ainvs), p, ell)
                 for x in xs:
@@ -298,7 +300,7 @@ def test_criterion_9_twist_properties():
                     continue
                 kinds = {
                     local_reduction(E, p).kind,
-                    local_reduction(quadratic_twist(E, d), p).kind,
+                    local_reduction(minimal_model(quadratic_twist(E, d))[0], p).kind,
                 }
                 assert kinds == {
                     ReductionKind.MULTIPLICATIVE_SPLIT,

@@ -8,6 +8,10 @@ NamedTuple, a subclass of one, or a class with __slots__), counts as used
 only through an attribute access `.name` in src/. Tests do not count: a
 helper that only tests call belongs in a test oracle, and a field that only
 tests read is work done for nothing on every call.
+
+Two more guards: no function in src/ is cached unless CACHES_ALLOWED names it,
+and each test oracle imports from the library only the names that
+ORACLE_IMPORTS lists for it.
 """
 
 import ast
@@ -35,6 +39,7 @@ from twistsel.errors import InvalidParameterError
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twistsel"
+TESTS = ROOT / "tests"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 # record fields kept without a reader in src/, each with its reason
@@ -46,11 +51,58 @@ UNREAD_FIELDS_ALLOWED = frozenset({
 })
 
 # lru_cache / cache decorators kept in src/, each with the gain it was measured
-# to earn: hits per hypothesis_check + twist_rules on 11a3 at ell 5 and curve 26
-# at ell 7, and the cost of one uncached call
-CACHES_ALLOWED = {
-    # maxsize 2: the curve, and the one twist that is_supersingular may build
-    "curves.minimal_model": "3 and 3 hits, local_reduction being uncached; an uncached call takes 0.16 ms",
+# to earn; none is kept: curve-level facts travel in the records that hold them
+CACHES_ALLOWED: dict[str, str] = {}
+
+# the library names each tests/oracle_*.py may import, in groups that share
+# one reason: a record or exception type the comparison is made in, or a
+# primitive that another test checks. An oracle that imported the function it
+# checks would compare that function with itself.
+ORACLE_IMPORTS = {
+    "oracle_checker": {
+        "checker.ArtinClass checker.Clause checker.ConditionReport checker.Overall "
+        "checker.Verdict": "the report types, compared field by field",
+        "curves.CurveQ dirichlet.DirichletPredicate reduction.LocalReduction "
+        "reduction.ReductionKind": "the input and reduction record types",
+        "errors.InvalidParameterError errors.UnsupportedError": "refusals are compared by type",
+        "curves.minimal_model reduction.conductor reduction.local_reduction":
+            "local data, checked by oracle_tate and the published conductors in test_reduction",
+        "intmath.is_prime intmath.is_squarefree intmath.kronecker quadforms.field_discriminant":
+            "arithmetic primitives, checked in test_intmath and test_quadforms",
+    },
+    "oracle_dirichlet": {
+        "errors.InvalidParameterError": "refusals are compared by type",
+        "intmath.factorint intmath.is_prime": "factoring primitives, checked in test_intmath",
+    },
+    "oracle_ec": {
+        "curves.CurveQ curves.PointQ": "the curve and point types",
+        "curves.minimal_model curves.quadratic_twist":
+            "model changes, checked in test_curves and test_fuzz by the transform identity",
+        "errors.InvalidParameterError": "refusals are compared by type",
+    },
+    "oracle_poly": {
+        "errors.InvalidParameterError": "refusals are compared by type",
+        "polyzq.ZX polyzq._PackedMod polyzq._fp_gcdex polyzq._zx_trunc polyzq.fp_divmod "
+        "polyzq.fp_gcd polyzq.fp_monic polyzq.fp_mul polyzq.fp_sub polyzq.zx_add polyzq.zx_deg "
+        "polyzq.zx_mul polyzq.zx_mul_scalar polyzq.zx_sub":
+            "the base F_p[x] and Z[x] arithmetic under the factorizer, checked in test_polyzq",
+    },
+    "oracle_rayclass": {
+        "errors.InvalidParameterError errors.PreconditionError": "refusals are compared by type",
+        "intmath.factorint intmath.kronecker intmath.log_p intmath.sqrt_mod quadforms._xgcd "
+        "quadforms.field_discriminant": "arithmetic primitives, checked in test_intmath and test_quadforms",
+        "quadforms.ell_part rayclass.form_with_coprime_a":
+            "the class-group ell-part and an ideal prime to M; stated, not yet removed",
+    },
+    "oracle_tate": {
+        "curves.CurveQ reduction.LocalReduction reduction.ReductionKind":
+            "the input and reduction record types",
+        "curves.translated curves.weierstrass_invariants":
+            "coordinate changes, checked in test_curves",
+        "errors.InvalidParameterError errors.PreconditionError": "refusals are compared by type",
+        "intmath.is_prime intmath.legendre intmath.valuation polyzq.fp_gcd":
+            "arithmetic primitives, checked in test_intmath and test_polyzq",
+    },
 }
 
 
@@ -187,6 +239,55 @@ def cached_functions(src: Path = SRC) -> set[str]:
     return out
 
 
+def _allowed_oracle_imports(stem: str) -> set[str]:
+    return {name for group in ORACLE_IMPORTS.get(stem, {}) for name in group.split()}
+
+
+def oracle_library_imports(tests: Path = TESTS) -> dict[str, set[str]]:
+    """The twistsel names each tests/oracle_*.py imports, as module.name; a
+    whole module imported is named by itself."""
+    out = {}
+    for path in sorted(tests.glob("oracle_*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("twistsel"):
+                mod = node.module.removeprefix("twistsel").lstrip(".")
+                names |= {f"{mod}.{a.name}" if mod else a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                names |= {a.name for a in node.names if a.name.startswith("twistsel")}
+        out[path.stem] = names
+    return out
+
+
+def unlisted_oracle_imports(tests: Path = TESTS) -> list[str]:
+    """"oracle: module.name" for each library name an oracle imports that
+    ORACLE_IMPORTS does not list for it."""
+    return sorted(
+        f"{stem}: {name}"
+        for stem, names in oracle_library_imports(tests).items()
+        for name in names - _allowed_oracle_imports(stem)
+    )
+
+
+def test_oracles_import_only_the_listed_library_names():
+    assert unlisted_oracle_imports() == []
+    # and the table lists nothing that an oracle no longer imports
+    imports = oracle_library_imports()
+    assert {stem: _allowed_oracle_imports(stem) for stem in ORACLE_IMPORTS} == {
+        stem: names for stem, names in imports.items() if names
+    }
+
+
+def test_oracle_guard_sees_an_oracle_import_the_function_it_checks(tmp_path):
+    for path in TESTS.glob("oracle_*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    text = (tmp_path / "oracle_checker.py").read_text()
+    anchor = "    Verdict,\n)\n"
+    assert text.count(anchor) == 1
+    (tmp_path / "oracle_checker.py").write_text(text.replace(anchor, "    Verdict,\n    twist_rules,\n)\n"))
+    assert unlisted_oracle_imports(tmp_path) == ["oracle_checker: checker.twist_rules"]
+
+
 def test_every_cache_is_allowed():
     assert cached_functions() == set(CACHES_ALLOWED)
     for name in CACHES_ALLOWED:
@@ -273,7 +374,7 @@ def test_guard_sees_an_unread_record_field(tmp_path):
 
 
 E11A3 = curves.CurveQ(0, -1, 1, 0, 0)
-RULES = checker.twist_rules(E11A3, 5)
+RULES = checker.twist_rules(checker.hypothesis_check(E11A3, 5))
 
 # every record type of src/twistsel, each built by the call that makes it in use
 RECORDS = {

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from twistsel.checker import (
     ArtinClass,
     Overall,
     SelmerVerdict,
+    SymbolRule,
     admissibility_check,
     certify,
     corollary_sandwich,
@@ -16,9 +18,10 @@ from twistsel.checker import (
     selmer_lower_bound,
     twist_rules,
 )
-from oracle_checker import admissibility_check_per_d, artin_symbol_quadratic
+from oracle_checker import admissibility_check_per_d, artin_symbol_quadratic, s_sets_by_definition
 from pinned_outputs import HYPOTHESIS_PINS
-from twistsel.curves import CurveQ, curve_from_string, minimal_model
+from twistsel import curves, intmath, reduction
+from twistsel.curves import CurveQ, curve_from_string
 from twistsel.dirichlet import DirichletPredicate
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import kronecker
@@ -50,21 +53,21 @@ def test_artin_symbol_matches_kronecker():
 
 
 def test_s_sets_11a3():
-    ss = twist_rules(E11A3, 5).ssets
+    ss = twist_rules(hypothesis_check(E11A3, 5)).ssets
     assert ss.s_tilde == () and ss.s == ()  # 11 = 1 mod 5
 
 
 def test_s_sets_with_19():
     # 19 = -1 mod 5 and ord_19(j) < 0 on these curves
-    ss = twist_rules(E38, 5).ssets
+    ss = twist_rules(hypothesis_check(E38, 5)).ssets
     assert ss.s_tilde == (19,) and ss.s == (19,)
-    ss2 = twist_rules(E19, 5).ssets
+    ss2 = twist_rules(hypothesis_check(E19, 5)).ssets
     assert 19 in ss2.s_tilde
 
 
 def test_s_sets_definitional_congruence():
     for E in (E11A3, E38, E19):
-        ss = twist_rules(E, 7).ssets
+        ss = twist_rules(hypothesis_check(E, 7)).ssets
         for p in ss.s_tilde:
             assert p % 7 == 6
 
@@ -72,13 +75,13 @@ def test_s_sets_definitional_congruence():
 def test_s_sets_with_character():
     # chi mod 11 of order 5: chi(11) = 0 excludes 11; all other bad primes stay
     chi = DirichletPredicate(11, 5, (1,))
-    ss = twist_rules(E11A3, 5, chi).ssets
+    ss = twist_rules(hypothesis_check(E11A3, 5), chi).ssets
     assert ss.s_tilde == ()
     chi19 = DirichletPredicate(11, 5, (1,))
-    ss38 = twist_rules(E38, 5, chi19).ssets
+    ss38 = twist_rules(hypothesis_check(E38, 5), chi19).ssets
     assert ss38.s_tilde == (19,)
     with pytest.raises(InvalidParameterError, match="character order must equal ell"):
-        twist_rules(E11A3, 7, chi)
+        twist_rules(hypothesis_check(E11A3, 7), chi)
 
 
 def test_hypothesis_check():
@@ -105,6 +108,25 @@ def test_hypothesis_reports_are_pinned():
         assert json.dumps(rep.to_dict(), sort_keys=True, separators=(",", ":")) == want, curve
 
 
+def _patch_every_binding(monkeypatch, fn, replacement):
+    """Replace fn by replacement wherever a loaded twistsel module binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("twistsel") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, replacement)
+
+
+def _count_calls(monkeypatch, *fns):
+    """The arguments of every call to each of fns from now on, by function name."""
+    calls = {fn.__name__: [] for fn in fns}
+    for fn in fns:
+        def counting(*args, fn=fn):
+            calls[fn.__name__].append(args)
+            return fn(*args)
+
+        _patch_every_binding(monkeypatch, fn, counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "curve, ell, most",
     [
@@ -115,21 +137,32 @@ def test_hypothesis_reports_are_pinned():
     ],
 )
 def test_curve_level_work_runs_tate_a_bounded_number_of_times(monkeypatch, curve, ell, most):
-    # no reduction fact is cached, so this count is the work done: hypothesis_check
-    # runs Tate's algorithm once at ell and twist_rules once at each bad prime;
-    # a change that repeats curve-level work raises it and fails here
-    from twistsel import reduction
-
-    calls = []
-    tate = reduction.tate_algorithm
-    monkeypatch.setattr(reduction, "tate_algorithm", lambda E, p: calls.append(p) or tate(E, p))
+    # nothing is cached, so these counts are the work done: hypothesis_check makes
+    # the minimal model and runs Tate's algorithm once at ell, and twist_rules
+    # reads that model (or makes it, when the report holds none) and runs Tate's
+    # algorithm once at each bad prime; a change that repeats curve-level work
+    # raises a count and fails here
+    calls = _count_calls(monkeypatch, reduction.local_reduction, curves.minimal_model)
     E = curve_from_string(curve)
-    minimal_model.cache_clear()
-    hypothesis_check(E, ell)
-    twist_rules(E, ell)
-    assert 0 < len(calls) <= most, calls
-    # every fact is read on the one minimal model that the bounded cache holds
-    assert minimal_model.cache_info().misses == 1
+    twist_rules(hypothesis_check(E, ell))
+    assert 0 < len(calls["local_reduction"]) <= most, calls
+    assert calls["minimal_model"] == [(E,)]
+
+
+@pytest.mark.parametrize(
+    "curve, ell", [("[0,-1,1,0,0]", 7), ("[0,0,0,13674069,324405221670]", 13)], ids=["11a3", "E13"]
+)
+def test_hypothesis_report_without_the_point_makes_no_model(monkeypatch, curve, ell):
+    # the torsion point is looked for first: without it, no minimal model is made
+    # and no discriminant is factored before the report is returned
+    def refuse(*args):
+        raise AssertionError("curve-level work before the torsion report")
+
+    for fn in (curves.minimal_model, intmath.factorint):
+        _patch_every_binding(monkeypatch, fn, refuse)
+    rep = hypothesis_check(curve_from_string(curve), ell)
+    assert rep.torsion_point is None and rep.minimal is None
+    assert [c.clause_id for c in rep.checks] == ["hypothesis.torsion"] and not rep.ok
 
 
 def test_admissibility_11a3():
@@ -237,7 +270,7 @@ def test_determinism():
     a = admissibility_check(E11A3, 5, -37)
     b = admissibility_check(E11A3, 5, -37)
     assert a == b
-    assert twist_rules(E11A3, 5).ssets == twist_rules(E11A3, 5).ssets
+    assert twist_rules(hypothesis_check(E11A3, 5)).ssets[:2] == s_sets_by_definition(E11A3, 5)
 
 
 def test_tate_curve_at_ell_branch():
@@ -275,7 +308,7 @@ def test_ell_7_pipeline():
     # 7-torsion curve of conductor 26; 13 = -1 mod 7 sits in the exceptional set
     E26 = curve_from_string("[1,-1,1,-3,3]")
     assert hypothesis_check(E26, 7).ok
-    ss = twist_rules(E26, 7).ssets
+    ss = twist_rules(hypothesis_check(E26, 7)).ssets
     assert ss.s_tilde == (13,) and ss.s == (13,)
     rep = admissibility_check(E26, 7, -5)
     assert rep.overall is Overall.ADMISSIBLE
@@ -289,7 +322,7 @@ def test_ell_7_pipeline():
 def test_scan_row_and_check_payload_read_one_certificate():
     # the scan's ell_rank and selmer_lb are the check's ray_rank and
     # selmer_lower_bound; an inadmissible d has neither, and its row names why
-    rules = twist_rules(E26, 7)
+    rules = twist_rules(hypothesis_check(E26, 7))
     for d, undetermined in ((-5, False), (-1, True), (-13, False)):
         cert = certify(rules, d)
         row, payload = cert.scan_row(True), cert.to_dict()
@@ -322,16 +355,27 @@ def test_torsion_proof_lifts_roots_and_checks_the_point_once(monkeypatch, E, ell
     assert checked == [rep.torsion_point]
 
 
-def _same_as_oracle(E, ell, ds, predicate=None):
-    rules = twist_rules(E, ell, predicate)
+def _differences_from_oracle(rules, ds, predicate=None):
+    """What the rules get wrong against the per-d oracle: their S-sets, if
+    those differ from the definition's, and each d whose report or D differs."""
+    E, ell = rules.curve, rules.ell
+    wrong = []
+    if rules.ssets[:2] != s_sets_by_definition(E, ell, predicate):
+        wrong.append("ssets")
     for d in ds:
         report, D = evaluate_admissibility(rules, d)
         want = admissibility_check_per_d(E, ell, d, predicate)
-        assert report.to_dict() == want.to_dict(), d
-        if D is not None:
-            assert D == field_discriminant(d)
+        if D is None:
+            right_d = any(cid.startswith("domain.") for cid in want.failed_clauses())
         else:
-            assert any(cid.startswith("domain.") for cid in want.failed_clauses())
+            right_d = D == field_discriminant(d)
+        if report.to_dict() != want.to_dict() or not right_d:
+            wrong.append(d)
+    return wrong
+
+
+def _same_as_oracle(E, ell, ds, predicate=None):
+    assert _differences_from_oracle(twist_rules(hypothesis_check(E, ell), predicate), ds, predicate) == []
 
 
 @pytest.mark.parametrize("E, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
@@ -367,6 +411,7 @@ def test_rules_match_the_per_d_oracle_with_a_character(E, ell, modulus):
         ("[0,0,0,0,1]", 5),  # additive at 2 and 3 with ord_p(j) >= 0
         ("[1,0,0,-1,0]", 7),  # 13 = -1 mod 7
         ("[0,1,1,-9,-15]", 5),  # 19 = -1 mod 5: exempt from its symbol clause
+        ("[-18,-19,-19,0,0]", 5),  # Tate normal form b = 19: 5 | ord_19(disc) keeps 19 out of S~
     ],
 )
 def test_rules_match_the_per_d_oracle_on_other_reduction_types(curve, ell):
@@ -379,3 +424,19 @@ def test_rules_refuse_what_the_oracle_refuses():
             admissibility_check(E11A3, ell, d)
         with pytest.raises(type(got.value)):
             admissibility_check_per_d(E11A3, ell, d)
+
+
+def test_the_oracle_catches_a_planted_s_set_rule():
+    # 3 is bad for y^2 = x^3 + 1 with ord_3(j) = +infinity, so it is never in S;
+    # rules that put it there, exempt from its symbol clause, must be caught
+    E = CurveQ(0, 0, 0, 0, 1)
+    rules = twist_rules(hypothesis_check(E, 5))
+    assert rules.ssets[:2] == ((), ()) and [r.p for r in rules.symbols] == [3]
+    planted = rules._replace(
+        ssets=rules.ssets._replace(s_tilde=(3,), s=(3,)),
+        symbols=(SymbolRule(3, None, "exempt: ramification is permitted here"),),
+    )
+    ds = [d for d in range(-600, 601) if d]
+    assert _differences_from_oracle(rules, ds) == []
+    wrong = _differences_from_oracle(planted, ds)
+    assert wrong[0] == "ssets" and len(wrong) > 1

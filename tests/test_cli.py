@@ -52,6 +52,18 @@ def test_local(capsys):
     assert payload["kind"] == "MultiplicativeSplit" and payload["kodaira"] == "I1"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_local_reads_the_minimal_model_of_a_scaled_curve(capsys, p, fmt):
+    # 11a3 scaled by u = 2 is not minimal at 2; local runs Tate's algorithm on
+    # the minimal model of the curve it is given, so both print the same bytes
+    same = [
+        run_cli(capsys, "local", "--curve", curve, "--p", p, "--format", fmt)
+        for curve in ("[0,-1,1,0,0]", "[0,-4,8,0,0]")
+    ]
+    assert same[0] == same[1] and same[0][0] == 0 and same[0][1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -47,7 +47,7 @@ def test_local_reduction_fuzz():
         Emin, _ = minimal_model(E)
         disc = int(Emin.disc)
         for p, f in exps.items():
-            red = local_reduction(E, p)
+            red = local_reduction(Emin, p)
             assert red.conductor_exponent == f
             assert red.ord_delta_min == valuation(disc, p)
             assert 1 <= f <= red.ord_delta_min
@@ -65,7 +65,7 @@ def test_local_reduction_fuzz():
         # good primes have f = 0 and vanish from the conductor
         for p in (2, 3, 5, 7):
             if p not in exps:
-                assert local_reduction(E, p).is_good or valuation(disc, p) == 0
+                assert local_reduction(Emin, p).is_good or valuation(disc, p) == 0
 
 
 def _expected_type_p_ge_5(vc4, vdisc):
@@ -102,7 +102,7 @@ def test_tate_valuation_table_p_ge_5():
         for p, f in conductor(E)[1].items():
             if p < 5:
                 continue
-            red = local_reduction(E, p)
+            red = local_reduction(Emin, p)
             vc4 = valuation(c4, p) if c4 else 10**9
             want = _expected_type_p_ge_5(vc4, valuation(disc, p))
             assert red.kodaira == want, (str(Emin), p, red.kodaira, want)

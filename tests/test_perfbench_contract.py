@@ -63,6 +63,18 @@ def _traced(monkeypatch, call):
         return tracer.counts(), {span[0] for span in tracer.spans}
 
 
+def test_a_check_reaches_the_traced_curve_level_targets(monkeypatch, capsys):
+    # the curve-level facts travel in the hypothesis report, and every Tate run
+    # and point count still goes through a traced name
+    from twistsel import cli
+
+    codes = []
+    argv = ["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d=-37"]
+    _, spans = _traced(monkeypatch, lambda: codes.append(cli.main(argv)))
+    assert codes == [0] and capsys.readouterr().out
+    assert {"checker.hypothesis_check", "reduction.local_reduction", "reduction.ap"} <= spans
+
+
 def test_tracer_counts_every_composition_of_both_layers(monkeypatch):
     # h(-724) = 10: the Sylow 5-walk composes through quadforms.compose
     counts, _ = _traced(monkeypatch, lambda: quadforms.ell_part(-724, 5))

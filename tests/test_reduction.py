@@ -1,6 +1,7 @@
 import ast
 import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,6 @@ from twistsel.reduction import (
     _x_has_pole_at,
     is_supersingular,
     local_reduction,
-    tate_algorithm,
 )
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
@@ -74,8 +74,6 @@ def test_non_prime_p_is_refused(p):
     # p = 1 once looped forever in valuation; 4 and 121 were reported as good reduction
     with pytest.raises(InvalidParameterError, match="must be a prime"):
         local_reduction(E11A3, p)
-    with pytest.raises(InvalidParameterError, match="must be a prime"):
-        tate_algorithm(E11A3, p)
 
 
 def test_split_flag_matches_point_count_oracle():
@@ -85,9 +83,9 @@ def test_split_flag_matches_point_count_oracle():
              (quadratic_twist(E11A3, -5), 11),
              (curve_from_string("[1,1,1,0,1]"), 19)]
     for E, p in cases:
-        red = local_reduction(E, p)
-        assert red.conductor_exponent == 1
         E_min, _ = minimal_model(E)
+        red = local_reduction(E_min, p)
+        assert red.conductor_exponent == 1
         count = nonsingular_reduction_count(E_min.ainvs, p)
         a_p = p - count
         assert a_p in (1, -1)
@@ -109,7 +107,7 @@ def test_twist_flips_split_at_nonresidue():
                 if d % p == 0 or legendre(d, p) != -1:
                     continue
                 before = local_reduction(E, p).kind
-                after = local_reduction(quadratic_twist(E, d), p).kind
+                after = local_reduction(minimal_model(quadratic_twist(E, d))[0], p).kind
                 assert {before, after} == {
                     ReductionKind.MULTIPLICATIVE_SPLIT,
                     ReductionKind.MULTIPLICATIVE_NONSPLIT,
@@ -136,15 +134,15 @@ def test_conductor_exponent_bounds():
 
 def test_tate_on_nonminimal_model():
     # u = 6 scaling of 11a3: minimal at 11, where Tate agrees with 11a3, and not
-    # minimal at 2 and 3, where Tate refuses it; local_reduction reads the
-    # minimal model, so it finds good reduction there
+    # minimal at 2 and 3, where Tate refuses it; on the minimal model it finds
+    # good reduction there
     E = CurveQ(0, 0, 0, -432, 8208)
-    res11 = tate_algorithm(E, 11)
+    res11 = local_reduction(E, 11)
     assert res11.kodaira == "I1" and res11.conductor_exponent == 1
     for p in (2, 3):
         with pytest.raises(PreconditionError, match=f"not minimal at {p}"):
-            tate_algorithm(E, p)
-        red = local_reduction(E, p)
+            local_reduction(E, p)
+        red = local_reduction(minimal_model(E)[0], p)
         assert red.kodaira == "I0" and red.conductor_exponent == 0
 
 
@@ -200,7 +198,7 @@ def test_tate_matches_the_search_and_gcd_oracle():
             E_min = minimal_model(E)[0]
             for q in (2, 3, 5, 7):
                 for model in (E, E_min):
-                    got = _outcome(tate_algorithm, model, q)
+                    got = _outcome(local_reduction, model, q)
                     assert got == _outcome(oracle_tate.tate_algorithm, model, q), (str(model), q)
                     if isinstance(got, LocalReduction):
                         seen[q].add(_kodaira_class(got.kodaira))
@@ -217,8 +215,9 @@ def test_ogg_saito_formula_at_2_and_3(p):
     # ord_p(disc_min) = f_p + m_p - 1, with m_p the number of components of the fibre
     seen = set()
     for E in _seeded_integral_curves(p, random.Random(p), 1500):
-        red = local_reduction(E, p)
-        n = valuation(int(minimal_model(E)[0].disc), p)
+        E_min = minimal_model(E)[0]
+        red = local_reduction(E_min, p)
+        n = valuation(int(E_min.disc), p)
         assert n == red.ord_delta_min == red.conductor_exponent + _components(red.kodaira) - 1
         seen.add(_kodaira_class(red.kodaira))
     assert seen == ADDITIVE_CLASSES | {"I0", "I_n"}
@@ -254,7 +253,7 @@ def test_tate_runs_no_polynomial_arithmetic(monkeypatch):
     for name in ("fp_gcd", "fp_divmod"):
         monkeypatch.setattr(polyzq, name, refuse)
     for p, curve, symbol in KODAIRA_EXAMPLES:
-        assert tate_algorithm(curve_from_string(curve), p).kodaira == symbol
+        assert local_reduction(curve_from_string(curve), p).kodaira == symbol
     assert {_kodaira_class(s) for _, _, s in KODAIRA_EXAMPLES} == ADDITIVE_CLASSES | {"I_n"}
 
 
@@ -278,11 +277,12 @@ def test_tate_decides_multiplicative_reduction_at_2_and_3_unmoved(monkeypatch, p
         return translated(*args)
 
     monkeypatch.setattr(reduction, "translated", counting)
-    red = tate_algorithm(curve_from_string(curve), p)
+    red = local_reduction(curve_from_string(curve), p)
     assert (red.kodaira, red.conductor_exponent) == (symbol, 1) and moves == []
 
 
 def test_bad_reductions_reads_the_minimal_model_once(monkeypatch):
+    # the walk reads the model it is given; conductor makes that model once
     from twistsel import reduction
 
     E30 = curve_from_string("[1,0,1,1,2]")  # conductor 30: three bad primes
@@ -293,7 +293,9 @@ def test_bad_reductions_reads_the_minimal_model_once(monkeypatch):
         return minimal_model(E)
 
     monkeypatch.setattr(reduction, "minimal_model", counting)
-    assert list(bad_reductions(E30)) == [2, 3, 5]
+    assert list(bad_reductions(minimal_model(E30)[0])) == [2, 3, 5]
+    assert calls == []
+    assert conductor(E30) == (30, {2: 1, 3: 1, 5: 1})
     assert calls == [E30]
 
 
@@ -309,6 +311,18 @@ def test_ap_preconditions():
         ap(E11A3, 11)
     with pytest.raises(UnsupportedError):
         ap(E11A3, 10**6 + 3)
+    with pytest.raises(PreconditionError, match="integral"):
+        ap(CurveQ(0, 0, 0, Fraction(1, 2), 1), 5)
+
+
+def test_ap_counts_on_the_model_given():
+    # 11a3 scaled by u = 2: good reduction at 3 on this model, and 2 divides its
+    # discriminant, so a_2 is read on the minimal model only
+    E2 = CurveQ(0, -4, 8, 0, 0)
+    assert ap(E2, 3) == ap(E11A3, 3) == -1
+    with pytest.raises(PreconditionError, match="bad reduction at 2"):
+        ap(E2, 2)
+    assert ap(minimal_model(E2)[0], 2) == ap(E11A3, 2)
 
 
 def test_hasse_bound():
@@ -329,7 +343,8 @@ def test_torsion_injects():
 
 
 def _supersingular(E, ell):
-    return is_supersingular(E, local_reduction(E, ell))
+    E_min = minimal_model(E)[0]
+    return is_supersingular(E_min, local_reduction(E_min, ell))
 
 
 def test_supersingular_examples():
@@ -387,8 +402,9 @@ def test_supersingular_matches_the_twist_search(ell):
     # one twist by ell decides what the eleven-twist search decides, verdict and reason
     seen = set()
     for E in _seeded_short_curves(ell, random.Random(ell), 120):
-        red = local_reduction(E, ell)
-        res = is_supersingular(E, red)
+        E_min = minimal_model(E)[0]
+        red = local_reduction(E_min, ell)
+        res = is_supersingular(E_min, red)
         assert (res.verdict.value, res.reason) == supersingular_by_twist_search(E, ell), str(E)
         if red.ord_j_negative:
             seen.add("multiplicative" if red.conductor_exponent == 1 else "ord_j < 0, additive")
@@ -403,23 +419,31 @@ def test_supersingular_matches_the_twist_search(ell):
     (quadratic_twist(CurveQ(0, 0, 0, 0, 1), 5), 1),  # I0* at 5
 ])
 def test_supersingular_builds_at_most_one_twist(monkeypatch, curve, twists):
+    # and makes a minimal model for that twist only, once: the caller's is passed in
     from twistsel import reduction
 
-    built = []
+    built, made = [], []
 
     def counting(E, d):
         built.append(d)
         return quadratic_twist(E, d)
 
+    def counting_models(E):
+        made.append(E)
+        return minimal_model(E)
+
     monkeypatch.setattr(reduction, "quadratic_twist", counting)
+    monkeypatch.setattr(reduction, "minimal_model", counting_models)
     _supersingular(curve, 5)
     assert built == [5] * twists
+    assert made == [quadratic_twist(minimal_model(curve)[0], 5)] * twists
 
 
 def test_kernel_of_reduction():
     P = PointQ(0, 0)
-    assert not _x_has_pole_at(E11A3, P, 5)
-    assert not _x_has_pole_at(E11A3, PointQ(1, 0), 5)
+    transform = minimal_model(E11A3)[1]
+    assert not _x_has_pole_at(E11A3, transform, P, 5)
+    assert not _x_has_pole_at(E11A3, transform, PointQ(1, 0), 5)
     # multiply a generator into the kernel of reduction mod 5 on 37a1
     E37 = CurveQ(0, 0, 1, -1, 0)
     count5 = 5 + 1 - ap(E37, 5)
@@ -428,4 +452,4 @@ def test_kernel_of_reduction():
     from twistsel.intmath import valuation
 
     assert valuation(Q.x.denominator, 5) > 0
-    assert _x_has_pole_at(E37, Q, 5)
+    assert _x_has_pole_at(E37, minimal_model(E37)[1], Q, 5)

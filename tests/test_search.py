@@ -283,10 +283,11 @@ def test_search_nonempty_s_curve():
 
 def test_search_does_curve_level_work_once(monkeypatch):
     # the rules are built once per scan: twist_rules runs once and Tate's
-    # algorithm a fixed number of times, however many candidates the range holds
+    # algorithm (local_reduction) a fixed number of times, however many
+    # candidates the range holds
     from twistsel import checker, reduction
 
-    calls = {"twist_rules": 0, "tate_algorithm": 0}
+    calls = {"twist_rules": 0, "local_reduction": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -295,7 +296,7 @@ def test_search_does_curve_level_work_once(monkeypatch):
 
         return wrapper
 
-    originals = {"twist_rules": checker.twist_rules, "tate_algorithm": reduction.tate_algorithm}
+    originals = {"twist_rules": checker.twist_rules, "local_reduction": reduction.local_reduction}
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("twistsel."):
             for name, fn in originals.items():
@@ -312,7 +313,7 @@ def test_search_does_curve_level_work_once(monkeypatch):
     (few, first), (many, second) = seen
     assert many > 5 * few
     assert first["twist_rules"] == second["twist_rules"] == 1
-    assert first["tate_algorithm"] == second["tate_algorithm"] > 0
+    assert first["local_reduction"] == second["local_reduction"] > 0
 
 
 def test_squarefreeness_is_decided_once_per_d(monkeypatch, capsys):
@@ -366,9 +367,9 @@ def test_sieve_matches_the_factoring_path(monkeypatch, curve, ell, start, seed):
     # certify gives when it factors every d, and enumerate_d yields exactly the d of
     # the window that pass the four domain clauses on the factoring path
     from twistsel import checker
-    from twistsel.checker import Verdict, evaluate_admissibility, twist_rules
+    from twistsel.checker import Verdict, evaluate_admissibility, hypothesis_check, twist_rules
 
-    rules = twist_rules(curve, ell)
+    rules = twist_rules(hypothesis_check(curve, ell))
     rng = random.Random(seed)
     for _ in range(2):
         hi = -rng.randrange(start, 2 * start)
