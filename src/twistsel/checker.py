@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .curves import CurveQ, PointQ, check_twist_parameter, minimal_model
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
-from .divpoly import MAX_DIVPOLY_INDEX, rational_ell_torsion_point
+from .divpoly import ODD_TORSION_PRIMES, rational_ell_torsion_point
 from .errors import InvalidParameterError, PreconditionError, UnsupportedError
 from .intmath import is_prime, is_squarefree, kronecker
 from .quadforms import class_number
@@ -170,7 +170,7 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     P = rational_ell_torsion_point(E, ell)
     cite = f"rational point of odd prime order {ell}"
     if P is None:
-        if ell > MAX_DIVPOLY_INDEX:
+        if ell not in ODD_TORSION_PRIMES:
             detail = f"no rational point has prime order {ell} > 7 (Mazur); psi_{ell} is not built"
         else:
             detail = f"no rational root of the {ell}-division polynomial lifts to a rational point"
@@ -185,7 +185,7 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     else:
         how = f"bad reduction at {ell} ({red.kodaira}); x-valuation test on the minimal model"
     cite = f"P not in the kernel of reduction mod {ell}"
-    checks.append(_clause("hypothesis.kernel", cite, not _x_has_pole_at(E, transform, P, ell), how))
+    checks.append(_clause("hypothesis.kernel", cite, not _x_has_pole_at(transform, P, ell), how))
     if red.ord_j_negative:
         ordinary, why = True, f"vacuous: ord_{ell}(j) < 0"
     else:

@@ -1,9 +1,9 @@
 """Exact Weierstrass curve arithmetic over Q.
 
 Long models [a1,a2,a3,a4,a6] with rational coefficients, their standard
-invariants, coordinate transformations, the order of a point by the
-chord-tangent law, quadratic twists, and global minimal models
-(Laska-Kraus-Connell). All arithmetic is exact; no floating point anywhere.
+invariants, coordinate transformations, the order of a point, quadratic
+twists, and global minimal models (Laska-Kraus-Connell). All arithmetic is
+exact, and in ints wherever the model is integral; a float or a str is refused.
 """
 
 from __future__ import annotations
@@ -34,6 +34,13 @@ def parse_rational(s: str) -> Fraction:
     if not num.isdecimal() or slash and not (den.isdecimal() and den[0] in "123456789"):
         raise InvalidParameterError(f"not a rational: {s!r}")
     return Fraction(-int(num) if s[0] == "-" else int(num), int(den) if slash else 1)
+
+
+def _as_fraction(v) -> Fraction:
+    """v, an int or a Fraction, as a Fraction; any other type (a float, a str) is refused."""
+    if not isinstance(v, (int, Fraction)):
+        raise InvalidParameterError(f"expected an int or a Fraction, got {type(v).__name__} {v!r}")
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
@@ -72,7 +79,7 @@ class CurveQ:
 
     def __init__(self, a1, a2, a3, a4, a6) -> None:
         for name, a in zip(self.__slots__, (a1, a2, a3, a4, a6)):
-            object.__setattr__(self, name, Fraction(a))
+            object.__setattr__(self, name, _as_fraction(a))
         if self.is_integral():  # the same values, 100x faster than in Fractions
             invariants = map(Fraction, weierstrass_invariants(*(a.numerator for a in self.ainvs)))
         else:
@@ -117,22 +124,15 @@ class CurveQ:
         """x^3 + a2 x^2 + a4 x + a6."""
         return ((x + self.a2) * x + self.a4) * x + self.a6
 
-    def transform(self, u: Fraction, r: Fraction, s: Fraction, t: Fraction) -> "CurveQ":
-        """Model in the coordinates (x', y') with x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-        u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
+    def transform(self, u, r, s, t) -> "CurveQ":
+        """Model in the coordinates (x', y') with x = u^2 x' + r, y = u^3 y' + s u^2 x' + t;
+        on an integral model, int (u, r, s, t) keep the translation in ints."""
+        ints = self.is_integral() and all(type(v) is int for v in (u, r, s, t))
+        u, r, s, t = (u, r, s, t) if ints else map(_as_fraction, (u, r, s, t))
         if u == 0:
             raise InvalidParameterError("transform scale u must be nonzero")
-        a1, a2, a3, a4, a6 = translated(self.ainvs, r, s, t)
-        return CurveQ(a1 / u, a2 / u**2, a3 / u**3, a4 / u**4, a6 / u**6)
-
-    def transform_point(self, P: "PointQ", u, r, s, t) -> "PointQ":
-        """Image of a point of this curve under the same (u, r, s, t) change of coordinates."""
-        if P.is_infinity():
-            return P
-        u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-        x1 = (P.x - r) / u**2
-        y1 = (P.y - s * (P.x - r) - t) / u**3
-        return PointQ(x1, y1)
+        moved = translated(tuple(a.numerator for a in self.ainvs) if ints else self.ainvs, r, s, t)
+        return CurveQ(*(Fraction(a, u**w) for a, w in zip(moved, (1, 2, 3, 4, 6))))
 
     def __str__(self) -> str:
         return "[" + ",".join(format_rational(a) for a in self.ainvs) + "]"
@@ -152,7 +152,7 @@ class PointQ(_PointQTuple):
         if (x is None) != (y is None):
             raise InvalidParameterError("point needs both coordinates or neither")
         if x is not None:
-            x, y = Fraction(x), Fraction(y)
+            x, y = _as_fraction(x), _as_fraction(y)
         return super().__new__(cls, x, y)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
@@ -215,41 +215,36 @@ def curve_invariants(E: CurveQ) -> dict[str, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# group law
-
-
-def _chord_tangent(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
-    """P + Q by the chord-tangent formula on the long model, for P and Q on E."""
-    if P.is_infinity():
-        return Q
-    if Q.is_infinity():
-        return P
-    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-    if x1 == x2:
-        if y1 + y2 + E.a1 * x2 + E.a3 == 0:
-            return PointQ.infinity()
-        lam = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) / (2 * y1 + E.a1 * x1 + E.a3)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
-    y3 = -(lam + E.a1) * x3 - nu - E.a3
-    return PointQ(x3, y3)
+# the order of a point
 
 
 def point_order(E: CurveQ, P: PointQ, bound: int) -> int | None:
     """Smallest n <= bound with nP = infinity, or None if no such n exists.
 
-    P is checked on E once; each multiple (n + 1)P = nP + P is then one
-    chord-tangent step, with no further check.
+    P is checked on E once, then moved to y^2 = x^3 - 27 m^4 c4 x - 54 m^6 c6 by
+    x -> m^2 (36 x + 3 b2), y -> 108 m^3 (2y + a1 x + a3), m clearing c4's and c6's
+    denominators. Torsion is integral there (Nagell-Lutz, Silverman AEC VIII.7.1): the
+    multiples nP are made in ints, and the first non-integral one proves infinite order.
     """
     if not P.on_curve(E):
         raise InvalidParameterError("point not on curve")
-    Q = P
-    for n in range(1, bound + 1):
-        if Q.is_infinity():
+    if P.is_infinity():
+        return 1 if bound >= 1 else None
+    m = _denominator_scale((4, 6), (E.c4, E.c6))
+    x = m * m * (36 * P.x + 3 * E.b2)
+    y = 108 * m**3 * (2 * P.y + E.a1 * P.x + E.a3)
+    if x.denominator != 1:  # an integral x has an integral y, as y^2 = x^3 + A x + B
+        return None
+    A = -27 * m**4 * E.c4.numerator // E.c4.denominator
+    xp, yp = xq, yq = x.numerator, y.numerator
+    for n in range(2, bound + 1):  # (xq, yq) is (n - 1)P; make nP
+        if xq == xp and yq + yp == 0:
             return n
-        Q = _chord_tangent(E, Q, P)
+        lam, rem = divmod(*((3 * xp * xp + A, 2 * yp) if xq == xp else (yq - yp, xq - xp)))
+        if rem:
+            return None
+        x3 = lam * lam - xq - xp
+        xq, yq = x3, lam * (xp - x3) - yp
     return None
 
 
@@ -319,17 +314,19 @@ def _denominator_scale(weights: tuple[int, ...], values: tuple[Fraction, ...]) -
     return math.prod(q**e for q, e in need.items())
 
 
-def integral_model(E: CurveQ) -> tuple[CurveQ, Fraction]:
-    """Scale to integral coefficients; returns (model, u) with model = E.transform(u, 0, 0, 0)."""
+def integral_model(E: CurveQ) -> tuple[CurveQ, Fraction | int]:
+    """(model, u) with integral model = E.transform(u, 0, 0, 0): (E, 1) if E is integral."""
+    if E.is_integral():
+        return E, 1
     u = Fraction(1, _denominator_scale((1, 2, 3, 4, 6), E.ainvs))
     return E.transform(u, 0, 0, 0), u
 
 
-def minimal_model(E: CurveQ) -> tuple[CurveQ, tuple[Fraction, Fraction, Fraction, Fraction]]:
+def minimal_model(E: CurveQ) -> tuple[CurveQ, tuple]:
     """Global minimal model and the (u, r, s, t) with E.transform(u, r, s, t) = E_min.
 
     The returned model is the canonical reduced one: a1, a3 in {0, 1} and
-    a2 in {-1, 0, 1}. disc(E) / disc(E_min) = u^12.
+    a2 in {-1, 0, 1}. disc(E) / disc(E_min) = u^12; u, r, s, t are ints if E is integral.
     """
     E_int, u0 = integral_model(E)
     c4 = int(E_int.c4)
@@ -351,11 +348,12 @@ def minimal_model(E: CurveQ) -> tuple[CurveQ, tuple[Fraction, Fraction, Fraction
                 d -= 1
         u1 *= p**d
     E_min = _model_from_c4c6(c4 // u1**4, c6 // u1**6)
-    u = u0 * u1
-    # solve the translation part of the transform taking E to E_min
-    s = (u * E_min.a1 - E.a1) / 2
-    r = (u**2 * E_min.a2 - E.a2 + s * E.a1 + s * s) / 3
-    t = (u**3 * E_min.a3 - E.a3 - r * E.a1) / 2
+    # E_int -> E_min is integral (Silverman AEC VII.1.3(d)), then E -> E_int scales by u0
+    (a1, a2, a3), (m1, m2, m3) = ((a.numerator for a in C.ainvs[:3]) for C in (E_int, E_min))
+    s = (u1 * m1 - a1) // 2
+    r = (u1**2 * m2 - a2 + s * a1 + s * s) // 3
+    t = (u1**3 * m3 - a3 - r * a1) // 2
+    u, r, s, t = u0 * u1, u0**2 * r, u0 * s, u0**3 * t
     if E.transform(u, r, s, t) != E_min:
         raise InvalidParameterError("internal: minimal model transform mismatch")
     return E_min, (u, r, s, t)
@@ -372,7 +370,7 @@ def short_model_data(E: CurveQ) -> tuple[int, int, tuple[Fraction, Fraction]]:
     B = -54 * int(Emin.c6)
     # x_min = (x - r) / u^2, then x_short = 36 x_min + 3 b2(E_min)
     mu = Fraction(36) / u**2
-    nu = -36 * r / u**2 + 3 * Emin.b2
+    nu = 3 * Emin.b2 - mu * r
     return A, B, (mu, nu)
 
 

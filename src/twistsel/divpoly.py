@@ -4,7 +4,8 @@ The n-th division polynomial is computed from the b-invariants of a scaled
 integral model and rescaled back, so its roots are x-coordinates of n-torsion
 in the input model's own coordinates. For odd n it is a polynomial in x of
 degree (n^2 - 1)/2 with leading coefficient n; for even n the returned
-x-polynomial carries the cofactor 2y + a1 x + a3.
+x-polynomial carries the cofactor 2y + a1 x + a3. Rational torsion of odd
+prime order ell is looked for only at 3, 5 and 7, as Mazur's theorem allows.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .polyzq import (
 )
 
 MAX_DIVPOLY_INDEX = 40
+ODD_TORSION_PRIMES = (3, 5, 7)  # the odd prime orders of rational torsion over Q (Mazur)
 
 
 def _t_poly(b: tuple[int, int, int, int], n: int) -> ZX:
@@ -116,13 +118,12 @@ def rational_ell_torsion_point(E: CurveQ, ell: int) -> PointQ | None:
     """A rational point of exact order ell, or None.
 
     Complete for ell in {3, 5, 7}, the only odd prime orders possible over Q
-    (Mazur). For larger ell up to MAX_DIVPOLY_INDEX it reports None when no
-    rational root of psi_ell yields one; past that, by Mazur's theorem alone,
-    without building psi_ell.
+    (Mazur): there the rational roots of psi_ell are lifted to points. Every
+    other odd prime gets None by Mazur's theorem alone, without building psi_ell.
     """
     if ell < 3 or not is_prime(ell):
         raise InvalidParameterError("ell must be an odd prime")
-    if ell > MAX_DIVPOLY_INDEX:
+    if ell not in ODD_TORSION_PRIMES:
         return None
     psi = division_poly_primitive(E, ell)
     linear, _ = zx_factor_bounded(psi, 1)

@@ -273,11 +273,12 @@ def is_supersingular(E_min: CurveQ, red: LocalReduction) -> SupersingularResult:
     return SupersingularResult(verdict, f"{how}, a_{ell} = {a}")
 
 
-def _x_has_pole_at(E: CurveQ, transform: tuple, P: PointQ, ell: int) -> bool:
+def _x_has_pole_at(transform: tuple, P: PointQ, ell: int) -> bool:
     """Whether ord_ell(x(P)) < 0 on the minimal model, for an affine point P of E.
 
-    transform is the (u, r, s, t) to it from `curves.minimal_model`. With good or
-    bad reduction at ell, this is P reducing to the point at infinity. x is in
-    lowest terms, so its valuation is negative iff ell divides its denominator.
+    transform is the (u, r, s, t) to it from `curves.minimal_model`, so x' = (x - r) / u^2.
+    With good or bad reduction at ell, this is P reducing to the point at infinity.
+    x' is in lowest terms, so its valuation is negative iff ell divides its denominator.
     """
-    return E.transform_point(P, *transform).x.denominator % ell == 0
+    u, r = transform[:2]
+    return ((P.x - r) / u**2).denominator % ell == 0

@@ -3,6 +3,7 @@
 Independent of the library: plain affine enumeration and a textbook group
 law mod p. Slow on purpose; only correctness matters here.
 
+`transform_point` moves a rational point by a change of coordinates, and
 `add_points`, `negate_point` and `multiply_point` are the oracle's own group
 law on rational points: the textbook chord-tangent formulas in Fractions,
 each point checked on the curve at every addition, on the library's `CurveQ`
@@ -11,6 +12,8 @@ minimal models with the library, but never runs Tate's algorithm.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from twistsel.curves import CurveQ, PointQ, minimal_model, quadratic_twist
 from twistsel.errors import InvalidParameterError
@@ -101,6 +104,15 @@ def nonsingular_reduction_count(ainvs, p):
                 continue
             count += 1
     return count
+
+
+def transform_point(P: PointQ, u, r, s, t) -> PointQ:
+    """P in the coordinates of E.transform(u, r, s, t), x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+    if P.is_infinity():
+        return P
+    u, r, s, t = map(Fraction, (u, r, s, t))
+    x = (P.x - r) / u**2
+    return PointQ(x, (P.y - s * u**2 * x - t) / u**3)
 
 
 def add_points(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:

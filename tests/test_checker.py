@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -353,6 +354,28 @@ def test_torsion_proof_lifts_roots_and_checks_the_point_once(monkeypatch, E, ell
     assert rep.ok and rep.torsion_point is not None
     assert gcdex == []
     assert checked == [rep.torsion_point]
+
+
+def _fraction_constructions(f) -> int:
+    """Fractions made while f runs, counted with sys.setprofile: calls of
+    Fraction.__new__ and, where it exists, of Fraction._from_coprime_ints, which
+    the arithmetic operators use in place of __new__ from CPython 3.12 on."""
+    makers = (Fraction.__new__, getattr(Fraction, "_from_coprime_ints", None))
+    codes, calls = {m.__code__ for m in makers if m is not None}, []
+    sys.setprofile(lambda fr, event, _: event == "call" and fr.f_code in codes and calls.append(1))
+    try:
+        f()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("E, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
+def test_hypothesis_check_of_an_integral_curve_runs_on_ints(E, ell):
+    # 285 and 322 Fractions were made (CPython 3.11) when the order proof, the
+    # transforms and the minimal model's (u, r, s, t) ran in Fractions on these curves
+    assert _fraction_constructions(lambda: Fraction(1, 3) + Fraction(1, 5)) == 3  # sum counted
+    assert _fraction_constructions(lambda: hypothesis_check(E, ell)) <= 100
 
 
 def _differences_from_oracle(rules, ds, predicate=None):

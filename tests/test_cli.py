@@ -250,6 +250,24 @@ def test_ell_past_the_division_polynomial_limit_gets_the_torsion_verdict(capsys,
     )
 
 
+def test_check_at_13_builds_no_division_polynomial(capsys, monkeypatch):
+    # Mazur: no rational point has prime order 13, so psi_13 is neither built nor factored
+    def refuse(*args):
+        raise AssertionError("psi_13 built or factored")
+
+    monkeypatch.setattr(divpoly, "division_poly_primitive", refuse)
+    monkeypatch.setattr(divpoly, "zx_factor_bounded", refuse)
+    for curve in ("[0,-1,1,0,0]", "[0,0,0,13674069,324405221670]"):
+        code, out, err = run_cli(capsys, "check", "--curve", curve, "--ell", "13", "--d", "-7")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["checks"] == [{
+            "cite": "rational point of odd prime order 13",
+            "detail": "no rational point has prime order 13 > 7 (Mazur); psi_13 is not built",
+            "id": "hypothesis.torsion",
+            "pass": False,
+        }]
+
+
 def test_check_inadmissible(capsys):
     code, out, _ = run_cli(capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-13")
     assert code == 0

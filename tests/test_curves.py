@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_ec import add_points, multiply_point, negate_point
+from oracle_ec import add_points, multiply_point, negate_point, transform_point
+from twistsel import curves
 from twistsel.curves import (
     CurveQ,
     PointQ,
     curve_from_string,
     curve_invariants,
     format_rational,
+    integral_model,
     minimal_model,
     parse_rational,
     point_from_string,
@@ -203,6 +205,128 @@ def test_point_order_examples():
     assert point_order(E37, PointQ(0, 0), 20) is None
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", "1", None, 1j])
+def test_floats_and_strings_are_refused_where_they_enter(bad):
+    # a float is not converted to its binary fraction, nor a str parsed: only
+    # the parsers read text, and nothing reads floats
+    with pytest.raises(InvalidParameterError, match="int or a Fraction"):
+        CurveQ(bad, 0, 0, 0, 1)
+    with pytest.raises(InvalidParameterError, match="int or a Fraction"):
+        CurveQ(0, 0, 0, 1, bad)
+    if bad is not None:  # PointQ() with no coordinates is the point at infinity
+        with pytest.raises(InvalidParameterError, match="int or a Fraction"):
+            PointQ(bad, 0)
+        with pytest.raises(InvalidParameterError, match="int or a Fraction"):
+            PointQ(0, bad)
+    for urst in ((bad, 0, 0, 0), (1, 0, 0, bad)):
+        with pytest.raises(InvalidParameterError, match="int or a Fraction"):
+            E11A3.transform(*urst)
+    assert CurveQ(True, Fraction(1, 3), 0, 0, 1).ainvs == (1, Fraction(1, 3), 0, 0, 1)
+
+
+def _tate_normal_form(order: int, t: Fraction) -> tuple:
+    """(b, c) of Tate's normal form y^2 + (1 - c) xy - b y = x^3 - b x^2, on
+    which (0, 0) has the given order 4 <= order <= 12 (Kubert's table)."""
+    if order == 4:
+        return t, 0
+    if order == 5:
+        return t, t
+    if order == 6:
+        return t + t * t, t
+    if order == 7:
+        return t**3 - t**2, t**2 - t
+    if order == 8:
+        b = (2 * t - 1) * (t - 1)
+        return b, b / t
+    if order == 9:
+        c = t * t * (t - 1)
+        return c * (t * t - t + 1), c
+    if order == 10:
+        d = t * t / (t - (t - 1) ** 2)
+        return (t * d - t) * d, t * d - t
+    m = (3 * t - 3 * t * t - 1) / (t - 1)
+    f, d = m / (1 - t), m + t
+    return f * (d - 1) * d, f * (d - 1)
+
+
+def _torsion_examples(rng, order: int):
+    """Seeded curves with a point of the given order, most of them not integral."""
+    made = 0
+    while made < 4:
+        t = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        if order == 1:
+            args, P = (0, 0, t.numerator, -t, 0), PointQ.infinity()
+        elif order == 2:  # y^2 = x^3 + t x^2 + b x
+            args, P = (0, t, 0, rng.randint(1, 6), 0), PointQ(0, 0)
+        elif order == 3:  # y^2 + a1 xy + t y = x^3
+            args, P = (rng.randint(-3, 3), 0, t, 0, 0), PointQ(0, 0)
+        else:
+            try:
+                b, c = _tate_normal_form(order, t)
+            except ZeroDivisionError:
+                continue
+            args, P = (1 - c, -b, -b, 0, 0), PointQ(0, 0)
+        try:
+            E = CurveQ(*args)
+        except InvalidParameterError:  # a singular member of the family
+            continue
+        made += 1
+        yield E, P
+
+
+def _oracle_order(E, P, bound):
+    return next((n for n in range(1, bound + 1) if multiply_point(E, n, P).is_infinity()), None)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_point_order_matches_the_oracle_on_every_torsion_order(order):
+    """Every order Mazur allows, on seeded models, most of them non-integral,
+    and on their images under seeded (u, r, s, t) with a non-integral u, at a
+    bound above the order and one below it."""
+    rng = random.Random(3200 + order)
+    for E, P in _torsion_examples(rng, order):
+        assert _oracle_order(E, P, 12) == order
+        u = Fraction(rng.randint(1, 4), rng.randint(1, 6))
+        r, s, t = (Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))
+        for F, Q in ((E, P), (E.transform(u, r, s, t), transform_point(P, u, r, s, t))):
+            assert point_order(F, Q, 12) == order, (F, Q)
+            assert point_order(F, Q, order - 1) is None
+            assert point_order(F, Q, 40) == _oracle_order(F, Q, 40)
+
+
+def test_non_torsion_walk_stops_at_its_first_non_integral_multiple(monkeypatch):
+    """On 37a1 the generator (0, 0) has infinite order. Its multiples on the
+    short model y^2 = x^3 - 27 c4 x - 54 c6 (x -> 36 x + 3 b2) are integral up
+    to some k, by the oracle's group law; the walk computes the slopes of 2P,
+    ..., kP and stops there, at any bound that reaches k; a bound below k
+    stops it at the slope of (bound)P."""
+    E37 = CurveQ(0, 0, 1, -1, 0)
+    P = PointQ(0, 0)
+    short_x = [36 * multiply_point(E37, n, P).x + 3 * E37.b2 for n in range(1, 41)]
+    k = next(n for n, x in enumerate(short_x, 1) if x.denominator > 1)
+    assert k == 8
+    slopes = []
+
+    def counting_divmod(a, b):
+        slopes.append((a, b))
+        return divmod(a, b)
+
+    monkeypatch.setattr(curves, "divmod", counting_divmod, raising=False)
+    for bound in (k - 1, k, 20, 40):
+        slopes.clear()
+        assert point_order(E37, P, bound) is None
+        assert len(slopes) == min(bound, k) - 1
+    # scaled to a non-integral model the walk is the same
+    slopes.clear()
+    u = Fraction(1, 6)
+    assert point_order(E37.transform(u, 0, 0, 0), transform_point(P, u, 0, 0, 0), 40) is None
+    assert len(slopes) == k - 1
+    # a non-integral starting point stops the walk before its first slope
+    slopes.clear()
+    assert point_order(E37, multiply_point(E37, k, P), 40) is None
+    assert slopes == []
+
+
 def test_group_law_commutes_and_associates():
     E = CurveQ(0, 0, 1, -1, 0)  # rank 1, P = (0, 0) generates
     P = PointQ(0, 0)
@@ -238,6 +362,40 @@ def test_minimal_model_idempotent():
     assert (u, r, s, t) == (1, 0, 0, 0)
 
 
+def test_integral_model_returns_an_integral_curve_as_it_is():
+    assert integral_model(E11A3) == (E11A3, 1) and integral_model(E11A3)[0] is E11A3
+    E = CurveQ(0, 0, 0, Fraction(1, 16), Fraction(-1, 64))
+    F, u = integral_model(E)
+    assert F.is_integral() and F == E.transform(u, 0, 0, 0) and u == Fraction(1, 2)
+
+
+def test_minimal_model_of_an_integral_curve_is_reached_in_ints():
+    """Seeded integral models that are not minimal: a minimal one moved by
+    (1/k, r, s, t) with k, r, s, t integers. The transform back is found in
+    ints, and it is the one that the Fraction path finds from a non-integral
+    copy of E."""
+    rng = random.Random(32)
+    checked = 0
+    while checked < 150:
+        try:
+            E_min = minimal_model(CurveQ(*(rng.randint(-20, 20) for _ in range(5))))[0]
+        except InvalidParameterError:
+            continue
+        k = rng.randint(1, 6)
+        r, s, t = (rng.randint(-30, 30) for _ in range(3))
+        E = E_min.transform(Fraction(1, k), r, s, t)
+        assert E.is_integral()
+        got, (u1, r1, s1, t1) = minimal_model(E)
+        assert got == E_min and all(type(v) is int for v in (u1, r1, s1, t1))
+        assert E.transform(u1, r1, s1, t1) == E_min
+        # E moved by x -> x + 1/2 is not integral, and is solved in Fractions
+        F = E.transform(1, Fraction(1, 2), 0, 0)
+        assert not F.is_integral()
+        got_f, urst = minimal_model(F)
+        assert got_f == E_min and urst == (u1, r1 - Fraction(1, 2), s1, t1)
+        checked += 1
+
+
 def test_minimal_model_rational_input():
     E = CurveQ(0, 0, 0, Fraction(1, 16), Fraction(-1, 64))
     Emin, (u, _r, _s, _t) = minimal_model(E)
@@ -261,7 +419,7 @@ def test_transform_roundtrip_point():
             found = PointQ(xi, root)
             break
     assert found is not None
-    image = E.transform_point(found, u, r, s, t)
+    image = transform_point(found, u, r, s, t)
     assert image.on_curve(Emin)
 
 

@@ -6,7 +6,14 @@ import pytest
 
 from oracle_ec import multiply_point, torsion_x_coords
 from oracle_poly import zx_eval
-from twistsel.curves import CurveQ, PointQ, curve_from_string, point_order, quadratic_twist
+from twistsel.curves import (
+    CurveQ,
+    PointQ,
+    curve_from_string,
+    point_order,
+    quadratic_twist,
+    rational_sqrt,
+)
 from twistsel.divpoly import (
     division_poly_primitive,
     division_polynomial,
@@ -16,7 +23,7 @@ from twistsel.divpoly import (
 )
 from twistsel.errors import InvalidParameterError, UnsupportedError
 from twistsel.intmath import primes_up_to
-from twistsel.polyzq import zx_mul
+from twistsel.polyzq import zx_factor_bounded, zx_mul
 from twistsel.reduction import local_reduction
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
@@ -126,6 +133,40 @@ def test_rational_torsion_examples():
     assert rational_ell_torsion_point(E_J0, 3) == PointQ(0, 1)
     P = rational_ell_torsion_point(CurveQ(1, 1, 1, 0, 1), 5)
     assert P is not None and point_order(CurveQ(1, 1, 1, 0, 1), P, 5) == 5
+
+
+def _psi_root_search(E: CurveQ, ell: int) -> list[PointQ]:
+    """The torsion search that once ran at every ell up to 40: each rational
+    root x0 of psi_ell with a rational y on E, kept if the oracle's group law
+    gives it order ell."""
+    linear, _ = zx_factor_bounded(division_poly_primitive(E, ell), 1)
+    found = []
+    for g in linear:
+        x0 = Fraction(-g[0], g[1])
+        s = E.a1 * x0 + E.a3
+        root = rational_sqrt(s * s + 4 * E.rhs(x0))
+        if root is not None and multiply_point(E, ell, PointQ(x0, (-s + root) / 2)).is_infinity():
+            found.append(PointQ(x0, (-s + root) / 2))
+    return found
+
+
+E26 = CurveQ(1, -1, 1, -3, 3)
+E13 = curve_from_string("[0,0,0,13674069,324405221670]")
+
+
+def test_the_psi_root_search_finds_the_points_that_exist():
+    for E, ell in ((E11A3, 5), (E26, 7)):
+        found = _psi_root_search(E, ell)
+        assert len(found) == (ell - 1) // 2 and rational_ell_torsion_point(E, ell) in found
+
+
+@pytest.mark.parametrize("ell", [11, 13, 17])
+def test_mazur_matches_the_psi_root_search(ell):
+    # past 7 no psi_ell is built: Mazur's theorem answers, and the search
+    # that used to run finds no point either
+    for E in (E11A3, E26, E13):
+        assert _psi_root_search(E, ell) == []
+        assert rational_ell_torsion_point(E, ell) is None
 
 
 def _kubert_curves(ell: int, ts):

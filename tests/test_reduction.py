@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 import oracle_tate
-from oracle_ec import multiply_point, nonsingular_reduction_count, supersingular_by_twist_search
+from oracle_ec import (
+    multiply_point,
+    nonsingular_reduction_count,
+    supersingular_by_twist_search,
+    transform_point,
+)
 from twistsel.curves import (
     CurveQ,
     PointQ,
@@ -442,8 +447,8 @@ def test_supersingular_builds_at_most_one_twist(monkeypatch, curve, twists):
 def test_kernel_of_reduction():
     P = PointQ(0, 0)
     transform = minimal_model(E11A3)[1]
-    assert not _x_has_pole_at(E11A3, transform, P, 5)
-    assert not _x_has_pole_at(E11A3, transform, PointQ(1, 0), 5)
+    assert not _x_has_pole_at(transform, P, 5)
+    assert not _x_has_pole_at(transform, PointQ(1, 0), 5)
     # multiply a generator into the kernel of reduction mod 5 on 37a1
     E37 = CurveQ(0, 0, 1, -1, 0)
     count5 = 5 + 1 - ap(E37, 5)
@@ -452,4 +457,26 @@ def test_kernel_of_reduction():
     from twistsel.intmath import valuation
 
     assert valuation(Q.x.denominator, 5) > 0
-    assert _x_has_pole_at(E37, minimal_model(E37)[1], Q, 5)
+    assert _x_has_pole_at(minimal_model(E37)[1], Q, 5)
+
+
+def test_pole_test_matches_the_oracle_image_point():
+    """_x_has_pole_at, reading the denominator of (x - r) / u^2, decides as the
+    oracle's image of P on the minimal model does, with (u, r) ints and with
+    Fractions. The models are 11a3 moved by seeded (u, r, s, t), so u carries
+    ell often, r is integral when E is."""
+    rng = random.Random(321)
+    seen = set()
+    for _ in range(400):
+        ell = rng.choice((5, 7))
+        u = ell ** rng.randint(0, 2) * rng.choice((1, 2, 3))
+        r, s, t = (Fraction(rng.randint(-99, 99), rng.choice((1, 1, 2, 5))) for _ in range(3))
+        E = E11A3.transform(Fraction(1, u), r, s, t)
+        transform = minimal_model(E)[1]
+        assert all(type(v) is int for v in transform) == E.is_integral()
+        x = r + Fraction(ell ** rng.randint(0, 5) * rng.randint(-3, 3), rng.choice((1, 1, ell, 3)))
+        P = PointQ(x, 0)  # the test reads x only; P need not lie on E
+        got = _x_has_pole_at(transform, P, ell)
+        assert got == (transform_point(P, *transform).x.denominator % ell == 0)
+        seen.add((got, E.is_integral() and x.denominator == 1))
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
