@@ -5,7 +5,10 @@ integral model and rescaled back, so its roots are x-coordinates of n-torsion
 in the input model's own coordinates. For odd n it is a polynomial in x of
 degree (n^2 - 1)/2 with leading coefficient n; for even n the returned
 x-polynomial carries the cofactor 2y + a1 x + a3. Rational torsion of odd
-prime order ell is looked for only at 3, 5 and 7, as Mazur's theorem allows.
+prime order ell is looked for only at 3, 5 and 7, as Mazur's theorem allows,
+among the rational roots of psi_ell, which are read from its simple roots at
+one small prime and lifted (`_rational_roots`); bounded Zassenhaus runs only
+for factor shapes.
 """
 
 from __future__ import annotations
@@ -15,11 +18,15 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .curves import CurveQ, PointQ, _denominator_scale, point_order, rational_sqrt, short_model_data
-from .errors import InvalidParameterError, UnsupportedError
+from .errors import InvalidParameterError, ResourceError, UnsupportedError
 from .intmath import is_prime
 from .numfield import NumberFieldDef, adjoin_sqrt
 from .polyzq import (
+    _P_LIMIT,
     ZX,
+    _lift_target,
+    _root_bound,
+    hensel_lift,
     zx_compose,
     zx_deg,
     zx_div_exact,
@@ -114,21 +121,60 @@ def division_poly_primitive(E: CurveQ, n: int) -> ZX:
     return zx_primitive(ints)[1]
 
 
+def _rational_roots(f: ZX) -> list[Fraction]:
+    """The rational roots of a squarefree f in Z[x], least first.
+
+    p is the least odd prime not dividing lc = lc(f) at which every root of f
+    mod p is simple, found by evaluating f at every residue. Each root is
+    lifted to the root R of f mod p^t > 2 |lc| B, B Fujiwara's root bound, and
+    the candidate is (lc R mod p^t, in the symmetric range) / lc, kept if f
+    vanishes there. A rational root a/b has b | lc, so it reduces mod p to a
+    simple root, whose lift is unique (Hensel), and |lc a/b| < |lc| B < p^t / 2.
+    """
+    lc = f[-1]
+    for p in (q for q in range(3, _P_LIMIT + 1, 2) if lc % q and is_prime(q)):
+        fp, roots = [c % p for c in reversed(f)], []
+        for r in range(p):
+            v = d = 0
+            for c in fp:
+                v, d = (v * r + c) % p, (d * r + v) % p
+            if v == 0:
+                roots.append(r)
+                if d == 0:  # a double root mod p: try the next prime
+                    break
+        else:  # every root mod p is simple
+            break
+    else:
+        raise ResourceError("no prime below threshold where every root is simple")
+    target, pl = _lift_target(p, 2 * abs(lc) * _root_bound(f) + 1)
+    found = []
+    for g in hensel_lift(p, f, [[-r, 1] for r in roots], target):
+        c = (pl // 2 - g[0] * lc) % pl - pl // 2  # lc R in the symmetric range
+        k = math.gcd(c, lc) if lc > 0 else -math.gcd(c, lc)
+        a, b = c // k, lc // k
+        v, bk = 0, 1
+        for coeff in reversed(f):  # b^n f(a / b)
+            v, bk = v * a + coeff * bk, bk * b
+        if v == 0:
+            found.append(Fraction(a, b))
+    return sorted(found)
+
+
 def rational_ell_torsion_point(E: CurveQ, ell: int) -> PointQ | None:
     """A rational point of exact order ell, or None.
 
     Complete for ell in {3, 5, 7}, the only odd prime orders possible over Q
-    (Mazur): there the rational roots of psi_ell are lifted to points. Every
-    other odd prime gets None by Mazur's theorem alone, without building psi_ell.
+    (Mazur): there the rational roots of psi_ell are lifted to points. They are
+    all found from psi_ell's simple roots at one small prime p (`_rational_roots`):
+    a root a/b has b | lc, so it reduces to one of them, which has one Hensel
+    lift, and |lc a/b| < p^t / 2. Every other odd prime gets None by Mazur's
+    theorem alone, without building psi_ell.
     """
     if ell < 3 or not is_prime(ell):
         raise InvalidParameterError("ell must be an odd prime")
     if ell not in ODD_TORSION_PRIMES:
         return None
-    psi = division_poly_primitive(E, ell)
-    linear, _ = zx_factor_bounded(psi, 1)
-    roots = sorted(Fraction(-g[0], g[1]) for g in linear)
-    for x0 in roots:
+    for x0 in _rational_roots(division_poly_primitive(E, ell)):
         # y^2 + (a1 x0 + a3) y = rhs(x0); the discriminant is F(x0) = psi_2^2 at x0
         s = E.a1 * x0 + E.a3
         disc = s * s + 4 * E.rhs(x0)

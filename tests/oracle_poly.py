@@ -18,10 +18,15 @@ d it powers h -> h^p mod the remaining product and takes one gcd with
 h - x. The library makes the powers mod f once, finds the whole part of
 degree <= min(bound, n / 2) with one gcd and runs the per-degree gcds on
 that part alone.
+`rational_roots_by_divisors` is the rational root theorem by brute force:
+every a/b with b | lc f and a | the lowest nonzero coefficient is tried by
+Fraction evaluation. The library lifts the roots of f at one small prime
+instead. Its divisors come from trial division, so only small coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from twistsel.errors import InvalidParameterError
@@ -185,3 +190,22 @@ def fp_ddf(f, p, bound: int | None = None):
     if zx_deg(v) > 0:
         out.append((v, zx_deg(v)))
     return out
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small) | {n // k for k in small})
+
+
+def rational_roots_by_divisors(f: list[int]) -> list[Fraction]:
+    """The rational roots of a nonzero f in Z[x], least first."""
+    low = next(i for i, c in enumerate(f) if c)
+    f = f[low:]
+    while not f[-1]:
+        f = f[:-1]
+    roots = {Fraction(0)} if low else set()
+    for b in _divisors(f[-1]):
+        for a in _divisors(f[0]):
+            roots |= {x for x in (Fraction(a, b), Fraction(-a, b)) if zx_eval(f, x) == 0}
+    return sorted(roots)

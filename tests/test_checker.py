@@ -356,6 +356,22 @@ def test_torsion_proof_lifts_roots_and_checks_the_point_once(monkeypatch, E, ell
     assert checked == [rep.torsion_point]
 
 
+@pytest.mark.parametrize("E, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
+def test_torsion_search_runs_no_factorizer(monkeypatch, E, ell):
+    """The rational roots of psi_ell come from its roots at one small prime: no
+    squarefree test, distinct- or equal-degree factorization, or bounded Zassenhaus."""
+    from twistsel import divpoly, polyzq
+
+    calls = []
+    for mod, name in [(polyzq, "fp_ddf"), (polyzq, "fp_edf"), (polyzq, "fp_is_squarefree"),
+                      (polyzq, "zx_factor_bounded"), (divpoly, "zx_factor_bounded")]:
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    rep = hypothesis_check(E, ell)
+    assert rep.ok and rep.torsion_point is not None
+    assert calls == []
+
+
 def _fraction_constructions(f) -> int:
     """Fractions made while f runs, counted with sys.setprofile: calls of
     Fraction.__new__ and, where it exists, of Fraction._from_coprime_ints, which

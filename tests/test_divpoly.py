@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from oracle_ec import multiply_point, torsion_x_coords
-from oracle_poly import zx_eval
+from oracle_poly import rational_roots_by_divisors, zx_eval
+from twistsel import divpoly
 from twistsel.curves import (
     CurveQ,
     PointQ,
@@ -15,6 +16,7 @@ from twistsel.curves import (
     rational_sqrt,
 )
 from twistsel.divpoly import (
+    _rational_roots,
     division_poly_primitive,
     division_polynomial,
     psi_factor_shape,
@@ -23,7 +25,7 @@ from twistsel.divpoly import (
 )
 from twistsel.errors import InvalidParameterError, UnsupportedError
 from twistsel.intmath import primes_up_to
-from twistsel.polyzq import zx_factor_bounded, zx_mul
+from twistsel.polyzq import zx_deg, zx_derivative, zx_factor_bounded, zx_gcd, zx_mul, zx_primitive
 from twistsel.reduction import local_reduction
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
@@ -205,6 +207,132 @@ def test_rational_torsion_on_kubert_families_and_their_twists(ell):
             assert rational_ell_torsion_point(quadratic_twist(E, d), ell) is None, (E, d)
         found += 1
     assert found >= 6
+
+
+def _linear_factor_roots(f):
+    """Oracle: the roots of the linear factors from bounded Zassenhaus at bound 1."""
+    return sorted(Fraction(-g[0], g[1]) for g in zx_factor_bounded(f, 1)[0])
+
+
+def _product(*factors):
+    out = [1]
+    for g in factors:
+        out = zx_mul(out, g)
+    return zx_primitive(out)[1]
+
+
+def _seeded_polys():
+    """(kind, f): primitive squarefree f in Z[x] with small coefficients."""
+    rng = random.Random(33)
+
+    def linear(dens):
+        b = rng.choice(dens)
+        a = rng.choice([k for k in range(-12, 13) if math.gcd(k, b) == 1])
+        return [-a, b]
+
+    def no_real_root():  # a x^2 + b x + c with b^2 < 4 a c
+        while True:
+            a, b, c = rng.randint(1, 9), rng.randint(-6, 6), rng.randint(1, 9)
+            if b * b < 4 * a * c:
+                return [c, b, a]
+
+    kinds = {
+        # lc(f) with many small prime factors; its divisors are the denominators
+        "lc-smooth": lambda: _product(linear([1, 2, 3, 5, 6, 7, 10]), [rng.randint(-9, 9), 0, 0, 210]),
+        "denominators": lambda: _product(linear([2, 3, 4, 9]), linear([5, 6, 8]), no_real_root()),
+        "zero-root": lambda: _product([0, 1], linear([1, 2, 3]), no_real_root()),
+        "no-root": lambda: _product(no_real_root(), no_real_root()),
+        # roots r and r + 105 meet mod 3, 5 and 7, so the root finder must move past them
+        "double-mod-3-5-7": lambda: _product([-(r := rng.randint(-9, 9)), 1], [-(r + 105), 1], linear([1, 2])),
+    }
+    for kind, make in kinds.items():
+        made = 0
+        while made < 12:
+            f = make()
+            if zx_deg(zx_gcd(f, zx_derivative(f))) == 0:
+                made += 1
+                yield kind, f
+
+
+def _spy_lift_prime(monkeypatch):
+    primes = []
+    lift = divpoly.hensel_lift
+    monkeypatch.setattr(divpoly, "hensel_lift", lambda p, *a: primes.append(p) or lift(p, *a))
+    return primes
+
+
+def test_rational_roots_match_both_oracles(monkeypatch):
+    primes = _spy_lift_prime(monkeypatch)
+    for kind, f in _seeded_polys():
+        primes.clear()
+        want = rational_roots_by_divisors(f)
+        assert _rational_roots(f) == want == _linear_factor_roots(f), (kind, f)
+        assert _rational_roots([-c for c in f]) == want  # a negative leading coefficient
+        assert (want == []) == (kind == "no-root")
+        if kind == "double-mod-3-5-7":
+            assert primes and primes[0] > 7, f
+        if kind == "zero-root":
+            assert Fraction(0) in want
+
+
+def test_rational_roots_skip_the_primes_with_a_double_root(monkeypatch):
+    # (x - 1)(x - 106)(2x + 3): 1 and 106 meet mod 3, 5 and 7; -3/2 meets 1 mod 5
+    primes = _spy_lift_prime(monkeypatch)
+    f = _product([-1, 1], [-106, 1], [3, 2])
+    assert _rational_roots(f) == [Fraction(-3, 2), 1, 106]
+    assert primes == [11]
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_rational_roots_of_psi_on_kubert_families_and_their_twists(ell):
+    rng = random.Random(330 + ell)
+    ts = {Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)) for _ in range(10)}
+    for E in _kubert_curves(ell, sorted(ts - {0, 1})):
+        for C in (E, quadratic_twist(E, rng.choice([-1, 2, -7, 5]))):
+            psi = division_poly_primitive(C, ell)
+            assert _rational_roots(psi) == _linear_factor_roots(psi), (C, ell)
+        assert _rational_roots(division_poly_primitive(E, ell)), E  # (0, 0) has order ell
+
+
+def _fuzz_curves():
+    """About 200 seeded curves: integral and not, E13-sized, bad at 3, 5, 7 and 11,
+    and Kubert's curves with a point of order 3, 5 or 7 (rescaled, so large, too)."""
+    rng = random.Random(3357)
+    curves = []
+
+    def add(*a):
+        try:
+            curves.append(CurveQ(*a))
+        except InvalidParameterError:
+            pass
+
+    for _ in range(66):
+        add(*(rng.randint(-9, 9) for _ in range(5)))
+    for _ in range(30):
+        add(*(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)))
+    for _ in range(20):
+        add(0, 0, 0, rng.randint(-10**8, 10**8), rng.randint(-10**12, 10**12))
+    for p in (3, 5, 7, 11):
+        for _ in range(8):
+            add(rng.randint(-1, 1), rng.randint(-2, 2), 0, p * rng.randint(-9, 9), p * rng.randint(-9, 9))
+    for ell in (3, 5, 7):
+        ts = {Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3)) for _ in range(10)}
+        for E in _kubert_curves(ell, sorted(ts - {0, 1})):
+            curves += [E, E.transform(Fraction(1, rng.randint(2, 30)), rng.randint(-9, 9), 0, 0)]
+    return curves + [E13, quadratic_twist(E13, -3)]
+
+
+def test_rational_torsion_point_matches_the_psi_root_search_on_seeded_curves():
+    curves = _fuzz_curves()
+    assert 190 <= len(curves) <= 210
+    found = {3: 0, 5: 0, 7: 0}
+    for E in curves:
+        for ell in (3, 5, 7):
+            P, want = rational_ell_torsion_point(E, ell), _psi_root_search(E, ell)
+            assert (P is None) == (want == []), (E, ell)
+            assert P is None or P in want, (E, ell)
+            found[ell] += P is not None
+    assert min(found.values()) >= 8, found
 
 
 def test_rational_torsion_excluded_by_counting():

@@ -221,7 +221,8 @@ def test_degree_analysis_at_a_second_prime_skips_splitting_and_lifting(monkeypat
 
 @pytest.mark.parametrize("a, ell", [((0, -1, 1, 0, 0), 5), ((1, -1, 1, -3, 3), 7)])
 def test_rational_torsion_factoring_reads_one_prime(monkeypatch, a, ell):
-    """The bound-1 factoring behind every check and search: cheap splitting and
+    """The bound-1 factoring behind `factor-shape --degree-bound 1` (the torsion
+    search reads psi_ell's roots at one prime instead): cheap splitting and
     lifting of the linear factors stops the degree analysis at the first prime."""
     primes_used = _spy_ddf(monkeypatch)
     psi = division_poly_primitive(CurveQ(*a), ell)
@@ -252,9 +253,9 @@ def _e13_cubic():
 @pytest.mark.parametrize(
     "curve, ell, bound, read, lifted",
     [
-        # check, search on 11a3 and verify-paper-examples: rational 5-torsion
+        # factor-shape --degree-bound 1 on 11a3: the linear factors of psi_5
         ("[0,-1,1,0,0]", 5, 1, [3], [3]),
-        # search on curve 26: rational 7-torsion
+        # factor-shape --degree-bound 1 on curve 26: the linear factors of psi_7
         ("[1,-1,1,-3,3]", 7, 1, [3], [3]),
         # paper-examples: verify-paper-examples and the pinned factor shapes
         (E13, 13, 6, [5], [5]),
@@ -268,8 +269,9 @@ def _e13_cubic():
          "26-psi11", "26-psi13"],
 )
 def test_workload_factoring_reads_the_pinned_primes(monkeypatch, curve, ell, bound, read, lifted):
-    """Every factoring call of the benchmark workloads reads these primes and lifts at
-    this one (none when the degree sets rule out a factor of degree <= bound)."""
+    """Each factoring call reads these primes and lifts at this one (none when the
+    degree sets rule out a factor of degree <= bound): the paper-examples workload's
+    calls, and factor-shape --degree-bound 1 on the torsion curves."""
     f = _e13_cubic() if ell == "cubic" else division_poly_primitive(curve_from_string(curve), ell)
     primes_used, lifted_at = _spy_primes(monkeypatch)
     zx_factor_bounded(f, bound)
