@@ -21,7 +21,6 @@ from . import checker, curves, divpoly, golden, quadforms, rayclass, reduction, 
 from .curves import check_twist_parameter, curve_from_string, curve_invariants, format_rational
 from .dirichlet import DirichletPredicate
 from .errors import InvalidParameterError, PreconditionError, TwistselError, UnsupportedError
-from .polyzq import poly_from_string
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -85,6 +84,15 @@ def _lo_hi(text: str) -> tuple[int, int]:
 @_option_type("comma-separated primes")
 def _primes(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",")) if text else ()
+
+
+@_option_type("[c0,c1,...] with integer entries")
+def _coefficients(text: str) -> list[int]:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(text)
+    inner = text[1:-1].strip()
+    return [int(c) for c in inner.split(",")] if inner else []
 
 
 @_option_type("MODULUS:e1,e2,...")
@@ -155,8 +163,7 @@ def cmd_factor_shape(args) -> int:
 
 
 def cmd_torsion_field(args) -> int:
-    g = poly_from_string(args.factor)
-    K = divpoly.torsion_field_polynomial(curve_from_string(args.curve), args.ell, g)
+    K = divpoly.torsion_field_polynomial(curve_from_string(args.curve), args.ell, args.factor)
     _dump({"minpoly": list(K.minpoly), "degree": K.degree}, args.format)
     return EXIT_OK
 
@@ -266,7 +273,12 @@ COMMANDS = {
         "field tower above a psi_ell factor",
         cmd_torsion_field,
         {"ell": True},
-        (("--factor", {"required": True, "help": "integer coefficient list, lowest first"}),),
+        (
+            (
+                "--factor",
+                {"type": _coefficients, "required": True, "help": "[c0,c1,...], lowest first"},
+            ),
+        ),
     ),
     "classgroup": (
         "class group of a negative discriminant",

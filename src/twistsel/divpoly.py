@@ -26,6 +26,7 @@ from .polyzq import (
     ZX,
     _lift_target,
     _root_bound,
+    fp_roots,
     hensel_lift,
     zx_compose,
     zx_deg,
@@ -125,23 +126,20 @@ def _rational_roots(f: ZX) -> list[Fraction]:
     """The rational roots of a squarefree f in Z[x], least first.
 
     p is the least odd prime not dividing lc = lc(f) at which every root of f
-    mod p is simple, found by evaluating f at every residue. Each root is
-    lifted to the root R of f mod p^t > 2 |lc| B, B Fujiwara's root bound, and
-    the candidate is (lc R mod p^t, in the symmetric range) / lc, kept if f
-    vanishes there. A rational root a/b has b | lc, so it reduces mod p to a
-    simple root, whose lift is unique (Hensel), and |lc a/b| < |lc| B < p^t / 2.
+    mod p is simple, found by one fp_roots scan per prime, left at the first
+    double root. Each root is lifted to the root R of f mod p^t > 2 |lc| B, B
+    Fujiwara's root bound, and the candidate is (lc R mod p^t, in the
+    symmetric range) / lc, kept if f vanishes there. A rational root a/b has
+    b | lc, so it reduces mod p to a simple root, whose lift is unique
+    (Hensel), and |lc a/b| < |lc| B < p^t / 2.
     """
     lc = f[-1]
     for p in (q for q in range(3, _P_LIMIT + 1, 2) if lc % q and is_prime(q)):
-        fp, roots = [c % p for c in reversed(f)], []
-        for r in range(p):
-            v = d = 0
-            for c in fp:
-                v, d = (v * r + c) % p, (d * r + v) % p
-            if v == 0:
-                roots.append(r)
-                if d == 0:  # a double root mod p: try the next prime
-                    break
+        roots = []
+        for r, d in fp_roots(f, p):
+            if d == 0:  # a double root mod p: try the next prime
+                break
+            roots.append(r)
         else:  # every root mod p is simple
             break
     else:

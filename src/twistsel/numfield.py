@@ -13,11 +13,11 @@ from .errors import DegenerateTowerError, InvalidParameterError
 from .intmath import is_prime, valuation
 from .polyzq import (
     ZX,
-    _zx_trunc,
     fp_factor,
     fp_gcd,
     fp_mul,
     fp_norm,
+    fp_roots,
     resultant_eliminate,
     zx_compose,
     zx_deg,
@@ -93,7 +93,10 @@ class SplittingShape(NamedTuple):
 UNDETERMINED = "Undetermined"
 
 
-def _padic_root_count(f: ZX, p: int, cap: int = 64) -> int | None:
+_PADIC_DEPTH = 64  # deepest residue-class recursion before a root count gives up
+
+
+def _padic_root_count(f: ZX, p: int) -> int | None:
     """Number of distinct roots of a squarefree monic f in Z_p; None if too deep.
 
     Simple roots mod p lift uniquely (Hensel); multiple residue classes recurse
@@ -101,20 +104,11 @@ def _padic_root_count(f: ZX, p: int, cap: int = 64) -> int | None:
     recursion depth.
     """
     def count(g: ZX, depth: int) -> int | None:
-        if depth > cap:
+        if depth > _PADIC_DEPTH:
             return None
-        gp = [i * c for i, c in enumerate(g)][1:]
         total = 0
-        for r in range(p):
-            val = 0
-            for c in reversed(g):
-                val = (val * r + c) % p
-            if val:
-                continue
-            dval = 0
-            for c in reversed(gp):
-                dval = (dval * r + c) % p
-            if dval:
+        for r, d in fp_roots(g, p):
+            if d:
                 total += 1
                 continue
             h = zx_compose(g, [r, p])
@@ -132,29 +126,29 @@ def _padic_root_count(f: ZX, p: int, cap: int = 64) -> int | None:
 def dedekind_split(K: NumberFieldDef, p: int) -> SplittingShape | str:
     """Splitting of p in O_K via the Dedekind criterion on the defining polynomial.
 
-    Returns the shape when p does not divide the index [O_K : Z[alpha]]. When
-    the index test fails, a certified p-adic root count can still decide the
-    completely-split shape (p < deg K split completely forces p to divide the
-    index of every generator, so no mod-p read-off exists); anything else is
-    "Undetermined".
+    Returns the shape when p does not divide the index [O_K : Z[alpha]], which
+    Dedekind's criterion decides from the factors of f mod p and their plain
+    lifts to Z[x] (coefficients in [0, p)): the criterion does not depend on
+    the lift. When the index test fails, a certified p-adic root count can
+    still decide the completely-split shape (p < deg K split completely
+    forces p to divide the index of every generator, so no mod-p read-off
+    exists); anything else is "Undetermined".
     """
     if not is_prime(p):
         raise InvalidParameterError(f"p must be a prime, got {p}")
     f = list(K.minpoly)
     _, parts = fp_factor(f, p)
     # Dedekind test: with fbar = prod gbar_i^{e_i}, g = prod g_i, h = fbar/g lifted,
-    # p | index iff gcd((g h - f)/p, g, h) is nonconstant mod p.
+    # p | index iff gcd((g h - f)/p, g, h) is nonconstant mod p. The lifts are
+    # the plain ones, coefficients in [0, p): another lift adds a multiple of
+    # hbar or gbar to (g h - f)/p mod p, which leaves the gcd as it is.
     gbar = [1]
     hbar = [1]
     for gi, ei in parts:
         gbar = fp_mul(gbar, gi, p)
-        if ei > 1:
-            for _ in range(ei - 1):
-                hbar = fp_mul(hbar, gi, p)
-    # symmetric lifts
-    g = _zx_trunc(gbar, p)
-    h = _zx_trunc(hbar, p)
-    Fbar = fp_norm([c // p for c in zx_sub(zx_mul(g, h), f)], p)
+        for _ in range(ei - 1):
+            hbar = fp_mul(hbar, gi, p)
+    Fbar = fp_norm([c // p for c in zx_sub(zx_mul(gbar, hbar), f)], p)
     d = fp_gcd(fp_gcd(Fbar, gbar, p), hbar, p)
     if zx_deg(d) > 0:
         roots = _padic_root_count(f, p)
@@ -192,8 +186,9 @@ def adjoin_sqrt(g: ZX, f: ZX) -> NumberFieldDef:
     """Defining polynomial of Q(alpha, sqrt(f(alpha))) for alpha a root of irreducible g.
 
     Built from the norm form Res_t(g(t), x^2 - f(t)), then factored; the
-    irreducible factor of maximal degree is returned (smallest coefficient
-    sequence on ties). When f(alpha) is a square in Q(alpha) the degree drops.
+    first irreducible factor of maximal degree in zx_factor's order, the one
+    with the least coefficient sequence, is returned. When f(alpha) is a
+    square in Q(alpha) the degree drops.
     """
     g = zx_trim(g[:])
     f = zx_trim(f[:])
@@ -208,7 +203,5 @@ def adjoin_sqrt(g: ZX, f: ZX) -> NumberFieldDef:
     h = resultant_eliminate(g, f)
     cand = zx_compose(h, [0, 0, 1])
     _, parts = zx_factor(cand)
-    best = max(parts, key=lambda t: zx_deg(t[0]))
-    best_deg = zx_deg(best[0])
-    choices = sorted(g0 for g0, _m in parts if zx_deg(g0) == best_deg)
-    return number_field(list(choices[0]), check_irreducible=False)
+    best = max(parts, key=lambda t: zx_deg(t[0]))[0]
+    return number_field(best, check_irreducible=False)

@@ -1,7 +1,8 @@
 """Dense exact polynomial arithmetic over Z and F_p, with factorization over Q.
 
-Polynomials are lists of coefficients, lowest degree first, matching the text
-interchange format. Products in F_p[x] mod a fixed modulus pack each operand
+Polynomials are lists of coefficients, lowest degree first; nothing here
+parses text. The roots of f mod p and f' at each are read in one scan
+(fp_roots). Products in F_p[x] mod a fixed modulus pack each operand
 into one int (Kronecker substitution), so a product is one big-integer
 multiplication, and reduce by the modulus through a power series inverse of
 its reverse, made once per modulus. The factorizer is Zassenhaus-style and
@@ -29,7 +30,9 @@ does only the work its degree bound can use:
 - subsets whose total degree lies in the intersection are recombined.
 
 Irreducible factors up to the bound are extracted, and the cofactor is
-reported as a residual. This makes degree-84 inputs tractable.
+reported as a residual. This makes degree-84 inputs tractable. The complete
+factorization factors the one squarefree part f / gcd(f, f') and reads each
+multiplicity by exact division.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from fractions import Fraction
 
 from .errors import InvalidParameterError, ResourceError
 from .intmath import is_prime
@@ -194,30 +196,6 @@ def zx_gcd(f: ZX, g: ZX) -> ZX:
     return f
 
 
-def zx_squarefree_decomposition(f: ZX) -> list[tuple[ZX, int]]:
-    """Yun's algorithm on a primitive polynomial: f = prod g_i^i, g_i squarefree coprime."""
-    out: list[tuple[ZX, int]] = []
-    fp = zx_derivative(f)
-    a = zx_gcd(f, fp)
-    if zx_deg(a) == 0:
-        return [(f, 1)]
-    b = zx_div_exact(f, a)
-    c = zx_div_exact(fp, a)
-    i = 1
-    while True:
-        d = zx_sub(c, zx_derivative(b))
-        if not d:
-            if zx_deg(b) > 0:
-                out.append((b, i))
-            return out
-        g = zx_gcd(b, d)
-        if zx_deg(g) > 0:
-            out.append((g, i))
-        b = zx_div_exact(b, g)
-        c = zx_div_exact(d, g)
-        i += 1
-
-
 def zx_l2_norm_sq(f: ZX) -> int:
     return sum(c * c for c in f)
 
@@ -365,6 +343,21 @@ def fp_derivative(f, p):
     return fp_norm([i * c for i, c in enumerate(f)][1:], p)
 
 
+def fp_roots(f: ZX, p: int):
+    """Yield (r, f'(r) mod p) for each root r of f mod p, least first.
+
+    One Horner pass per residue gives f(r) and f'(r) together; a caller that
+    has seen enough stops the scan by leaving its loop.
+    """
+    f = [c % p for c in reversed(f)]
+    for r in range(p):
+        v = d = 0
+        for c in f:
+            v, d = (v * r + c) % p, (d * r + v) % p
+        if v == 0:
+            yield r, d
+
+
 def fp_is_squarefree(f, p):
     """Whether f is squarefree mod p: a nonzero constant is (a unit), zero is not."""
     f = fp_norm(f, p)
@@ -374,15 +367,15 @@ def fp_is_squarefree(f, p):
     return bool(d) and len(fp_gcd(f, d, p)) == 1
 
 
-def fp_ddf(f, p, bound: int | None = None):
+def fp_ddf(f, p, bound: int):
     """Distinct-degree factorization of a monic squarefree f: list of (product, degree).
 
     Each entry (g, d) with d <= bound is the product of the deg g / d
-    irreducible factors of degree d. With a bound, the search stops after
-    degree bound, and the cofactor, whose irreducible factors all have
-    degree > bound, comes last as one entry (cofactor, deg cofactor), which
-    fp_edf returns unsplit. Without one, it stops after degree n / 2, where
-    at most one factor is left.
+    irreducible factors of degree d. The search stops after degree bound,
+    and the cofactor, whose irreducible factors all have degree > bound,
+    comes last as one entry (cofactor, deg cofactor), which fp_edf returns
+    unsplit. It stops after degree n / 2 in any case, where at most one
+    factor is left, so bound = n finds every factor.
 
     The powers h_i = x^(p^i) mod f are made once, for i <= top = min(bound,
     n / 2), sharing one series inverse. A factor of degree d divides h_i - x
@@ -394,7 +387,7 @@ def fp_ddf(f, p, bound: int | None = None):
     has degree last, or is one irreducible factor, and takes no gcd.
     """
     n = zx_deg(f)
-    top = n // 2 if bound is None else min(bound, n // 2)
+    top = min(bound, n // 2)
     if top < 1:
         return [(f, n)] if n > 0 else []
     ring = _PackedMod(f, p)
@@ -453,7 +446,7 @@ def fp_factor_squarefree(f, p) -> list[list[int]]:
     """
     if not fp_is_squarefree(f, p):
         raise InvalidParameterError(f"polynomial is not squarefree mod {p}")
-    return _fp_split(fp_ddf(f, p), p)
+    return _fp_split(fp_ddf(f, p, zx_deg(f)), p)
 
 
 def _fp_split(ddf, p) -> list[list[int]]:
@@ -777,21 +770,28 @@ def _combos_bounded(indices, degs, size, bound, sums):
 
 
 def zx_factor(f: ZX) -> tuple[int, list[tuple[ZX, int]]]:
-    """Complete factorization over Z: (content-with-sign, [(primitive factor, multiplicity)])."""
+    """Complete factorization over Z: (content-with-sign, [(primitive factor, multiplicity)]).
+
+    The irreducible factors are those of the squarefree part f / gcd(f, f'),
+    found by one complete zx_factor_bounded; each multiplicity is read by
+    exact division of f. The factors are sorted by (degree, coefficients).
+    """
     f = zx_trim(f[:])
     if not f:
         raise InvalidParameterError("cannot factor the zero polynomial")
     c, f = zx_primitive(f)
     if zx_deg(f) == 0:
         return c, []
+    part = zx_div_exact(f, zx_gcd(f, zx_derivative(f)))
+    factors, residual = zx_factor_bounded(part, zx_deg(part))
+    if zx_deg(residual) > 0:
+        factors.append(zx_primitive(residual)[1])
     out: list[tuple[ZX, int]] = []
-    for part, mult in zx_squarefree_decomposition(f):
-        factors, residual = zx_factor_bounded(part, zx_deg(part))
-        if zx_deg(residual) > 0:
-            _, residual = zx_primitive(residual)
-            factors.append(residual)
-        for g in sorted(factors, key=lambda h: (zx_deg(h), h)):
-            out.append((g, mult))
+    for g in sorted(factors, key=lambda h: (zx_deg(h), h)):
+        mult = 0
+        while (q := zx_div_exact(f, g)) is not None:
+            f, mult = q, mult + 1
+        out.append((g, mult))
     return c, out
 
 
@@ -849,26 +849,3 @@ def resultant_eliminate(g: ZX, f: ZX) -> ZX:
     for i in range(n):
         rows.append([[]] * i + hh + [[]] * (size - m - 1 - i))
     return _bareiss_det(rows)
-
-
-# ---------------------------------------------------------------------------
-# text form
-
-
-def poly_from_string(text: str) -> ZX:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise InvalidParameterError("polynomial text must be a bracketed coefficient list")
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    out = []
-    for part in inner.split(","):
-        try:
-            c = Fraction(part.strip())
-        except (ValueError, ZeroDivisionError):
-            raise InvalidParameterError(f"not a number: {part.strip()!r}") from None
-        if c.denominator != 1:
-            raise InvalidParameterError("integer coefficient lists only at this interface")
-        out.append(int(c))
-    return zx_trim(out)

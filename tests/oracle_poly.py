@@ -18,6 +18,12 @@ d it powers h -> h^p mod the remaining product and takes one gcd with
 h - x. The library makes the powers mod f once, finds the whole part of
 degree <= min(bound, n / 2) with one gcd and runs the per-degree gcds on
 that part alone.
+`fp_roots_by_evaluation` evaluates f and its derivative in integers at
+every residue mod p and reduces the values once. The library reduces at each
+Horner step and reads f' from the same pass.
+`dedekind_index_divisible` is Dedekind's criterion with the factors of f
+mod p lifted to the symmetric range, -p/2 < c <= p/2. The library lifts them
+to [0, p).
 `rational_roots_by_divisors` is the rational root theorem by brute force:
 every a/b with b | lc f and a | the lowest nonzero coefficient is tried by
 Fraction evaluation. The library lifts the roots of f at one small prime
@@ -36,6 +42,7 @@ from twistsel.polyzq import (
     _PackedMod,
     _zx_trunc,
     fp_divmod,
+    fp_factor,
     fp_gcd,
     fp_monic,
     fp_mul,
@@ -164,12 +171,12 @@ def packed_pow_mod(f, e, m, p):
     return _PackedMod(m, p).pow(f, e)
 
 
-def fp_ddf(f, p, bound: int | None = None):
+def fp_ddf(f, p, bound: int):
     """Distinct-degree factorization of a monic squarefree f: list of (product, degree).
 
     Each entry (g, d) with d <= bound is the product of the deg g / d
-    irreducible factors of degree d. With a bound, the search stops after
-    degree bound. The cofactor left over, every irreducible factor of which
+    irreducible factors of degree d. The search stops after degree bound
+    (or n / 2). The cofactor left over, every irreducible factor of which
     has degree > bound, comes last as one entry (cofactor, deg cofactor).
     Each step is one powering h -> h^p mod the remaining product (by
     packed_pow_mod, checked against the schoolbook fp_pow_mod above) and
@@ -179,7 +186,7 @@ def fp_ddf(f, p, bound: int | None = None):
     v = f[:]
     h = [0, 1]
     d = 0
-    while zx_deg(v) >= 2 * (d + 1) and (bound is None or d < bound):
+    while zx_deg(v) >= 2 * (d + 1) and d < bound:
         d += 1
         h = packed_pow_mod(h, p, v, p)
         g = fp_gcd(fp_sub(h, [0, 1], p), v, p)
@@ -190,6 +197,30 @@ def fp_ddf(f, p, bound: int | None = None):
     if zx_deg(v) > 0:
         out.append((v, zx_deg(v)))
     return out
+
+
+def fp_roots_by_evaluation(f: list[int], p: int) -> list[tuple[int, int]]:
+    """(r, f'(r) mod p) for each r in [0, p) with f(r) = 0 mod p."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    return [(r, zx_eval(df, r) % p) for r in range(p) if zx_eval(f, r) % p == 0]
+
+
+def dedekind_index_divisible(f: ZX, p: int) -> bool:
+    """Whether p divides the index of Z[x]/(f) in its maximal order, f monic.
+
+    With f = prod g_i^e_i mod p, g the product of the g_i and h = f / g mod p,
+    both lifted to the symmetric range, p divides the index exactly when
+    gcd((g h - f) / p, g, h) is nonconstant mod p.
+    """
+    _, parts = fp_factor(f, p)
+    gbar, hbar = [1], [1]
+    for gi, ei in parts:
+        gbar = fp_mul(gbar, gi, p)
+        for _ in range(ei - 1):
+            hbar = fp_mul(hbar, gi, p)
+    g, h = _zx_trunc(gbar, p), _zx_trunc(hbar, p)
+    F = [c // p for c in zx_sub(zx_mul(g, h), f)]
+    return zx_deg(fp_gcd(fp_gcd(F, g, p), h, p)) > 0
 
 
 def _divisors(n: int) -> list[int]:

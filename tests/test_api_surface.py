@@ -9,9 +9,10 @@ only through an attribute access `.name` in src/. Tests do not count: a
 helper that only tests call belongs in a test oracle, and a field that only
 tests read is work done for nothing on every call.
 
-Two more guards: no function in src/ is cached unless CACHES_ALLOWED names it,
-and each test oracle imports from the library only the names that
-ORACLE_IMPORTS lists for it.
+Three more guards: no function in src/ is cached unless CACHES_ALLOWED names
+it, each test oracle imports from the library only the names that
+ORACLE_IMPORTS lists for it, and a module of src/ imports a private name of
+another only where PRIVATE_IMPORTS lists it.
 """
 
 import ast
@@ -86,6 +87,8 @@ ORACLE_IMPORTS = {
         "polyzq.fp_gcd polyzq.fp_monic polyzq.fp_mul polyzq.fp_sub polyzq.zx_add polyzq.zx_deg "
         "polyzq.zx_mul polyzq.zx_mul_scalar polyzq.zx_sub":
             "the base F_p[x] and Z[x] arithmetic under the factorizer, checked in test_polyzq",
+        "polyzq.fp_factor":
+            "the factorization mod p that Dedekind's criterion reads, checked in test_polyzq",
     },
     "oracle_rayclass": {
         "errors.InvalidParameterError errors.PreconditionError": "refusals are compared by type",
@@ -102,6 +105,30 @@ ORACLE_IMPORTS = {
         "errors.InvalidParameterError errors.PreconditionError": "refusals are compared by type",
         "intmath.is_prime intmath.legendre intmath.valuation polyzq.fp_gcd":
             "arithmetic primitives, checked in test_intmath and test_polyzq",
+    },
+}
+
+
+# the private names each module of src/twistsel imports from another, in
+# groups that share one reason; a private name that a second module needs is
+# a shared primitive, and a new one is a choice to make, not a convenience
+PRIVATE_IMPORTS = {
+    "checker": {
+        "reduction._x_has_pole_at":
+            "the kernel-of-reduction test, read once on the torsion point for the hypothesis",
+    },
+    "divpoly": {
+        "curves._denominator_scale":
+            "the least scale that makes weighted invariants integral, shared with the models",
+        "polyzq._P_LIMIT polyzq._lift_target polyzq._root_bound":
+            "the factorizer's prime ceiling, lift target and root bound, which the rational "
+            "root search shares so that both search the same primes to the same precision",
+    },
+    "quadforms": {
+        "_kernels._check_disc": "the discriminant check of the kernels, made where D enters",
+    },
+    "rayclass": {
+        "quadforms._xgcd": "the extended gcd of form composition, reused for an ideal basis",
     },
 }
 
@@ -239,8 +266,12 @@ def cached_functions(src: Path = SRC) -> set[str]:
     return out
 
 
+def _listed(table: dict[str, dict[str, str]], stem: str) -> set[str]:
+    return {name for group in table.get(stem, {}) for name in group.split()}
+
+
 def _allowed_oracle_imports(stem: str) -> set[str]:
-    return {name for group in ORACLE_IMPORTS.get(stem, {}) for name in group.split()}
+    return _listed(ORACLE_IMPORTS, stem)
 
 
 def oracle_library_imports(tests: Path = TESTS) -> dict[str, set[str]]:
@@ -286,6 +317,49 @@ def test_oracle_guard_sees_an_oracle_import_the_function_it_checks(tmp_path):
     assert text.count(anchor) == 1
     (tmp_path / "oracle_checker.py").write_text(text.replace(anchor, "    Verdict,\n    twist_rules,\n)\n"))
     assert unlisted_oracle_imports(tmp_path) == ["oracle_checker: checker.twist_rules"]
+
+
+def private_cross_imports(src: Path = SRC) -> dict[str, set[str]]:
+    """module.name for each private name a module of src/ imports from another."""
+    out = {}
+    for path in sorted(src.glob("*.py")):
+        names = {
+            f"{node.module}.{a.name}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for a in node.names
+            if a.name.startswith("_")
+        }
+        if names:
+            out[path.stem] = names
+    return out
+
+
+def unlisted_private_imports(src: Path = SRC) -> list[str]:
+    """"module: other.name" for each private import that PRIVATE_IMPORTS does not list."""
+    return sorted(
+        f"{stem}: {name}"
+        for stem, names in private_cross_imports(src).items()
+        for name in names - _listed(PRIVATE_IMPORTS, stem)
+    )
+
+
+def test_private_names_cross_modules_only_as_listed():
+    assert unlisted_private_imports() == []
+    # and the table lists nothing that a module no longer imports
+    listed = {stem: _listed(PRIVATE_IMPORTS, stem) for stem in PRIVATE_IMPORTS}
+    assert listed == private_cross_imports()
+
+
+def test_private_import_guard_sees_a_new_one(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    text = (tmp_path / "numfield.py").read_text()
+    anchor = "    ZX,\n    fp_factor,\n"
+    assert text.count(anchor) == 1
+    planted = text.replace(anchor, "    ZX,\n    _zx_trunc,\n    fp_factor,\n")
+    (tmp_path / "numfield.py").write_text(planted)
+    assert unlisted_private_imports(tmp_path) == ["numfield: polyzq._zx_trunc"]
 
 
 def test_every_cache_is_allowed():

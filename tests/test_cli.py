@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -72,16 +73,27 @@ def test_local_reads_the_minimal_model_of_a_scaled_curve(capsys, p, fmt):
         ["local", "--curve", "[0,-1,1,0,0]", "--p", "0"],
         ["local", "--curve", "[0,-1,1,0,0]", "--p", "-11"],
         ["invariants", "--curve", "[0,0,0,1/0,1]"],
-        ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor", "[1/0,1]"],
-        ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor", "[x,1]"],
     ],
-    ids=["p-composite", "p-one", "p-zero", "p-negative", "curve-zero-denominator",
-         "factor-zero-denominator", "factor-not-a-number"],
+    ids=["p-composite", "p-one", "p-zero", "p-negative", "curve-zero-denominator"],
 )
 def test_malformed_numbers_are_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "internal error" not in err, err
+
+
+def test_poly_strings(capsys):
+    """--factor reads a bracketed list of ints, the grammar of --d and --p."""
+    assert cli._coefficients("[1,2,3]") == [1, 2, 3]
+    assert cli._coefficients(" [ -1 , 0 ] ") == [-1, 0]
+    assert cli._coefficients("[]") == []
+    for text in ("1,2", "[1,2", "[1/0,1]", "[x,1]", "[1.5,1]", "[1e0,1]", "[0.0,1]", "[1,,2]"):
+        with pytest.raises(argparse.ArgumentTypeError, match=r"expected \[c0,c1,\.\.\.\]"):
+            cli._coefficients(text)
+    # the library trims trailing zeros: [0,1,0] is the factor x, and [0,0] is zero
+    args = ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor"]
+    assert run_cli(capsys, *args, "[0,1,0]") == run_cli(capsys, *args, "[0,1]")
+    assert run_cli(capsys, *args, "[0,0]") == (1, "", "error: cannot factor the zero polynomial\n")
 
 
 def test_conductor(capsys):
@@ -346,9 +358,14 @@ def test_bad_d_and_range_get_one_answer_whatever_the_curve(capsys, curve):
         ["rayclass", "--d", "-5", "--ell", "5", "--s", "11,,13"],
         ["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37", "--character", "25"],
         ["check", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--d", "-37", "--character", "25:x"],
+        ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor", "[1/0,1]"],
+        ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor", "[x,1]"],
+        ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor", "[1e0,1]"],
+        ["torsion-field", "--curve", "[0,-1,1,0,0]", "--ell", "5", "--factor", "[0.0,1]"],
     ],
     ids=["range-one-bound", "range-not-int", "s-not-int", "s-empty-entry", "character-no-colon",
-         "character-not-int"],
+         "character-not-int", "factor-zero-denominator", "factor-not-a-number", "factor-exponent",
+         "factor-decimal-point"],
 )
 def test_malformed_list_options_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

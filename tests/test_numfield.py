@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from oracle_poly import dedekind_index_divisible
 
 from twistsel.errors import DegenerateTowerError, InvalidParameterError
 from twistsel.intmath import is_squarefree
@@ -6,13 +9,14 @@ from twistsel.numfield import (
     NO,
     UNDETERMINED,
     NumberFieldDef,
+    SplittingShape,
     adjoin_sqrt,
     dedekind_split,
     make_monic,
     number_field,
     zeta_in_field,
 )
-from twistsel.polyzq import zx_deg, zx_factor
+from twistsel.polyzq import fp_factor, zx_deg, zx_derivative, zx_factor, zx_gcd
 
 
 def test_factor_poly_q_complete():
@@ -79,6 +83,31 @@ def test_dedekind_undetermined_survives():
     # Z[2i] inside Q(i): index 2, and 2 does not split completely
     K = NumberFieldDef((4, 0, 1))
     assert dedekind_split(K, 2) == UNDETERMINED
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_dedekind_split_matches_the_symmetric_lift_criterion(p):
+    """dedekind_split, which lifts the factors mod p to [0, p), against the criterion
+    on symmetric lifts: seeded monic squarefree f of degree 1 to 7, a third of them
+    p^n g(x / p), whose order Z[p alpha] has index divisible by p once n >= 2."""
+    rng = random.Random(p)
+    counts = {True: 0, False: 0}
+    while sum(counts.values()) < 150:
+        n = rng.randint(1, 7)
+        f = [rng.randint(-12, 12) for _ in range(n)] + [1]
+        if rng.random() < 1 / 3:
+            f = [c * p ** (n - i) for i, c in enumerate(f)]
+        if zx_deg(zx_gcd(f, zx_derivative(f))) > 0:
+            continue
+        split = dedekind_split(NumberFieldDef(tuple(f)), p)
+        divides = dedekind_index_divisible(f, p)
+        counts[divides] += 1
+        if divides:
+            assert split in (UNDETERMINED, SplittingShape(p, ((1, 1),) * n, "padic-roots")), f
+        else:
+            _, parts = fp_factor(f, p)
+            assert split == SplittingShape(p, tuple(sorted((e, zx_deg(g)) for g, e in parts))), f
+    assert min(counts.values()) >= 30, counts
 
 
 def test_zeta_in_field():

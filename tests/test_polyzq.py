@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracle_poly import fp_ddf as per_degree_ddf
 from oracle_poly import fp_pow_mod as schoolbook_pow_mod
 from oracle_poly import hensel_lift as tree_hensel_lift
-from oracle_poly import packed_pow_mod, sylvester_resultant, zx_eval
+from oracle_poly import fp_roots_by_evaluation, packed_pow_mod, sylvester_resultant, zx_eval
 from pinned_outputs import FACTOR_SHAPE_CURVES
 
 from twistsel import polyzq
@@ -26,9 +27,9 @@ from twistsel.polyzq import (
     fp_monic,
     fp_mul,
     fp_norm,
+    fp_roots,
     hensel_lift,
     _fp_split,
-    poly_from_string,
     resultant_eliminate,
     zx_add,
     zx_compose,
@@ -40,11 +41,13 @@ from twistsel.polyzq import (
     zx_gcd,
     zx_is_irreducible,
     zx_mul,
+    zx_pow,
     zx_primitive,
-    zx_squarefree_decomposition,
     zx_sub,
     zx_trim,
 )
+
+SYMPY = importlib.util.find_spec("sympy") is not None
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6).map(
     lambda c: zx_trim(c)
@@ -98,30 +101,42 @@ def test_factor_with_multiplicity():
 
 
 def test_squarefree_decomposition_reconstructs():
-    f = zx_mul(zx_mul([1, 1], zx_mul([1, 1], [1, 1])), [3, 0, 1])
-    parts = zx_squarefree_decomposition(f)
-    rebuilt = [1]
+    """zx_factor reads multiplicities off the squarefree part f / gcd(f, f'):
+    (x + 1)^3 (x^2 + 3) comes back as those two factors with powers 3 and 1."""
+    f = zx_mul(zx_pow([1, 1], 3), [3, 0, 1])
+    c, parts = zx_factor(f)
+    assert parts == [([1, 1], 3), ([3, 0, 1], 1)]
+    rebuilt = [c]
     for g, m in parts:
-        for _ in range(m):
-            rebuilt = zx_mul(rebuilt, g)
+        rebuilt = zx_mul(rebuilt, zx_pow(g, m))
     assert rebuilt == f
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_product_factors(seed):
+    """Products of distinct irreducibles, each to a power 1 to 3, times a content of
+    either sign and at times x: zx_factor rebuilds f, and where sympy is installed
+    it gives sympy's factorization, in the same order."""
     rng = random.Random(seed)
-    irreducibles = [[-1, 1], [1, 1], [1, 0, 1], [2, 1], [-3, 1], [1, 1, 1], [4, 0, 0, 1]]
-    chosen = rng.sample(irreducibles, k=rng.randint(1, 4))
-    f = [rng.choice([1, 2, -1])]
+    irreducibles = [
+        [-1, 1], [1, 1], [1, 0, 1], [2, 1], [-3, 1], [1, 1, 1], [4, 0, 0, 1], [1, 3], [-2, 0, 1]
+    ]
+    chosen = rng.sample(irreducibles, k=rng.randint(1, 4)) + [[0, 1]] * rng.randint(0, 1)
+    content = rng.choice([1, 2, 6, 12]) * rng.choice([1, -1])
+    f, want = [content], {}
     for g in chosen:
-        f = zx_mul(f, g)
+        want[tuple(g)] = rng.randint(1, 3)
+        f = zx_mul(f, zx_pow(g, want[tuple(g)]))
     c, parts = zx_factor(f)
     rebuilt = [c]
     for g, m in parts:
-        for _ in range(m):
-            rebuilt = zx_mul(rebuilt, g)
-    assert rebuilt == f
+        rebuilt = zx_mul(rebuilt, zx_pow(g, m))
+    assert rebuilt == f and c == content
+    assert {tuple(g): m for g, m in parts} == want
+    assert parts == sorted(parts, key=lambda t: (zx_deg(t[0]), t[0]))
+    if SYMPY:
+        assert (c, parts) == _factor_list_sympy(f)
 
 
 # distinct irreducibles over Q, some not monic; with x^n - 2 (Eisenstein at 2)
@@ -180,7 +195,7 @@ def _spy_ddf(monkeypatch):
     primes_used = []
     ddf = polyzq.fp_ddf
     monkeypatch.setattr(
-        polyzq, "fp_ddf", lambda f, p, bound=None: primes_used.append(p) or ddf(f, p, bound)
+        polyzq, "fp_ddf", lambda f, p, bound: primes_used.append(p) or ddf(f, p, bound)
     )
     return primes_used
 
@@ -371,10 +386,8 @@ def test_factorization_with_a_root_at_zero_matches_sympy(seed):
         f = zx_mul(f, g)
     f = zx_mul(f, [-3] + [0] * (rng.randint(8, 16) - 1) + [2])  # 2x^n - 3, irreducible
     assert f[0] == 0 and f[-1] not in (1, -1)
-    c, parts = zx_factor(f)
-    c_sympy, parts_sympy = _factor_list_sympy(f)
-    # zx_factor lists the factors of each squarefree part in turn
-    assert c == c_sympy and sorted(parts) == sorted(parts_sympy)
+    # zx_factor sorts all its factors at once, as _factor_list_sympy does
+    assert zx_factor(f) == _factor_list_sympy(f)
 
 
 def test_recombination_rejects_candidates_by_trailing_coefficient(monkeypatch):
@@ -441,6 +454,22 @@ def test_fp_is_squarefree():
     assert fp_factor_squarefree([3], 5) == []  # a unit has no irreducible factors
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_fp_roots_match_evaluation_at_every_residue(p):
+    """fp_roots against f and f' evaluated in integers at each residue: seeded f with
+    coefficients of either sign and above p, multiple roots, roots at 0, f = 0 mod p."""
+    rng = random.Random(p)
+    cases = [[], [p], [0, 1], [1], [-1, 0, 1], [0] * 3 + [p + 1], [1] + [0] * (p - 1) + [-1]]
+    for _ in range(300):
+        f = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(1, 9))]
+        for _ in range(rng.randint(0, 3)):  # a root r of multiplicity 1 to 3
+            f = zx_mul(f, zx_pow([-rng.randrange(p), 1], rng.randint(1, 3)))
+        cases.append(zx_trim(f))
+    for f in cases:
+        assert list(fp_roots(f, p)) == fp_roots_by_evaluation(f, p), f
+    assert list(fp_roots([], p)) == [(r, 0) for r in range(p)]
+
+
 def test_fp_factor_with_multiplicity():
     assert fp_factor([1, 1, 1, 1], 2) == (1, [([1, 1], 3)])
     assert fp_factor([4, 4, 1], 3) == (1, [([2, 1], 2)])
@@ -450,7 +479,7 @@ def test_fp_factor_with_multiplicity():
 
 def test_hensel_lift_recovers_factors():
     cases = [
-        (zx_mul(zx_mul([-1, 1], [1, 1]), [1, 0, 1]), None, 4),  # (x-1)(x+1)(x^2+1)
+        (zx_mul(zx_mul([-1, 1], [1, 1]), [1, 0, 1]), 4, 4),  # (x-1)(x+1)(x^2+1)
         # (3x+1)(x^2+1)(x^20-2): linear and quadratic factors plus one unsplit
         # product, lifted to a target that is not a power of two
         (zx_mul(zx_mul([1, 3], [1, 0, 1]), [-2] + [0] * 19 + [1]), 2, 5),
@@ -486,11 +515,11 @@ def test_hensel_lift_matches_the_tree_lift():
         cases += 1
         non_monic += f[-1] not in (1, -1)
         target = rng.randint(1, 12)
-        bound = rng.choice([None, 1, 2, 3])
+        bound = rng.choice([zx_deg(f), 1, 2, 3])
         modular = _fp_split(fp_ddf(fp_monic(f, p), p, bound), p)
         tree = tree_hensel_lift(p, f, modular, target)
         assert hensel_lift(p, f, modular, target) == tree
-        small = [i for i, g in enumerate(modular) if bound is None or zx_deg(g) <= bound]
+        small = [i for i, g in enumerate(modular) if zx_deg(g) <= bound]
         assert hensel_lift(p, f, [modular[i] for i in small], target) == [tree[i] for i in small]
     assert non_monic > 60
 
@@ -600,18 +629,6 @@ def test_resultant_eliminate():
     assert zx_compose(resultant_eliminate([1, 0, 1], [0, 1]), [0, 0, 1]) == [1, 0, 0, 0, 1]
     # degenerate square case: g = t - 2, f = t^3 + 1: z - 9
     assert resultant_eliminate([-2, 1], [1, 0, 0, 1]) == [-9, 1]
-
-
-def test_poly_strings():
-    assert poly_from_string("[1,2,3]") == [1, 2, 3]
-    assert poly_from_string("[0,0]") == []
-    with pytest.raises(InvalidParameterError):
-        poly_from_string("1,2")
-    for text, shown in (("[1/0,1]", "'1/0'"), ("[x,1]", "'x'")):
-        with pytest.raises(InvalidParameterError, match=f"not a number: {shown}"):
-            poly_from_string(text)
-    with pytest.raises(InvalidParameterError, match="integer coefficient lists only"):
-        poly_from_string("[1.5,1]")
 
 
 def _rules_out_roots_from(f, B) -> bool:
@@ -725,8 +742,8 @@ def _seeded_squarefree(rng, p, n, max_factor_degree=None):
 def test_bounded_ddf_matches_the_per_degree_oracle(p):
     """fp_ddf against the per-degree DDF, seeded squarefree inputs of degree 2 to 90:
     random ones, ones whose factors all have degree <= bound, and ones of degree
-    <= 2 bound. Bound None and bound > n / 2 are the path that fp_factor and
-    zx_factor take; bound 0 finds nothing."""
+    <= 2 bound. Bound deg f, the one fp_factor_squarefree passes, and any bound
+    > n / 2 find every factor; bound 0 finds nothing."""
     rng = random.Random(p)
     for bound in (1, 2, 3, 6, 12):
         cases = [_seeded_squarefree(rng, p, n) for n in (2, 5, 2 * bound, 2 * bound + 1, 40, 84, 90)]
@@ -735,10 +752,11 @@ def test_bounded_ddf_matches_the_per_degree_oracle(p):
         for f in cases:
             if zx_deg(f) >= 2:
                 assert fp_ddf(f, p, bound) == per_degree_ddf(f, p, bound), (bound, f)
-    for bound in (None, 40):
+    for full in (True, False):
         cases = [_seeded_squarefree(rng, p, n) for n in (2, 3, 33, 61)]
         cases += [_seeded_squarefree(rng, p, n, k) for n, k in ((12, 1), (40, 4))]
         for f in cases:
+            bound = zx_deg(f) if full else 40
             assert fp_ddf(f, p, bound) == per_degree_ddf(f, p, bound), (bound, f)
     for f in [[1], [rng.randrange(p), 1], _seeded_squarefree(rng, p, 12)]:
         assert fp_ddf(f, p, 0) == per_degree_ddf(f, p, 0) == ([(f, zx_deg(f))] if zx_deg(f) else [])
@@ -773,7 +791,7 @@ def test_bounded_ddf_takes_one_gcd_at_full_degree_per_prime(monkeypatch):
         gcds.append((p, bool(inside), max(zx_deg(fp_norm(f, p)), zx_deg(fp_norm(g, p)))))
         return gcd(f, g, p)
 
-    def spy_ddf(f, p, bound=None):
+    def spy_ddf(f, p, bound):
         inside.append(p)
         try:
             return ddf(f, p, bound)
