@@ -60,7 +60,7 @@ def count_points(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> int:
     return count
 
 
-def _check_disc(D: int) -> None:
+def check_disc(D: int) -> None:
     if D >= 0:
         raise UnsupportedError("only negative discriminants are supported here")
     if D % 4 not in (0, 1):
@@ -82,7 +82,7 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     Resource ceiling: |D| <= 4 * 10^12 (`_MAX_ABS_DISC`). Past it the call
     raises `ResourceError` before allocating anything.
     """
-    _check_disc(D)
+    check_disc(D)
     if -D > _MAX_ABS_DISC:
         raise ResourceError(f"|D| = {-D} is past the form enumeration ceiling {_MAX_ABS_DISC}")
     amax = math.isqrt(-D // 3)
@@ -186,7 +186,7 @@ def class_number(D: int) -> int:
     Resource ceiling: |D| <= 4 * 10^12 (`_MAX_ABS_DISC`). Past it the call
     raises `ResourceError` before allocating anything.
     """
-    _check_disc(D)
+    check_disc(D)
     if -D > _MAX_ABS_DISC:
         raise ResourceError(f"|D| = {-D} is past the form enumeration ceiling {_MAX_ABS_DISC}")
     amax = math.isqrt(-D // 3)

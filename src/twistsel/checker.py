@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .curves import CurveQ, PointQ, check_twist_parameter, minimal_model
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
 from .divpoly import ODD_TORSION_PRIMES, rational_ell_torsion_point
-from .errors import InvalidParameterError, PreconditionError, UnsupportedError
+from .errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
 from .intmath import is_prime, is_squarefree, kronecker
 from .quadforms import class_number
 from .rayclass import ray_class_data
@@ -47,7 +47,7 @@ from .reduction import (
     conductor_of,
     is_supersingular,
     local_reduction,
-    _x_has_pole_at,
+    x_has_pole_at,
 )
 
 
@@ -185,7 +185,7 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
     else:
         how = f"bad reduction at {ell} ({red.kodaira}); x-valuation test on the minimal model"
     cite = f"P not in the kernel of reduction mod {ell}"
-    checks.append(_clause("hypothesis.kernel", cite, not _x_has_pole_at(transform, P, ell), how))
+    checks.append(_clause("hypothesis.kernel", cite, not x_has_pole_at(transform, P, ell), how))
     if red.ord_j_negative:
         ordinary, why = True, f"vacuous: ord_{ell}(j) < 0"
     else:
@@ -276,7 +276,9 @@ def evaluate_admissibility(
     and then every symbol clause is undetermined.
 
     squarefree is a verdict on d already reached, as a scan's sieve reaches
-    it; when it is None, d is factored here.
+    it; when it is None, d is factored here, after the cheap domain clauses.
+    A d too hard to factor leaves squarefreeness undetermined when another
+    domain clause already fails, and raises ResourceError otherwise.
     """
     check_twist_parameter(d)
     ell, N = rules.ell, rules.N
@@ -285,12 +287,18 @@ def evaluate_admissibility(
     def add(cid: str, cite: str, ok: bool | None, detail: str) -> None:
         clauses.append(_clause(cid, cite, ok, detail))
 
-    add("domain.negative", "d < 0", d < 0, f"d = {d}")
-    if squarefree is None:
-        squarefree = is_squarefree(d)
-    add("domain.squarefree", "d squarefree", squarefree, f"d = {d}")
-    add("domain.congruence", "d = 3 (mod 4)", d % 4 == 3, f"d mod 4 = {d % 4}")
     g = math.gcd(d, ell * N)
+    detail = f"d = {d}"
+    if squarefree is None:
+        try:
+            squarefree = is_squarefree(d)
+        except ResourceError as exc:
+            if d < 0 and d % 4 == 3 and g == 1:
+                raise
+            detail += f"; undetermined: {exc}"
+    add("domain.negative", "d < 0", d < 0, f"d = {d}")
+    add("domain.squarefree", "d squarefree", squarefree, detail)
+    add("domain.congruence", "d = 3 (mod 4)", d % 4 == 3, f"d mod 4 = {d % 4}")
     add("domain.coprime", "gcd(d, ell N) = 1", g == 1, f"gcd({d}, {ell}*{N}) = {g}")
     # a squarefree d = 3 (mod 4) has field discriminant 4d
     D = 4 * d if all(c.verdict is Verdict.PASS for c in clauses) else None

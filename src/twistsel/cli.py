@@ -17,7 +17,7 @@ import locale  # noqa: F401
 import shutil  # noqa: F401
 import sys
 
-from . import checker, curves, divpoly, golden, quadforms, rayclass, reduction, search
+from . import checker, curves, divpoly, golden, numfield, quadforms, rayclass, reduction, search
 from .curves import check_twist_parameter, curve_from_string, curve_invariants, format_rational
 from .dirichlet import DirichletPredicate
 from .errors import InvalidParameterError, PreconditionError, TwistselError, UnsupportedError
@@ -163,7 +163,7 @@ def cmd_factor_shape(args) -> int:
 
 
 def cmd_torsion_field(args) -> int:
-    K = divpoly.torsion_field_polynomial(curve_from_string(args.curve), args.ell, args.factor)
+    K = numfield.torsion_field_polynomial(curve_from_string(args.curve), args.ell, args.factor)
     _dump({"minpoly": list(K.minpoly), "degree": K.degree}, args.format)
     return EXIT_OK
 

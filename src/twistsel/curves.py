@@ -359,21 +359,6 @@ def minimal_model(E: CurveQ) -> tuple[CurveQ, tuple]:
     return E_min, (u, r, s, t)
 
 
-def short_model_data(E: CurveQ) -> tuple[int, int, tuple[Fraction, Fraction]]:
-    """Integral short model y^2 = x^3 + A x + B attached to the minimal model.
-
-    Returns (A, B, (mu, nu)) where x_short = mu * x + nu maps x-coordinates of E
-    to x-coordinates of the short model. A = -27 c4, B = -54 c6 of the minimal model.
-    """
-    Emin, (u, r, _s, _t) = minimal_model(E)
-    A = -27 * int(Emin.c4)
-    B = -54 * int(Emin.c6)
-    # x_min = (x - r) / u^2, then x_short = 36 x_min + 3 b2(E_min)
-    mu = Fraction(36) / u**2
-    nu = 3 * Emin.b2 - mu * r
-    return A, B, (mu, nu)
-
-
 def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None if x is not a square."""
     if x < 0:

@@ -1,43 +1,26 @@
-"""Division polynomials, rational torsion, factor shapes, torsion-field towers.
+"""Division polynomials, rational torsion points and factor shapes.
 
-The n-th division polynomial is computed from the b-invariants of a scaled
+The n-th division polynomial is computed from the b-invariants of E's
 integral model and rescaled back, so its roots are x-coordinates of n-torsion
 in the input model's own coordinates. For odd n it is a polynomial in x of
 degree (n^2 - 1)/2 with leading coefficient n; for even n the returned
 x-polynomial carries the cofactor 2y + a1 x + a3. Rational torsion of odd
 prime order ell is looked for only at 3, 5 and 7, as Mazur's theorem allows,
 among the rational roots of psi_ell, which are read from its simple roots at
-one small prime and lifted (`_rational_roots`); bounded Zassenhaus runs only
-for factor shapes.
+one small prime and lifted (`polyzq.zx_rational_roots`); bounded Zassenhaus
+runs only for factor shapes. The torsion-field tower over a factor of psi_ell
+is built in `numfield`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curves import CurveQ, PointQ, _denominator_scale, point_order, rational_sqrt, short_model_data
-from .errors import InvalidParameterError, ResourceError, UnsupportedError
+from .curves import CurveQ, PointQ, integral_model, point_order, rational_sqrt
+from .errors import InvalidParameterError, UnsupportedError
 from .intmath import is_prime
-from .numfield import NumberFieldDef, adjoin_sqrt
-from .polyzq import (
-    _P_LIMIT,
-    ZX,
-    _lift_target,
-    _root_bound,
-    fp_roots,
-    hensel_lift,
-    zx_compose,
-    zx_deg,
-    zx_div_exact,
-    zx_factor_bounded,
-    zx_is_irreducible,
-    zx_mul,
-    zx_primitive,
-    zx_sub,
-    zx_trim,
-)
+from .polyzq import ZX, zx_deg, zx_factor_bounded, zx_mul, zx_primitive, zx_rational_roots, zx_sub
 
 MAX_DIVPOLY_INDEX = 40
 ODD_TORSION_PRIMES = (3, 5, 7)  # the odd prime orders of rational torsion over Q (Mazur)
@@ -90,13 +73,12 @@ class DivisionPoly(NamedTuple):
 
 
 def _scaled_t_poly(E: CurveQ, n: int) -> tuple[int, ZX]:
-    """(m, t): the least m > 0 with m^(2i) b_(2i) integral for every i, and the
-    x-part t of psi_n on the model with those b-invariants, x scaled by m^2."""
+    """(m, t): the scale m of E's integral model, x_int = m^2 x, and the x-part t
+    of psi_n on that model. psi_n in E's x-coordinate does not depend on m."""
     if not 1 <= n <= MAX_DIVPOLY_INDEX:
         raise UnsupportedError(f"division polynomial index must lie in [1, {MAX_DIVPOLY_INDEX}]")
-    m = _denominator_scale((2, 4, 6, 8), (E.b2, E.b4, E.b6, E.b8))
-    b = (int(E.b2 * m**2), int(E.b4 * m**4), int(E.b6 * m**6), int(E.b8 * m**8))
-    return m, _t_poly(b, n)
+    F, u = integral_model(E)  # u = 1 / m
+    return Fraction(u).denominator, _t_poly((int(F.b2), int(F.b4), int(F.b6), int(F.b8)), n)
 
 
 def division_polynomial(E: CurveQ, n: int) -> DivisionPoly:
@@ -122,48 +104,12 @@ def division_poly_primitive(E: CurveQ, n: int) -> ZX:
     return zx_primitive(ints)[1]
 
 
-def _rational_roots(f: ZX) -> list[Fraction]:
-    """The rational roots of a squarefree f in Z[x], least first.
-
-    p is the least odd prime not dividing lc = lc(f) at which every root of f
-    mod p is simple, found by one fp_roots scan per prime, left at the first
-    double root. Each root is lifted to the root R of f mod p^t > 2 |lc| B, B
-    Fujiwara's root bound, and the candidate is (lc R mod p^t, in the
-    symmetric range) / lc, kept if f vanishes there. A rational root a/b has
-    b | lc, so it reduces mod p to a simple root, whose lift is unique
-    (Hensel), and |lc a/b| < |lc| B < p^t / 2.
-    """
-    lc = f[-1]
-    for p in (q for q in range(3, _P_LIMIT + 1, 2) if lc % q and is_prime(q)):
-        roots = []
-        for r, d in fp_roots(f, p):
-            if d == 0:  # a double root mod p: try the next prime
-                break
-            roots.append(r)
-        else:  # every root mod p is simple
-            break
-    else:
-        raise ResourceError("no prime below threshold where every root is simple")
-    target, pl = _lift_target(p, 2 * abs(lc) * _root_bound(f) + 1)
-    found = []
-    for g in hensel_lift(p, f, [[-r, 1] for r in roots], target):
-        c = (pl // 2 - g[0] * lc) % pl - pl // 2  # lc R in the symmetric range
-        k = math.gcd(c, lc) if lc > 0 else -math.gcd(c, lc)
-        a, b = c // k, lc // k
-        v, bk = 0, 1
-        for coeff in reversed(f):  # b^n f(a / b)
-            v, bk = v * a + coeff * bk, bk * b
-        if v == 0:
-            found.append(Fraction(a, b))
-    return sorted(found)
-
-
 def rational_ell_torsion_point(E: CurveQ, ell: int) -> PointQ | None:
     """A rational point of exact order ell, or None.
 
     Complete for ell in {3, 5, 7}, the only odd prime orders possible over Q
     (Mazur): there the rational roots of psi_ell are lifted to points. They are
-    all found from psi_ell's simple roots at one small prime p (`_rational_roots`):
+    all found from psi_ell's simple roots at one small prime p (`polyzq.zx_rational_roots`):
     a root a/b has b | lc, so it reduces to one of them, which has one Hensel
     lift, and |lc a/b| < p^t / 2. Every other odd prime gets None by Mazur's
     theorem alone, without building psi_ell.
@@ -172,7 +118,7 @@ def rational_ell_torsion_point(E: CurveQ, ell: int) -> PointQ | None:
         raise InvalidParameterError("ell must be an odd prime")
     if ell not in ODD_TORSION_PRIMES:
         return None
-    for x0 in _rational_roots(division_poly_primitive(E, ell)):
+    for x0 in zx_rational_roots(division_poly_primitive(E, ell)):
         # y^2 + (a1 x0 + a3) y = rhs(x0); the discriminant is F(x0) = psi_2^2 at x0
         s = E.a1 * x0 + E.a3
         disc = s * s + 4 * E.rhs(x0)
@@ -212,27 +158,3 @@ def psi_factor_shape(E: CurveQ, ell: int, degree_bound: int) -> FactorShape:
         tuple((zx_deg(g), tuple(g)) for g in factors),
         tuple(residual),
     )
-
-
-def torsion_field_polynomial(E: CurveQ, ell: int, g: ZX) -> NumberFieldDef:
-    """Defining polynomial of the field of a torsion point with x-coordinate in Q[t]/(g).
-
-    g must be an irreducible factor of psi_ell in E's x-coordinate; the
-    construction adjoins a root alpha of g and then the square root of the
-    short-model cubic at alpha. Degenerates to a smaller field when that
-    value is already a square.
-    """
-    g = zx_trim(g[:])
-    if not zx_is_irreducible(g):
-        raise InvalidParameterError("factor must be irreducible over Q")
-    psi = division_poly_primitive(E, ell)
-    if zx_div_exact(psi, g) is None:
-        raise InvalidParameterError("factor does not divide psi_ell")
-    A, B, (mu, nu) = short_model_data(E)
-    # move g to the short model's x-coordinate: roots map by x -> mu x + nu,
-    # so g_short(t) = g((t - nu)/mu), cleared of denominators
-    shifted = zx_compose([Fraction(c) for c in g], [-nu / mu, 1 / mu])
-    lcm = math.lcm(*(c.denominator for c in shifted))
-    g_short = zx_trim([int(c * lcm) for c in shifted])
-    _, g_short = zx_primitive(g_short)
-    return adjoin_sqrt(g_short, [B, A, 0, 1])

@@ -1,4 +1,4 @@
-"""Exact integer number theory: primality, factorization, quadratic symbols.
+"""Exact integer number theory: primality, factorization, the extended gcd, quadratic symbols.
 
 Everything here is arbitrary precision and deterministic; the Pollard-rho
 factorizer uses a fixed-seed Brent cycle so repeated runs agree bit for bit.
@@ -168,6 +168,16 @@ def is_squarefree(n: int) -> bool:
 
 def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g, g = +-gcd(a, b): the extended Euclidean algorithm."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def legendre(a: int, p: int) -> int:

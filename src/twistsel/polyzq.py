@@ -2,10 +2,12 @@
 
 Polynomials are lists of coefficients, lowest degree first; nothing here
 parses text. The roots of f mod p and f' at each are read in one scan
-(fp_roots). Products in F_p[x] mod a fixed modulus pack each operand
-into one int (Kronecker substitution), so a product is one big-integer
-multiplication, and reduce by the modulus through a power series inverse of
-its reverse, made once per modulus. The factorizer is Zassenhaus-style and
+(fp_roots), and the rational roots of a squarefree f are lifted from its
+simple roots at one small prime (zx_rational_roots). Products in F_p[x]
+mod a fixed modulus pack each operand into one int (Kronecker
+substitution), so a product is one big-integer multiplication, and reduce
+by the modulus through a power series inverse of its reverse, made once
+per modulus. The factorizer is Zassenhaus-style and
 does only the work its degree bound can use:
 
 - distinct-degree factorization makes x^(p^i) mod f once for each i up to
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from fractions import Fraction
 
 from .errors import InvalidParameterError, ResourceError
 from .intmath import is_prime
@@ -801,51 +804,40 @@ def zx_is_irreducible(f: ZX) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# resultants (fraction-free Bareiss on the Sylvester matrix)
+# rational roots
 
 
-def _bareiss_det(M: list[list[ZX]]) -> ZX:
-    """Fraction-free (Bareiss) determinant over Z[z], without pivoting.
+def zx_rational_roots(f: ZX) -> list[Fraction]:
+    """The rational roots of a squarefree f in Z[x], least first.
 
-    Each pivot is a leading principal minor, so every one must be nonzero;
-    `resultant_eliminate` guarantees that for its Sylvester matrices.
+    p is the least odd prime not dividing lc = lc(f) at which every root of f
+    mod p is simple, found by one fp_roots scan per prime, left at the first
+    double root. Each root is lifted to the root R of f mod p^t > 2 |lc| B, B
+    Fujiwara's root bound, and the candidate is (lc R mod p^t, in the
+    symmetric range) / lc, kept if f vanishes there. A rational root a/b has
+    b | lc, so it reduces mod p to a simple root, whose lift is unique
+    (Hensel), and |lc a/b| < |lc| B < p^t / 2.
     """
-    n = len(M)
-    M = [row[:] for row in M]
-    prev = [1]
-    for k in range(n - 1):
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                val = zx_sub(zx_mul(M[i][j], M[k][k]), zx_mul(M[i][k], M[k][j]))
-                M[i][j] = zx_div_exact(val, prev)
-        prev = M[k][k]
-    return M[n - 1][n - 1]
-
-
-def resultant_eliminate(g: ZX, f: ZX) -> ZX:
-    """Res_t(g(t), z - f(t)) as a polynomial in z: the norm-form of f modulo g.
-
-    Entries of the Sylvester matrix live in Z[z]; Bareiss keeps everything
-    exact. No pivot vanishes: the k-th leading principal minor, k > deg f,
-    has degree k - deg f in z with leading coefficient +-lc(g)^(deg f), and
-    the smaller ones are triangular with lc(g) on the diagonal.
-    """
-    g = zx_trim(g[:])
-    f = zx_trim(f[:])
-    n, m = zx_deg(g), zx_deg(f)
-    if n < 1:
-        raise InvalidParameterError("base polynomial must be nonconstant")
-    if m < 1:  # constant f: the norm form is (z - f0)^n
-        return zx_pow([-(f[0] if f else 0), 1], n)
-    # rows for g: coefficients in t are constants of Z[z]; rows for z - f(t):
-    # constant term in t is [ -f0, 1 ] (i.e. z - f0), others are constants -f_i.
-    size = n + m
-    gh = [[c] if c else [] for c in reversed(g)]
-    hh = [[-c] if c else [] for c in reversed(f)]
-    hh[-1] = zx_trim([-f[0], 1])
-    rows = []
-    for i in range(m):
-        rows.append([[]] * i + gh + [[]] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([[]] * i + hh + [[]] * (size - m - 1 - i))
-    return _bareiss_det(rows)
+    lc = f[-1]
+    for p in (q for q in range(3, _P_LIMIT + 1, 2) if lc % q and is_prime(q)):
+        roots = []
+        for r, d in fp_roots(f, p):
+            if d == 0:  # a double root mod p: try the next prime
+                break
+            roots.append(r)
+        else:  # every root mod p is simple
+            break
+    else:
+        raise ResourceError("no prime below threshold where every root is simple")
+    target, pl = _lift_target(p, 2 * abs(lc) * _root_bound(f) + 1)
+    found = []
+    for g in hensel_lift(p, f, [[-r, 1] for r in roots], target):
+        c = (pl // 2 - g[0] * lc) % pl - pl // 2  # lc R in the symmetric range
+        k = math.gcd(c, lc) if lc > 0 else -math.gcd(c, lc)
+        a, b = c // k, lc // k
+        v, bk = 0, 1
+        for coeff in reversed(f):  # b^n f(a / b)
+            v, bk = v * a + coeff * bk, bk * b
+        if v == 0:
+            found.append(Fraction(a, b))
+    return sorted(found)

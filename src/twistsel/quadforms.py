@@ -3,7 +3,7 @@
 A form is a plain (a, b, c) int tuple: a x^2 + b xy + c y^2 of discriminant
 D = b^2 - 4ac < 0. Tuples compare and hash as the classes need, and sort by
 (a, b) among forms of one D. No form enters from outside: callers pass D,
-checked where it enters (`_check_disc` in `principal_form` and the kernels,
+checked where it enters (`_kernels.check_disc` in `principal_form` and the kernels,
 `field_discriminant` for d), and every form is made here from that D. So
 Dirichlet composition and reduction check nothing and build no object.
 
@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._kernels import _check_disc
+from ._kernels import check_disc
 from ._kernels import class_number as _kernel_class_number
 from ._kernels import reduced_forms as _kernel_reduced_forms
 from .errors import InvalidParameterError, TwistselError
-from .intmath import factorint, is_prime, is_squarefree, log_p, sqrt_mod
+from .intmath import factorint, is_prime, is_squarefree, log_p, sqrt_mod, xgcd
 
 
 def field_discriminant(d: int) -> int:
@@ -53,7 +53,7 @@ def reduce_form(f: Form) -> Form:
 
 
 def principal_form(D: int) -> Form:
-    _check_disc(D)
+    check_disc(D)
     k = D % 2
     return 1, k, (k * k - D) // 4
 
@@ -79,12 +79,12 @@ def compose_unreduced(f: Form, g: Form) -> Form:
     if a2 % a1 == 0:
         y1, d = 0, a1
     else:
-        d, u, _v = _xgcd(a2, a1)
+        d, u, _v = xgcd(a2, a1)
         y1 = u
     if s % d == 0:
         y2, x2, d1 = -1, 0, d
     else:
-        d1, u, v = _xgcd(s, d)
+        d1, u, v = xgcd(s, d)
         x2, y2 = u, -v
     v1 = a1 // d1
     v2 = a2 // d1
@@ -93,16 +93,6 @@ def compose_unreduced(f: Form, g: Form) -> Form:
     a3 = v1 * v2
     c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
     return a3, b3, c3
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x a + y b = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def form_power(f: Form, n: int) -> Form:

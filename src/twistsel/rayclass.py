@@ -36,8 +36,8 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
-from .intmath import is_prime, kronecker, sqrt_mod
-from .quadforms import EllPart, Form, _xgcd, compose, compose_unreduced, ell_part, principal_form
+from .intmath import is_prime, kronecker, sqrt_mod, xgcd
+from .quadforms import EllPart, Form, compose, compose_unreduced, ell_part, principal_form
 
 # ---------------------------------------------------------------------------
 # ideals of O_K as forms
@@ -93,8 +93,8 @@ def form_with_coprime_a(f: Form, M: int) -> Form:
             val = a * x * x + b * x * y + c * y * y
             if val == 0 or math.gcd(val, M) != 1:
                 continue
-            g, u, v = _xgcd(x, y)
-            if g < 0:  # _xgcd returns g = -1 when y < 0; keep the determinant +1
+            g, u, v = xgcd(x, y)
+            if g < 0:  # xgcd returns g = -1 when y < 0; keep the determinant +1
                 u, v = -u, -v
             # [[x, -v], [y, u]] has determinant xu + yv = 1
             p, q = -v, u

@@ -12,7 +12,7 @@ reduction uses the -c6 square criterion (Legendre symbol at odd p, a 2-adic
 unit-square check at p = 2). `bad_reductions` is the one walk over the bad
 primes, that the conductor and the checker's per-prime rules read. Only
 `conductor` makes a minimal model for its caller; every other function takes
-the model (and `_x_has_pole_at` the transform) it reads. Nothing is cached.
+the model (and `x_has_pole_at` the transform) it reads. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def is_supersingular(E_min: CurveQ, red: LocalReduction) -> SupersingularResult:
     return SupersingularResult(verdict, f"{how}, a_{ell} = {a}")
 
 
-def _x_has_pole_at(transform: tuple, P: PointQ, ell: int) -> bool:
+def x_has_pole_at(transform: tuple, P: PointQ, ell: int) -> bool:
     """Whether ord_ell(x(P)) < 0 on the minimal model, for an affine point P of E.
 
     transform is the (u, r, s, t) to it from `curves.minimal_model`, so x' = (x - r) / u^2.

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from oracle_dirichlet import primitive_root
 from oracle_forms import principal_form, reduce_form
 from twistsel.errors import InvalidParameterError, PreconditionError
-from twistsel.intmath import factorint, kronecker, log_p, sqrt_mod
-from twistsel.quadforms import _xgcd, ell_part, field_discriminant
+from twistsel.intmath import factorint, kronecker, log_p, sqrt_mod, xgcd
+from twistsel.quadforms import ell_part, field_discriminant
 from twistsel.rayclass import form_with_coprime_a
 
 
@@ -104,7 +104,7 @@ def _hnf_from_generators(order: QuadOrder, gens: list[tuple[int, int]]) -> Ideal
         if vec[1] == 0:
             vec = r[:]
             continue
-        g, u, v = _xgcd(vec[1], r[1])
+        g, u, v = xgcd(vec[1], r[1])
         vec = [u * vec[0] + v * r[0], g]
     c = abs(vec[1])
     if vec[1] < 0:

@@ -41,12 +41,12 @@ from twistsel.rayclass import ray_class_data
 from twistsel.reduction import (
     ReductionKind,
     SupersingularVerdict,
-    _x_has_pole_at,
     ap,
     bad_reductions,
     conductor,
     is_supersingular,
     local_reduction,
+    x_has_pole_at,
 )
 from twistsel.search import SearchMode, search_twists
 
@@ -169,7 +169,7 @@ def test_criterion_4_curve_golden():
     assert P == PointQ(0, 0)
     assert point_order(E11A3, P, 12) == 5
     assert is_supersingular(E11A3, local_reduction(E11A3, 5)).verdict is SupersingularVerdict.NO
-    assert not _x_has_pole_at(transform, P, 5)  # P is outside the kernel of reduction mod 5
+    assert not x_has_pole_at(transform, P, 5)  # P is outside the kernel of reduction mod 5
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(4, "conductor-11 curve golden data", elapsed, 1)

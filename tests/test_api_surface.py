@@ -9,10 +9,12 @@ only through an attribute access `.name` in src/. Tests do not count: a
 helper that only tests call belongs in a test oracle, and a field that only
 tests read is work done for nothing on every call.
 
-Three more guards: no function in src/ is cached unless CACHES_ALLOWED names
-it, each test oracle imports from the library only the names that
-ORACLE_IMPORTS lists for it, and a module of src/ imports a private name of
-another only where PRIVATE_IMPORTS lists it.
+More guards: no function in src/ is cached unless CACHES_ALLOWED names it,
+each test oracle imports from the library only the names that ORACLE_IMPORTS
+lists for it, no module of src/ imports a private name of another (a helper
+that a second module needs is public, or moves to its one caller), and
+importing `checker` loads no `numfield`, which only the torsion-field tower
+and the golden suite read.
 """
 
 import ast
@@ -92,7 +94,7 @@ ORACLE_IMPORTS = {
     },
     "oracle_rayclass": {
         "errors.InvalidParameterError errors.PreconditionError": "refusals are compared by type",
-        "intmath.factorint intmath.kronecker intmath.log_p intmath.sqrt_mod quadforms._xgcd "
+        "intmath.factorint intmath.kronecker intmath.log_p intmath.sqrt_mod intmath.xgcd "
         "quadforms.field_discriminant": "arithmetic primitives, checked in test_intmath and test_quadforms",
         "quadforms.ell_part rayclass.form_with_coprime_a":
             "the class-group ell-part and an ideal prime to M; stated, not yet removed",
@@ -105,30 +107,6 @@ ORACLE_IMPORTS = {
         "errors.InvalidParameterError errors.PreconditionError": "refusals are compared by type",
         "intmath.is_prime intmath.legendre intmath.valuation polyzq.fp_gcd":
             "arithmetic primitives, checked in test_intmath and test_polyzq",
-    },
-}
-
-
-# the private names each module of src/twistsel imports from another, in
-# groups that share one reason; a private name that a second module needs is
-# a shared primitive, and a new one is a choice to make, not a convenience
-PRIVATE_IMPORTS = {
-    "checker": {
-        "reduction._x_has_pole_at":
-            "the kernel-of-reduction test, read once on the torsion point for the hypothesis",
-    },
-    "divpoly": {
-        "curves._denominator_scale":
-            "the least scale that makes weighted invariants integral, shared with the models",
-        "polyzq._P_LIMIT polyzq._lift_target polyzq._root_bound":
-            "the factorizer's prime ceiling, lift target and root bound, which the rational "
-            "root search shares so that both search the same primes to the same precision",
-    },
-    "quadforms": {
-        "_kernels._check_disc": "the discriminant check of the kernels, made where D enters",
-    },
-    "rayclass": {
-        "quadforms._xgcd": "the extended gcd of form composition, reused for an ideal basis",
     },
 }
 
@@ -266,12 +244,8 @@ def cached_functions(src: Path = SRC) -> set[str]:
     return out
 
 
-def _listed(table: dict[str, dict[str, str]], stem: str) -> set[str]:
-    return {name for group in table.get(stem, {}) for name in group.split()}
-
-
 def _allowed_oracle_imports(stem: str) -> set[str]:
-    return _listed(ORACLE_IMPORTS, stem)
+    return {name for group in ORACLE_IMPORTS.get(stem, {}) for name in group.split()}
 
 
 def oracle_library_imports(tests: Path = TESTS) -> dict[str, set[str]]:
@@ -335,20 +309,8 @@ def private_cross_imports(src: Path = SRC) -> dict[str, set[str]]:
     return out
 
 
-def unlisted_private_imports(src: Path = SRC) -> list[str]:
-    """"module: other.name" for each private import that PRIVATE_IMPORTS does not list."""
-    return sorted(
-        f"{stem}: {name}"
-        for stem, names in private_cross_imports(src).items()
-        for name in names - _listed(PRIVATE_IMPORTS, stem)
-    )
-
-
-def test_private_names_cross_modules_only_as_listed():
-    assert unlisted_private_imports() == []
-    # and the table lists nothing that a module no longer imports
-    listed = {stem: _listed(PRIVATE_IMPORTS, stem) for stem in PRIVATE_IMPORTS}
-    assert listed == private_cross_imports()
+def test_no_private_name_crosses_a_module():
+    assert private_cross_imports() == {}
 
 
 def test_private_import_guard_sees_a_new_one(tmp_path):
@@ -359,7 +321,7 @@ def test_private_import_guard_sees_a_new_one(tmp_path):
     assert text.count(anchor) == 1
     planted = text.replace(anchor, "    ZX,\n    _zx_trunc,\n    fp_factor,\n")
     (tmp_path / "numfield.py").write_text(planted)
-    assert unlisted_private_imports(tmp_path) == ["numfield: polyzq._zx_trunc"]
+    assert private_cross_imports(tmp_path) == {"numfield": {"polyzq._zx_trunc"}}
 
 
 def test_every_cache_is_allowed():
@@ -534,17 +496,23 @@ def _fresh_python(code: str, *args: str) -> str:
     ).stdout
 
 
-def _modules_after_cli_import() -> set[str]:
+def _modules_after_import(module: str) -> set[str]:
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import twistsel.cli, json; "
+        f"import sys; sys.path.insert(0, sys.argv[1]); import twistsel.{module}, json; "
         "print(json.dumps(sorted(sys.modules)))"
     )
     return set(json.loads(_fresh_python(code)))
 
 
+def test_checker_import_loads_no_numfield():
+    # the torsion-field tower lives in numfield; no check or search builds one
+    loaded = _modules_after_import("checker")
+    assert "twistsel.divpoly" in loaded and "twistsel.numfield" not in loaded
+
+
 def test_cli_import_loads_no_dataclass_machinery():
     assert not [p.name for p in SRC.glob("*.py") if "dataclass" in p.read_text()]
-    assert not {"dataclasses", "inspect"} & _modules_after_cli_import()
+    assert not {"dataclasses", "inspect"} & _modules_after_import("cli")
 
 
 def test_cli_import_loads_no_process_pool():
@@ -552,7 +520,7 @@ def test_cli_import_loads_no_process_pool():
     pool_stack = {
         "concurrent.futures", "logging", "multiprocessing", "pickle", "socket", "subprocess"
     }
-    assert not pool_stack & _modules_after_cli_import()
+    assert not pool_stack & _modules_after_import("cli")
 
 
 def test_cli_calls_import_no_module():

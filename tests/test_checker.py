@@ -26,12 +26,15 @@ from twistsel.curves import CurveQ, curve_from_string
 from twistsel.dirichlet import DirichletPredicate
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
 from twistsel.intmath import kronecker
-from twistsel.quadforms import ell_rank, field_discriminant
+from twistsel.quadforms import ell_part, field_discriminant
 from twistsel.rayclass import ray_class_data
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
 E38 = CurveQ(1, 1, 1, 0, 1)  # rational 5-torsion, S_E = {19}
 E19 = curve_from_string("[0,1,1,-9,-15]")  # conductor 19
+# the curve-level rules, built once; each d is certified from them
+RULES_11A3 = twist_rules(hypothesis_check(E11A3, 5))
+RULES_38 = twist_rules(hypothesis_check(E38, 5))
 
 
 def test_artin_symbol_examples():
@@ -167,19 +170,19 @@ def test_hypothesis_report_without_the_point_makes_no_model(monkeypatch, curve, 
 
 
 def test_admissibility_11a3():
-    rep = admissibility_check(E11A3, 5, -37)
+    rep = certify(RULES_11A3, -37).report
     assert rep.overall is Overall.ADMISSIBLE
-    rep13 = admissibility_check(E11A3, 5, -13)
+    rep13 = certify(RULES_11A3, -13).report
     assert rep13.overall is Overall.INADMISSIBLE
     assert rep13.failed_clauses() == ["symbol.11"]
-    rep5 = admissibility_check(E11A3, 5, -5)
+    rep5 = certify(RULES_11A3, -5).report
     assert rep5.overall is Overall.INADMISSIBLE
     assert "domain.coprime" in rep5.failed_clauses()
-    rep_pos = admissibility_check(E11A3, 5, 3)
+    rep_pos = certify(RULES_11A3, 3).report
     assert "domain.negative" in rep_pos.failed_clauses()
-    rep_sq = admissibility_check(E11A3, 5, -9)
+    rep_sq = certify(RULES_11A3, -9).report
     assert "domain.squarefree" in rep_sq.failed_clauses()
-    rep_cong = admissibility_check(E11A3, 5, -33 + 32)  # -1 = 3 mod 4 actually
+    rep_cong = certify(RULES_11A3, -33 + 32).report  # -1 = 3 mod 4 actually
     assert rep_cong.overall in (Overall.ADMISSIBLE, Overall.INADMISSIBLE)
 
 
@@ -190,7 +193,7 @@ def test_admissibility_clause_soundness():
     import math
 
     for d in (-37, -181, -53, -89):
-        rep = admissibility_check(E11A3, 5, d)
+        rep = certify(RULES_11A3, d).report
         assert rep.overall is Overall.ADMISSIBLE
         N, _ = conductor(E11A3)
         assert d < 0 and d % 4 == 3 and is_squarefree(d)
@@ -208,7 +211,7 @@ def test_admissibility_clause_soundness():
 
 def test_exemption_for_s_primes():
     # 19 in S_E: no symbol requirement may be emitted for it
-    rep = admissibility_check(E38, 5, -21)
+    rep = certify(RULES_38, -21).report
     sym19 = [c for c in rep.clauses if c.clause_id == "symbol.19"]
     assert len(sym19) == 1
     assert "exempt" in sym19[0].detail
@@ -217,59 +220,73 @@ def test_exemption_for_s_primes():
 
 
 def test_report_json_schema():
-    rep = admissibility_check(E11A3, 5, -37)
+    rep = certify(RULES_11A3, -37).report
     payload = rep.to_dict()
     assert set(payload) == {"curve", "ell", "d", "clauses", "overall"}
     for clause in payload["clauses"]:
         assert set(clause) == {"id", "cite", "pass", "detail"}
     # byte stability
     a = json.dumps(payload, sort_keys=True)
-    b = json.dumps(admissibility_check(E11A3, 5, -37).to_dict(), sort_keys=True)
+    b = json.dumps(certify(RULES_11A3, -37).report.to_dict(), sort_keys=True)
     assert a == b
 
 
 def test_selmer_lower_bound_trivial_s():
-    sb = selmer_lower_bound(E11A3, 5, -37)
+    sb = certify(RULES_11A3, -37).bound
     assert (sb.rank, sb.bound, sb.s_used) == (0, 1, ())
-    sb181 = selmer_lower_bound(E11A3, 5, -181)
+    sb181 = certify(RULES_11A3, -181).bound
     assert (sb181.rank, sb181.bound) == (1, 5)
-    with pytest.raises(PreconditionError):
-        selmer_lower_bound(E11A3, 5, -13)
+    assert certify(RULES_11A3, -13).bound is None
 
 
 def test_selmer_lower_bound_nonempty_s():
     # E38: S_E = {19}; the bound must match the ray class rank directly
     for d in (-21, -33, -37):
-        rep = admissibility_check(E38, 5, d)
-        if rep.overall is not Overall.ADMISSIBLE:
+        cert = certify(RULES_38, d)
+        if cert.report.overall is not Overall.ADMISSIBLE:
             continue
-        sb = selmer_lower_bound(E38, 5, d)
+        sb = cert.bound
         assert sb.s_used == (19,)
         assert sb.rank == ray_class_data(field_discriminant(d), (19,), 5).ell_rank
         assert sb.bound == 5**sb.rank
         # the ray rank is at least the plain class-group rank
-        assert sb.rank >= ell_rank(field_discriminant(d), 5)[0]
+        assert sb.rank >= ell_part(field_discriminant(d), 5).rank
 
 
 def test_corollary_sandwich():
-    res = corollary_sandwich(E11A3, 5, -37)
+    res = certify(RULES_11A3, -37).sandwich
     assert res.verdict is SelmerVerdict.TRIVIAL and (res.lower, res.upper) == (1, 1)
-    res181 = corollary_sandwich(E11A3, 5, -181)
+    res181 = certify(RULES_11A3, -181).sandwich
     assert res181.verdict is SelmerVerdict.NONTRIVIAL and (res181.lower, res181.upper) == (5, 25)
     # monotone in the class group: verdict is determined by the ell-rank
-    assert res181.ell_rank == ell_rank(-724, 5)[0]
+    assert res181.ell_rank == ell_part(-724, 5).rank
 
 
 def test_corollary_not_applicable_when_s_nonempty():
-    rep = admissibility_check(E38, 5, -21)
-    assert rep.overall is Overall.ADMISSIBLE
-    res = corollary_sandwich(E38, 5, -21)
-    assert res.verdict is SelmerVerdict.NOT_APPLICABLE
+    cert = certify(RULES_38, -21)
+    assert cert.report.overall is Overall.ADMISSIBLE
+    assert cert.sandwich.verdict is SelmerVerdict.NOT_APPLICABLE
+
+
+def test_the_traced_wrappers_agree_with_certify():
+    # admissibility_check, selmer_lower_bound and corollary_sandwich redo the
+    # curve-level work on each call, as the benchmark's tracer times them;
+    # each is the matching part of one certificate
+    for E, rules, d in ((E11A3, RULES_11A3, -181), (E11A3, RULES_11A3, -37), (E38, RULES_38, -21)):
+        cert = certify(rules, d)
+        assert admissibility_check(E, 5, d) == cert.report
+        assert selmer_lower_bound(E, 5, d) == cert.bound
+        assert corollary_sandwich(E, 5, d) == cert.sandwich
+    assert admissibility_check(E11A3, 5, -13) == certify(RULES_11A3, -13).report
+    with pytest.raises(PreconditionError, match="symbol.11"):
+        selmer_lower_bound(E11A3, 5, -13)
+    with pytest.raises(PreconditionError, match="symbol.11"):
+        corollary_sandwich(E11A3, 5, -13)
 
 
 def test_determinism():
-    a = admissibility_check(E11A3, 5, -37)
-    b = admissibility_check(E11A3, 5, -37)
+    a = certify(twist_rules(hypothesis_check(E11A3, 5)), -37)
+    b = certify(twist_rules(hypothesis_check(E11A3, 5)), -37)
     assert a == b
     assert twist_rules(hypothesis_check(E11A3, 5)).ssets[:2] == s_sets_by_definition(E11A3, 5)
 
@@ -291,8 +308,9 @@ def test_tate_curve_at_ell_branch():
     assert "vacuous" in ordinary[0].detail
     # d = -2 is 2 mod 4, d = -13: kronecker(-52, 5) = ? choose d by the clause
     found_inert = found_split = None
+    rules = twist_rules(rep)
     for d in (-13, -17, -21, -29, -33, -37, -41, -53):
-        rep_d = admissibility_check(E, 5, d)
+        rep_d = certify(rules, d).report
         clauses = {c.clause_id: c for c in rep_d.clauses}
         if "ell.inert" not in clauses:
             continue
@@ -309,14 +327,14 @@ def test_ell_7_pipeline():
     # 7-torsion curve of conductor 26; 13 = -1 mod 7 sits in the exceptional set
     E26 = curve_from_string("[1,-1,1,-3,3]")
     assert hypothesis_check(E26, 7).ok
-    ss = twist_rules(hypothesis_check(E26, 7)).ssets
-    assert ss.s_tilde == (13,) and ss.s == (13,)
-    rep = admissibility_check(E26, 7, -5)
-    assert rep.overall is Overall.ADMISSIBLE
-    sb = selmer_lower_bound(E26, 7, -5)
+    rules = twist_rules(hypothesis_check(E26, 7))
+    assert rules.ssets.s_tilde == (13,) and rules.ssets.s == (13,)
+    cert = certify(rules, -5)
+    assert cert.report.overall is Overall.ADMISSIBLE
+    sb = cert.bound
     # the whole bound comes from the ray part: h(-20) = 2 has no 7-torsion
     assert sb.s_used == (13,) and sb.bound == 7
-    assert ell_rank(-20, 7)[0] == 0
+    assert ell_part(-20, 7).rank == 0
     assert sb.rank == ray_class_data(-20, (13,), 7).ell_rank
 
 
@@ -460,7 +478,7 @@ def test_rules_match_the_per_d_oracle_on_other_reduction_types(curve, ell):
 def test_rules_refuse_what_the_oracle_refuses():
     for ell, d in ((3, -7), (5, 0)):
         with pytest.raises((UnsupportedError, InvalidParameterError)) as got:
-            admissibility_check(E11A3, ell, d)
+            certify(twist_rules(hypothesis_check(E11A3, ell)), d)
         with pytest.raises(type(got.value)):
             admissibility_check_per_d(E11A3, ell, d)
 

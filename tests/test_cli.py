@@ -29,7 +29,7 @@ from pinned_outputs import (
     TORSION_FIELD_FACTOR,
     TORSION_FIELD_SHA256,
 )
-from twistsel import cli, divpoly, search
+from twistsel import cli, divpoly, intmath, search
 from twistsel.cli import main
 
 
@@ -467,6 +467,34 @@ def test_check_gives_up_on_a_hard_to_factor_d(capsys):
     code, out, err = run_cli(capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", f"--d={d}")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "work cap" in err
+
+
+@pytest.mark.parametrize(
+    "d, failing",
+    [
+        ("10000000000000000000000000000603000000000000000000000000001881", "domain.negative"),
+        ("-20000000000000000000000000001206000000000000000000000000003762", "domain.congruence"),
+    ],
+)
+def test_check_decides_a_hard_to_factor_d_that_fails_another_domain_clause(
+    capsys, monkeypatch, d, failing
+):
+    # d positive, or 2 mod 4: d is inadmissible whether or not it is squarefree,
+    # so the factoring cap leaves that one clause undetermined, not the verdict
+    monkeypatch.setattr(intmath, "_RHO_STEPS", 2**8)
+    code, out, err = run_cli(
+        capsys, "check", "--curve", "[0,-1,1,0,0]", "--ell", "5", f"--d={d}", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    clauses = {c["id"]: c for c in report["clauses"]}
+    assert list(clauses)[:4] == [
+        "domain.negative", "domain.squarefree", "domain.congruence", "domain.coprime"
+    ]
+    assert clauses[failing]["pass"] is False
+    assert clauses["domain.squarefree"]["pass"] is None
+    assert "work cap" in clauses["domain.squarefree"]["detail"]
+    assert report["overall"] == "Inadmissible"
 
 
 def test_check_rejects_a_square_d_without_factoring_its_root(capsys):

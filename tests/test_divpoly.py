@@ -6,7 +6,7 @@ import pytest
 
 from oracle_ec import multiply_point, torsion_x_coords
 from oracle_poly import rational_roots_by_divisors, zx_eval
-from twistsel import divpoly
+from twistsel import polyzq
 from twistsel.curves import (
     CurveQ,
     PointQ,
@@ -16,16 +16,23 @@ from twistsel.curves import (
     rational_sqrt,
 )
 from twistsel.divpoly import (
-    _rational_roots,
     division_poly_primitive,
     division_polynomial,
     psi_factor_shape,
     rational_ell_torsion_point,
-    torsion_field_polynomial,
 )
 from twistsel.errors import InvalidParameterError, UnsupportedError
 from twistsel.intmath import primes_up_to
-from twistsel.polyzq import zx_deg, zx_derivative, zx_factor_bounded, zx_gcd, zx_mul, zx_primitive
+from twistsel.numfield import torsion_field_polynomial
+from twistsel.polyzq import (
+    zx_deg,
+    zx_derivative,
+    zx_factor_bounded,
+    zx_gcd,
+    zx_mul,
+    zx_primitive,
+    zx_rational_roots,
+)
 from twistsel.reduction import local_reduction
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
@@ -256,8 +263,8 @@ def _seeded_polys():
 
 def _spy_lift_prime(monkeypatch):
     primes = []
-    lift = divpoly.hensel_lift
-    monkeypatch.setattr(divpoly, "hensel_lift", lambda p, *a: primes.append(p) or lift(p, *a))
+    lift = polyzq.hensel_lift
+    monkeypatch.setattr(polyzq, "hensel_lift", lambda p, *a: primes.append(p) or lift(p, *a))
     return primes
 
 
@@ -266,8 +273,8 @@ def test_rational_roots_match_both_oracles(monkeypatch):
     for kind, f in _seeded_polys():
         primes.clear()
         want = rational_roots_by_divisors(f)
-        assert _rational_roots(f) == want == _linear_factor_roots(f), (kind, f)
-        assert _rational_roots([-c for c in f]) == want  # a negative leading coefficient
+        assert zx_rational_roots(f) == want == _linear_factor_roots(f), (kind, f)
+        assert zx_rational_roots([-c for c in f]) == want  # a negative leading coefficient
         assert (want == []) == (kind == "no-root")
         if kind == "double-mod-3-5-7":
             assert primes and primes[0] > 7, f
@@ -279,7 +286,7 @@ def test_rational_roots_skip_the_primes_with_a_double_root(monkeypatch):
     # (x - 1)(x - 106)(2x + 3): 1 and 106 meet mod 3, 5 and 7; -3/2 meets 1 mod 5
     primes = _spy_lift_prime(monkeypatch)
     f = _product([-1, 1], [-106, 1], [3, 2])
-    assert _rational_roots(f) == [Fraction(-3, 2), 1, 106]
+    assert zx_rational_roots(f) == [Fraction(-3, 2), 1, 106]
     assert primes == [11]
 
 
@@ -290,8 +297,8 @@ def test_rational_roots_of_psi_on_kubert_families_and_their_twists(ell):
     for E in _kubert_curves(ell, sorted(ts - {0, 1})):
         for C in (E, quadratic_twist(E, rng.choice([-1, 2, -7, 5]))):
             psi = division_poly_primitive(C, ell)
-            assert _rational_roots(psi) == _linear_factor_roots(psi), (C, ell)
-        assert _rational_roots(division_poly_primitive(E, ell)), E  # (0, 0) has order ell
+            assert zx_rational_roots(psi) == _linear_factor_roots(psi), (C, ell)
+        assert zx_rational_roots(division_poly_primitive(E, ell)), E  # (0, 0) has order ell
 
 
 def _fuzz_curves():

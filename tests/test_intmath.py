@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -21,7 +22,14 @@ from twistsel.intmath import (
     primes_up_to,
     squarefree_sieve,
     valuation,
+    xgcd,
 )
+
+
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+def test_xgcd_gives_a_bezout_identity(a, b):
+    g, x, y = xgcd(a, b)
+    assert x * a + y * b == g and abs(g) == math.gcd(a, b)
 
 
 def test_primes_small():

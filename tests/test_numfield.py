@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from oracle_poly import dedekind_index_divisible
+from oracle_poly import dedekind_index_divisible, sylvester_resultant, zx_eval
 
 from twistsel.errors import DegenerateTowerError, InvalidParameterError
 from twistsel.intmath import is_squarefree
@@ -14,9 +15,10 @@ from twistsel.numfield import (
     dedekind_split,
     make_monic,
     number_field,
+    resultant_eliminate,
     zeta_in_field,
 )
-from twistsel.polyzq import fp_factor, zx_deg, zx_derivative, zx_factor, zx_gcd
+from twistsel.polyzq import fp_factor, zx_compose, zx_deg, zx_derivative, zx_factor, zx_gcd, zx_trim
 
 
 def test_factor_poly_q_complete():
@@ -123,6 +125,43 @@ def test_zeta_in_field():
         zeta_in_field(K, 4)
 
 
+def _z_minus(f):
+    """z - f(t) in Z[z][t], the form the norm of f modulo g is read from."""
+    return [[-f[0], 1]] + [[-c] for c in f[1:]]
+
+
+def test_resultant():
+    # the oracle: Res(x - a, g) = g(a)
+    g = [3, 1, 2]
+    for a in (-2, 0, 5):
+        assert sylvester_resultant([-a, 1], g) == zx_eval(g, a)
+    # Bareiss over Z[z] against Gaussian elimination over Q at integer points:
+    # resultant_eliminate(g, h) at z0 is Res_t(g(t), h(z0, t)), for h = z - f(t)
+    # and for the shifted square (z - k t)^2 - f(t) that adjoin_sqrt reads
+    rng = random.Random(2016)
+    for _ in range(40):
+        g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [rng.choice([-2, -1, 1, 3])]
+        f = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.choice([-1, 1, 2])]
+        k = rng.randint(1, 3)
+        f0, f1, f2, *rest = f + [0, 0]
+        shifted = [[-f0, 0, 1], [-f1, -2 * k], [k * k - f2]] + [[-c] for c in rest]
+        h1, h2 = resultant_eliminate(g, _z_minus(f)), resultant_eliminate(g, shifted)
+        for z0 in (-3, 0, 1, 7):
+            assert zx_eval(h1, z0) == sylvester_resultant(g, [z0 - f[0]] + [-c for c in f[1:]])
+            at_z0 = zx_trim([zx_eval(c, z0) for c in shifted])
+            assert zx_eval(h2, z0) == sylvester_resultant(g, at_z0)
+
+
+def test_resultant_eliminate():
+    norm = lambda g, f: zx_compose(resultant_eliminate(g, _z_minus(f)), [0, 0, 1])
+    assert norm([-1, 1], [1, 1, 0, 1]) == [-3, 0, 1]
+    assert norm([1, 0, 1], [0, 1]) == [1, 0, 0, 0, 1]
+    # degenerate square case: g = t - 2, f = t^3 + 1: z - 9
+    assert resultant_eliminate([-2, 1], _z_minus([1, 0, 0, 1])) == [-9, 1]
+    # h constant in t: the norm is h^deg g
+    assert resultant_eliminate([-2, 0, 1], [[-3, 0, 1]]) == [9, 0, -6, 0, 1]
+
+
 def test_adjoin_sqrt_examples():
     K = adjoin_sqrt([-1, 1], [1, 1, 0, 1])  # g = t-1, f = t^3+t+1: x^2 - 3
     assert list(K.minpoly) == [-3, 0, 1]
@@ -150,6 +189,28 @@ def test_adjoin_sqrt_errors():
     with pytest.raises(DegenerateTowerError):
         adjoin_sqrt([4, 2], [2, 1])  # g = 2t + 4 is not primitive; f = t + 2 vanishes mod g
     assert adjoin_sqrt([4, 2], [3, 1]).degree == 1  # f = t + 3 is 1 at t = -2
+
+
+def test_adjoin_sqrt_keeps_alpha_when_f_alpha_has_fewer_conjugates():
+    # f(alpha) rational: the norm of x^2 - f(alpha) is a square, so its
+    # factor x^2 - 3 would be Q(sqrt 3) alone; beta + alpha generates Q(sqrt 2, sqrt 3)
+    assert adjoin_sqrt([-2, 0, 1], [3]).minpoly == (1, 0, -10, 0, 1)
+    assert adjoin_sqrt([-2, 0, 1], [1, 0, 1]).minpoly == (1, 0, -10, 0, 1)  # f(alpha) = 3
+    # beta = +-alpha: the field is Q(sqrt 2) itself; k = 0 and 1 leave a repeated
+    # root, and k = 2 gives alpha + beta in {+-3 sqrt 2, +-sqrt 2}
+    assert adjoin_sqrt([-2, 0, 1], [2]).minpoly == (-18, 0, 1)
+    # a cubic base with a rational f(alpha): Q(2^(1/3), sqrt c) has degree 6
+    assert adjoin_sqrt([-2, 0, 0, 1], [5]).degree == 6
+
+
+@pytest.mark.parametrize("a", [2, 3, -1, 5, -6])
+def test_adjoin_sqrt_of_a_rational_over_a_quadratic_field(a):
+    # the oracle: Q(sqrt a, sqrt c) has degree 2 when c or a c is a square, else 4
+    for c in (-15, -3, -2, -1, 2, 3, 5, 6, 10, 12, 20):
+        K = adjoin_sqrt([-a, 0, 1], [c])
+        square = any(math.isqrt(v) ** 2 == v for v in (c, a * c) if v >= 0)
+        assert K.degree == (2 if square else 4), (a, c)
+        assert zx_factor(list(K.minpoly))[1] == [(list(K.minpoly), 1)]  # irreducible
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])

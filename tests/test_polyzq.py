@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracle_poly import fp_ddf as per_degree_ddf
 from oracle_poly import fp_pow_mod as schoolbook_pow_mod
 from oracle_poly import hensel_lift as tree_hensel_lift
-from oracle_poly import fp_roots_by_evaluation, packed_pow_mod, sylvester_resultant, zx_eval
+from oracle_poly import fp_roots_by_evaluation, packed_pow_mod, zx_eval
 from pinned_outputs import FACTOR_SHAPE_CURVES
 
 from twistsel import polyzq
@@ -30,7 +30,6 @@ from twistsel.polyzq import (
     fp_roots,
     hensel_lift,
     _fp_split,
-    resultant_eliminate,
     zx_add,
     zx_compose,
     zx_deg,
@@ -592,22 +591,6 @@ def test_bounded_factorization_lifts_only_small_factors(monkeypatch):
     assert shape.factors
 
 
-def test_resultant():
-    # the oracle: Res(x - a, g) = g(a)
-    g = [3, 1, 2]
-    for a in (-2, 0, 5):
-        assert sylvester_resultant([-a, 1], g) == zx_eval(g, a)
-    # Bareiss over Z[z] against Gaussian elimination over Q at integer points:
-    # resultant_eliminate(g, f) at z0 is Res_t(g(t), z0 - f(t))
-    rng = random.Random(2016)
-    for _ in range(40):
-        g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [rng.choice([-2, -1, 1, 3])]
-        f = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.choice([-1, 1, 2])]
-        h = resultant_eliminate(g, f)
-        for z0 in (-3, 0, 1, 7):
-            assert zx_eval(h, z0) == sylvester_resultant(g, [z0 - f[0]] + [-c for c in f[1:]])
-
-
 def test_zx_compose_evaluates_f_at_g():
     # f(g(x)) has degree deg f * deg g, so agreeing at one more point than that is equality
     rng = random.Random(30)
@@ -622,13 +605,6 @@ def test_zx_compose_evaluates_f_at_g():
         for x in range(-1, max(zx_deg(f), 0) * max(zx_deg(g), 0) + 1):
             assert zx_eval(h, x) == zx_eval(f, zx_eval(g, x)), (f, g)
     assert zx_compose([], [1, 2]) == [] and zx_compose([5], []) == [5]
-
-
-def test_resultant_eliminate():
-    assert zx_compose(resultant_eliminate([-1, 1], [1, 1, 0, 1]), [0, 0, 1]) == [-3, 0, 1]
-    assert zx_compose(resultant_eliminate([1, 0, 1], [0, 1]), [0, 0, 1]) == [1, 0, 0, 0, 1]
-    # degenerate square case: g = t - 2, f = t^3 + 1: z - 9
-    assert resultant_eliminate([-2, 1], [1, 0, 0, 1]) == [-9, 1]
 
 
 def _rules_out_roots_from(f, B) -> bool:

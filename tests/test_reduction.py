@@ -29,9 +29,9 @@ from twistsel.reduction import (
     ap,
     bad_reductions,
     conductor,
-    _x_has_pole_at,
     is_supersingular,
     local_reduction,
+    x_has_pole_at,
 )
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
@@ -447,8 +447,8 @@ def test_supersingular_builds_at_most_one_twist(monkeypatch, curve, twists):
 def test_kernel_of_reduction():
     P = PointQ(0, 0)
     transform = minimal_model(E11A3)[1]
-    assert not _x_has_pole_at(transform, P, 5)
-    assert not _x_has_pole_at(transform, PointQ(1, 0), 5)
+    assert not x_has_pole_at(transform, P, 5)
+    assert not x_has_pole_at(transform, PointQ(1, 0), 5)
     # multiply a generator into the kernel of reduction mod 5 on 37a1
     E37 = CurveQ(0, 0, 1, -1, 0)
     count5 = 5 + 1 - ap(E37, 5)
@@ -457,11 +457,11 @@ def test_kernel_of_reduction():
     from twistsel.intmath import valuation
 
     assert valuation(Q.x.denominator, 5) > 0
-    assert _x_has_pole_at(minimal_model(E37)[1], Q, 5)
+    assert x_has_pole_at(minimal_model(E37)[1], Q, 5)
 
 
 def test_pole_test_matches_the_oracle_image_point():
-    """_x_has_pole_at, reading the denominator of (x - r) / u^2, decides as the
+    """x_has_pole_at, reading the denominator of (x - r) / u^2, decides as the
     oracle's image of P on the minimal model does, with (u, r) ints and with
     Fractions. The models are 11a3 moved by seeded (u, r, s, t), so u carries
     ell often, r is integral when E is."""
@@ -476,7 +476,7 @@ def test_pole_test_matches_the_oracle_image_point():
         assert all(type(v) is int for v in transform) == E.is_integral()
         x = r + Fraction(ell ** rng.randint(0, 5) * rng.randint(-3, 3), rng.choice((1, 1, ell, 3)))
         P = PointQ(x, 0)  # the test reads x only; P need not lie on E
-        got = _x_has_pole_at(transform, P, ell)
+        got = x_has_pole_at(transform, P, ell)
         assert got == (transform_point(P, *transform).x.denominator % ell == 0)
         seen.add((got, E.is_integral() and x.denominator == 1))
     assert seen == {(True, True), (False, True), (True, False), (False, False)}

@@ -11,7 +11,7 @@ from forced_pool import force_pool
 from oracle_rayclass import ray_class_oracle
 from pinned_outputs import SEARCH_26_CSV
 from twistsel import search
-from twistsel.checker import Overall, admissibility_check
+from twistsel.checker import Overall, certify, hypothesis_check, twist_rules
 from twistsel.curves import CurveQ
 from twistsel.errors import InvalidParameterError, PreconditionError, ResourceError
 from twistsel.quadforms import class_number, field_discriminant
@@ -44,9 +44,9 @@ def test_enumerate_d_filters():
 def test_search_rows_revalidate():
     rows = search_twists(E11A3, 5, -100, -3)
     assert rows  # nonempty
+    rules = twist_rules(hypothesis_check(E11A3, 5))
     for row in rows:
-        rep = admissibility_check(E11A3, 5, row["d"])
-        assert rep.overall is Overall.ADMISSIBLE
+        assert certify(rules, row["d"]).report.overall is Overall.ADMISSIBLE
         assert row["D"] == field_discriminant(row["d"])
         assert row["h"] == class_number(row["D"])
         assert row["selmer_lb"] == 5**row["ell_rank"]
@@ -81,10 +81,11 @@ def test_scan_width_and_depth_are_refused_before_the_sieve(monkeypatch):
 
 def test_search_row_count_and_order():
     rows = search_twists(E11A3, 5, -100, -3)
+    rules = twist_rules(hypothesis_check(E11A3, 5))
     admissible = [
         d
         for d in enumerate_d(-100, -3, 5, 11)
-        if admissibility_check(E11A3, 5, d).overall is Overall.ADMISSIBLE
+        if certify(rules, d).report.overall is Overall.ADMISSIBLE
     ]
     assert [row["d"] for row in rows] == sorted(admissible, key=abs)
     assert len(rows) == len(set(row["d"] for row in rows))
@@ -367,7 +368,7 @@ def test_sieve_matches_the_factoring_path(monkeypatch, curve, ell, start, seed):
     # certify gives when it factors every d, and enumerate_d yields exactly the d of
     # the window that pass the four domain clauses on the factoring path
     from twistsel import checker
-    from twistsel.checker import Verdict, evaluate_admissibility, hypothesis_check, twist_rules
+    from twistsel.checker import Verdict, evaluate_admissibility
 
     rules = twist_rules(hypothesis_check(curve, ell))
     rng = random.Random(seed)
