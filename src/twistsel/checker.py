@@ -11,12 +11,13 @@ with the nontriviality equivalence.
 `hypothesis_check` looks for the torsion point first, and only then makes
 the minimal model that every local fact is read on; its report carries it to
 `twist_rules`, which builds the rules once per curve: the conductor, the
-exceptional sets and the required Artin class at each bad prime.
-`evaluate_admissibility` applies them to one d, reading only d and
-the Kronecker symbols of its field discriminant. It is the one place where d
-is found squarefree (by factoring it, or from a scan's sieve verdict) and D
-derived. `certify` reads the same rules, so a scan does the curve-level work
-once, and hands that D to the ray class layer.
+exceptional sets, and one `SymbolRule` row, its cite and detail written
+there, per clause on a quadratic symbol (at 2, at ell and at each other bad
+prime). `evaluate_admissibility` applies them to one d in one loop over the
+rows, reading only d and the Kronecker symbols of its field discriminant. It
+is the one place where d is found squarefree (by factoring it, or from a
+scan's sieve verdict) and D derived. `certify` reads the same rules, so a
+scan does the curve-level work once, and hands that D to the ray class layer.
 
 Each result holds each fact once, and every clause comes from `_clause`. A
 `ConditionReport` holds d's clauses and overall verdict; a `HypothesisReport`
@@ -197,32 +198,48 @@ def hypothesis_check(E: CurveQ, ell: int) -> HypothesisReport:
 
 
 class SymbolRule(NamedTuple):
-    """The symbol clause at one bad prime p other than 2 and ell.
+    """One clause about the quadratic symbol of d at the prime p.
 
-    want is the Artin class that d must have at p, with why as its reason;
-    want is None when p lies in S_E and so is exempt.
+    want is the Artin class that d must have at p, and want is None when p
+    lies in S_E and so is exempt. clause_id, cite and detail are made once
+    per curve; detail holds `{}` where d's symbol goes.
     """
 
+    clause_id: str
+    cite: str
     p: int
     want: ArtinClass | None
-    why: str
+    detail: str
+
+    def clause(self, D: int | None) -> Clause:
+        """The clause for the field discriminant D: an exempt rule passes
+        for every d, and any other is undetermined when D is None."""
+        if self.want is None:
+            return _clause(self.clause_id, self.cite, True, self.detail)
+        if D is None:
+            return _clause(self.clause_id, self.cite, None, self.detail.format("skipped"))
+        sym = _ARTIN_CLASS[kronecker(D, self.p)]
+        return _clause(self.clause_id, self.cite, sym is self.want, self.detail.format(sym.value))
+
+
+# the Artin class of a prime p in Q(sqrt(d)) from the Kronecker symbol (D/p)
+_ARTIN_CLASS = {1: ArtinClass.SPLIT, -1: ArtinClass.INERT, 0: ArtinClass.RAMIFIED}
 
 
 class TwistRules(NamedTuple):
     """The curve-level part of the admissibility clauses for (E, ell, predicate).
 
     Everything here is fixed by the curve: the conductor, the exceptional
-    sets, which of the dyadic and ell clauses apply, and the symbol rule at
-    each other bad prime. Only d and the quadratic symbols of D = disc
-    Q(sqrt(d)) change from one twist to the next.
+    sets, and one row per clause about a quadratic symbol, in output order:
+    the dyadic clause when N is even, the ell clause when ord_ell(j) < 0, and
+    the clause at each other bad prime. Only d and the quadratic symbols of
+    D = disc Q(sqrt(d)) change from one twist to the next.
     """
 
     curve: CurveQ
     ell: int
     N: int
     ssets: SSets
-    dyadic: bool  # N is even: primes above 2 must ramify
-    ell_inert: bool  # ord_ell(j) < 0: d must be inert at ell
     symbols: tuple[SymbolRule, ...]
 
 
@@ -247,11 +264,20 @@ def twist_rules(hyp: HypothesisReport, predicate: DirichletPredicate | None = No
     )
     s = tuple(p for p in s_tilde if reductions[p].ord_j_negative)
     symbols = []
+    if N % 2 == 0:
+        cite = "primes above 2 in the conductor ramify in Q(sqrt(d))"
+        detail = "automatic for d = 3 (mod 4): the field discriminant is 4d"
+        symbols.append(SymbolRule("dyadic.ramified", cite, 2, ArtinClass.RAMIFIED, detail))
+    if ell in reductions and reductions[ell].ord_j_negative:  # good at ell: ord_ell(j) >= 0
+        cite, detail = f"ord_{ell}(j) < 0 forces d inert at {ell}", f"symbol at {ell}: {{}}"
+        symbols.append(SymbolRule("ell.inert", cite, ell, ArtinClass.INERT, detail))
     for p, red in reductions.items():
         if p == 2 or p == ell:
             continue
         if p in s:
-            symbols.append(SymbolRule(p, None, "exempt: ramification is permitted here"))
+            cite = f"prime {p} lies in the exceptional set; no symbol condition"
+            detail = "exempt: ramification is permitted here"
+            symbols.append(SymbolRule(f"symbol.{p}", cite, p, None, detail))
             continue
         if not red.ord_j_negative:
             want, why = ArtinClass.INERT, f"ord_{p}(j) >= 0"
@@ -259,13 +285,9 @@ def twist_rules(hyp: HypothesisReport, predicate: DirichletPredicate | None = No
             want, why = ArtinClass.INERT, f"split multiplicative at {p}"
         else:
             want, why = ArtinClass.SPLIT, f"ord_{p}(j) < 0, not split multiplicative at {p}"
-        symbols.append(SymbolRule(p, want, why))
-    ell_inert = ell in reductions and reductions[ell].ord_j_negative  # good at ell: ord_ell(j) >= 0
-    return TwistRules(E, ell, N, SSets(s_tilde, s, desc), N % 2 == 0, ell_inert, tuple(symbols))
-
-
-# the Artin class of a prime p in Q(sqrt(d)) from the Kronecker symbol (D/p)
-_ARTIN_CLASS = {1: ArtinClass.SPLIT, -1: ArtinClass.INERT, 0: ArtinClass.RAMIFIED}
+        cite = f"quadratic symbol at {p} must be {want.value}"
+        symbols.append(SymbolRule(f"symbol.{p}", cite, p, want, f"{why}; symbol: {{}}"))
+    return TwistRules(E, ell, N, SSets(s_tilde, s, desc), tuple(symbols))
 
 
 def evaluate_admissibility(
@@ -273,7 +295,7 @@ def evaluate_admissibility(
 ) -> tuple[ConditionReport, int | None]:
     """The report for the twist parameter d under the curve's rules, and the
     field discriminant D of Q(sqrt(d)); D is None when a domain clause fails,
-    and then every symbol clause is undetermined.
+    and then every symbol clause that is not exempt is undetermined.
 
     squarefree is a verdict on d already reached, as a scan's sieve reaches
     it; when it is None, d is factored here, after the cheap domain clauses.
@@ -282,11 +304,6 @@ def evaluate_admissibility(
     """
     check_twist_parameter(d)
     ell, N = rules.ell, rules.N
-    clauses: list[Clause] = []
-
-    def add(cid: str, cite: str, ok: bool | None, detail: str) -> None:
-        clauses.append(_clause(cid, cite, ok, detail))
-
     g = math.gcd(d, ell * N)
     detail = f"d = {d}"
     if squarefree is None:
@@ -296,45 +313,15 @@ def evaluate_admissibility(
             if d < 0 and d % 4 == 3 and g == 1:
                 raise
             detail += f"; undetermined: {exc}"
-    add("domain.negative", "d < 0", d < 0, f"d = {d}")
-    add("domain.squarefree", "d squarefree", squarefree, detail)
-    add("domain.congruence", "d = 3 (mod 4)", d % 4 == 3, f"d mod 4 = {d % 4}")
-    add("domain.coprime", "gcd(d, ell N) = 1", g == 1, f"gcd({d}, {ell}*{N}) = {g}")
+    clauses = [
+        _clause("domain.negative", "d < 0", d < 0, f"d = {d}"),
+        _clause("domain.squarefree", "d squarefree", squarefree, detail),
+        _clause("domain.congruence", "d = 3 (mod 4)", d % 4 == 3, f"d mod 4 = {d % 4}"),
+        _clause("domain.coprime", "gcd(d, ell N) = 1", g == 1, f"gcd({d}, {ell}*{N}) = {g}"),
+    ]
     # a squarefree d = 3 (mod 4) has field discriminant 4d
     D = 4 * d if all(c.verdict is Verdict.PASS for c in clauses) else None
-
-    def symbol(p: int) -> ArtinClass | None:
-        return None if D is None else _ARTIN_CLASS[kronecker(D, p)]
-
-    if rules.dyadic:
-        sym2 = symbol(2)
-        add(
-            "dyadic.ramified",
-            "primes above 2 in the conductor ramify in Q(sqrt(d))",
-            None if sym2 is None else sym2 is ArtinClass.RAMIFIED,
-            "automatic for d = 3 (mod 4): the field discriminant is 4d",
-        )
-    if rules.ell_inert:
-        sym = symbol(ell)
-        add(
-            "ell.inert",
-            f"ord_{ell}(j) < 0 forces d inert at {ell}",
-            None if sym is None else sym is ArtinClass.INERT,
-            f"symbol at {ell}: {sym.value if sym else 'skipped'}",
-        )
-    for rule in rules.symbols:
-        p, want = rule.p, rule.want
-        if want is None:
-            cite = f"prime {p} lies in the exceptional set; no symbol condition"
-            add(f"symbol.{p}", cite, True, rule.why)
-            continue
-        sym = symbol(p)
-        add(
-            f"symbol.{p}",
-            f"quadratic symbol at {p} must be {want.value}",
-            None if sym is None else sym is want,
-            f"{rule.why}; symbol: {sym.value if sym else 'skipped'}",
-        )
+    clauses += [rule.clause(D) for rule in rules.symbols]
     if any(c.verdict is Verdict.FAIL for c in clauses):
         overall = Overall.INADMISSIBLE
     elif any(c.verdict is Verdict.UNDETERMINED for c in clauses):

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, TwistselError
 from .intmath import factorint, is_square, is_squarefree, valuation
 
 
@@ -355,7 +355,7 @@ def minimal_model(E: CurveQ) -> tuple[CurveQ, tuple]:
     t = (u1**3 * m3 - a3 - r * a1) // 2
     u, r, s, t = u0 * u1, u0**2 * r, u0 * s, u0**3 * t
     if E.transform(u, r, s, t) != E_min:
-        raise InvalidParameterError("internal: minimal model transform mismatch")
+        raise TwistselError("internal: minimal model transform mismatch")
     return E_min, (u, r, s, t)
 
 

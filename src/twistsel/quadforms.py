@@ -5,14 +5,17 @@ D = b^2 - 4ac < 0. Tuples compare and hash as the classes need, and sort by
 (a, b) among forms of one D. No form enters from outside: callers pass D,
 checked where it enters (`_kernels.check_disc` in `principal_form` and the kernels,
 `field_discriminant` for d), and every form is made here from that D. So
-Dirichlet composition and reduction check nothing and build no object.
+Dirichlet composition checks nothing and builds no object; only
+`reduce_form`, which also reduces the prime forms, refuses a form that is
+not positive definite, where its loop would never end.
 
 Of `_kernels` only the class number h is read, and it is counted there
 without listing the forms. With h = p^k m, `sylow_subgroup` grows the p-part
 of cl(D) from the m-th powers of the prime forms (q, b, c), q = 2, 3, 5, ...,
-and certifies it by its order p^k; `ell_part` and `class_group_structure`
-count torsion there, not over all h forms. Only imaginary discriminants:
-positive D would drag in infinite unit groups on purpose left out.
+by `join`, the one coset-growth loop, and certifies it by its order p^k;
+`ell_part` and `class_group_structure` count torsion there, not over all h
+forms. Only imaginary discriminants: positive D would drag in infinite unit
+groups on purpose left out.
 """
 
 from __future__ import annotations
@@ -38,7 +41,16 @@ Form = tuple[int, int, int]
 
 
 def reduce_form(f: Form) -> Form:
-    """The reduced form properly equivalent to f: -a < b <= a <= c, and b >= 0 when a = c."""
+    """The reduced form properly equivalent to the positive definite form f:
+    -a < b <= a <= c, and b >= 0 when a = c."""
+    a, b, c = f
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise InvalidParameterError("only a positive definite form (a > 0, b^2 - 4ac < 0) reduces")
+    return _reduce_form(f)
+
+
+def _reduce_form(f: Form) -> Form:
+    """`reduce_form` without its check, for the compositions of forms made here."""
     a, b, c = f
     while not -a < b <= a <= c:
         if b > a or b <= -a:
@@ -60,7 +72,7 @@ def principal_form(D: int) -> Form:
 
 def compose(f: Form, g: Form) -> Form:
     """Dirichlet composition, reduced; the group law of cl(D)."""
-    return reduce_form(compose_unreduced(f, g))
+    return _reduce_form(compose_unreduced(f, g))
 
 
 def compose_unreduced(f: Form, g: Form) -> Form:
@@ -135,13 +147,25 @@ def _prime_forms(D: int):
             yield reduce_form((q, b, c))
 
 
+def join(group: list[Form], members: set[Form], g: Form) -> bool:
+    """Grow the subgroup H = group of cl(D) to <H, g>, one coset H g^i at a
+    time; members is the set of group. False, with H kept, when g is in H."""
+    base, step = group[:], g
+    while step not in members:
+        coset = [compose(x, step) for x in base]
+        group += coset
+        members.update(coset)
+        step = compose(step, g)
+    return len(group) > len(base)
+
+
 def sylow_subgroup(D: int, h: int, p: int) -> list[Form]:
     """The Sylow p-subgroup of cl(D), given its class number h.
 
     With h = p^k m and p not dividing m, the subgroup is the image of f -> f^m.
     The prime forms are walked in order and each new f^m joins the subgroup H
-    found so far by its cosets H g^i, until |H| = p^k. A walk that misses
-    that order, as a wrong h makes it do, raises instead of returning.
+    found so far, until |H| = p^k. A walk that misses that order, as a wrong
+    h makes it do, raises instead of returning.
     """
     m, order = h, 1
     while m % p == 0:
@@ -151,13 +175,7 @@ def sylow_subgroup(D: int, h: int, p: int) -> list[Form]:
     for f in _prime_forms(D):
         if len(group) >= order:
             break
-        g = form_power(f, m)
-        base, step = group[:], g
-        while step not in members:
-            coset = [compose(x, step) for x in base]
-            group += coset
-            members.update(coset)
-            step = compose(step, g)
+        join(group, members, form_power(f, m))
     if len(group) != order:
         raise TwistselError(f"internal: Sylow {p}-subgroup of order {len(group)}, expected {order}")
     return group

@@ -35,9 +35,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, PreconditionError, ResourceError, UnsupportedError
+from .errors import (
+    InvalidParameterError,
+    PreconditionError,
+    ResourceError,
+    TwistselError,
+    UnsupportedError,
+)
 from .intmath import is_prime, kronecker, sqrt_mod, xgcd
-from .quadforms import EllPart, Form, compose, compose_unreduced, ell_part, principal_form
+from .quadforms import EllPart, Form, compose_unreduced, ell_part, join, principal_form
 
 # ---------------------------------------------------------------------------
 # ideals of O_K as forms
@@ -183,22 +189,11 @@ def _quotient_column(
 
 
 def _ell_torsion_basis(part: EllPart) -> list[Form]:
-    """A basis of cl(D)[ell] as an F_ell vector space."""
-    one = principal_form(part.D)
-    basis: list[Form] = []
-    span = {one}
-    for f in part.torsion:
-        if f in span:
-            continue
-        basis.append(f)
-        new = set(span)
-        for s in span:
-            g = s
-            for _ in range(part.ell - 1):
-                g = compose(g, f)
-                new.add(g)
-        span = new
-    return basis
+    """A basis of cl(D)[ell] as an F_ell vector space: the torsion forms, in
+    order, that each grow the span of those before them."""
+    span = [principal_form(part.D)]
+    members = set(span)
+    return [f for f in part.torsion if join(span, members, f)]
 
 
 def _matrix_rank_mod(rows: list[list[int]], ell: int) -> int:
@@ -291,10 +286,10 @@ def ray_class_data(D: int, S: tuple[int, ...], ell: int) -> RayClassData:
             for _ in range(ell - 1):
                 power = compose_unreduced(power, f)
             if power[0] != f[0] ** ell:
-                raise PreconditionError("internal: ell-fold composition is not the ell-th ideal power")
+                raise TwistselError("internal: ell-fold composition is not the ell-th ideal power")
             alpha = principal_generator(power)
             if alpha is None:
-                raise PreconditionError("internal: ell-th power of a torsion class not principal")
+                raise TwistselError("internal: ell-th power of a torsion class not principal")
             alphas.append(alpha)
         # one column per component; a matrix and its transpose have one rank
         cols = [_quotient_column(one, comp, alphas, ell) for comp in ell_comps]

@@ -30,7 +30,7 @@ from .curves import (
     translated,
     weierstrass_invariants,
 )
-from .errors import InvalidParameterError, PreconditionError, UnsupportedError
+from .errors import InvalidParameterError, PreconditionError, TwistselError, UnsupportedError
 from .intmath import factorint, is_prime, legendre, valuation
 
 AP_PRIME_LIMIT = 10**6  # exhaustive point counting only; no Schoof
@@ -189,7 +189,7 @@ def _type_in_star(a: tuple, p: int, n: int) -> tuple[str, int]:
             j += 1
         mm += 1
         if mm > n:
-            raise PreconditionError("internal: I_n* loop failed to terminate")
+            raise TwistselError("internal: I_n* loop failed to terminate")
 
 
 def bad_reductions(E_min: CurveQ) -> dict[int, LocalReduction]:

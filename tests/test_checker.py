@@ -21,7 +21,7 @@ from twistsel.checker import (
 )
 from oracle_checker import admissibility_check_per_d, artin_symbol_quadratic, s_sets_by_definition
 from pinned_outputs import HYPOTHESIS_PINS
-from twistsel import curves, intmath, reduction
+from twistsel import _kernels, curves, intmath, reduction
 from twistsel.curves import CurveQ, curve_from_string
 from twistsel.dirichlet import DirichletPredicate
 from twistsel.errors import InvalidParameterError, PreconditionError, UnsupportedError
@@ -357,6 +357,28 @@ def test_scan_row_and_check_payload_read_one_certificate():
 E26 = CurveQ(1, -1, 1, -3, 3)
 
 
+def test_certify_counts_h_once_per_admissible_d(monkeypatch):
+    # curve 26, ell = 7: S = {13}, so each admissible d takes the ray class
+    # step, and d = -1 (D = -4, more units) is refused it; either way h is
+    # counted once, and not at all for an inadmissible d
+    counted = []
+    count = _kernels.class_number
+
+    def counting(D):
+        counted.append(D)
+        return count(D)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("twistsel"):
+            for attr in [attr for attr, value in vars(mod).items() if value is count]:
+                monkeypatch.setattr(mod, attr, counting)
+    rules = twist_rules(hypothesis_check(E26, 7))
+    certs = [certify(rules, d) for d in range(-400, 0)]
+    admissible = [c.D for c in certs if c.report.overall is Overall.ADMISSIBLE]
+    assert len(admissible) == 65 and counted == admissible
+    assert certs[-1].D == -4 and certs[-1].bound.rank is None
+
+
 @pytest.mark.parametrize("E, ell", [(E11A3, 5), (E26, 7)], ids=["11a3", "26"])
 def test_torsion_proof_lifts_roots_and_checks_the_point_once(monkeypatch, E, ell):
     """The roots of psi_ell are lifted with no polynomial gcdex, and point_order
@@ -488,10 +510,18 @@ def test_the_oracle_catches_a_planted_s_set_rule():
     # rules that put it there, exempt from its symbol clause, must be caught
     E = CurveQ(0, 0, 0, 0, 1)
     rules = twist_rules(hypothesis_check(E, 5))
-    assert rules.ssets[:2] == ((), ()) and [r.p for r in rules.symbols] == [3]
+    assert rules.ssets[:2] == ((), ())
+    assert [(r.clause_id, r.p) for r in rules.symbols] == [("dyadic.ramified", 2), ("symbol.3", 3)]
+    exempt = SymbolRule(
+        "symbol.3",
+        "prime 3 lies in the exceptional set; no symbol condition",
+        3,
+        None,
+        "exempt: ramification is permitted here",
+    )
     planted = rules._replace(
         ssets=rules.ssets._replace(s_tilde=(3,), s=(3,)),
-        symbols=(SymbolRule(3, None, "exempt: ramification is permitted here"),),
+        symbols=(rules.symbols[0], exempt),
     )
     ds = [d for d in range(-600, 601) if d]
     assert _differences_from_oracle(rules, ds) == []

@@ -29,7 +29,7 @@ from pinned_outputs import (
     TORSION_FIELD_FACTOR,
     TORSION_FIELD_SHA256,
 )
-from twistsel import cli, divpoly, intmath, search
+from twistsel import cli, curves, divpoly, intmath, rayclass, search
 from twistsel.cli import main
 
 
@@ -278,6 +278,36 @@ def test_check_at_13_builds_no_division_polynomial(capsys, monkeypatch):
             "id": "hypothesis.torsion",
             "pass": False,
         }]
+
+
+def _model_off_by_one(make):
+    def wrong(c4, c6):
+        E = make(c4, c6)
+        return curves.CurveQ(*E.ainvs[:4], E.ainvs[4] + 1)
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, curve, ell, d, message",
+    [
+        (rayclass, "principal_generator", lambda make: lambda F: None, "[1,-1,1,-3,3]", 7, -2033,
+         "ell-th power of a torsion class not principal"),
+        (rayclass, "compose_unreduced", lambda make: lambda f, g: f, "[1,-1,1,-3,3]", 7, -2033,
+         "ell-fold composition is not the ell-th ideal power"),
+        (curves, "_model_from_c4c6", _model_off_by_one, "[0,-1,1,0,0]", 5, -37,
+         "minimal model transform mismatch"),
+    ],
+    ids=["not-principal", "not-an-ideal-power", "minimal-model"],
+)
+def test_an_internal_fault_is_an_error_not_a_verdict(
+    capsys, monkeypatch, module, name, fault, curve, ell, d, message
+):
+    # a broken step inside the library is its own fault, not a precondition of
+    # d (curve 26, d = -2033: h = 28 and 13 inert, so the connecting map runs)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    code, out, err = run_cli(capsys, "check", "--curve", curve, "--ell", str(ell), f"--d={d}")
+    assert (code, out, err) == (1, "", f"error: internal: {message}\n")
 
 
 def test_check_inadmissible(capsys):

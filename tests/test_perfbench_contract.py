@@ -84,7 +84,7 @@ def test_tracer_counts_every_composition_of_both_layers(monkeypatch):
     counts, spans = _traced(monkeypatch, lambda: data.append(rayclass.ray_class_data(-8132, (13,), 7)))
     assert (data[0].cl_ell_rank, data[0].w_ell_dim, data[0].delta_rank) == (1, 1, 1)
     assert counts.get("quadforms.compose", 0) > 0
-    # and the torsion basis composes in rayclass too, beyond the class-group walk
+    # and rayclass's torsion basis, grown by quadforms.join, composes beyond the class-group walk
     walk, _ = _traced(monkeypatch, lambda: quadforms.ell_part(-8132, 7))
     assert counts["quadforms.compose"] > walk["quadforms.compose"] > 0
     assert {"rayclass.ray_class_data", "rayclass.principal_generator"} <= spans

@@ -87,6 +87,15 @@ def test_reduction_is_canonical():
                 assert reduce_form((a, b + 2 * k * a, a * k * k + b * k + c)) == g
 
 
+@pytest.mark.parametrize(
+    "f", [(3, 1, -2), (1, 3, 1), (-2, -1, 3), (0, 1, 1), (-1, 1, -1), (1, 2, 1), (0, 0, 0)]
+)
+def test_reduction_refuses_a_form_that_is_not_positive_definite(f):
+    # on an indefinite form the reduction loop would never end, and a = 0 divides by zero
+    with pytest.raises(InvalidParameterError, match="positive definite"):
+        reduce_form(f)
+
+
 def test_compose_matches_the_oracle_on_every_pair():
     """The library's composition against Dirichlet's united forms, every ordered pair.
 
@@ -283,8 +292,9 @@ def test_ell_part_builds_no_form_when_ell_does_not_divide_h(monkeypatch):
     assert _kernels.class_number(D) % 11
     one = principal_form(D)
     built = []
-    # every form of the layer comes out of one of these three
-    for name in ("principal_form", "compose_unreduced", "reduce_form"):
+    # every form of the layer comes out of one of these: compose reduces
+    # with the unchecked loop, the prime forms with the checked entry
+    for name in ("principal_form", "compose_unreduced", "reduce_form", "_reduce_form"):
         make = getattr(quadforms, name)
         monkeypatch.setattr(quadforms, name, lambda *args, make=make: built.append(make(*args)) or built[-1])
     part = ell_part(D, 11)
