@@ -5,10 +5,14 @@ integers. Point counting is exhaustive in x, O(p). `class_number` counts the
 primitive reduced forms of D by their first coefficient a, from a root count
 that is multiplicative in a: one Legendre symbol and one slice operation per
 prime up to sqrt(|D|/3), and the roots of the top 13% of those a, with no
-form listed and O(sqrt|D|) bytes of memory. `reduced_forms` lists the forms by
-sieving the values (b^2 - D)/4 with the square roots of D mod small primes, in
-O~(sqrt|D|) steps; no library path calls it for h, and the tests keep it as
-the count's differential oracle.
+form listed and O(sqrt|D|) bytes of memory. The primes up to sqrt(|D|/3) and
+the smallest-prime-factor table that factors the top band are
+`count_tables(amax)`: a scan builds them once, for its largest |D|, and every
+count of the scan reads a prefix of them; any other caller passes none, and
+the count builds them for its one D. `reduced_forms` lists the forms by
+sieving the values (b^2 - D)/4 with the square roots of D mod small primes,
+in O~(sqrt|D|) steps; no library path calls it for h, and the tests keep it
+as the count's differential oracle.
 `BACKEND` is kept for provenance: it is exported as
 `twistsel.KERNEL_BACKEND`, which benchmark records carry.
 """
@@ -165,8 +169,27 @@ def _local_roots(D: int, p: int, k: int) -> list[int]:
 _DOUBLE = bytes(2 * i & 255 for i in range(256))
 _ZERO = bytes(256)
 
+# (the primes up to amax, the smallest-prime-factor table of 0..amax), as made
+# by `count_tables`
+CountTables = tuple[tuple[int, ...], bytes]
 
-def class_number(D: int) -> int:
+
+def count_tables(amax: int) -> CountTables:
+    """The primes up to amax, and for each m <= amax its smallest prime factor
+    when m is composite and 0 otherwise, as native unsigned ints in bytes.
+
+    Both serve `class_number` for every D with sqrt(|D|/3) <= amax: it reads a
+    prefix of the primes and the factor table below its own bound. O(amax)
+    bytes; both fields are immutable, so a scan's tables hash and pickle.
+    """
+    primes = primes_up_to(amax)
+    spf = array("I", bytes(4 * (amax + 1)))
+    for p in reversed(primes[: bisect_right(primes, math.isqrt(amax))]):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, amax + 1, p))
+    return tuple(primes), spf.tobytes()
+
+
+def class_number(D: int, tables: CountTables | None = None) -> int:
     """h(D): the number of primitive reduced forms of discriminant D < 0, counted
     by their first coefficient a without listing them (Cohen, ch. 5.3).
 
@@ -183,6 +206,9 @@ def class_number(D: int) -> int:
     band |D| <= 4a^2 <= 4|D|/3 lists its roots, by CRT over the prime powers
     of a, and keeps b when c > a, or c = a and b >= 0.
 
+    tables is `count_tables(A)` for some A >= sqrt(|D|/3), shared by the
+    caller across many D; without it they are built here for this D.
+
     Resource ceiling: |D| <= 4 * 10^12 (`_MAX_ABS_DISC`). Past it the call
     raises `ResourceError` before allocating anything.
     """
@@ -190,13 +216,19 @@ def class_number(D: int) -> int:
     if -D > _MAX_ABS_DISC:
         raise ResourceError(f"|D| = {-D} is past the form enumeration ceiling {_MAX_ABS_DISC}")
     amax = math.isqrt(-D // 3)
+    if tables is None:
+        tables = count_tables(amax)
+    primes, spf = tables
+    if len(spf) <= 4 * amax:
+        raise InvalidParameterError(f"count tables end below sqrt(|D|/3) = {amax}")
+    primes = primes[: bisect_right(primes, amax)]
+    spf = memoryview(spf).cast("I")
     alow = math.isqrt((-D - 1) // 4)  # the largest a with 4a^2 < |D|
     # rho(a) from the primes with a constant local factor, and from p || D;
     # the special primes (2 | D, p^2 | D) are counted apart
     rho = bytearray([1]) * (amax + 1)
     rho[0] = 0
     special = []
-    primes = primes_up_to(amax)
     for p in primes:
         r = D % p
         if r == 0 and ((D % 16 in (8, 12)) if p == 2 else D % (p * p)):
@@ -226,9 +258,6 @@ def class_number(D: int) -> int:
     h = sum(w * sum(view[: alow // a0 + 1]) for a0, w in parts)
     # alow < a <= amax: list the roots b mod 2a, by CRT, and keep those of
     # reduced forms
-    spf = array("I", bytes(4 * (amax + 1)))
-    for p in reversed(primes[: bisect_right(primes, math.isqrt(amax))]):
-        spf[p * p :: p] = array("I", [p]) * len(range(p * p, amax + 1, p))
     for a in range(alow + 1, amax + 1):
         if not rho[a]:
             continue

@@ -34,6 +34,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
+from ._kernels import CountTables
 from .curves import CurveQ, PointQ, check_twist_parameter, minimal_model
 from .dirichlet import DirichletPredicate, minus_one_congruence_predicate
 from .divpoly import ODD_TORSION_PRIMES, rational_ell_torsion_point
@@ -211,15 +212,23 @@ class SymbolRule(NamedTuple):
     want: ArtinClass | None
     detail: str
 
+    def holds(self, D: int) -> bool:
+        """The rule's test on the field discriminant D: an exempt rule holds
+        for every D, and any other when p has the wanted Artin class."""
+        return self.want is None or _ARTIN_CLASS[kronecker(D, self.p)] is self.want
+
     def clause(self, D: int | None) -> Clause:
-        """The clause for the field discriminant D: an exempt rule passes
-        for every d, and any other is undetermined when D is None."""
+        """The clause for the field discriminant D, decided by `holds`: an
+        exempt rule passes for every d, and any other is undetermined when D
+        is None."""
         if self.want is None:
             return _clause(self.clause_id, self.cite, True, self.detail)
         if D is None:
             return _clause(self.clause_id, self.cite, None, self.detail.format("skipped"))
-        sym = _ARTIN_CLASS[kronecker(D, self.p)]
-        return _clause(self.clause_id, self.cite, sym is self.want, self.detail.format(sym.value))
+        ok = self.holds(D)
+        # a rule that holds names its wanted class; only a failed one looks the symbol up again
+        sym = self.want if ok else _ARTIN_CLASS[kronecker(D, self.p)]
+        return _clause(self.clause_id, self.cite, ok, self.detail.format(sym.value))
 
 
 # the Artin class of a prime p in Q(sqrt(d)) from the Kronecker symbol (D/p)
@@ -241,6 +250,12 @@ class TwistRules(NamedTuple):
     N: int
     ssets: SSets
     symbols: tuple[SymbolRule, ...]
+
+    def symbols_hold(self, D: int) -> bool:
+        """Every symbol rule holds for the field discriminant D: the verdict
+        of `evaluate_admissibility` on a d that passes the domain clauses,
+        reached with no clause written."""
+        return all(rule.holds(D) for rule in self.symbols)
 
 
 def twist_rules(hyp: HypothesisReport, predicate: DirichletPredicate | None = None) -> TwistRules:
@@ -409,27 +424,29 @@ class Certificate(NamedTuple):
         return dict(zip(SCAN_COLUMNS, (report.d, self.D, self.h, *cells)))
 
 
-def certify(rules: TwistRules, d: int, squarefree: bool | None = None) -> Certificate:
+def certify(
+    rules: TwistRules, d: int, squarefree: bool | None = None, tables: CountTables | None = None
+) -> Certificate:
     """Admissibility, the Selmer lower bound and the sandwich from one class-group pass.
 
     One ray class computation over S_E gives both the bound and, through its
     h and class-group ell-rank, the sandwich: the sandwich needs the
     exceptional set S~_E empty, and S_E is a subset of it, so the modulus is
-    trivial there. squarefree is passed on to `evaluate_admissibility`, and
-    the ray class computation takes the D found there.
+    trivial there. squarefree is passed on to `evaluate_admissibility`. h is
+    counted once here, with a scan's `count_tables` when given, and the ray
+    class computation takes it and the D found there.
     """
     report, D = evaluate_admissibility(rules, d, squarefree)
     if report.overall is not Overall.ADMISSIBLE:
         return Certificate(report, D)
     ell, ssets = rules.ell, rules.ssets
+    h = class_number(D, tables)
     try:
-        data = ray_class_data(D, ssets.s, ell)
+        data = ray_class_data(D, ssets.s, ell, h)
     except (PreconditionError, UnsupportedError) as exc:
         # only a nonempty modulus can fail, so the sandwich is NotApplicable
-        h = class_number(D)
         bound = SelmerBound(None, None, ssets.s, str(exc))
     else:
-        h = data.h
         bound = SelmerBound(data.ell_rank, ell**data.ell_rank, ssets.s)
     if ssets.s_tilde:
         sandwich = SandwichResult(SelmerVerdict.NOT_APPLICABLE)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._kernels import check_disc
+from ._kernels import CountTables, check_disc
 from ._kernels import class_number as _kernel_class_number
 from ._kernels import reduced_forms as _kernel_reduced_forms
 from .errors import InvalidParameterError, TwistselError
@@ -125,8 +125,9 @@ def reduced_forms(D: int) -> list[Form]:
     return _kernel_reduced_forms(D)
 
 
-def class_number(D: int) -> int:
-    return _kernel_class_number(D)
+def class_number(D: int, tables: CountTables | None = None) -> int:
+    """h(D), counted with the caller's `_kernels.count_tables` when it has them."""
+    return _kernel_class_number(D, tables)
 
 
 def _prime_forms(D: int):
@@ -194,15 +195,17 @@ class EllPart(NamedTuple):
         return log_p(len(self.torsion), self.ell)
 
 
-def ell_part(D: int, ell: int) -> EllPart:
+def ell_part(D: int, ell: int, h: int | None = None) -> EllPart:
     """The class number and ell-torsion of cl(D), from one count of h.
 
-    The torsion is sorted by (a, b). When ell does not divide h it is trivial
-    and no form beyond the principal one is built.
+    h is h(D) when the caller has counted it already, and is counted here
+    otherwise. The torsion is sorted by (a, b). When ell does not divide h it
+    is trivial and no form beyond the principal one is built.
     """
     if not is_prime(ell):
         raise InvalidParameterError("ell must be a prime")
-    h = class_number(D)
+    if h is None:
+        h = class_number(D)
     one = principal_form(D)
     if h % ell:
         return EllPart(D, ell, h, (one,))

@@ -259,16 +259,17 @@ def _validate(D: int, S: tuple[int, ...], ell: int) -> Form:
     return one
 
 
-def ray_class_data(D: int, S: tuple[int, ...], ell: int) -> RayClassData:
+def ray_class_data(D: int, S: tuple[int, ...], ell: int, h: int | None = None) -> RayClassData:
     """Ray class group data of K = Q(sqrt(D)) with modulus prod_{p in S} p O_K.
 
     D must be the fundamental discriminant of K. Its sign, its residue mod 4
     and, for even D = 4m, m mod 4 are checked here; an odd square factor
-    (D = -36) is not, and stays the caller's contract.
+    (D = -36) is not, and stays the caller's contract. h is the class number
+    when the caller has counted it, passed on to `ell_part`.
     """
     S = tuple(sorted(set(S)))
     one = _validate(D, S, ell)
-    part = ell_part(D, ell)
+    part = ell_part(D, ell, h)
     cl_rank = part.rank
     comps = _components(one, S)
     w_order = math.prod(comp.order for comp in comps)

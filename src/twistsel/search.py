@@ -1,23 +1,30 @@
 """Twist-parameter enumeration: scan d, filter by admissibility, attach class data.
 
 The scan is deterministic: candidates stream in order of |d| (ascending by
-default), and each d becomes a finished row from one `certify` call, which
-applies the curve's admissibility rules, built once per scan, and runs the
-one class-group pass. The row is the certificate's `scan_row`, a dict keyed
-by the scan columns that `checker` names. The squarefree sieve of
-`enumerate_d` is the scan's only squarefree test: `certify` takes its
-verdict and factors no d.
+default). Each scan builds one `ScanContext`: the curve's admissibility
+rules, and the tables of the class-number count (`_kernels.count_tables`)
+for its largest admissible |D|, built only when some d is admissible. The
+squarefree sieve of `enumerate_d` is the scan's only squarefree test and
+decides the four domain clauses, so the symbol rules alone
+(`TwistRules.symbols_hold`) decide which d are admissible, before any report
+is written. Without the inadmissible rows, only the admissible d reach
+`certify`; with them, every candidate does. Each becomes a finished row from
+one `certify` call, which takes the sieve's verdict and factors no d, counts
+h once with the context's tables and runs the one class-group pass. The row
+is the certificate's `scan_row`, a dict keyed by the scan columns that
+`checker` names.
 
 `jobs` is an upper bound on worker processes, not a request for them. The
 scan always starts in-process. Once that prefix has run for `PROBE_S`, the
 rest of the scan is estimated after each d as the mean time per d so far
-times the number of candidates left. When the estimate exceeds
-`POOL_BREAK_EVEN_S`, the remaining d go to a pool of
-min(jobs, usable CPUs) workers, which get the same rules and return finished
-rows; otherwise the scan finishes in-process. Rows are merged in order either
-way, so the output does not depend on `jobs`. The pool's modules
-(`concurrent.futures` and the `multiprocessing` stack under it) are imported
-only when a scan starts a pool, so importing this module loads none of them.
+times the number of d left to certify. When the estimate exceeds
+`POOL_BREAK_EVEN_S`, the remaining d go to a pool of min(jobs, usable CPUs)
+workers, which get the context once each, from the pool's initializer, and
+return finished rows; otherwise the scan finishes in-process. Rows are
+merged in order either way, so the output does not depend on `jobs`. The
+pool's modules (`concurrent.futures` and the `multiprocessing` stack under
+it) are imported only when a scan starts a pool, so importing this module
+loads none of them.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ import os
 from enum import Enum
 from functools import partial
 from time import perf_counter
+from typing import NamedTuple
 
+from ._kernels import CountTables, count_tables
 from .checker import SCAN_COLUMNS, TwistRules, Verdict, certify, hypothesis_check, twist_rules
 from .curves import CurveQ
 from .dirichlet import DirichletPredicate
@@ -92,15 +101,32 @@ class SearchMode(Enum):
     LOWER_BOUND_ONLY = "LowerBoundOnly"
 
 
-def _row(rules: TwistRules, mode: SearchMode, include_inadmissible: bool, d: int) -> dict | None:
-    """The finished row for one d, or None for an inadmissible d left out of the scan.
+class ScanContext(NamedTuple):
+    """What one scan shares across its d: the curve's rules, and the count
+    tables for the largest admissible |D| of the scan (None when no d is
+    admissible)."""
 
-    d comes from `enumerate_d`, so the sieve has found it squarefree.
-    """
-    cert = certify(rules, d, squarefree=True)
-    if cert.bound is None and not include_inadmissible:
-        return None
+    rules: TwistRules
+    tables: CountTables | None
+
+
+def _row(ctx: ScanContext, mode: SearchMode, d: int) -> dict:
+    """The finished row for one d from `enumerate_d`, whose sieve has found it squarefree."""
+    cert = certify(ctx.rules, d, squarefree=True, tables=ctx.tables)
     return cert.scan_row(mode is SearchMode.COROLLARY_E)
+
+
+# a pool worker's row function, set once per worker process by `_start_worker`
+_worker_row = None
+
+
+def _start_worker(ctx: ScanContext, mode: SearchMode) -> None:
+    global _worker_row
+    _worker_row = partial(_row, ctx, mode)
+
+
+def _pooled_row(d: int) -> dict:
+    return _worker_row(d)
 
 
 def _csv_line(cells) -> str:
@@ -139,8 +165,9 @@ def search_twists(
     `jobs` (at least 1) caps the worker processes; no more than the usable
     CPUs are started. The scan runs in-process until it has run `PROBE_S`
     and the remaining work, estimated as the mean time per d so far times
-    the candidates left, exceeds `POOL_BREAK_EVEN_S`; only then do the
-    remaining d go to the pool. The rows do not depend on `jobs`.
+    the d left to certify, exceeds `POOL_BREAK_EVEN_S`; only then do the
+    remaining d go to the pool. The rows do not depend on `jobs`. Without
+    include_inadmissible, only the admissible d are certified.
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
@@ -154,7 +181,14 @@ def search_twists(
         )
     rules = twist_rules(hyp, predicate)
     ds = list(enumerate_d(lo, hi, ell, rules.N))
-    row = partial(_row, rules, mode, include_inadmissible)
+    # the sieve has passed the domain clauses, so the symbols decide, at D = 4d
+    admissible = [d for d in ds if rules.symbols_hold(4 * d)]
+    if not include_inadmissible:
+        ds = admissible
+    # the count's bound sqrt(|D|/3) at the largest admissible |D|
+    tables = count_tables(math.isqrt(-4 * admissible[-1] // 3)) if admissible else None
+    ctx = ScanContext(rules, tables)
+    row = partial(_row, ctx, mode)
     workers = min(jobs, _usable_cpus())
     found = []
     start = perf_counter()
@@ -166,7 +200,9 @@ def search_twists(
             if spent >= PROBE_S and spent / done * left > POOL_BREAK_EVEN_S:
                 from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    found.extend(pool.map(row, ds[done:], chunksize=16))
+                with ProcessPoolExecutor(
+                    max_workers=workers, initializer=_start_worker, initargs=(ctx, mode)
+                ) as pool:
+                    found.extend(pool.map(_pooled_row, ds[done:], chunksize=16))
                 break
-    return [r for r in found if r is not None]
+    return found

@@ -20,6 +20,7 @@ and the golden suite read.
 import ast
 import importlib
 import json
+import math
 import pickle
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from twistsel import (
+    _kernels,
     checker,
     curves,
     dirichlet,
@@ -37,6 +39,7 @@ from twistsel import (
     quadforms,
     rayclass,
     reduction,
+    search,
 )
 from twistsel.errors import InvalidParameterError
 
@@ -423,6 +426,10 @@ RECORDS = {
     "SelmerBound": lambda: checker.certify(RULES, -181).bound,
     "SandwichResult": lambda: checker.certify(RULES, -181).sandwich,
     "Certificate": lambda: checker.certify(RULES, -181),
+    # as `search_twists` builds it for a scan whose largest admissible d is -181
+    "ScanContext": lambda: search.ScanContext(
+        RULES, _kernels.count_tables(math.isqrt(4 * 181 // 3))
+    ),
     "CurveQ": lambda: curves.curve_from_string("[1/2,0,-3/4,0,1]"),
     "PointQ": lambda: divpoly.rational_ell_torsion_point(E11A3, 5),
     "DirichletPredicate": lambda: dirichlet.DirichletPredicate(11, 5, (1,)),

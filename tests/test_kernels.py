@@ -194,3 +194,36 @@ def test_known_class_numbers():
              -31: 3, -39: 4, -47: 5, -71: 7, -95: 8, -148: 2, -163: 1, -5460: 16}
     for D, h in known.items():
         assert _kernels.class_number(D) == h, D
+
+
+def test_class_number_reads_shared_tables_as_its_own():
+    """The count with tables built for a larger bound, with tables whose top is
+    exactly sqrt(|D|/3), and with tables it builds itself, on every fundamental
+    D in [-4000, -3] and on seeded D up to 4 * 10^6; tables that end below the
+    bound are refused."""
+    small = [D for D in range(-3, -4001, -1) if _is_fundamental(D)]
+    large = _seeded_discriminants(10**6, 4 * 10**6, 12, lambda D: True)
+    wide = _kernels.count_tables(math.isqrt(4 * 10**6 // 3) + 7)
+    for Ds in (small, large):
+        shared = _kernels.count_tables(math.isqrt(-min(Ds) // 3) + 7)
+        for D in Ds:
+            exact = _kernels.count_tables(math.isqrt(-D // 3))
+            h = _kernels.class_number(D)
+            assert _kernels.class_number(D, shared) == _kernels.class_number(D, exact) == h, D
+            assert _kernels.class_number(D, wide) == h, D
+    # and the widest tables against the exhaustive pair search
+    for D in small[::40]:
+        assert _kernels.class_number(D, wide) == len(reduced_forms_naive(D)), D
+    short = _kernels.count_tables(math.isqrt(4000 // 3) - 1)
+    with pytest.raises(InvalidParameterError, match="count tables"):
+        _kernels.class_number(-4003, short)
+
+
+def test_count_tables_hold_the_primes_and_smallest_factors():
+    primes, spf = _kernels.count_tables(1000)
+    assert primes == tuple(p for p in range(1001) if is_prime(p))
+    factors = memoryview(spf).cast("I")
+    assert len(factors) == 1001
+    for m in range(1001):
+        composite = m > 1 and not is_prime(m)
+        assert factors[m] == (min(factorint(m)) if composite else 0), m

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -20,6 +21,7 @@ from twistsel.search import SearchMode, csv_lines, enumerate_d, search_twists
 
 E11A3 = CurveQ(0, -1, 1, 0, 0)
 E26 = CurveQ(1, -1, 1, -3, 3)
+E38 = CurveQ(1, 1, 1, 0, 1)
 
 
 def test_enumerate_d_examples():
@@ -131,7 +133,10 @@ def test_search_parallel_matches_serial(monkeypatch):
     assert not handed
     parallel = search_twists(E11A3, 5, -200, -3, jobs=2)
     assert serial == parallel
-    assert handed[-1] == list(enumerate_d(-200, -3, 5, 11))[1:]
+    # without the inadmissible rows only the admissible d are scanned, and the
+    # pool gets all of them but the first
+    admissible = [d for d in enumerate_d(-200, -3, 5, 11) if d in {row["d"] for row in serial}]
+    assert handed[-1] == admissible[1:] and len(admissible) == len(serial)
     # S_E = {13}: pooled rows run the ray-class connecting map
     pinned = SEARCH_26_CSV.splitlines()
     for jobs in (1, 2):
@@ -211,8 +216,9 @@ def test_search_starts_no_more_workers_than_usable_cpus(
     class InlinePool:
         """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)  # this process stands in for every worker
 
         def __enter__(self):
             return self
@@ -226,6 +232,7 @@ def test_search_starts_no_more_workers_than_usable_cpus(
     monkeypatch.setattr(search, "PROBE_S", 0.0)
     monkeypatch.setattr(search, "POOL_BREAK_EVEN_S", 0.0)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search, "_worker_row", None)  # restored after the stand-in sets it
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -274,7 +281,6 @@ def test_scan_ray_ranks_match_the_relation_oracle():
 
 def test_search_nonempty_s_curve():
     # E with S_E = {19}: CorollaryE rows are NotApplicable, bounds still computed
-    E38 = CurveQ(1, 1, 1, 0, 1)
     rows = search_twists(E38, 5, -60, -3)
     assert rows
     for row in rows:
@@ -319,7 +325,8 @@ def test_search_does_curve_level_work_once(monkeypatch):
 
 def test_squarefreeness_is_decided_once_per_d(monkeypatch, capsys):
     # a scan takes the sieve's verdict, so certify factors no d, with or without
-    # the inadmissible rows; a check factors its one d exactly once, admissible or not
+    # the inadmissible rows, and without them certifies only the admissible d;
+    # a check factors its one d exactly once, admissible or not
     from twistsel import checker, cli, intmath
 
     squarefree, certify = intmath.is_squarefree, checker.certify
@@ -350,7 +357,7 @@ def test_squarefreeness_is_decided_once_per_d(monkeypatch, capsys):
     for explain in (False, True):
         certified = 0
         rows = search_twists(E11A3, 5, -3399, -3000, include_inadmissible=explain, jobs=1)
-        assert certified == len(candidates) and factored == []
+        assert certified == (len(candidates) if explain else len(rows)) and factored == []
         assert len(rows) == len(candidates) if explain else 0 < len(rows) < len(candidates)
     # -37 and -3001 are admissible; -38 = 2 (mod 4), -45 = -3^2 * 5, -55 shares 5 and
     # 11 with ell N, and 37 is positive
@@ -370,6 +377,9 @@ def test_sieve_matches_the_factoring_path(monkeypatch, curve, ell, start, seed):
     from twistsel import checker
     from twistsel.checker import Verdict, evaluate_admissibility
 
+    def factoring_certify(rules, d, squarefree=None, tables=None):
+        return checker.certify(rules, d)
+
     rules = twist_rules(hypothesis_check(curve, ell))
     rng = random.Random(seed)
     for _ in range(2):
@@ -387,7 +397,152 @@ def test_sieve_matches_the_factoring_path(monkeypatch, curve, ell, start, seed):
         assert list(enumerate_d(lo, hi, ell, rules.N)) == domain
         sieved = search_twists(curve, ell, lo, hi, include_inadmissible=True)
         with monkeypatch.context() as m:
-            m.setattr(search, "certify", lambda rules, d, squarefree=None: checker.certify(rules, d))
+            m.setattr(search, "certify", factoring_certify)
             factoring = search_twists(curve, ell, lo, hi, include_inadmissible=True)
         assert sieved == factoring
         assert [row["d"] for row in sieved] == domain
+
+
+@pytest.mark.parametrize(
+    "curve, ell, start, seed",
+    [(E11A3, 5, 3000, 37), (E26, 7, 2000, 26), (E38, 5, 2000, 38)],
+    ids=["11a3", "26", "38"],
+)
+def test_symbol_rules_decide_the_dropped_rows(curve, ell, start, seed):
+    # on every candidate of seeded windows the symbol rules alone give the
+    # overall verdict, and a plain scan's rows are the admissible rows of the
+    # same scan with the inadmissible ones kept
+    from twistsel.checker import evaluate_admissibility
+
+    rules = twist_rules(hypothesis_check(curve, ell))
+    ids = {rule.clause_id: rule.want for rule in rules.symbols}
+    if curve is E26:
+        assert "dyadic.ramified" in ids and ids["symbol.13"] is None  # the exempt rule
+    rng = random.Random(seed)
+    for _ in range(2):
+        hi = -rng.randrange(start, 2 * start)
+        lo = hi - 399
+        verdicts = {}
+        for d in enumerate_d(lo, hi, ell, rules.N):
+            overall = evaluate_admissibility(rules, d)[0].overall
+            assert rules.symbols_hold(4 * d) is (overall is Overall.ADMISSIBLE), d
+            verdicts[d] = overall
+        assert Overall.ADMISSIBLE in verdicts.values()
+        explained = search_twists(curve, ell, lo, hi, include_inadmissible=True)
+        assert [row["d"] for row in explained] == list(verdicts)
+        plain = search_twists(curve, ell, lo, hi)
+        assert plain == [row for row in explained if verdicts[row["d"]] is Overall.ADMISSIBLE]
+
+
+def _count_scan_work(monkeypatch):
+    """The D of every h count, the d of every certify, and the bound of every
+    count table built, from now on, wherever a twistsel module binds them."""
+    from twistsel import _kernels, checker
+
+    seen = {"class_number": [], "certify": [], "count_tables": []}
+
+    def counting_h(D, tables=None, count=_kernels.class_number):
+        seen["class_number"].append(D)
+        return count(D, tables)
+
+    def counting_certify(rules, d, *args, certify=checker.certify, **kwargs):
+        seen["certify"].append(d)
+        return certify(rules, d, *args, **kwargs)
+
+    def counting_tables(amax, build=_kernels.count_tables):
+        seen["count_tables"].append(amax)
+        return build(amax)
+
+    wrappers = {
+        _kernels.class_number: counting_h,
+        checker.certify: counting_certify,
+        _kernels.count_tables: counting_tables,
+    }
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("twistsel"):
+            for attr, value in list(vars(mod).items()):
+                if callable(value) and value in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[value])
+    return seen
+
+
+@pytest.mark.parametrize(
+    "curve, ell, lo, hi", [(E11A3, 5, -3449, -3050), (E26, 7, -2449, -2050)], ids=["11a3", "26"]
+)
+def test_scan_builds_the_count_tables_once_and_counts_h_once_per_admissible_d(
+    monkeypatch, curve, ell, lo, hi
+):
+    from twistsel.checker import evaluate_admissibility
+
+    rules = twist_rules(hypothesis_check(curve, ell))
+    candidates = list(enumerate_d(lo, hi, ell, rules.N))
+    admissible = [
+        d for d in candidates if evaluate_admissibility(rules, d)[0].overall is Overall.ADMISSIBLE
+    ]
+    assert 0 < len(admissible) <= len(candidates)
+    seen = _count_scan_work(monkeypatch)
+    for explain in (False, True):
+        for k in seen:
+            seen[k].clear()
+        rows = search_twists(curve, ell, lo, hi, include_inadmissible=explain, jobs=1)
+        # one table, for the count's bound at the largest admissible |D| = 4|d|
+        assert seen["count_tables"] == [math.isqrt(-4 * admissible[-1] // 3)]
+        assert seen["class_number"] == [4 * d for d in admissible]
+        assert seen["certify"] == (candidates if explain else admissible)
+        assert [row["d"] for row in rows] == seen["certify"]
+    if curve is E26:  # every row is NotApplicable, and h is still counted once
+        assert {row["verdict"] for row in rows} == {"NotApplicable"}
+
+
+def test_scan_of_inadmissible_d_builds_no_count_table(monkeypatch):
+    # on 11a3, ell = 5, the candidates -13, -17, -21 all fail the symbol at 11
+    assert list(enumerate_d(-22, -3, 5, 11)) == [-13, -17, -21]
+    seen = _count_scan_work(monkeypatch)
+    assert search_twists(E11A3, 5, -22, -3) == []
+    assert seen == {"class_number": [], "certify": [], "count_tables": []}
+    rows = search_twists(E11A3, 5, -22, -3, include_inadmissible=True)
+    assert [row["verdict"] for row in rows] == ["Inadmissible"] * 3
+    assert seen == {"class_number": [], "certify": [-13, -17, -21], "count_tables": []}
+
+
+@pytest.mark.parametrize(
+    "curve, ell, lo, hi", [(E11A3, 5, -3449, -3050), (E26, 7, -2449, -2050)], ids=["11a3", "26"]
+)
+def test_pool_workers_get_the_context_once(monkeypatch, curve, ell, lo, hi):
+    # the context goes to each worker as it starts; each task is the d alone,
+    # sent with a function pickled by name; the rows match --jobs 1 byte for byte
+    import concurrent.futures
+    import pickle
+
+    serial = list(csv_lines(search_twists(curve, ell, lo, hi, jobs=1)))
+    handed = force_pool(monkeypatch)
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):  # the pool that force_pool installed
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, ds, **kwargs):
+            started.append(fn)
+            return super().map(fn, ds, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
+    assert list(csv_lines(search_twists(curve, ell, lo, hi, jobs=2))) == serial
+    (kwargs, fn), ds = started, handed[0]
+    ctx, mode = kwargs["initargs"]
+    assert kwargs["initializer"] is search._start_worker and mode is SearchMode.COROLLARY_E
+    assert isinstance(ctx, search.ScanContext) and ctx.tables is not None
+    assert fn is search._pooled_row and len(pickle.dumps(fn)) < 100
+    # every d but the first, one per CSV line after the header
+    assert all(type(d) is int for d in ds) and len(ds) == len(serial) - 2
+
+
+def test_scan_h_and_rank_match_a_fresh_ray_class_computation():
+    # the h a scan hands down from its shared tables, and the rank read from
+    # it, against ray_class_data that counts h itself
+    rows = search_twists(E26, 7, -2400, -2001)
+    assert len(rows) > 50
+    for row in rows:
+        data = ray_class_data(row["D"], (13,), 7)
+        assert (row["h"], row["ell_rank"]) == (data.h, data.ell_rank), row["d"]
